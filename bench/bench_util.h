@@ -60,6 +60,7 @@ inline exp::ResolvedRun ramp_run(const core::Params& params, int clusters,
   exp::ResolvedRun run;
   run.params = params;
   run.graph = net::Graph::line(clusters);
+  run.diameter = run.graph.diameter();
   run.gap_rounds = gap_rounds;
   run.horizon_rounds = rounds;
   run.seed = seed;

@@ -199,7 +199,7 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
                         obs::PhaseProfiler* profiler) {
   const core::Params& params = run.params;
   const int clusters = topo.num_clusters();
-  const int diameter = run.graph.diameter();
+  const int diameter = run.diameter;
 
   const double s_init = (clusters - 1) * run.gap_rounds * params.T;
   const double band = params.predicted_global_skew(diameter);
@@ -533,7 +533,6 @@ RunResult run_ftgcs(const ResolvedRun& run) {
 
 RunResult run_gcs_baseline(const ResolvedRun& run) {
   const int n = run.graph.num_vertices();
-  const int diameter = run.graph.diameter();
 
   gcs::GcsSystem::Config config;
   config.engine = run.engine;
@@ -570,7 +569,7 @@ RunResult run_gcs_baseline(const ResolvedRun& run) {
   result.seed = run.seed;
   auto& m = result.metrics;
   m.emplace_back("clusters", n);
-  m.emplace_back("diameter", diameter);
+  m.emplace_back("diameter", run.diameter);
   m.emplace_back("nodes", n);
   m.emplace_back("edges", static_cast<double>(run.graph.num_edges()));
   m.emplace_back("kappa", config.params.kappa);
@@ -629,11 +628,11 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
   run.metrics_path = spec.metrics_path;
   run.monitors = spec.monitors;
 
-  const int diameter = run.graph.diameter();
-  run.gap_rounds = spec.ramp.resolve(run.params, diameter);
+  run.diameter = run.graph.diameter();
+  run.gap_rounds = spec.ramp.resolve(run.params, run.diameter);
   const double s_init =
       (run.graph.num_vertices() - 1) * run.gap_rounds * run.params.T;
-  run.horizon_rounds = spec.horizon.resolve(run.params, diameter, s_init);
+  run.horizon_rounds = spec.horizon.resolve(run.params, run.diameter, s_init);
 
   if (spec.protocol == ProtocolKind::kFtGcs) {
     net::AugmentedTopology topo(run.graph, run.params.k);

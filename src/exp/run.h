@@ -25,6 +25,9 @@ namespace ftgcs::exp {
 struct ResolvedRun {
   core::Params params;
   net::Graph graph{1};
+  /// graph.diameter(), computed once by whoever builds the graph (an
+  /// all-pairs BFS — too costly to repeat per consumer).
+  int diameter = 0;
   ProtocolKind protocol = ProtocolKind::kFtGcs;
   sim::QueueBackend engine = sim::QueueBackend::kLadder;
   /// Conservative-parallel shard count (1 = single simulator). The

@@ -5,6 +5,35 @@
 
 namespace ftgcs::trace {
 
+namespace {
+
+/// Element moves the insertion sort may spend per record before it gives
+/// up and falls back to std::sort.
+constexpr std::size_t kInsertionMovesPerRecord = 4;
+
+/// Sorts `records` under record_key_less in place: insertion sort, linear
+/// in n plus the inversions of a fire-order buffer, until the move budget
+/// runs out, then std::sort so the worst case stays O(n log n).
+void sort_nearly_sorted(std::vector<Record>& records) {
+  std::size_t budget = kInsertionMovesPerRecord * records.size();
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    if (!record_key_less(records[i], records[i - 1])) continue;
+    const Record record = records[i];
+    std::size_t j = i;
+    for (; j > 0 && record_key_less(record, records[j - 1]); --j) {
+      records[j] = records[j - 1];
+    }
+    records[j] = record;
+    if (i - j > budget) {
+      std::sort(records.begin(), records.end(), record_key_less);
+      return;
+    }
+    budget -= i - j;
+  }
+}
+
+}  // namespace
+
 /// Lock-free per-shard capture buffer: only its owning worker thread
 /// appends, and the collector drains it only while the workers are parked.
 class TraceCollector::ShardBuffer final : public TraceSink {
@@ -20,9 +49,10 @@ class TraceCollector::ShardBuffer final : public TraceSink {
     records_.push_back(record);
   }
 
+  // Growth stays geometric: an exact reserve(size + n) per batch would
+  // copy the whole buffer on every batch.
   void on_delivery_batch(const sim::BatchedEvent* events,
                          std::size_t n) override {
-    records_.reserve(records_.size() + n);
     for (std::size_t i = 0; i < n; ++i) {
       on_delivery(events[i].at, events[i].payload);
     }
@@ -30,8 +60,20 @@ class TraceCollector::ShardBuffer final : public TraceSink {
 
   std::vector<Record>& records() { return records_; }
 
+  // Merge cursor over the sorted records.
+  bool drained() const { return head_ == records_.size(); }
+  const Record& head() const { return records_[head_]; }
+  const Record& pop() { return records_[head_++]; }
+
+  /// Drops the merged records, keeping the capacity for the next window.
+  void clear() {
+    records_.clear();
+    head_ = 0;
+  }
+
  private:
   std::vector<Record> records_;
+  std::size_t head_ = 0;  ///< next record the merge emits
 };
 
 TraceCollector::TraceCollector(const std::string& path) : writer_(path) {}
@@ -47,22 +89,23 @@ TraceSink* TraceCollector::shard_sink(int shard) {
 
 void TraceCollector::commit() {
   if (finished_) return;
-  merge_scratch_.clear();
-  for (auto& shard : shards_) {
-    auto& pending = shard->records();
-    merge_scratch_.insert(merge_scratch_.end(), pending.begin(),
-                          pending.end());
-    pending.clear();
+  // Key ties are whole-record ties (trace/format.h), so any correct sort and
+  // merge writes the same bytes, whatever the shard interleaving and capture
+  // order. Each buffer is sorted in place; a k-way merge over the shard
+  // heads (a linear scan: shard counts are small) streams into the writer.
+  for (auto& shard : shards_) sort_nearly_sorted(shard->records());
+  for (;;) {
+    ShardBuffer* next = nullptr;
+    for (auto& shard : shards_) {
+      if (shard->drained()) continue;
+      if (next == nullptr || record_key_less(shard->head(), next->head())) {
+        next = shard.get();
+      }
+    }
+    if (next == nullptr) break;
+    writer_.append(next->pop());
   }
-  // The full-key sort canonicalizes the stream so the bytes depend on
-  // neither the shard interleaving nor the capture order within a probe
-  // window: shard buffers arrive in fire order, which since the
-  // partitioned drain is only (time, seq)-sorted between barriers — the
-  // unordered tranches land here in calendar-sweep order. Both collapse to
-  // the same bytes under the canonical (time, sender, dest, kind, level,
-  // value) key; key ties are whole-record ties (see trace/format.h).
-  std::sort(merge_scratch_.begin(), merge_scratch_.end(), record_key_less);
-  for (const Record& record : merge_scratch_) writer_.append(record);
+  for (auto& shard : shards_) shard->clear();
 }
 
 void TraceCollector::finish() {

@@ -8,11 +8,12 @@
 // probe boundary (all shards advanced to a common time t, workers parked —
 // which is exactly the state after FtGcsSystem::run_until(t) or
 // par::ShardedFtGcsSystem::run_until(t) returns) the driver calls
-// commit(): the pending buffers are merged under the canonical record key
-// and streamed to the writer. Memory between commits is bounded by one
-// probe interval's traffic, and the resulting byte stream is identical for
-// every shard count and queue backend (see format.h for why the canonical
-// sort makes the merge partition-invariant).
+// commit(): each pending buffer is sorted in place under the canonical
+// record key, and a k-way merge of the buffers streams straight to the
+// writer. Memory between commits is the shard buffers alone — one probe
+// interval's traffic, with no concatenation copy — and the resulting byte
+// stream is identical for every shard count and queue backend (see
+// format.h for why the canonical key makes the merge partition-invariant).
 #pragma once
 
 #include <cstdint>
@@ -61,7 +62,6 @@ class TraceCollector {
 
   TraceWriter writer_;
   std::vector<std::unique_ptr<ShardBuffer>> shards_;
-  std::vector<Record> merge_scratch_;
   bool finished_ = false;
 };
 

@@ -1,6 +1,8 @@
 // The zero-allocation contract, proven at runtime: after warmup, a
 // steady-state run_until window performs ZERO global allocations — on
 // both queue backends and under the sharded backend's worker threads.
+// The same counter also pins geometric growth of the trace capture
+// buffers.
 //
 // This is the runtime twin of the ftgcs-lint no-hot-path-alloc rule: the
 // lint bans allocation constructs inside the annotated hot functions at
@@ -23,7 +25,9 @@
 #include "net/graph.h"
 #include "par/sharded_system.h"
 #include "sim/backend.h"
+#include "sim/event.h"
 #include "support/alloc_guard.h"
+#include "trace/collector.h"
 
 namespace ftgcs {
 namespace {
@@ -102,6 +106,27 @@ TEST(AllocGuard, SteadyStateShardedRunIsAllocationFree) {
   }
   EXPECT_EQ(guard.allocations(), 0u)
       << "steady-state sharded run_until allocated (shards=2)";
+}
+
+// Trace capture buffers must grow geometrically: an exact per-batch
+// reserve(size + n) would reallocate — and copy the whole buffer — on
+// every batch, making long traced runs quadratic. 20k batches of 4
+// deliveries may only cost O(log n) reallocations.
+TEST(AllocGuard, TraceCaptureBufferGrowsGeometrically) {
+  trace::TraceCollector collector(testing::TempDir() + "/growth.ftr");
+  trace::TraceSink* sink = collector.shard_sink(0);
+  std::vector<sim::BatchedEvent> batch(4);
+  double now = 0.0;
+
+  const support::ScopedAllocGuard guard;
+  for (int i = 0; i < 20000; ++i) {
+    for (sim::BatchedEvent& event : batch) {
+      now += 1e-3;
+      event.at = now;
+    }
+    sink->on_delivery_batch(batch.data(), batch.size());
+  }
+  EXPECT_LT(guard.allocations(), 64u);
 }
 
 }  // namespace

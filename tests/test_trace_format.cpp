@@ -1,19 +1,25 @@
 // Trace format pins: round-trip fidelity, exact replay offsets, a
 // byte-exact golden file, partition/engine invariance of captured runs,
-// and first-divergence localization under single-bit corruption.
+// the collector's commit merge against a sort-everything reference, and
+// first-divergence localization under single-bit corruption.
 //
 // The golden constants pin the on-disk format itself (magic, frame
 // layout, varint/zigzag/XOR-delta encoding, 64 KiB frame threshold).
 // Any intentional format change must bump the magic AND these constants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/exp.h"
+#include "sim/event.h"
+#include "sim/rng.h"
+#include "trace/collector.h"
 #include "trace/diff.h"
 #include "trace/format.h"
 #include "trace/reader.h"
@@ -240,6 +246,179 @@ TEST(TraceFormat, TorusNarrowCoalescedLaneIdenticalAcrossEnginesAndShards) {
   const trace::TraceDiff diff = trace::diff_traces(path_ladder, path_heap);
   EXPECT_TRUE(diff.identical) << diff.reason;
   EXPECT_GT(diff.records_compared, 0u);
+}
+
+// ---- commit() differential ------------------------------------------------
+//
+// TraceCollector::commit() sorts each shard buffer in place (insertion sort
+// with a std::sort fallback) and streams a k-way merge into the writer. The
+// reference below is the plain definition of the canonical stream:
+// concatenate every shard, std::sort under record_key_less, write. Both
+// must produce the same file bytes for every input shape.
+
+enum class Shape { kNearSorted, kShuffled, kReversed };
+
+/// One shard's captured deliveries for one commit window, in capture
+/// order. Times overlap across shards so the merge interleaves them.
+/// Near-sorted input has a few local swaps (up to 20 places) and some
+/// exact time ties; the other shapes force the insertion sort past its
+/// move budget.
+std::vector<sim::BatchedEvent> shard_events(sim::Rng& rng, int n, double t0,
+                                            Shape shape) {
+  std::vector<sim::BatchedEvent> events(static_cast<std::size_t>(n));
+  double now = t0;
+  for (sim::BatchedEvent& event : events) {
+    if (!rng.chance(0.01)) now += rng.uniform(0.0, 2.0 / n);
+    event.at = now;
+    event.payload.a = static_cast<std::int32_t>(rng.below(64));
+    event.payload.b = static_cast<std::int32_t>(rng.below(8));
+    event.payload.c = static_cast<std::int32_t>(rng.below(64));
+    event.payload.d = static_cast<std::uint32_t>(rng.below(4));
+    event.payload.x = rng.uniform(-1.0, 1.0);
+  }
+  switch (shape) {
+    case Shape::kNearSorted:
+      for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+        if (!rng.chance(0.02)) continue;
+        const std::size_t j =
+            std::min(events.size() - 1, i + 1 + rng.below(20));
+        std::swap(events[i], events[j]);
+      }
+      break;
+    case Shape::kShuffled:
+      for (std::size_t i = events.size(); i > 1; --i) {
+        std::swap(events[i - 1], events[rng.below(i)]);
+      }
+      break;
+    case Shape::kReversed:
+      std::reverse(events.begin(), events.end());
+      break;
+  }
+  return events;
+}
+
+/// The shard buffers of one commit window.
+using Window = std::vector<std::vector<sim::BatchedEvent>>;
+
+/// What the capture tap stores for one delivery.
+trace::Record captured(const sim::BatchedEvent& event) {
+  trace::Record record;
+  record.at = event.at;
+  record.sender = event.payload.a;
+  record.dest = event.payload.c;
+  record.kind = static_cast<std::uint8_t>(event.payload.d);
+  record.level = trace::kind_has_level(record.kind) ? event.payload.b : 0;
+  record.value = trace::kind_has_value(record.kind) ? event.payload.x : 0.0;
+  return record;
+}
+
+/// Captures `windows` through a TraceCollector (one commit per window) and
+/// through the reference, and compares the two files byte for byte.
+void expect_commit_matches_reference(const std::vector<Window>& windows,
+                                     const std::string& name) {
+  const std::string path = temp_path(name + ".ftr");
+  const std::string reference_path = temp_path(name + ".ref.ftr");
+  std::uint64_t records = 0;
+  {
+    trace::TraceCollector collector(path);
+    for (const Window& window : windows) {
+      for (std::size_t s = 0; s < window.size(); ++s) {
+        trace::TraceSink* sink = collector.shard_sink(static_cast<int>(s));
+        // Mixed capture granularity: batches of up to 5, then singles.
+        const std::vector<sim::BatchedEvent>& events = window[s];
+        std::size_t i = 0;
+        for (; i + 5 <= events.size() / 2; i += 5) {
+          sink->on_delivery_batch(events.data() + i, 5);
+        }
+        for (; i < events.size(); ++i) {
+          sink->on_delivery(events[i].at, events[i].payload);
+        }
+      }
+      collector.commit();
+    }
+    collector.finish();
+    records = collector.records();
+  }
+  {
+    trace::TraceWriter writer(reference_path);
+    for (const Window& window : windows) {
+      std::vector<trace::Record> all;
+      for (const auto& events : window) {
+        for (const sim::BatchedEvent& event : events) {
+          all.push_back(captured(event));
+        }
+      }
+      std::sort(all.begin(), all.end(), trace::record_key_less);
+      for (const trace::Record& record : all) writer.append(record);
+    }
+    writer.finish();
+    EXPECT_EQ(records, writer.records()) << name;
+  }
+  EXPECT_GT(records, 0u) << name;
+  const std::string bytes = read_file(path);
+  const std::string reference = read_file(reference_path);
+  const auto diverged =
+      std::mismatch(bytes.begin(), bytes.end(), reference.begin(),
+                    reference.end());
+  EXPECT_TRUE(bytes == reference)
+      << name << ": files differ from byte "
+      << (diverged.first - bytes.begin()) << " (sizes " << bytes.size()
+      << " vs " << reference.size() << ")";
+}
+
+/// Three commit windows (the middle one empty, to check that the XOR time
+/// chain runs across commits) over `shards` shards; every third shard
+/// stays empty.
+std::vector<Window> windows_of(int shards, Shape shape, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<Window> windows(3, Window(static_cast<std::size_t>(shards)));
+  for (int w : {0, 2}) {
+    for (int s = 0; s < shards; ++s) {
+      if (s % 3 == 2) continue;
+      windows[w][s] = shard_events(rng, 3000, 2.0 * w, shape);
+    }
+  }
+  return windows;
+}
+
+TEST(TraceCommit, NearSortedShardsMatchReference) {
+  for (int shards : {1, 2, 3, 8}) {
+    expect_commit_matches_reference(
+        windows_of(shards, Shape::kNearSorted, 40 + shards),
+        "near_sorted_t" + std::to_string(shards));
+  }
+}
+
+TEST(TraceCommit, ShuffledAndReversedShardsMatchReference) {
+  for (int shards : {1, 2, 3, 8}) {
+    expect_commit_matches_reference(
+        windows_of(shards, Shape::kShuffled, 50 + shards),
+        "shuffled_t" + std::to_string(shards));
+    expect_commit_matches_reference(
+        windows_of(shards, Shape::kReversed, 60 + shards),
+        "reversed_t" + std::to_string(shards));
+  }
+  // One shard of each shape in the same commit.
+  sim::Rng rng(70);
+  const Window mixed = {shard_events(rng, 3000, 0.0, Shape::kNearSorted),
+                        shard_events(rng, 3000, 0.0, Shape::kShuffled),
+                        shard_events(rng, 3000, 0.0, Shape::kReversed)};
+  expect_commit_matches_reference({mixed, mixed}, "mixed_shapes");
+}
+
+TEST(TraceCommit, DuplicateRecordsSplitAcrossShardsMatchReference) {
+  sim::Rng rng(80);
+  const std::vector<sim::BatchedEvent> base =
+      shard_events(rng, 3000, 0.0, Shape::kNearSorted);
+  std::vector<sim::BatchedEvent> every_other;
+  std::vector<sim::BatchedEvent> doubled;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    if (i % 2 == 0) every_other.push_back(base[i]);
+    doubled.push_back(base[i]);
+    if (i % 7 == 0) doubled.push_back(base[i]);
+  }
+  const Window window = {base, base, every_other, doubled};
+  expect_commit_matches_reference({window, window}, "duplicates");
 }
 
 TEST(TraceFormat, DiffLocalizesSingleBitCorruption) {
