@@ -266,16 +266,23 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
         // Entry-footprint split: 16 B narrow fire-only deliveries vs 32 B
         // wide entries, plus the 40 B group records that carry the narrow
         // fan-outs. mean_group = deliveries per coalesced broadcast.
+        // lane_peak_bytes = the ladder's retained lane storage (pool
+        // blocks + head vectors) of the largest task.
         const double narrow = result.queue.narrow_events;
         const double wide = result.queue.wide_events;
         const double groups = result.queue.group_inserts;
         const double bytes = 16.0 * narrow + 32.0 * wide + 40.0 * groups;
         const double total = narrow + wide;
         std::printf("bytes[queue]: entry_bytes=%.0f narrow=%.0f wide=%.0f "
-                    "groups=%.0f mean_group=%.1f bytes_per_event=%.1f\n",
+                    "groups=%.0f mean_group=%.1f bytes_per_event=%.1f "
+                    "lane_peak_bytes=%.0f lane_peak_lanes=%.0f "
+                    "lane_peak_live=%.0f\n",
                     bytes, narrow, wide, groups,
                     groups > 0.0 ? narrow / groups : 0.0,
-                    total > 0.0 ? bytes / total : 0.0);
+                    total > 0.0 ? bytes / total : 0.0,
+                    result.queue.max_lane_peak_bytes,
+                    result.queue.max_lane_peak_lanes,
+                    result.queue.max_lane_peak_live);
       }
       if (result.shard.shards > 0.0) {
         std::printf("shards[%.0f]: cut_edges=%.0f min_cut_delay=%g "

@@ -308,6 +308,60 @@ void BM_QueueNarrowInsertLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueNarrowInsertLadder);
 
+// Round-band kernel: the queue shape of a synchronized torus without the
+// protocol. 1,000 senders pulse once per round inside a 2% band and each
+// pulse fans out 20 coalesced deliveries; every round draws a fresh
+// delivery offset and spread, so each of the 24 rounds per iteration
+// reseeds the window over a differently placed band. Items are events
+// popped per second; `lane_bytes` is the ladder's retained lane storage
+// (pool blocks + head vectors) at the end of an iteration.
+void BM_QueueRoundBandLadder(benchmark::State& state) {
+  constexpr int kSenders = 1000;
+  constexpr int kFanout = 20;
+  constexpr int kRounds = 24;
+  std::vector<std::int32_t> dests(kFanout);
+  std::vector<sim::Duration> delays(kFanout);
+  std::uint64_t events = 0;
+  std::size_t lane_bytes = 0;
+  std::uint64_t reseeds = 0;
+  for (auto _ : state) {
+    sim::EventQueue queue(sim::QueueBackend::kLadder);
+    sim::Rng rng(5);
+    for (int i = 0; i < kSenders; ++i) {
+      sim::EventPayload payload;
+      payload.a = i;
+      queue.schedule_typed(0.02 * rng.next_double(), sim::EventKind::kTimer,
+                           1, payload);
+    }
+    while (!queue.empty()) {
+      const sim::EventQueue::Fired fired = queue.pop();
+      ++events;
+      if (fired.kind != sim::EventKind::kTimer) continue;
+      const auto round = static_cast<std::uint64_t>(fired.at);
+      sim::Rng round_rng(round + 77);
+      const double offset = 0.2 + 0.3 * round_rng.next_double();
+      const double spread = 0.005 + 0.03 * round_rng.next_double();
+      for (sim::Duration& d : delays) d = offset + spread * rng.next_double();
+      queue.schedule_fire_only_group(fired.at, delays.data(), kFanout,
+                                     sim::EventKind::kPulse, 0,
+                                     fired.payload, 0, dests.data() + 1);
+      const double next =
+          static_cast<double>(round + 1) + 0.02 * rng.next_double();
+      if (next < kRounds) {
+        queue.schedule_typed(next, sim::EventKind::kTimer, 1, fired.payload);
+      }
+    }
+    lane_bytes = queue.tier_stats().lane_peak_bytes;
+    reseeds = queue.tier_stats().reseeds;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["events"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate);
+  state.counters["lane_bytes"] = static_cast<double>(lane_bytes);
+  state.counters["reseeds"] = static_cast<double>(reseeds);
+}
+BENCHMARK(BM_QueueRoundBandLadder);
+
 // Coalesced broadcast fan-out through the real network layer: every node
 // of an augmented 64-cluster torus broadcasts once (encode once, sample
 // all per-edge delays, hand the queue ONE pre-encoded group), then the

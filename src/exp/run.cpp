@@ -122,6 +122,9 @@ RunResult::QueueTiers queue_tiers(const sim::EventQueue::TierStats& stats) {
   tiers.narrow_events = static_cast<double>(stats.narrow_events);
   tiers.wide_events = static_cast<double>(stats.wide_events);
   tiers.group_inserts = static_cast<double>(stats.group_inserts);
+  tiers.lane_peak_bytes = static_cast<double>(stats.lane_peak_bytes);
+  tiers.lane_peak_lanes = static_cast<double>(stats.lane_peak_lanes);
+  tiers.lane_peak_live = static_cast<double>(stats.lane_peak_live);
   return tiers;
 }
 

@@ -82,6 +82,9 @@ struct RunResult {
     double narrow_events = 0.0;   ///< 16 B narrow deliveries scheduled
     double wide_events = 0.0;     ///< 32 B entries scheduled
     double group_inserts = 0.0;   ///< coalesced fan-out groups created
+    double lane_peak_bytes = 0.0;  ///< ladder lane storage high-water (B)
+    double lane_peak_lanes = 0.0;  ///< non-empty lanes at that high-water
+    double lane_peak_live = 0.0;   ///< live events at that high-water
   };
   QueueTiers queue;
 

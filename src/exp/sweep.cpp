@@ -166,6 +166,11 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
     sweep.queue.narrow_events += tiers.narrow_events;
     sweep.queue.wide_events += tiers.wide_events;
     sweep.queue.group_inserts += tiers.group_inserts;
+    if (tiers.lane_peak_bytes > sweep.queue.max_lane_peak_bytes) {
+      sweep.queue.max_lane_peak_bytes = tiers.lane_peak_bytes;
+      sweep.queue.max_lane_peak_lanes = tiers.lane_peak_lanes;
+      sweep.queue.max_lane_peak_live = tiers.lane_peak_live;
+    }
     const RunResult::ShardDiag& shard = results[i].shard;
     if (shard.shards > 0.0) {
       sweep.shard.min_cut_delay =

@@ -65,6 +65,11 @@ struct SweepResult {
     double narrow_events = 0.0;
     double wide_events = 0.0;
     double group_inserts = 0.0;
+    /// Largest ladder lane footprint of any task (bytes), and that
+    /// task's non-empty lanes and live events at its peak.
+    double max_lane_peak_bytes = 0.0;
+    double max_lane_peak_lanes = 0.0;
+    double max_lane_peak_live = 0.0;
   };
   QueueTierTotals queue;
 

@@ -313,6 +313,9 @@ sim::EventQueue::TierStats ShardedFtGcsSystem::queue_stats() const {
     stats.narrow_events += tier.narrow_events;
     stats.wide_events += tier.wide_events;
     stats.group_inserts += tier.group_inserts;
+    stats.lane_peak_bytes += tier.lane_peak_bytes;  // shards coexist
+    stats.lane_peak_lanes += tier.lane_peak_lanes;
+    stats.lane_peak_live += tier.lane_peak_live;
   }
   return stats;
 }

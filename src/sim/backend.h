@@ -6,7 +6,7 @@
 //             implementation and the right choice for sparse far-future
 //             timer populations (n small, horizon long).
 //   kLadder — calendar/ladder-queue front-end over near-future time, with
-//             an unsorted far-future overflow bag that is windowed by one
+//             an unsorted far-future overflow lane that is windowed by one
 //             linear scan whenever the calendar drains. Amortized O(1)
 //             push/pop when message delays and timer horizons are bounded
 //             per scenario (they are — see net/channel.h), which is what

@@ -14,45 +14,19 @@ void EventQueue::reserve(std::size_t capacity) {
   if (backend_ == QueueBackend::kHeap) {
     heap_.reserve(capacity);
   } else {
-    bag_.reserve(capacity);
-    bag_narrow_.reserve(capacity);
-    // Bucket headers only; each bucket's item vector grows on demand and
-    // keeps its capacity across windows, so the steady state is
-    // allocation-free either way.
+    // Blocks for `capacity` dense wide entries; sparse tails come on demand.
+    reserve_pool(capacity / kPerBlock<Entry> + 2);
     wheel_.reserve(std::min(capacity, kMaxBuckets));
   }
 }
 
 void EventQueue::prewarm() {
   if (backend_ == QueueBackend::kHeap) return;
-  // A lane's capacity IS its occupancy high-water (vectors never shrink
-  // here — drains clear() or resize() down), so the global floor needs no
-  // separate tracking: take the max over every bucket ever materialized.
-  std::size_t wide = 0;
-  std::size_t narrow = 0;
-  for (const Bucket& b : wheel_) {
-    wide = std::max(wide, b.items.capacity());
-    narrow = std::max(narrow, b.narrow.capacity());
-  }
-  for (const Bucket& b : rung_) {
-    wide = std::max(wide, b.items.capacity());
-    narrow = std::max(narrow, b.narrow.capacity());
-  }
-  // ×2 margin: window drift can pile a bucket somewhat higher than the
-  // highest pile observed during warmup.
-  wide *= 2;
-  narrow *= 2;
-  // reserve() moves lane storage but not the Bucket objects, so
-  // head_cache_ and positions_ stay valid; lane order is preserved, so
-  // the sorted flags stay honest.
-  for (Bucket& b : wheel_) {
-    b.items.reserve(wide);
-    b.narrow.reserve(narrow);
-  }
-  for (Bucket& b : rung_) {
-    b.items.reserve(wide);
-    b.narrow.reserve(narrow);
-  }
+  // ×2: window drift can pile the live set above the warmup high-water.
+  reserve_pool(2 * links_.size());
+  head_wide_.reserve(2 * head_wide_.capacity());
+  head_narrow_.reserve(2 * head_narrow_.capacity());
+  unordered_decode_.reserve(2 * unordered_decode_.capacity());
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -80,18 +54,118 @@ bool EventQueue::decode_live(EventId id, std::uint32_t& slot) const {
   return slot < slots_.size() && slots_[slot].gen == gen;
 }
 
-void EventQueue::push_overflow(const Entry& entry) {
-  // The overflow tier is an UNSORTED bag. Order is never consulted —
-  // reseed() scans it linearly to build the next window — so a push is
-  // one append, a removal one swap-remove, a far-future re-aim an
-  // in-place overwrite.
-  if (!entry.is_inline()) {
-    positions_[entry.slot()] = static_cast<std::uint64_t>(bag_.size());
+void EventQueue::reserve_pool(std::size_t blocks) {
+  links_.reserve(blocks);
+  free_blocks_.reserve(blocks);
+  while (chunks_.size() << kChunkBits < blocks) {
+    chunks_.push_back(std::make_unique<Block[]>(kChunkBlocks));
   }
-  bag_.push_back(entry);
-  ++stats_.overflow_pushes;
-  const std::size_t occ = bag_.size() + bag_narrow_.size();
-  if (occ > stats_.overflow_peak) stats_.overflow_peak = occ;
+}
+
+void EventQueue::grow_pool() {
+  do {  // the first growth also creates the kNil sentinel
+    if (links_.size() == chunks_.size() << kChunkBits) {
+      chunks_.push_back(std::make_unique<Block[]>(kChunkBlocks));
+    }
+    links_.emplace_back();
+    free_blocks_.push_back(0);
+  } while (links_.size() < 2);
+  // Pool indices of wide entries (block · 16 + offset) fill 32 bits.
+  FTGCS_ASSERT(links_.size() <= (std::size_t{1} << 28));
+  release(static_cast<std::uint32_t>(links_.size() - 1));
+  stats_.lane_peak_lanes = lanes_live_ + 1;  // + the lane taking the block
+  stats_.lane_peak_live = size() + 1;
+}
+
+template <typename T>
+inline std::uint32_t EventQueue::lane_append(Lane& lane, const T& entry) {
+  const std::uint32_t off = lane.count % kPerBlock<T>;
+  if (off == 0) {
+    // The tail block is full (or the lane is empty): link in the free
+    // stack's top block, the one most recently drained.
+    if (free_top_ == 0) grow_pool();
+    const std::uint32_t b = free_blocks_[--free_top_];
+    links_[b] = Link{kNil, lane.last};
+    if (lane.count == 0) {
+      lane.first = b;
+      ++lanes_live_;
+    } else {
+      links_[lane.last].next = b;
+    }
+    lane.last = b;
+  }
+  ++lane.count;
+  block<T>(lane.last)[off] = entry;
+  return lane.last * kPerBlock<T> + off;
+}
+
+void EventQueue::lane_truncate(Lane& lane, std::uint32_t keep,
+                               std::uint32_t keep_last) {
+  for (std::uint32_t b = keep == 0 ? lane.first : links_[keep_last].next;
+       b != kNil; b = links_[b].next) {
+    release(b);
+  }
+  if (keep == 0) {
+    lane = Lane{};
+    --lanes_live_;
+    return;
+  }
+  links_[keep_last].next = kNil;
+  lane.last = keep_last;
+  lane.count = keep;
+}
+
+template <typename T>
+std::uint32_t EventQueue::head_append(const T& entry) {
+  // The next pop re-sorts this head lane (the other keeps its flag).
+  std::vector<T>& head = head_vec<T>();
+  head.push_back(entry);
+  (kWide<T> ? head_sorted_wide_ : head_sorted_narrow_) = false;
+  return static_cast<std::uint32_t>(head.size() - 1);
+}
+
+template <typename T>
+inline void EventQueue::lane_insert(Bucket& bucket, std::uint64_t tag,
+                                    const T& entry) {
+  const std::uint32_t idx = &bucket == head_
+                                ? head_append(entry)
+                                : lane_append(lane_of<T>(bucket), entry);
+  set_position(entry, tag | idx);
+  // The inserted entry may be non-drainable: the horizon-scan cache drops.
+  bucket.scan_valid = false;
+  count_live(tag, 1);
+}
+
+template <typename T, typename F>
+void EventQueue::visit(Bucket& bucket, F&& f) {
+  if (&bucket == head_) {
+    f(head_vec<T>().data(), head_vec<T>().size());
+    return;
+  }
+  const Lane& lane = lane_of<T>(bucket);
+  std::uint32_t left = lane.count;
+  for (std::uint32_t b = lane.first; b != kNil; b = links_[b].next) {
+    const std::uint32_t n = std::min(left, kPerBlock<T>);
+    f(static_cast<const T*>(block<T>(b)), std::size_t{n});
+    left -= n;
+  }
+}
+
+template <typename T, typename F>
+void EventQueue::drain_chain(Lane& lane, F&& f) {
+  // A block is released only once read: f may take it straight back.
+  const Lane src = lane;
+  lane = Lane{};
+  std::uint32_t left = src.count;
+  for (std::uint32_t b = src.first; b != kNil;) {
+    const std::uint32_t n = std::min(left, kPerBlock<T>);
+    for (std::uint32_t i = 0; i < n; ++i) f(T(block<T>(b)[i]));
+    left -= n;
+    const std::uint32_t next = links_[b].next;
+    release(b);
+    b = next;
+  }
+  if (src.count != 0) --lanes_live_;  // counted while its blocks were held
 }
 
 namespace {
@@ -109,32 +183,20 @@ std::size_t clamp_bucket_index(double off, std::size_t lo, std::size_t hi) {
 
 }  // namespace
 
-void EventQueue::bucket_insert(Bucket& bucket, bool rung, std::size_t index,
-                               const Entry& entry) {
-  if (!entry.is_inline()) {
-    positions_[entry.slot()] = encode_bucket_pos(rung, index, bucket.items.size());
-  }
-  bucket.items.push_back(entry);
-  // If this is the drain head, the next pop re-sorts the remaining wide
-  // span (the untouched narrow lane keeps its flag); for a not-yet-reached
-  // bucket the flag is false already. The inserted entry may be
-  // non-drainable, so the horizon-scan cache drops with it.
-  bucket.sorted_wide = false;
-  bucket.scan_valid = false;
-  if (rung) {
-    ++rung_live_;
-  } else {
-    ++wheel_live_;
-  }
-}
-
-void EventQueue::insert_ladder(const Entry& entry) {
+template <typename T>
+void EventQueue::insert_ladder(const T& entry) {
   // An empty window accepts nothing: pushes accumulate in the overflow
-  // tier and the next pop reseeds a fresh window around them. This keeps
+  // lane and the next pop reseeds a fresh window around them. This keeps
   // the one invariant everything rests on — every overflow entry is
-  // (time, seq)-after every window entry.
+  // (time, seq)-after every window entry. Wide and narrow entries share
+  // the routing, so a narrow delivery lands in exactly the bucket (and
+  // fires in exactly the order) its 32-byte twin would have.
   if (entry.at >= win_end_ || wheel_live_ + rung_live_ == 0) {
-    push_overflow(entry);
+    // Unsorted: a push is one append, a removal one swap-remove, a
+    // far-future re-aim an in-place overwrite.
+    lane_insert(overflow_, 0, entry);
+    ++stats_.overflow_pushes;
+    stats_.overflow_peak = std::max(stats_.overflow_peak, overflow_size());
     return;
   }
   // Clamping low to the drain bucket (including times below the window
@@ -147,43 +209,10 @@ void EventQueue::insert_ladder(const Entry& entry) {
     const std::size_t sub =
         clamp_bucket_index((entry.at - rung_start_) / rung_width_, rung_cur_,
                            rung_nb_ - 1);
-    bucket_insert(rung_[sub], /*rung=*/true, sub, entry);
+    lane_insert(rung_[sub], bucket_tag(/*rung=*/true, sub), entry);
     return;
   }
-  bucket_insert(wheel_[index], /*rung=*/false, index, entry);
-}
-
-void EventQueue::insert_narrow(const NarrowEntry& entry) {
-  // Mirrors insert_ladder for the slotless 16-byte lane: same window test,
-  // same clamped bucket routing, so a narrow delivery lands in exactly the
-  // bucket (and fires in exactly the order) its 32-byte twin would have.
-  if (entry.at >= win_end_ || wheel_live_ + rung_live_ == 0) {
-    bag_narrow_.push_back(entry);
-    ++stats_.overflow_pushes;
-    const std::size_t occ = bag_.size() + bag_narrow_.size();
-    if (occ > stats_.overflow_peak) stats_.overflow_peak = occ;
-    return;
-  }
-  const std::size_t index =
-      clamp_bucket_index((entry.at - win_start_) / bucket_width_, wheel_cur_,
-                         wheel_nb_ - 1);
-  Bucket* bucket = &wheel_[index];
-  bool rung = false;
-  if (index == wheel_cur_ && rung_active_) {
-    const std::size_t sub =
-        clamp_bucket_index((entry.at - rung_start_) / rung_width_, rung_cur_,
-                           rung_nb_ - 1);
-    bucket = &rung_[sub];
-    rung = true;
-  }
-  bucket->narrow.push_back(entry);
-  bucket->sorted_narrow = false;  // the wide lane is untouched
-  bucket->scan_valid = false;
-  if (rung) {
-    ++rung_live_;
-  } else {
-    ++wheel_live_;
-  }
+  lane_insert(wheel_[index], bucket_tag(/*rung=*/false, index), entry);
 }
 
 void EventQueue::insert_ladder_group(Time base, const Duration* delays,
@@ -222,148 +251,112 @@ void EventQueue::insert_ladder_group(Time base, const Duration* delays,
     FTGCS_EXPECTS(delays[i] >= 0.0);
     e.at = base + delays[i];
     e.key = (g.base_seq + i) << kSlotBits | gid;
-    insert_narrow(e);
+    insert_ladder(e);
   }
 }
 
 void EventQueue::remove_resident(std::uint32_t slot) {
+  // Swap-remove (the kHeap backend never routes through here — its cancel
+  // path uses remove_at on the real heap directly).
   const std::uint64_t pos = positions_[slot];
-  if (pos < (std::uint64_t{1} << 32)) {
-    // Overflow bag: swap-remove (the kHeap backend never routes through
-    // here — its cancel path uses remove_at on the real heap directly).
-    const std::size_t idx = static_cast<std::size_t>(pos);
-    const Entry moved = bag_.back();
-    bag_.pop_back();
-    if (idx < bag_.size()) {
-      bag_[idx] = moved;
-      if (!moved.is_inline()) {
-        positions_[moved.slot()] = static_cast<std::uint64_t>(idx);
-      }
+  const std::uint64_t tag = pos & ~std::uint64_t{0xffffffff};
+  std::uint32_t idx = static_cast<std::uint32_t>(pos);
+  Bucket& bucket = bucket_at(tag);
+  if (&bucket == head_) {
+    if (idx >= head_wide_.size() || head_wide_[idx].slot() != slot) {
+      // The recorded index went stale when the bucket moved into the head
+      // (or the head was sorted); locate the entry by its unique slot.
+      idx = 0;
+      while (head_wide_[idx].slot() != slot) ++idx;
     }
-    return;
-  }
-  const bool rung = (pos & kRungBit) != 0;
-  const std::size_t bucket_index =
-      static_cast<std::size_t>(((pos & ~kRungBit) >> 32) - 1);
-  std::size_t idx = static_cast<std::uint32_t>(pos);
-  Bucket& bucket = rung ? rung_[bucket_index] : wheel_[bucket_index];
-  if (idx >= bucket.items.size() || bucket.items[idx].slot() != slot) {
-    // The recorded index went stale when the bucket was sorted for drain
-    // (sort_bucket skips the positions rewrite). The bucket is still the
-    // right one; locate the entry by its unique slot.
-    idx = 0;
-    while (bucket.items[idx].slot() != slot) ++idx;
-  }
-  const Entry moved = bucket.items.back();
-  bucket.items.pop_back();
-  if (idx < bucket.items.size()) {
-    bucket.items[idx] = moved;
-    if (!moved.is_inline()) {
-      positions_[moved.slot()] = encode_bucket_pos(rung, bucket_index, idx);
+    const Entry moved = head_wide_.back();
+    head_wide_.pop_back();
+    if (idx < head_wide_.size()) {
+      head_wide_[idx] = moved;
+      set_position(moved, tag | idx);
     }
-  }
-  bucket.sorted_wide = false;  // a swap-remove breaks the wide drain order
-  bucket.scan_valid = false;
-  if (rung) {
-    --rung_live_;
+    head_sorted_wide_ = false;  // a swap-remove breaks the wide drain order
   } else {
-    --wheel_live_;
+    Lane& lane = bucket.wide;
+    const std::uint32_t back = lane.last * kPerBlock<Entry> +
+                               (lane.count - 1) % kPerBlock<Entry>;
+    if (idx != back) {
+      const Entry& moved = wide_at(idx) = wide_at(back);
+      set_position(moved, tag | idx);
+    }
+    if (--lane.count % kPerBlock<Entry> == 0) {  // the tail block emptied
+      lane_truncate(lane, lane.count, links_[lane.last].prev);
+    }
   }
+  bucket.scan_valid = false;
+  count_live(tag, -1);
 }
 
-void EventQueue::sort_bucket(Bucket& bucket) {
-  // Descending (time, seq): pops are pop_back, so the live span is always
-  // exactly `items` and cancel stays a swap-remove. Positions are NOT
-  // rewritten — that would be one random-access write per event into the
-  // multi-MB positions_ array. Instead they go stale and remove_resident
-  // verifies the slot before trusting an index (scan fallback; only the
-  // drain bucket is ever sorted, so the case is rare and the scan short).
-  // Lanes sort independently: a clean lane (common when only the delivery
-  // band's narrow inserts dirtied the head) keeps its existing order —
-  // pops and the unordered compaction both preserve it.
-  if (!bucket.sorted_wide) {
-    std::sort(bucket.items.begin(), bucket.items.end(),
-              [](const Entry& a, const Entry& b) { return earlier(b, a); });
-    bucket.sorted_wide = true;
-  }
-  if (!bucket.sorted_narrow) {
-    std::sort(bucket.narrow.begin(), bucket.narrow.end(),
-              [](const NarrowEntry& a, const NarrowEntry& b) {
-                return earlier(b, a);
-              });
-    bucket.sorted_narrow = true;
-  }
-  head_cache_ = &bucket;
+void EventQueue::materialize(Bucket& bucket) {
+  drain_chain<Entry>(bucket.wide,
+                     [&](const Entry& e) { head_wide_.push_back(e); });
+  drain_chain<NarrowEntry>(
+      bucket.narrow, [&](const NarrowEntry& e) { head_narrow_.push_back(e); });
+  head_ = &bucket;
+  head_sorted_wide_ = false;
+  head_sorted_narrow_ = false;
 }
 
-void EventQueue::spawn_rung(Bucket& bucket) {
-  head_cache_ = nullptr;  // rung_ may reallocate below
-  const std::size_t n = bucket_size(bucket);
+void EventQueue::spawn_rung() {
+  // Splits the (wheel) drain head into the rung's sub-bucket lanes.
+  const std::size_t n = head_size();
   rung_nb_ = std::clamp(n / kRungFanout, kMinBuckets, kMaxRungBuckets);
   if (rung_.size() < rung_nb_) rung_.resize(rung_nb_);
-  Time tmin = bucket.items.empty() ? bucket.narrow.front().at
-                                   : bucket.items.front().at;
+  Time tmin = head_wide_.empty() ? head_narrow_.front().at
+                                 : head_wide_.front().at;
   Time tmax = tmin;
-  for (const Entry& e : bucket.items) {
-    tmin = std::min(tmin, e.at);
-    tmax = std::max(tmax, e.at);
-  }
-  for (const NarrowEntry& e : bucket.narrow) {
-    tmin = std::min(tmin, e.at);
-    tmax = std::max(tmax, e.at);
-  }
+  const auto span = [&](const auto& lane) {
+    for (const auto& e : lane) {
+      tmin = std::min(tmin, e.at);
+      tmax = std::max(tmax, e.at);
+    }
+  };
+  span(head_wide_);
+  span(head_narrow_);
   if (!std::isfinite(tmin)) tmin = 0.0;  // see reseed(): avoid NaN offsets
   rung_start_ = tmin;
   rung_width_ = std::max((tmax - tmin) / static_cast<double>(rung_nb_),
                          std::max(std::abs(tmin), 1.0) * 1e-15);
-  for (const Entry& e : bucket.items) {
-    const std::size_t sub = clamp_bucket_index(
-        (e.at - rung_start_) / rung_width_, 0, rung_nb_ - 1);
-    Bucket& target = rung_[sub];
-    if (!e.is_inline()) {
-      positions_[e.slot()] =
-          encode_bucket_pos(/*rung=*/true, sub, target.items.size());
+  head_ = nullptr;  // the entries go to rung chains, not back to the head
+  const auto split = [&](const auto& lane) {
+    for (const auto& e : lane) {
+      const std::size_t sub = clamp_bucket_index(
+          (e.at - rung_start_) / rung_width_, 0, rung_nb_ - 1);
+      lane_insert(rung_[sub], bucket_tag(/*rung=*/true, sub), e);
     }
-    target.items.push_back(e);
-    target.sorted_wide = false;
-    target.scan_valid = false;
-  }
-  for (const NarrowEntry& e : bucket.narrow) {
-    const std::size_t sub = clamp_bucket_index(
-        (e.at - rung_start_) / rung_width_, 0, rung_nb_ - 1);
-    Bucket& target = rung_[sub];  // narrow entries have no position word
-    target.narrow.push_back(e);
-    target.sorted_narrow = false;
-    target.scan_valid = false;
-  }
-  rung_live_ += n;
-  wheel_live_ -= n;
-  bucket.items.clear();
-  bucket.narrow.clear();
-  bucket.sorted_wide = false;
-  bucket.sorted_narrow = false;
-  bucket.scan_valid = false;
+  };
+  split(head_wide_);
+  split(head_narrow_);
+  head_wide_.clear();
+  head_narrow_.clear();
+  wheel_live_ -= n;  // lane_insert counted them into rung_live_
   rung_cur_ = 0;
   rung_active_ = true;
   ++stats_.rung_spawns;
 }
 
 void EventQueue::reseed() {
-  FTGCS_ASSERT(wheel_live_ == 0 && rung_live_ == 0 &&
-               !(bag_.empty() && bag_narrow_.empty()));
-  head_cache_ = nullptr;  // wheel_ may reallocate below
+  FTGCS_ASSERT(wheel_live_ == 0 && rung_live_ == 0 && overflow_size() != 0);
+  head_ = nullptr;
   rung_active_ = false;
-  const std::size_t n = bag_.size() + bag_narrow_.size();
-  Time tmin = bag_.empty() ? bag_narrow_.front().at : bag_.front().at;
+  const std::size_t n = overflow_size();
+  Time tmin = overflow_.wide.count == 0
+                  ? block<NarrowEntry>(overflow_.narrow.first)[0].at
+                  : block<Entry>(overflow_.wide.first)[0].at;
   Time tmax = tmin;
-  for (const Entry& e : bag_) {
-    tmin = std::min(tmin, e.at);
-    tmax = std::max(tmax, e.at);
-  }
-  for (const NarrowEntry& e : bag_narrow_) {
-    tmin = std::min(tmin, e.at);
-    tmax = std::max(tmax, e.at);
-  }
+  const auto span = [&](const auto* d, std::size_t m) {
+    for (std::size_t i = 0; i < m; ++i) {
+      tmin = std::min(tmin, d[i].at);
+      tmax = std::max(tmax, d[i].at);
+    }
+  };
+  visit<Entry>(overflow_, span);
+  visit<NarrowEntry>(overflow_, span);
   wheel_nb_ = std::clamp(n, kMinBuckets, kMaxBuckets);
   if (wheel_.size() < wheel_nb_) wheel_.resize(wheel_nb_);
   // Events at kTimeInfinity (legal, if unusual) would make every offset
@@ -382,45 +375,60 @@ void EventQueue::reseed() {
   win_start_ = tmin;
   win_end_ = win_start_ + bucket_width_ * static_cast<double>(wheel_nb_);
   wheel_cur_ = 0;
-  // The bag is a plain vector: transfer with one linear scan, no pops.
-  for (const Entry& e : bag_) {
+  // One linear pass, recycling each overflow block once its entries have
+  // landed: the transfer peaks at about the live set, not twice it.
+  const auto place = [&](const auto& e) {
+    using T = std::remove_cv_t<std::remove_reference_t<decltype(e)>>;
     const std::size_t index = clamp_bucket_index(
         (e.at - win_start_) / bucket_width_, 0, wheel_nb_ - 1);
-    Bucket& target = wheel_[index];
-    if (!e.is_inline()) {
-      positions_[e.slot()] =
-          encode_bucket_pos(/*rung=*/false, index, target.items.size());
-    }
-    target.items.push_back(e);
-    target.sorted_wide = false;
-    target.scan_valid = false;
-  }
-  for (const NarrowEntry& e : bag_narrow_) {
-    const std::size_t index = clamp_bucket_index(
-        (e.at - win_start_) / bucket_width_, 0, wheel_nb_ - 1);
-    Bucket& target = wheel_[index];
-    target.narrow.push_back(e);
-    target.sorted_narrow = false;
-    target.scan_valid = false;
-  }
+    Bucket& bucket = wheel_[index];
+    set_position(e, bucket_tag(/*rung=*/false, index) |
+                        lane_append(lane_of<T>(bucket), e));
+    bucket.scan_valid = false;
+  };
+  // Taken out first, so size() reads n throughout the scatter.
+  Lane wide = std::exchange(overflow_.wide, Lane{});
+  Lane narrow = std::exchange(overflow_.narrow, Lane{});
   wheel_live_ = n;
-  bag_.clear();
-  bag_narrow_.clear();
+  drain_chain<Entry>(wide, place);
+  drain_chain<NarrowEntry>(narrow, place);
   ++stats_.reseeds;
   stats_.bucket_count = std::max(stats_.bucket_count, wheel_nb_);
 }
 
 bool EventQueue::prepare_head() {
   for (;;) {
+    if (head_ != nullptr && head_size() != 0) {
+      if (head_sorted()) return true;
+      if (!rung_active_ && head_size() > kRungSpawnThreshold) {
+        spawn_rung();
+        continue;
+      }
+      // Descending (time, seq), so pops are pop_back and cancel stays a
+      // swap-remove. Positions are NOT rewritten (a random write per event
+      // into the multi-MB positions_); removal verifies the slot instead.
+      // A clean lane keeps its order.
+      const auto later = [](const auto& a, const auto& b) {
+        return earlier(b, a);
+      };
+      if (!head_sorted_wide_) {
+        std::sort(head_wide_.begin(), head_wide_.end(), later);
+      }
+      if (!head_sorted_narrow_) {
+        std::sort(head_narrow_.begin(), head_narrow_.end(), later);
+      }
+      head_sorted_wide_ = true;
+      head_sorted_narrow_ = true;
+      return true;
+    }
+    head_ = nullptr;
     if (rung_active_) {
       while (rung_cur_ < rung_nb_ && bucket_empty(rung_[rung_cur_])) {
         ++rung_cur_;
       }
       if (rung_cur_ < rung_nb_) {
-        Bucket& bucket = rung_[rung_cur_];
-        if (!bucket_sorted(bucket)) sort_bucket(bucket);
-        head_cache_ = &bucket;
-        return true;
+        materialize(rung_[rung_cur_]);
+        continue;
       }
       rung_active_ = false;
       ++wheel_cur_;
@@ -429,16 +437,10 @@ bool EventQueue::prepare_head() {
       ++wheel_cur_;
     }
     if (wheel_cur_ < wheel_nb_) {
-      Bucket& bucket = wheel_[wheel_cur_];
-      if (!bucket_sorted(bucket) && bucket_size(bucket) > kRungSpawnThreshold) {
-        spawn_rung(bucket);
-        continue;
-      }
-      if (!bucket_sorted(bucket)) sort_bucket(bucket);
-      head_cache_ = &bucket;
-      return true;
+      materialize(wheel_[wheel_cur_]);
+      continue;
     }
-    if (bag_.empty() && bag_narrow_.empty()) return false;
+    if (overflow_size() == 0) return false;
     reseed();
   }
 }
@@ -451,12 +453,11 @@ Time EventQueue::next_time() const {
   // the pop order are unchanged.
   EventQueue& self = const_cast<EventQueue&>(*this);
   if (!self.prepare_head()) return kTimeInfinity;
-  const Bucket& b = *self.head_cache_;
-  if (!b.narrow.empty() &&
-      (b.items.empty() || earlier(b.narrow.back(), b.items.back()))) {
-    return b.narrow.back().at;
+  if (!head_narrow_.empty() &&
+      (head_wide_.empty() || earlier(head_narrow_.back(), head_wide_.back()))) {
+    return head_narrow_.back().at;
   }
-  return b.items.back().at;
+  return head_wide_.back().at;
 }
 
 EventId EventQueue::push_entry(Time t, std::uint32_t slot) {
@@ -574,36 +575,32 @@ bool EventQueue::reschedule(EventId id, Time t) {
     sift(HeapEntry{t, key}, static_cast<std::size_t>(pos));
     return true;
   }
-  if (pos < (std::uint64_t{1} << 32) &&
-      (t >= win_end_ || wheel_live_ + rung_live_ == 0)) {
-    // Overflow entry staying in the overflow tier: the bag is unsorted,
+  const std::uint64_t tag = pos & ~std::uint64_t{0xffffffff};
+  const std::uint32_t idx = static_cast<std::uint32_t>(pos);
+  if (tag == 0 && (t >= win_end_ || wheel_live_ + rung_live_ == 0)) {
+    // Overflow entry staying in the overflow lane: the lane is unsorted,
     // so a far-future timer re-aim is one in-place overwrite.
-    Entry& entry = bag_[static_cast<std::size_t>(pos)];
+    Entry& entry = wide_at(idx);
     entry.at = t;
     entry.key = key;
     return true;
   }
-  if (pos >= (std::uint64_t{1} << 32) && (pos & kRungBit) == 0 &&
-      t < win_end_) {
+  if (tag != 0 && (tag & kRungBit) == 0 && t < win_end_) {
     // Timer re-aims move fire times by O(rho) — almost always within the
     // same bucket. Overwriting in place (the drain sort orders it) skips
-    // the swap-remove + reinsert round trip.
-    const std::size_t bucket_index =
-        static_cast<std::size_t>((pos >> 32) - 1);
-    const std::size_t idx = static_cast<std::uint32_t>(pos);
+    // the swap-remove + reinsert round trip. Buckets past the drain head
+    // are chains, whose positions are exact.
+    const std::size_t bucket_index = static_cast<std::size_t>(tag >> 32) - 1;
     const double off = (t - win_start_) / bucket_width_;
-    const bool same_bucket = bucket_index > wheel_cur_ &&
-                             off >= static_cast<double>(bucket_index) &&
-                             off < static_cast<double>(bucket_index + 1);
-    if (same_bucket) {
-      Bucket& bucket = wheel_[bucket_index];
-      if (idx < bucket.items.size() && bucket.items[idx].slot() == slot) {
-        bucket.items[idx].at = t;
-        bucket.items[idx].key = key;
-        bucket.sorted_wide = false;
-        bucket.scan_valid = false;
-        return true;
-      }
+    if (bucket_index > wheel_cur_ &&
+        off >= static_cast<double>(bucket_index) &&
+        off < static_cast<double>(bucket_index + 1)) {
+      Entry& entry = wide_at(idx);
+      FTGCS_ASSERT(entry.slot() == slot);
+      entry.at = t;
+      entry.key = key;
+      wheel_[bucket_index].scan_valid = false;
+      return true;
     }
   }
   remove_resident(slot);
@@ -612,6 +609,48 @@ bool EventQueue::reschedule(EventId id, Time t) {
   entry.key = key;
   insert_ladder(entry);
   return true;
+}
+
+template <typename T, typename Take>
+std::size_t EventQueue::compact(Bucket& bucket, std::uint64_t tag,
+                                Take&& take) {
+  // The write cursor chases the read cursor; kept entries that move get
+  // their positions rewritten (they may later be cancelled or re-aimed).
+  if (&bucket == head_) {
+    std::vector<T>& v = head_vec<T>();
+    std::uint32_t w = 0;
+    for (std::uint32_t r = 0; r < v.size(); ++r) {
+      if (take(v[r], r)) continue;
+      if (w != r) {
+        v[w] = v[r];
+        set_position(v[w], tag | w);
+      }
+      ++w;
+    }
+    const std::size_t took = v.size() - w;
+    v.resize(w);  // trivially destructible; order (and the flag) survives
+    return took;
+  }
+  constexpr std::uint32_t kPer = kPerBlock<T>;
+  Lane& lane = lane_of<T>(bucket);
+  std::uint32_t rb = lane.first;
+  std::uint32_t wb = lane.first;
+  std::uint32_t w = 0;
+  for (std::uint32_t r = 0; r < lane.count; ++r) {
+    if (r != 0 && r % kPer == 0) rb = links_[rb].next;
+    const T& e = block<T>(rb)[r % kPer];
+    if (take(e, r)) continue;
+    if (w != 0 && w % kPer == 0) wb = links_[wb].next;
+    if (w != r) {
+      T& dst = block<T>(wb)[w % kPer];
+      dst = e;
+      set_position(dst, tag | (wb * kPer + w % kPer));
+    }
+    ++w;
+  }
+  const std::size_t took = lane.count - w;
+  if (took != 0) lane_truncate(lane, w, wb);  // frees the emptied tail
+  return took;
 }
 
 std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
@@ -634,19 +673,17 @@ std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
   // sort, compaction moves entries that may later be cancelled or
   // re-aimed). Returns false when the sweep must stop: a sorted
   // (partially drained) head bucket, or the out buffer filled.
-  const auto drain_bucket = [&](Bucket& bucket, bool rung,
-                                std::size_t index) -> bool {
-    std::vector<Entry>& items = bucket.items;
-    std::vector<NarrowEntry>& narrow = bucket.narrow;
-    if (items.empty() && narrow.empty()) return true;
-    if (bucket_sorted(bucket)) {
+  const auto drain_bucket = [&](Bucket& bucket, std::uint64_t tag) -> bool {
+    const bool is_head = &bucket == head_;
+    if (is_head ? head_size() == 0 : bucket_empty(bucket)) return true;
+    if (is_head && head_sorted()) {
       // A partially drained head belongs to the ordered path (its pops
       // are in flight); its minimum is the earlier of the two lanes' back
       // entries, and every later bucket sits at or above this bucket's
       // range — stop here.
       Time head = kTimeInfinity;
-      if (!items.empty()) head = std::min(head, items.back().at);
-      if (!narrow.empty()) head = std::min(head, narrow.back().at);
+      if (!head_wide_.empty()) head = std::min(head, head_wide_.back().at);
+      if (!head_narrow_.empty()) head = std::min(head, head_narrow_.back().at);
       bad_lim = std::min(bad_lim, head);
       return false;
     }
@@ -662,32 +699,37 @@ std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
       Time bad = kTimeInfinity;
       Time good = kTimeInfinity;
       EventPayload pl;
-      for (const Entry& e : items) {
-        if (e.sink_kind == sink_kind) {
-          pl.a = e.a;
-          pl.b = e.b;
-          pl.c = e.c;
-          pl.d = e.inline_d();
-          if (pred(pl, ctx)) {
-            good = std::min(good, e.at);
-            continue;
+      visit<Entry>(bucket, [&](const Entry* d, std::size_t m) {
+        for (const Entry* e = d; e != d + m; ++e) {
+          if (e->sink_kind == sink_kind) {
+            pl.a = e->a;
+            pl.b = e->b;
+            pl.c = e->c;
+            pl.d = e->inline_d();
+            if (pred(pl, ctx)) {
+              good = std::min(good, e->at);
+              continue;
+            }
           }
+          bad = std::min(bad, e->at);
         }
-        bad = std::min(bad, e.at);
-      }
-      const std::size_t mn0 = narrow.size();
+      });
+      const std::size_t mn0 =
+          is_head ? head_narrow_.size() : bucket.narrow.count;
       if (unordered_decode_.size() < mn0) unordered_decode_.resize(mn0);
-      for (std::size_t i = 0; i < mn0; ++i) {
-        const NarrowEntry& e = narrow[i];
-        if (narrow_sink_kind(e) == sink_kind) {
-          narrow_payload(e, unordered_decode_[i]);
-          if (pred(unordered_decode_[i], ctx)) {
-            good = std::min(good, e.at);
-            continue;
+      EventPayload* dec = unordered_decode_.data();
+      visit<NarrowEntry>(bucket, [&](const NarrowEntry* d, std::size_t m) {
+        for (const NarrowEntry* e = d; e != d + m; ++e, ++dec) {
+          if (narrow_sink_kind(*e) == sink_kind) {
+            narrow_payload(*e, *dec);
+            if (pred(*dec, ctx)) {
+              good = std::min(good, e->at);
+              continue;
+            }
           }
+          bad = std::min(bad, e->at);
         }
-        bad = std::min(bad, e.at);
-      }
+      });
       decoded = true;
       bucket.bad_floor = bad;
       bucket.good_floor = good;
@@ -702,80 +744,37 @@ std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
     }
     // Pass 2 — emit + compact, one lane at a time (emission is unordered,
     // so lane interleaving is free). `lim ≤ bad_floor`, so `at < lim`
-    // admits only drainable entries: no predicate re-evaluation here.
-    const std::size_t m = items.size();
-    std::size_t w = 0;
-    std::size_t r = 0;
-    for (; r < m; ++r) {
-      const Entry& e = items[r];
-      if (e.at < lim && e.at <= t_end) {
-        if (n == max) break;  // buffer full: keep the tail
-        BatchedEvent& slot = out[n++];
-        slot.at = e.at;
-        slot.payload.a = e.a;
-        slot.payload.b = e.b;
-        slot.payload.c = e.c;
-        slot.payload.d = e.inline_d();
-        slot.payload.x = 0.0;
-        continue;
-      }
-      if (w != r) {
-        items[w] = e;
-        if (!e.is_inline()) {
-          positions_[e.slot()] = encode_bucket_pos(rung, index, w);
-        }
-      }
-      ++w;
-    }
-    for (; r < m; ++r) {  // buffer-full tail: compact without emitting
-      if (w != r) {
-        items[w] = items[r];
-        if (!items[w].is_inline()) {
-          positions_[items[w].slot()] = encode_bucket_pos(rung, index, w);
-        }
-      }
-      ++w;
-    }
-    std::size_t took = m - w;
-    if (m != w) items.resize(w);  // Entry is trivially destructible
-    // Narrow lane: the same emit + compact, minus the positions rewrite
-    // (narrow entries are never cancellable) plus the group retire.
-    const std::size_t mn = narrow.size();
-    std::size_t wn = 0;
-    std::size_t rn = 0;
-    for (; rn < mn; ++rn) {
-      const NarrowEntry& e = narrow[rn];
-      if (e.at < lim && e.at <= t_end) {
-        if (n == max) break;
-        BatchedEvent& slot = out[n++];
-        slot.at = e.at;
-        // Everything below lim passed the scan's predicate, so a scan run
-        // by THIS call already decoded it (same index — the lane has not
-        // been compacted in between). A cached scan means decoding here.
-        if (decoded) {
-          slot.payload = unordered_decode_[rn];
-        } else {
-          narrow_payload(e, slot.payload);
-        }
-        narrow_retire(e.key);
-        continue;
-      }
-      if (wn != rn) narrow[wn] = e;
-      ++wn;
-    }
-    for (; rn < mn; ++rn) {
-      if (wn != rn) narrow[wn] = narrow[rn];
-      ++wn;
-    }
-    took += mn - wn;
-    if (mn != wn) narrow.resize(wn);
-    if (took != 0) {
-      if (rung) {
-        rung_live_ -= took;
+    // admits only drainable entries: no predicate re-evaluation here. A
+    // full out buffer keeps the rest.
+    std::size_t took = compact<Entry>(bucket, tag, [&](const Entry& e,
+                                                       std::size_t) {
+      if (!(e.at < lim && e.at <= t_end) || n == max) return false;
+      BatchedEvent& slot = out[n++];
+      slot.at = e.at;
+      slot.payload.a = e.a;
+      slot.payload.b = e.b;
+      slot.payload.c = e.c;
+      slot.payload.d = e.inline_d();
+      slot.payload.x = 0.0;
+      return true;
+    });
+    took += compact<NarrowEntry>(bucket, tag, [&](const NarrowEntry& e,
+                                                  std::size_t r) {
+      if (!(e.at < lim && e.at <= t_end) || n == max) return false;
+      BatchedEvent& slot = out[n++];
+      slot.at = e.at;
+      // Everything below lim passed the scan's predicate, so a scan run
+      // by THIS call already decoded it (same index — the lane has not
+      // been compacted in between). A cached scan means decoding here.
+      if (decoded) {
+        slot.payload = unordered_decode_[r];
       } else {
-        wheel_live_ -= took;
+        narrow_payload(e, slot.payload);
       }
-    }
+      narrow_retire(e.key);
+      return true;
+    });
+    count_live(tag, -static_cast<std::ptrdiff_t>(took));
     if (n != max) {
       // Full pass: every drainable entry below min(lim, t_end) was
       // emitted, so the survivors sit at or above that. (On a buffer-full
@@ -798,7 +797,7 @@ std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
     if (wheel_live_ + rung_live_ == 0) {
       // Window drained with no barrier found: rebuild it from the
       // overflow tier, exactly as prepare_head would, and keep sweeping.
-      if (bag_.empty() && bag_narrow_.empty()) break;
+      if (overflow_size() == 0) break;
       reseed();
     }
     bool cont = true;
@@ -812,12 +811,12 @@ std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
             break;
           }
         }
-        cont = drain_bucket(rung_[s], /*rung=*/true, s);
+        cont = drain_bucket(rung_[s], bucket_tag(/*rung=*/true, s));
       }
       for (std::size_t b = wheel_cur_ + 1; cont && b < wheel_nb_; ++b) {
         const Time lb = win_start_ + static_cast<double>(b) * bucket_width_;
         if (lb > t_end || lb >= bad_lim) break;
-        cont = drain_bucket(wheel_[b], /*rung=*/false, b);
+        cont = drain_bucket(wheel_[b], bucket_tag(/*rung=*/false, b));
       }
     } else {
       for (std::size_t b = wheel_cur_; cont && b < wheel_nb_; ++b) {
@@ -826,7 +825,7 @@ std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
               win_start_ + static_cast<double>(b) * bucket_width_;
           if (lb > t_end || lb >= bad_lim) break;
         }
-        cont = drain_bucket(wheel_[b], /*rung=*/false, b);
+        cont = drain_bucket(wheel_[b], bucket_tag(/*rung=*/false, b));
       }
     }
     if (!cont || wheel_live_ + rung_live_ != 0) break;

@@ -21,17 +21,23 @@
 //
 // Backend kLadder: a calendar-queue window of buckets over near-future
 // time absorbs push/pop/reschedule in amortized O(1); far-future events
-// live in an UNSORTED overflow bag whose order is never consulted — the
-// window is rebuilt ("reseeded") by one linear scan of the bag whenever it
-// drains — so overflow pushes, removals, and far-future re-aims are O(1)
-// too. The bucket width is auto-tuned to the observed density (window =
-// kWindowStretch × population span), so buckets hold O(1) events on
+// live in an UNSORTED overflow lane whose order is never consulted — the
+// window is rebuilt ("reseeded") by one linear scan of that lane whenever
+// it drains — so overflow pushes, removals, and far-future re-aims are
+// O(1) too. The bucket width is auto-tuned to the observed density (window
+// = kWindowStretch × population span), so buckets hold O(1) events on
 // uniform workloads; round-synchronized delivery bands that pile one
 // bucket high are split on drain into a finer "rung" of sub-buckets (a
 // one-level ladder queue) instead of paying one big sort. A bucket is
 // sorted on drain — never on insert — in exactly the heap's (time, seq)
 // order, so the pop sequence is bit-identical between backends (pinned by
 // tests/test_queue_differential.cpp and the golden scenario traces).
+//
+// Every ladder lane (wheel bucket, rung sub-bucket, overflow) is a chain
+// of 512-byte blocks from ONE queue-owned LIFO pool, so retained storage
+// is O(live entries + non-empty lanes), wherever reseeds move the bands.
+// The drain head is copied into two contiguous head vectors (its blocks go
+// back to the pool) and sorted there, so pops are back() reads.
 //
 // Three further ladder-only specializations carry the 40k-node workloads:
 //   * fire-only events (schedule_fire_only — all network deliveries) store
@@ -50,14 +56,16 @@
 //     assignment is in exactly the caller's per-delivery order and the pop
 //     sequence stays bit-identical to N separate schedule_fire_only calls;
 //   * for cancellable events, positions_ generalizes the heap index to a
-//     tagged residence word (bag index, wheel bucket, or rung bucket), so
-//     cancel and reschedule stay O(1) swap-removals wherever the event
-//     lives; a drain sort leaves positions stale and the removal verifies
-//     the slot before trusting an index.
+//     residence word (bucket tag + pool entry index), so cancel and
+//     reschedule stay O(1) swap-removals wherever the event lives; a head
+//     sort leaves positions stale and the removal verifies the slot
+//     before trusting an index.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -83,7 +91,7 @@ class EventQueue {
   explicit EventQueue(QueueBackend backend = QueueBackend::kHeap)
       : backend_(backend) {}
 
-  // head_cache_ points into this object's own bucket storage; a copied or
+  // head_ points into this object's own bucket storage; a copied or
   // moved-from queue would alias another instance's buckets.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -142,15 +150,11 @@ class EventQueue {
   bool reschedule(EventId id, Time t);
 
   /// True if no live events remain.
-  bool empty() const {
-    return heap_.empty() && bag_.empty() && bag_narrow_.empty() &&
-           wheel_live_ == 0 && rung_live_ == 0;
-  }
+  bool empty() const { return size() == 0; }
 
   /// Number of live (not cancelled, not fired) events.
   std::size_t size() const {
-    return heap_.size() + bag_.size() + bag_narrow_.size() + wheel_live_ +
-           rung_live_;
+    return heap_.size() + overflow_size() + wheel_live_ + rung_live_;
   }
 
   /// Time of the earliest live event; kTimeInfinity when empty. On the
@@ -214,18 +218,13 @@ class EventQueue {
   /// allocate nothing.
   void reserve(std::size_t capacity);
 
-  /// Pins the warmed-up capacity profile: levels every calendar bucket
-  /// lane up to a margin over the highest single-lane occupancy reached
-  /// so far. Vectors already keep their own high-water capacity; what
-  /// still allocates in steady state is cross-bucket variance — each
-  /// reseed re-derives the window origin and width from the drifting
-  /// event population, so the same traffic keeps landing in different
-  /// buckets and cold lanes grow through their 1→2→4… ramps forever.
-  /// After prewarm, any bucket can absorb the largest pile any bucket has
-  /// ever seen (×2), so steady-state windows allocate nothing (the
-  /// contract tests/test_alloc_guard.cpp pins). Opt-in: the cost is
-  /// O(buckets × max-lane) memory, so production sweeps simply never
-  /// call it. No-op on kHeap (one flat vector — no variance to level).
+  /// Pins the warmed-up capacity profile: reserves the block pool (and
+  /// the head vectors) at 2× the high-water reached so far. The pool
+  /// allocates only when its free list is empty, and lane storage follows
+  /// the live entries wherever the drifting window puts them, so after
+  /// prewarm steady-state windows allocate nothing (the contract
+  /// tests/test_alloc_guard.cpp pins). The reserve is address space the
+  /// steady state never touches. No-op on kHeap.
   void prewarm();
 
   /// Slots currently in the pool (diagnostics; high-water mark of
@@ -254,6 +253,14 @@ class EventQueue {
     std::uint64_t narrow_events = 0;   ///< 16 B narrow deliveries scheduled
     std::uint64_t wide_events = 0;     ///< 32 B entries scheduled
     std::uint64_t group_inserts = 0;   ///< coalesced fan-out groups created
+    /// Lane storage high-water: pool blocks ever allocated × 512 B plus
+    /// the head vectors' capacity (engine-dependent; 0 on kHeap).
+    std::size_t lane_peak_bytes = 0;
+    /// Non-empty lanes, and entries held in lanes and head vectors, when
+    /// the pool last grew, i.e. at its high-water: the blocks then are at
+    /// most the entries' bytes plus one partial block per lane.
+    std::size_t lane_peak_lanes = 0;
+    std::size_t lane_peak_live = 0;
 
     /// Entry bytes written at schedule time under the ladder layout
     /// (16 B narrow + 32 B wide + one 40 B group record per fan-out; the
@@ -263,7 +270,13 @@ class EventQueue {
       return 16 * narrow_events + 32 * wide_events + 40 * group_inserts;
     }
   };
-  const TierStats& tier_stats() const { return stats_; }
+  TierStats tier_stats() const {
+    TierStats stats = stats_;
+    stats.lane_peak_bytes = links_.size() * sizeof(Block) +
+                            head_wide_.capacity() * sizeof(Entry) +
+                            head_narrow_.capacity() * sizeof(NarrowEntry);
+    return stats;
+  }
 
  private:
   /// 32 bytes — two slots per cache line; closures live in the parallel
@@ -298,7 +311,7 @@ class EventQueue {
     }
   };
 
-  /// kLadder's bucket/bag element: the heap node plus an inline payload,
+  /// kLadder's lane element: the heap node plus an inline payload,
   /// used (and valid) only for inline (fire-only) entries — those never
   /// touch the slot pool at all. 32 bytes — the queue's streaming working
   /// set at 40k-node scale is hundreds of MB of entry traffic per second,
@@ -354,29 +367,47 @@ class EventQueue {
   };
   static_assert(sizeof(GroupRec) == 40);
 
-  /// One calendar bucket. Unsorted while it collects events; sorted in
-  /// DESCENDING (time, seq) order when it becomes the drain head, so pops
-  /// are pop_back and the live span is always exactly `items` + `narrow`
-  /// (two lanes, merged on pop by the shared comparator).
+  // ---- pooled block lanes (kLadder) -----------------------------------------
+  /// Pool block: 512 B — 16 wide or 32 narrow entries, eight cache lines.
+  union alignas(64) Block {
+    Block() {}
+    Entry wide[16];
+    NarrowEntry narrow[32];
+  };
+  static_assert(sizeof(Block) == 512);
+  template <typename T>
+  static constexpr bool kWide = std::is_same_v<T, Entry>;
+  template <typename T>
+  static constexpr std::uint32_t kPerBlock = sizeof(Block) / sizeof(T);
+  /// Block 0 ends every chain and is never handed out.
+  static constexpr std::uint32_t kNil = 0;
+  struct Link {
+    std::uint32_t next = kNil;
+    std::uint32_t prev = kNil;
+  };
+  /// A block chain filled front to back: every block but `last` is full,
+  /// so entry i sits at offset i % kPerBlock of the (i / kPerBlock)-th
+  /// block, and append / swap-remove touch only `last`.
+  struct Lane {
+    std::uint32_t first = kNil;
+    std::uint32_t last = kNil;
+    std::uint32_t count = 0;
+  };
+
+  /// One calendar bucket (or the overflow lane): two unsorted lanes,
+  /// merged on pop by the shared comparator once the bucket becomes the
+  /// drain head and moves into the head vectors.
   ///
   /// `bad_floor`/`scan_valid` cache the partitioned drain's horizon scan:
   /// the earliest entry that CANNOT be drained unordered (slotted, or
   /// pred-rejected — see pop_run_unordered). Every mutation that can add
-  /// such an entry clears `scan_valid` alongside `sorted`; removing
-  /// drainable entries (the partitioned compaction itself) keeps it, and a
-  /// monotone predicate keeps a stale floor conservative (too low, never
-  /// too high) — so the scan is paid once per bucket filling, not per call.
+  /// such an entry clears `scan_valid`; removing drainable entries (the
+  /// partitioned compaction itself) keeps it, and a monotone predicate
+  /// keeps a stale floor conservative (too low, never too high) — so the
+  /// scan is paid once per bucket filling, not per call.
   struct Bucket {
-    std::vector<Entry> items;
-    std::vector<NarrowEntry> narrow;  ///< 16 B delivery lane (see NarrowEntry)
-    /// Per-lane drain-order flags: an insert dirties only its own lane, so
-    /// a narrow burst into a partially drained head re-sorts 16 B entries
-    /// without touching the (already ordered) wide lane — at 40k nodes the
-    /// delivery band lands thousands of narrow inserts per drain bucket
-    /// and a shared flag made the wide introsort the top profile entry.
-    /// Pops and compaction preserve order, so a set flag survives them.
-    bool sorted_wide = false;
-    bool sorted_narrow = false;
+    Lane wide;
+    Lane narrow;              ///< 16 B delivery lane (see NarrowEntry)
     bool scan_valid = false;  ///< the two floors reflect the current items
     Time bad_floor = 0.0;   ///< min time of a non-drainable entry (+inf: none)
     Time good_floor = 0.0;  ///< lower bound on drainable entries' times —
@@ -384,14 +415,34 @@ class EventQueue {
                             ///< in O(1) when the horizon has not moved
   };
   static bool bucket_empty(const Bucket& b) {
-    return b.items.empty() && b.narrow.empty();
+    return b.wide.count + b.narrow.count == 0;
   }
-  /// Drain-head order means BOTH lanes are in descending (time, seq) order.
-  static bool bucket_sorted(const Bucket& b) {
-    return b.sorted_wide && b.sorted_narrow;
+  std::size_t overflow_size() const {
+    return overflow_.wide.count + overflow_.narrow.count;
   }
-  static std::size_t bucket_size(const Bucket& b) {
-    return b.items.size() + b.narrow.size();
+  std::size_t head_size() const {
+    return head_wide_.size() + head_narrow_.size();
+  }
+  /// Drain-head order means BOTH head vectors are descending (time, seq).
+  bool head_sorted() const { return head_sorted_wide_ && head_sorted_narrow_; }
+
+  template <typename T>
+  static Lane& lane_of(Bucket& b) {
+    return kWide<T> ? b.wide : b.narrow;
+  }
+  template <typename T>
+  T* block(std::uint32_t b) {
+    Block& k = chunks_[b >> kChunkBits][b & ((1u << kChunkBits) - 1)];
+    if constexpr (kWide<T>) return k.wide;
+    else return k.narrow;
+  }
+  template <typename T>
+  std::vector<T>& head_vec() {
+    if constexpr (kWide<T>) return head_wide_;
+    else return head_narrow_;
+  }
+  Entry& wide_at(std::uint32_t idx) {
+    return block<Entry>(idx / kPerBlock<Entry>)[idx % kPerBlock<Entry>];
   }
 
   /// 22/42 split: ≤ 4M concurrent cancellable events (a 40k-node full-mesh
@@ -404,17 +455,33 @@ class EventQueue {
   static constexpr std::uint32_t kInlineBase = (1u << kSlotBits) - 256;
 
   // ---- residence encoding (positions_) --------------------------------------
-  // positions_[slot] describes where the slot's entry currently lives:
-  //   < 2^32                       → overflow tier (heap_/bag_), that index
-  //   (b+1) << 32 | idx            → wheel bucket b, items[idx]
-  //   kRungBit | (b+1) << 32 | idx → rung bucket b, items[idx]
-  // Fire-only entries have no slot and appear in no position.
+  // positions_[slot] = bucket tag | index. The tag (high 32 bits) is 0 for
+  // the overflow lane, (b+1) << 32 for wheel bucket b, kRungBit | (b+1) <<
+  // 32 for rung bucket b; the index is the pool index (block · 16 + offset)
+  // in a chain, or a head-vector index — unchecked after the head sort, so
+  // removal verifies the slot first. Fire-only entries have no position.
   static constexpr std::uint64_t kRungBit = std::uint64_t{1} << 63;
-  static std::uint64_t encode_bucket_pos(bool rung, std::size_t bucket,
-                                         std::size_t idx) {
-    return (rung ? kRungBit : 0) |
-           (static_cast<std::uint64_t>(bucket + 1) << 32) |
-           static_cast<std::uint64_t>(idx);
+  static std::uint64_t bucket_tag(bool rung, std::size_t bucket) {
+    return (rung ? kRungBit : 0) | static_cast<std::uint64_t>(bucket + 1) << 32;
+  }
+  Bucket& bucket_at(std::uint64_t tag) {
+    const std::size_t id = static_cast<std::size_t>((tag & ~kRungBit) >> 32);
+    if ((tag & kRungBit) != 0) return rung_[id - 1];
+    return id == 0 ? overflow_ : wheel_[id - 1];
+  }
+  /// The live-event counter of the tier a tag names (overflow: none).
+  void count_live(std::uint64_t tag, std::ptrdiff_t delta) {
+    if ((tag & kRungBit) != 0) {
+      rung_live_ += static_cast<std::size_t>(delta);
+    } else if (tag != 0) {
+      wheel_live_ += static_cast<std::size_t>(delta);
+    }
+  }
+  template <typename T>
+  void set_position(const T& e, std::uint64_t pos) {
+    if constexpr (kWide<T>) {
+      if (!e.is_inline()) positions_[e.slot()] = pos;
+    }
   }
 
   // ---- calendar-window tuning -----------------------------------------------
@@ -434,7 +501,7 @@ class EventQueue {
   /// drain made pops cheap, so the binding cost is the cache working set
   /// of active bucket tails: shrinking the window from the previous 3×
   /// bought ~4% end-to-end on the 40k-node torus (an overflow push is a
-  /// plain bag append — cheaper than a cold bucket-tail miss), while 1.5×
+  /// plain lane append — cheaper than a cold bucket-tail miss), while 1.5×
   /// and 4× both measured worse.
   static constexpr double kWindowStretch = 2.0;
   /// A drain-head bucket larger than this is split into a rung of finer
@@ -507,23 +574,47 @@ class EventQueue {
   void remove_at(std::size_t i);
 
   // ---- ladder tier helpers (event_queue.cpp) --------------------------------
-  void push_overflow(const Entry& entry);
-  void insert_ladder(const Entry& entry);
-  void insert_narrow(const NarrowEntry& entry);
+  template <typename T>
+  void insert_ladder(const T& entry);
   void insert_ladder_group(Time base, const Duration* delays,
                            std::size_t count, EventKind kind, SinkId sink,
                            const EventPayload& proto, std::int32_t first_dest,
                            const std::int32_t* rest_dests);
-  void bucket_insert(Bucket& bucket, bool rung, std::size_t index,
-                     const Entry& entry);
+  /// Appends to `bucket` (the head vectors if it is the drain head).
+  template <typename T>
+  void lane_insert(Bucket& bucket, std::uint64_t tag, const T& entry);
+  /// Appends to `lane`'s tail block, linking in a free block when it is
+  /// full. Returns the entry's pool index.
+  template <typename T>
+  std::uint32_t lane_append(Lane& lane, const T& entry);
+  void release(std::uint32_t b) { free_blocks_[free_top_++] = b; }
+  template <typename T>
+  [[gnu::noinline]] std::uint32_t head_append(const T& entry);
+  /// Keeps the first `keep` entries; `keep_last` is the block holding the
+  /// last kept one. Releases the blocks behind it.
+  void lane_truncate(Lane& lane, std::uint32_t keep, std::uint32_t keep_last);
+  [[gnu::noinline]] void grow_pool();
+  /// Allocates chunks (and table capacity) for a pool of `blocks` blocks.
+  void reserve_pool(std::size_t blocks);
+  /// Calls f(data, n) on each storage run of `bucket`'s T lane, in order.
+  template <typename T, typename F>
+  void visit(Bucket& bucket, F&& f);
+  /// Hands a lane's entries to f(entry) in order, recycling each block
+  /// once read; the lane ends empty.
+  template <typename T, typename F>
+  void drain_chain(Lane& lane, F&& f);
+  /// pop_run_unordered's in-place filter: drops the entries `take(e, i)`
+  /// accepts, keeps the rest in order. Returns the number taken.
+  template <typename T, typename Take>
+  std::size_t compact(Bucket& bucket, std::uint64_t tag, Take&& take);
   /// Removes the (cancellable) entry of `slot` from wherever it lives.
   void remove_resident(std::uint32_t slot);
-  /// Ensures head_cache_ points at the sorted, non-empty drain bucket.
+  /// Ensures the head vectors hold the sorted, non-empty drain bucket.
   /// Advances the window, spawns rungs, and reseeds from the overflow tier
   /// as needed. Returns false iff the queue is empty.
   bool prepare_head();
-  void sort_bucket(Bucket& bucket);
-  void spawn_rung(Bucket& bucket);
+  void materialize(Bucket& bucket);
+  void spawn_rung();
   void reseed();
 
   QueueBackend backend_ = QueueBackend::kHeap;
@@ -536,8 +627,6 @@ class EventQueue {
   std::vector<std::uint64_t> positions_;
   std::vector<std::uint32_t> free_;
   std::vector<HeapEntry> heap_;  ///< kHeap: the whole queue
-  std::vector<Entry> bag_;       ///< kLadder: unsorted far-future overflow
-  std::vector<NarrowEntry> bag_narrow_;  ///< narrow-lane overflow companion
   /// Pooled fan-out group records (kLadder narrow lane). Indexed by the low
   /// kSlotBits of a NarrowEntry key; recycled through free_gids_ when the
   /// last live delivery of a group is popped. Only destroyed wholesale —
@@ -564,12 +653,30 @@ class EventQueue {
   std::size_t rung_live_ = 0;
   bool rung_active_ = false;
 
-  /// The sorted, non-empty bucket pops come from. Any mutation that could
-  /// change the head either clears a lane's sorted flag (insert,
-  /// swap-remove — bucket_sorted then fails) or nulls this cache (reseed,
-  /// rung spawn — the backing vectors may reallocate there), so a sorted
-  /// non-empty cached bucket is always the true head.
-  Bucket* head_cache_ = nullptr;
+  Bucket overflow_;  ///< unsorted far-future lane (tag 0)
+
+  /// Block pool shared by every lane, in fixed 32 KB chunks that never
+  /// move and stay below malloc's mmap threshold (one growing vector made
+  /// every short-lived queue page-fault its pool in again). `links_` has
+  /// one entry per pool block; free blocks are the LIFO stack
+  /// free_blocks_[0, free_top_), sized with the pool, and the next insert
+  /// reuses the block the last drain released, still cache-hot.
+  static constexpr unsigned kChunkBits = 6;
+  static constexpr std::size_t kChunkBlocks = std::size_t{1} << kChunkBits;
+  std::vector<std::unique_ptr<Block[]>> chunks_;
+  std::vector<Link> links_;
+  std::vector<std::uint32_t> free_blocks_;
+  std::size_t free_top_ = 0;
+  std::size_t lanes_live_ = 0;  ///< lanes holding at least one block
+
+  /// The drain head: the entries of bucket `head_` (whose lanes are empty),
+  /// sorted descending. An insert there clears only its lane's flag, a
+  /// swap-remove the wide one; reseed and rung spawn empty it.
+  Bucket* head_ = nullptr;
+  std::vector<Entry> head_wide_;
+  std::vector<NarrowEntry> head_narrow_;
+  bool head_sorted_wide_ = false;
+  bool head_sorted_narrow_ = false;
 
   /// pop_run_unordered scratch: payloads decoded during a bucket's horizon
   /// scan, reused verbatim by the same call's emit pass so each narrow
@@ -700,28 +807,26 @@ inline bool EventQueue::pop_if_at_most(Time t_end, Fired& out) {
     fill_fired_slot(head.at, head.slot(), out);
     return true;
   }
-  // Ladder fast path: the drain bucket is sorted descending in both lanes,
-  // so the head is one back() read per lane (merged by the shared
-  // comparator — seqs are unique across lanes) and the pop one pop_back —
-  // no sift, no tree walk.
-  Bucket* bucket = head_cache_;
-  if (bucket == nullptr || !bucket_sorted(*bucket) || bucket_empty(*bucket)) {
+  // Ladder fast path: the head vectors are sorted descending, so the head
+  // is one back() read per lane (merged by the shared comparator — seqs
+  // are unique across lanes) and the pop one pop_back — no sift, no tree
+  // walk.
+  if (head_ == nullptr || !head_sorted() || head_size() == 0) {
     if (!prepare_head()) return false;
-    bucket = head_cache_;
   }
-  const std::size_t n = bucket->items.size();
-  const std::size_t nn = bucket->narrow.size();
+  const std::size_t n = head_wide_.size();
+  const std::size_t nn = head_narrow_.size();
   if (nn != 0 &&
-      (n == 0 || earlier(bucket->narrow[nn - 1], bucket->items[n - 1]))) {
-    const NarrowEntry& head = bucket->narrow[nn - 1];
+      (n == 0 || earlier(head_narrow_[nn - 1], head_wide_[n - 1]))) {
+    const NarrowEntry& head = head_narrow_[nn - 1];
     if (head.at > t_end) return false;
     fill_fired_narrow(head, out);
-    bucket->narrow.pop_back();
+    head_narrow_.pop_back();
   } else {
-    const Entry& head = bucket->items[n - 1];
+    const Entry& head = head_wide_[n - 1];
     if (head.at > t_end) return false;
     if (n >= 2) {
-      const Entry& next = bucket->items[n - 2];
+      const Entry& next = head_wide_[n - 2];
       if (!next.is_inline()) {
         // The next pop's slot record is a random access into a multi-MB
         // pool; start pulling it while this event is dispatched.
@@ -729,7 +834,7 @@ inline bool EventQueue::pop_if_at_most(Time t_end, Fired& out) {
       }
     }
     fill_fired(head, out);
-    bucket->items.pop_back();
+    head_wide_.pop_back();
   }
   if (rung_active_) {
     --rung_live_;
@@ -763,21 +868,19 @@ inline std::size_t EventQueue::pop_run(Time t_end, std::uint32_t sink_kind,
     stats_.ordered_run_events += n;
     return n;
   }
-  // Ladder: both lanes of the drain bucket are sorted descending, so a
-  // matching run is a contiguous suffix of their merge — walk the two
-  // tails with the shared comparator, then retire each lane with ONE
-  // resize and one live-counter update per bucket instead of per event.
+  // Ladder: both head vectors are sorted descending, so a matching run is
+  // a contiguous suffix of their merge — walk the two tails with the
+  // shared comparator, then retire each lane with ONE resize and one
+  // live-counter update per bucket instead of per event.
   // The run keeps flowing across bucket (and rung/reseed) boundaries
   // through prepare_head(). Cancellable entries leave Entry::sink_kind at
   // 0 and can never match a real channel.
   while (n < max) {
-    Bucket* bucket = head_cache_;
-    if (bucket == nullptr || !bucket_sorted(*bucket) || bucket_empty(*bucket)) {
+    if (head_ == nullptr || !head_sorted() || head_size() == 0) {
       if (!prepare_head()) break;
-      bucket = head_cache_;
     }
-    const std::vector<Entry>& items = bucket->items;
-    const std::vector<NarrowEntry>& narrow = bucket->narrow;
+    const std::vector<Entry>& items = head_wide_;
+    const std::vector<NarrowEntry>& narrow = head_narrow_;
     const std::size_t m = items.size();
     const std::size_t mn = narrow.size();
     std::size_t tw = 0;  // taken from the wide lane
@@ -825,8 +928,8 @@ inline std::size_t EventQueue::pop_run(Time t_end, std::uint32_t sink_kind,
     const std::size_t took = tw + tn;
     if (took != 0) {
       // Entry/NarrowEntry are trivially destructible.
-      if (tw != 0) bucket->items.resize(m - tw);
-      if (tn != 0) bucket->narrow.resize(mn - tn);
+      if (tw != 0) head_wide_.resize(m - tw);
+      if (tn != 0) head_narrow_.resize(mn - tn);
       if (rung_active_) {
         rung_live_ -= took;
       } else {

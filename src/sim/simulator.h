@@ -146,9 +146,7 @@ class Simulator {
   /// Queue-tier diagnostics (bucket count, rung spawns, overflow peak,
   /// batch run lengths); deterministic, surfaced by sweep `--timing`
   /// footers.
-  const EventQueue::TierStats& queue_stats() const {
-    return queue_.tier_stats();
-  }
+  EventQueue::TierStats queue_stats() const { return queue_.tier_stats(); }
 
   /// Time of the earliest pending event (kTimeInfinity when idle): the
   /// partition horizon seen from outside the queue. O(1) amortized on

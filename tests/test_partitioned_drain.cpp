@@ -207,5 +207,105 @@ TEST(PartitionedDrainDifferential, HeapPartitionedDrainIsANoOp) {
   run_fuzz(QueueBackend::kHeap, 1234);
 }
 
+// Compaction across block boundaries: one bucket holds ~6 wide blocks and
+// ~3 narrow blocks of storage-interleaved drainable and barrier entries,
+// and a 7-slot out buffer fills mid-block on every call. Survivors move
+// toward the chain front and emptied tail blocks are freed; the moved
+// timers must stay cancellable and re-aimable (their positions follow),
+// and the admitted multiset and the ordered residue must match an
+// ordered-only drain of the same stream.
+TEST(PartitionedDrainDifferential, CompactionAcrossBlockBoundaries) {
+  EventQueue subject(QueueBackend::kLadder);
+  EventQueue reference(QueueBackend::kLadder);
+  std::vector<EventId> subject_timers;
+  std::vector<EventId> reference_timers;
+  const auto both_pulse = [&](Time t, std::int32_t a) {
+    EventPayload payload;
+    payload.a = a;
+    payload.b = a * 3;
+    subject.schedule_fire_only(t, EventKind::kPulse, kBatchSink, payload);
+    reference.schedule_fire_only(t, EventKind::kPulse, kBatchSink, payload);
+  };
+  const auto both_group = [&](Time t, std::int32_t a,
+                              const std::vector<std::int32_t>& rest) {
+    EventPayload proto;
+    proto.a = a;
+    const Duration delays[3] = {t, t + 1e-4, t + 2e-4};
+    subject.schedule_fire_only_group(0.0, delays, 3, EventKind::kPulse,
+                                     kBatchSink, proto, a, rest.data());
+    reference.schedule_fire_only_group(0.0, delays, 3, EventKind::kPulse,
+                                       kBatchSink, proto, a, rest.data());
+  };
+  // Window over [0, ~2003) with ~2-wide buckets; bucket 0 holds one pulse.
+  both_pulse(0.0, 0);
+  for (int i = 0; i < 1000; ++i) both_pulse(2.5 + i, 2 * i);
+  {
+    const EventQueue::Fired s = subject.pop();
+    const EventQueue::Fired r = reference.pop();
+    ASSERT_EQ(s.at, r.at);
+  }
+  // The bucket under test, [1498.7, 1500.7): in storage order, drainable
+  // even pulses at 1499.0x alternate with barriers at 1499.5x (timers and
+  // odd pulses), so compaction moves survivors across block edges.
+  const std::vector<std::int32_t> rest = {7, 9};
+  for (int i = 0; i < 96; ++i) {
+    const Time early = 1499.0 + 1e-3 * i;
+    const Time late = 1499.5 + 1e-3 * i;
+    if (i % 3 == 0) {
+      EventPayload payload;
+      payload.a = -1 - i;
+      subject_timers.push_back(
+          subject.schedule_typed(late, EventKind::kTimer, kTimerSink, payload));
+      reference_timers.push_back(reference.schedule_typed(
+          late, EventKind::kTimer, kTimerSink, payload));
+    } else if (i % 3 == 1) {
+      both_pulse(late, 2 * i + 1);  // pred-rejected: a barrier
+    }
+    both_pulse(early, 4000 + 2 * i);
+    if (i % 4 == 0) both_group(i % 8 == 0 ? early : late, 8000 + i, rest);
+  }
+
+  std::vector<Obs> subject_admitted;
+  std::vector<Obs> reference_admitted;
+  BatchedEvent buf[7];
+  std::size_t calls = 0;
+  for (;;) {
+    const std::size_t n = subject.pop_run_unordered(
+        kTimeInfinity, kBatchKey, admit_even, nullptr, buf, 7);
+    if (n == 0) break;
+    ++calls;
+    for (std::size_t j = 0; j < n; ++j) {
+      subject_admitted.push_back(observe(buf[j].at, buf[j].payload));
+    }
+  }
+  EXPECT_GT(calls, 150u);  // 1000 spread + the bucket's early pulses
+  // Moved timers: cancel some, re-aim some in place and across buckets.
+  for (std::size_t i = 0; i < subject_timers.size(); i += 5) {
+    ASSERT_EQ(subject.cancel(subject_timers[i]),
+              reference.cancel(reference_timers[i]));
+  }
+  for (std::size_t i = 1; i < subject_timers.size(); i += 5) {
+    const Time t = i % 2 == 0 ? 1499.8 + 1e-4 * i : 1700.0 + i;
+    ASSERT_EQ(subject.reschedule(subject_timers[i], t),
+              reference.reschedule(reference_timers[i], t));
+  }
+  std::vector<Obs> subject_rest;
+  while (!subject.empty()) {
+    const EventQueue::Fired fired = subject.pop();
+    (admitted(fired) ? subject_admitted : subject_rest)
+        .push_back(observe(fired.at, fired.payload));
+  }
+  std::vector<Obs> reference_rest;
+  while (!reference.empty()) {
+    const EventQueue::Fired fired = reference.pop();
+    (admitted(fired) ? reference_admitted : reference_rest)
+        .push_back(observe(fired.at, fired.payload));
+  }
+  std::sort(subject_admitted.begin(), subject_admitted.end());
+  std::sort(reference_admitted.begin(), reference_admitted.end());
+  EXPECT_EQ(subject_admitted, reference_admitted);
+  EXPECT_EQ(subject_rest, reference_rest);
+}
+
 }  // namespace
 }  // namespace ftgcs::sim

@@ -31,7 +31,7 @@ class Differ {
  public:
   Differ() : heap_(QueueBackend::kHeap), ladder_(QueueBackend::kLadder) {}
 
-  void schedule(Time t, std::int32_t tag) {
+  Pair schedule(Time t, std::int32_t tag) {
     EventPayload payload;
     payload.a = tag;
     payload.x = t;
@@ -40,6 +40,7 @@ class Differ {
     pair.ladder_id = ladder_.schedule_typed(t, EventKind::kTimer, 0, payload);
     live_.push_back(pair);
     check_sizes();
+    return pair;
   }
 
   /// Fire-only events (inline payload on the ladder backend) interleave
@@ -78,16 +79,21 @@ class Differ {
     check_sizes();
   }
 
-  void cancel(std::size_t index) {
-    const Pair pair = take(index);
+  void cancel(std::size_t index) { cancel_pair(take(index)); }
+
+  void reschedule(std::size_t index, Time t) {
+    reschedule_pair(live_[index], t);
+  }
+
+  /// Targeted forms: `pair` may already be spent (both sides must agree).
+  void cancel_pair(const Pair& pair) {
     const bool a = heap_.cancel(pair.heap_id);
     const bool b = ladder_.cancel(pair.ladder_id);
     ASSERT_EQ(a, b);
     check_sizes();
   }
 
-  void reschedule(std::size_t index, Time t) {
-    const Pair& pair = live_[index];
+  void reschedule_pair(const Pair& pair, Time t) {
     const bool a = heap_.reschedule(pair.heap_id, t);
     const bool b = ladder_.reschedule(pair.ladder_id, t);
     ASSERT_EQ(a, b);
@@ -174,7 +180,7 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
     } else if (pick < 0.50) {
       // Coalesced fan-out whose delays straddle the tier boundaries:
       // near-future (wheel), dense (rung-bound buckets) and far spikes
-      // (narrow overflow bag + reseed distribution).
+      // (narrow overflow lane + reseed distribution).
       std::vector<Duration> delays(1 + rng.below(8));
       for (Duration& delay : delays) {
         const double shape = rng.next_double();
@@ -236,6 +242,92 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
   EXPECT_GT(stats.group_inserts, 0u);
   EXPECT_GT(stats.narrow_events, 0u);
   EXPECT_GT(stats.wide_events, 0u);
+}
+
+// Block-lane edge cases, in lockstep with the heap. Ladder lanes are
+// chains of 512 B blocks (16 wide or 32 narrow entries), so every count
+// around a block edge, every removal position (overflow lane, interior
+// block, tail block, head vectors before and after the head sort), a rung
+// spawn from a many-block bucket and a reseed from a many-block overflow
+// lane must all pop exactly as the heap does.
+TEST(QueueDifferential, BlockLaneEdgeCasesPopIdentically) {
+  Differ d;
+  // A spread population so the first pop builds a window of ~unit-wide
+  // buckets over [0, ~2000); bucket 0 holds only the t = 0 timer.
+  d.schedule(0.0, -1);
+  for (int i = 0; i < 1000; ++i) d.schedule_fire_only(1.0 + i, -2 - i);
+  EXPECT_EQ(d.pop(), 0.0);  // reseed: the window now exists
+
+  // Bursts of block size −1 / +0 / +1 into single buckets, wide (timers,
+  // fire-only) and narrow (one group per burst).
+  std::vector<std::vector<Pair>> bursts;
+  const int sizes[] = {15, 16, 17, 31, 32, 33};
+  for (int k = 0; k < 6; ++k) {
+    const Time base = 100.0 + 10.0 * k + 0.25;
+    bursts.emplace_back();
+    std::vector<Duration> delays;
+    for (int i = 0; i < sizes[k]; ++i) {
+      const Time t = base + 1e-3 * ((i * 7) % sizes[k]);
+      bursts.back().push_back(d.schedule(t, k * 100 + i));
+      d.schedule_fire_only(t, k * 100 + 50 + i);
+      delays.push_back(t);  // now = 0
+    }
+    d.schedule_group(0.0, delays, 10000 + k * 100);
+  }
+  // Removals at each chain position of the 33-entry burst (blocks of 16,
+  // 16, 1): first block, interior block, the lone tail entry (frees the
+  // tail block), then re-aims inside the bucket (in-place fast path), to
+  // another bucket, and to the overflow lane.
+  std::vector<Pair>& b33 = bursts[5];
+  d.cancel_pair(b33[3]);
+  d.cancel_pair(b33[20]);
+  d.cancel_pair(b33[32]);
+  d.reschedule_pair(b33[10], 150.2509);
+  d.reschedule_pair(b33[17], 130.7);
+  d.reschedule_pair(b33[18], 1e6);
+  d.cancel_pair(bursts[1][15]);  // the last entry of an exactly-full block
+  d.reschedule_pair(bursts[2][16], 120.26);
+
+  // Overflow lane spanning several blocks: 40 far timers, then cancel
+  // from its middle and tail, re-aim one in place (stays in overflow) and
+  // one back into the window.
+  std::vector<Pair> far;
+  for (int i = 0; i < 40; ++i) far.push_back(d.schedule(5e5 + i, 20000 + i));
+  d.cancel_pair(far[5]);
+  d.cancel_pair(far[39]);
+  d.reschedule_pair(far[20], 6e5);
+  d.reschedule_pair(far[21], 140.5);
+
+  // Head vectors: pop into the 15-entry burst's bucket so it becomes the
+  // sorted head, cancel one of its (stale-indexed) entries, insert fresh
+  // entries into the head (appended, unsorted), cancel and re-aim some of
+  // those before the next pop re-sorts, then cancel after the re-sort.
+  Time now = 0.0;
+  while (now < 100.0) now = d.pop();
+  d.cancel_pair(bursts[0][9]);
+  std::vector<Pair> fresh;
+  for (int i = 0; i < 5; ++i) {
+    fresh.push_back(d.schedule(now + 1e-5 * (i + 1), 30000 + i));
+  }
+  d.cancel_pair(fresh[1]);
+  d.reschedule_pair(fresh[3], now + 2e-5);
+  d.check_next_time();
+  d.cancel_pair(fresh[4]);
+  d.cancel_pair(bursts[0][12]);
+
+  // A pile far past the rung threshold in one bucket: thousands of
+  // entries spanning hundreds of blocks per lane, split into a rung.
+  const Time pile = 170.5;
+  std::vector<Duration> pile_delays;
+  for (int i = 0; i < 3000; ++i) {
+    const Time t = pile + 1e-4 * ((i * 37) % 3000) / 3000.0;
+    if (i % 2 == 0) d.schedule(t, 40000 + i);
+    pile_delays.push_back(t - now);
+  }
+  d.schedule_group(now, pile_delays, 50000);
+  while (!d.empty()) now = d.pop();
+  EXPECT_GT(d.ladder().tier_stats().rung_spawns, 0u);
+  EXPECT_GE(d.ladder().tier_stats().reseeds, 2u);  // the far overflow lane
 }
 
 TEST(QueueDifferential, MonotoneSimulationShapedStream) {
