@@ -110,24 +110,6 @@ struct SampleMaxima {
   double max_m_lag = 0.0;
 };
 
-RunResult::QueueTiers queue_tiers(const sim::EventQueue::TierStats& stats) {
-  RunResult::QueueTiers tiers;
-  tiers.bucket_count = static_cast<double>(stats.bucket_count);
-  tiers.rung_spawns = static_cast<double>(stats.rung_spawns);
-  tiers.overflow_peak = static_cast<double>(stats.overflow_peak);
-  tiers.reseeds = static_cast<double>(stats.reseeds);
-  tiers.unordered_runs = static_cast<double>(stats.unordered_runs);
-  tiers.unordered_events = static_cast<double>(stats.unordered_events);
-  tiers.ordered_run_events = static_cast<double>(stats.ordered_run_events);
-  tiers.narrow_events = static_cast<double>(stats.narrow_events);
-  tiers.wide_events = static_cast<double>(stats.wide_events);
-  tiers.group_inserts = static_cast<double>(stats.group_inserts);
-  tiers.lane_peak_bytes = static_cast<double>(stats.lane_peak_bytes);
-  tiers.lane_peak_lanes = static_cast<double>(stats.lane_peak_lanes);
-  tiers.lane_peak_live = static_cast<double>(stats.lane_peak_live);
-  return tiers;
-}
-
 // Uniform accessors over the two FT-GCS execution backends (the single
 // simulator and the sharded conservative-parallel driver), so one
 // measurement loop serves both and the metric schema cannot drift apart.
@@ -145,12 +127,6 @@ std::uint64_t system_messages(core::FtGcsSystem& s) {
 std::uint64_t system_messages(const par::ShardedFtGcsSystem& s) {
   return s.messages_sent();
 }
-RunResult::QueueTiers system_queue(core::FtGcsSystem& s) {
-  return queue_tiers(s.simulator().queue_stats());
-}
-RunResult::QueueTiers system_queue(const par::ShardedFtGcsSystem& s) {
-  return queue_tiers(s.queue_stats());
-}
 sim::EventQueue::TierStats system_tier_stats(core::FtGcsSystem& s) {
   return s.simulator().queue_stats();
 }
@@ -166,18 +142,12 @@ void system_window_diag(const par::ShardedFtGcsSystem& s,
                         std::vector<obs::ShardWindowDiag>& out) {
   s.shard_window_diag(out);
 }
-RunResult::ShardDiag system_shard_diag(core::FtGcsSystem&) {
+par::ShardedFtGcsSystem::ShardStats system_shard_stats(core::FtGcsSystem&) {
   return {};
 }
-RunResult::ShardDiag system_shard_diag(const par::ShardedFtGcsSystem& s) {
-  const par::ShardedFtGcsSystem::ShardStats stats = s.shard_stats();
-  RunResult::ShardDiag diag;
-  diag.shards = static_cast<double>(stats.shards);
-  diag.cut_edges = static_cast<double>(stats.cut_edges);
-  diag.min_cut_delay = stats.min_cut_delay;
-  diag.windows = static_cast<double>(stats.windows);
-  diag.mailbox_peak = static_cast<double>(stats.mailbox_peak);
-  return diag;
+par::ShardedFtGcsSystem::ShardStats system_shard_stats(
+    const par::ShardedFtGcsSystem& s) {
+  return s.shard_stats();
 }
 
 /// Sample times: every probe interval, plus the horizon itself.
@@ -400,19 +370,12 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
                  messages / (run.horizon_rounds * topo.num_nodes()));
   m.emplace_back("events", static_cast<double>(system_events(system)));
   if (run.measure_m_lag) m.emplace_back("max_m_lag", agg.max_m_lag);
-  result.queue = system_queue(system);
-  result.shard = system_shard_diag(system);
-  if (monitor != nullptr) {
-    result.monitor.enabled = true;
-    result.monitor.bounds = monitor->bounds();
-    result.monitor.stats = monitor->stats();
-  }
+  result.queue = system_tier_stats(system);
+  result.shard = system_shard_stats(system);
+  if (monitor != nullptr) result.monitor = monitor->report();
   if (sampler != nullptr) {
     sampler->finish();
-    result.series.enabled = true;
-    result.series.path = run.metrics_path;
-    result.series.probes = static_cast<double>(sampler->probes());
-    result.series.bytes = static_cast<double>(sampler->bytes());
+    result.series = sampler->stats();
   }
   return result;
 }
@@ -427,23 +390,13 @@ RunResult measure_and_seal(System& system, const ResolvedRun& run,
   RunResult result = measure_ftgcs(system, run, topo, collector, profiler);
   if (collector != nullptr) {
     collector->finish();
-    result.trace.enabled = true;
-    result.trace.path = run.trace_path;
-    result.trace.records = static_cast<double>(collector->records());
-    result.trace.bytes = static_cast<double>(collector->bytes_written());
+    result.trace = collector->stats();
   }
   if (profiler != nullptr) {
-    // Stamp the footer summary from the accumulators, then let finish()
-    // write the sidecar rows and close the file. The workers are parked
-    // at the start barrier here (run_until returned), so the slot reads
-    // are barrier-ordered.
-    const obs::PhaseProfiler::PhaseTotals totals = profiler->totals();
-    result.profile.enabled = true;
-    result.profile.shards = static_cast<double>(profiler->shards());
-    result.profile.merge_ms = totals.merge_ms;
-    result.profile.run_ms = totals.run_ms;
-    result.profile.wait_ms = totals.collect_ms;
-    result.profile.imbalance = profiler->imbalance();
+    // Read the accumulators, then let finish() write the sidecar rows and
+    // close the file. The workers are parked at the start barrier here
+    // (run_until returned), so the slot reads are barrier-ordered.
+    result.profile = profiler->totals();
     profiler->finish();
   }
   return result;
@@ -582,11 +535,19 @@ RunResult run_gcs_baseline(const ResolvedRun& run) {
   m.emplace_back("final_global", agg.final_global);
   m.emplace_back("events",
                  static_cast<double>(system.simulator().fired_events()));
-  result.queue = queue_tiers(system.simulator().queue_stats());
+  result.queue = system.simulator().queue_stats();
   return result;
 }
 
 }  // namespace
+
+void Diagnostics::merge(const Diagnostics& task) {
+  for_each_stats(
+      [](auto& into, const auto& from) {
+        support::merge(into, from, support::Scope::kTasks);
+      },
+      *this, task);
+}
 
 bool RunResult::has_metric(const std::string& name) const {
   for (const auto& [key, value] : metrics) {

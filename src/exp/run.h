@@ -16,6 +16,11 @@
 #include "core/params.h"
 #include "exp/scenario.h"
 #include "net/graph.h"
+#include "obs/phase_profiler.h"
+#include "obs/sampler.h"
+#include "par/sharded_system.h"
+#include "sim/event_queue.h"
+#include "trace/collector.h"
 #include "trace/monitor.h"
 
 namespace ftgcs::exp {
@@ -55,96 +60,46 @@ struct ResolvedRun {
   bool monitors = true;
 };
 
-/// One completed run: the axis assignments that produced it plus an ordered
-/// metric list (fixed schema; see run.cpp for the catalogue).
-struct RunResult {
+/// Run diagnostics, kept out of `metrics` so every sink's table stays
+/// bit-identical across `--engine`, `--shards`, `--no-monitors` and the
+/// capture flags; the `--timing` footer, the `.profile` sidecar and the
+/// sweep totals render them instead. Each member is its producer's own
+/// stats struct, whose field table (support/stat_table.h) declares every
+/// stat's name, merge and plane once.
+struct Diagnostics {
+  sim::EventQueue::TierStats queue;
+  par::ShardedFtGcsSystem::ShardStats shard;  ///< defaults when unsharded
+  trace::MonitorReport monitor;               ///< defaults when off
+  trace::TraceCollector::Stats trace;         ///< zero when not tracing
+  obs::ProbeSampler::Stats series;            ///< zero without --metrics
+  obs::PhaseProfiler::PhaseTotals profile;    ///< zero without --metrics
+
+  /// Folds one more task in (support::Scope::kTasks).
+  void merge(const Diagnostics& task);
+};
+
+/// Calls f(parts...) for each stats struct of Diagnostics, with the
+/// matching member of each `d` (one Diagnostics to render, two to merge).
+template <class F, class... D>
+void for_each_stats(F&& f, D&... d) {
+  f(d.queue...);
+  f(d.shard...);
+  f(d.monitor.stats...);
+  f(d.monitor...);
+  f(d.trace...);
+  f(d.series...);
+  f(d.profile...);
+}
+
+/// One completed run: the axis assignments that produced it, an ordered
+/// metric list (fixed schema; see run.cpp for the catalogue) and the
+/// run's diagnostics.
+struct RunResult : Diagnostics {
   std::string scenario;
   /// (axis name, display value) pairs, in grid order.
   std::vector<std::pair<std::string, std::string>> point;
   std::uint64_t seed = 0;
   std::vector<std::pair<std::string, double>> metrics;
-
-  /// Event-queue tier diagnostics of the run's simulator. Deterministic,
-  /// but engine-dependent — kept out of `metrics` so every sink's output
-  /// stays bit-identical between `--engine heap` and `--engine ladder`;
-  /// the `--timing` footer aggregates them instead.
-  struct QueueTiers {
-    double bucket_count = 0.0;   ///< widest calendar window built
-    double rung_spawns = 0.0;    ///< overflowing buckets split on drain
-    double overflow_peak = 0.0;  ///< overflow-tier occupancy high-water mark
-    double reseeds = 0.0;        ///< windows rebuilt from the overflow tier
-    // Batch-channel run lengths: events drained in sorted batch runs vs
-    // through the time-partitioned (unordered, below-horizon) drain.
-    double unordered_runs = 0.0;    ///< partitioned drains that emitted
-    double unordered_events = 0.0;  ///< events drained below the horizon
-    double ordered_run_events = 0.0;  ///< events drained in sorted runs
-    // Bytes-per-event split (EventQueue narrow delivery lane).
-    double narrow_events = 0.0;   ///< 16 B narrow deliveries scheduled
-    double wide_events = 0.0;     ///< 32 B entries scheduled
-    double group_inserts = 0.0;   ///< coalesced fan-out groups created
-    double lane_peak_bytes = 0.0;  ///< ladder lane storage high-water (B)
-    double lane_peak_lanes = 0.0;  ///< non-empty lanes at that high-water
-    double lane_peak_live = 0.0;   ///< live events at that high-water
-  };
-  QueueTiers queue;
-
-  /// Sharded-backend diagnostics (kept out of `metrics` for the same
-  /// reason: tables stay bit-identical at every `--shards T`, so the
-  /// partition geometry is `--timing` footer material, not a metric).
-  /// All zero when the run used the single-simulator engine.
-  struct ShardDiag {
-    double shards = 0.0;         ///< effective shard count (0 = unsharded)
-    double cut_edges = 0.0;      ///< directed node edges crossing the cut
-    double min_cut_delay = 0.0;  ///< conservative lookahead (d − u)
-    double windows = 0.0;        ///< safe windows executed
-    double mailbox_peak = 0.0;   ///< max cross-shard merge at one barrier
-  };
-  ShardDiag shard;
-
-  /// Online invariant-monitor report. Footer material for the same reason
-  /// as the diagnostics above: the monitors observe the same ground truth
-  /// on every backend, but their report stays out of `metrics` so the
-  /// tables cannot change shape when monitors are toggled.
-  struct MonitorReport {
-    bool enabled = false;
-    trace::MonitorBounds bounds;
-    trace::InvariantMonitor::Stats stats;
-  };
-  MonitorReport monitor;
-
-  /// Trace-capture summary (all zero when tracing was off).
-  struct TraceInfo {
-    bool enabled = false;
-    std::string path;
-    double records = 0.0;
-    double bytes = 0.0;
-  };
-  TraceInfo trace;
-
-  /// Deterministic metrics-series summary (all zero when --metrics was
-  /// off). `probes`/`bytes` are themselves deterministic: the series is
-  /// byte-identical across engines and shard counts.
-  struct SeriesInfo {
-    bool enabled = false;
-    std::string path;
-    double probes = 0.0;
-    double bytes = 0.0;
-  };
-  SeriesInfo series;
-
-  /// Wall-clock phase-profiler summary (PATH.profile sidecar). Timing is
-  /// machine-dependent — footer material only, never a metric. Phase
-  /// totals stay zero for unsharded runs (spans still cover setup/run/
-  /// collect).
-  struct ProfileInfo {
-    bool enabled = false;
-    double shards = 0.0;
-    double merge_ms = 0.0;
-    double run_ms = 0.0;
-    double wait_ms = 0.0;
-    double imbalance = 0.0;  ///< max/mean per-shard run-phase time
-  };
-  ProfileInfo profile;
 
   bool has_metric(const std::string& name) const;
   double metric(const std::string& name) const;  ///< aborts if missing

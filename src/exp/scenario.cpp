@@ -1,8 +1,13 @@
 #include "exp/scenario.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "support/assert.h"
 
@@ -157,48 +162,74 @@ std::size_t ScenarioSpec::num_points() const {
 }
 
 void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
-  const auto as_int = [&] { return static_cast<int>(std::llround(value)); };
+  const auto reject = [&](const std::string& expected) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", value);
+    throw std::invalid_argument("axis '" + name + "' value " + buf +
+                                ": expected " + expected);
+  };
+  const auto integer = [&](int lo, int hi, const char* what) {
+    if (!(std::isfinite(value) && value == std::floor(value) &&
+          value >= lo && value <= hi)) {
+      reject(std::string(what) + " in [" + std::to_string(lo) + ", " +
+             std::to_string(hi) + "]");
+    }
+    return static_cast<int>(value);
+  };
+  const auto count = [&](int lo) {
+    return integer(lo, std::numeric_limits<int>::max(), "an integer");
+  };
+  const auto real = [&](bool positive) {
+    if (!(std::isfinite(value) && (positive ? value > 0.0 : value >= 0.0))) {
+      reject(positive ? "a finite value > 0" : "a finite value >= 0");
+    }
+    return value;
+  };
   if (name == "diameter") {
-    spec.topology.set_diameter(as_int());
+    spec.topology.set_diameter(count(1));
   } else if (name == "clusters") {
-    spec.topology.set_clusters(as_int());
+    spec.topology.set_clusters(count(1));
   } else if (name == "gap_rounds") {
     spec.ramp = {};
-    spec.ramp.gap_rounds = as_int();
+    spec.ramp.gap_rounds = count(0);
   } else if (name == "gap_kappa") {
     spec.ramp = {};
-    spec.ramp.gap_kappa = value;
+    spec.ramp.gap_kappa = real(false);
   } else if (name == "f") {
-    spec.params.f = as_int();
+    spec.params.f = count(0);
   } else if (name == "cluster_size") {
-    spec.params.cluster_size = as_int();
+    spec.params.cluster_size = count(0);
   } else if (name == "faults_per_cluster") {
-    spec.faults.count = as_int();
+    spec.faults.count = count(-1);  // -1 = f
   } else if (name == "strategy") {
-    spec.faults.strategy = static_cast<byz::StrategyKind>(as_int());
+    spec.faults.strategy = static_cast<byz::StrategyKind>(
+        integer(0, static_cast<int>(byz::StrategyKind::kDelayJitter),
+                "a strategy name or an ordinal"));
   } else if (name == "attacked") {
-    spec.faults.enabled = value != 0.0;
+    spec.faults.enabled = integer(0, 1, "a flag") != 0;
   } else if (name == "rho") {
-    spec.params.rho = value;
+    spec.params.rho = real(false);
   } else if (name == "d") {
-    spec.params.d = value;
+    spec.params.d = real(false);
   } else if (name == "U") {
-    spec.params.U = value;
+    spec.params.U = real(false);
   } else if (name == "mu") {
-    spec.params.mu = value;
+    spec.params.mu = real(false);
   } else if (name == "phi") {
-    spec.params.phi = value;
+    spec.params.phi = real(false);
   } else if (name == "horizon_rounds") {
     spec.horizon = {};
-    spec.horizon.base_rounds = value;
+    spec.horizon.base_rounds = real(true);
   } else if (name == "flip_rounds") {
-    spec.drift.flip_rounds = value;
+    spec.drift.flip_rounds = real(false);
   } else if (name == "probability") {
+    if (!(value >= 0.0 && value <= 1.0)) reject("a probability in [0, 1]");
     spec.faults.probability = value;
   } else if (name == "shards") {
-    spec.shards = as_int();
+    spec.shards = count(1);
   } else if (name == "fault_mode") {
-    spec.faults.mode = static_cast<FaultMode>(as_int());
+    spec.faults.mode = static_cast<FaultMode>(
+        integer(0, static_cast<int>(FaultMode::kIid), "an ordinal"));
     // A scenario registered without faults carries no strategy strength;
     // the per-strategy default keeps the attack meaningful.
     if (spec.faults.param_abs == 0.0 && spec.faults.param_times_E == 0.0) {
@@ -208,6 +239,78 @@ void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
     throw std::invalid_argument("unknown sweep axis '" + name + "'");
   }
 }
+
+SweepAxis parse_axis(const std::string& text) {
+  const std::size_t eq = text.find('=');
+  if (eq == std::string::npos || eq == 0 || eq + 1 >= text.size()) {
+    throw std::invalid_argument("--axis expects name=v1,v2,... got '" +
+                                text + "'");
+  }
+  const auto strategy_ordinal = [](const std::string& token) {
+    for (int s = 0; s <= static_cast<int>(byz::StrategyKind::kDelayJitter);
+         ++s) {
+      if (token == byz::strategy_name(static_cast<byz::StrategyKind>(s))) {
+        return s;
+      }
+    }
+    return -1;
+  };
+  SweepAxis axis;
+  axis.name = text.substr(0, eq);
+  std::istringstream list(text.substr(eq + 1));
+  for (std::string token; std::getline(list, token, ',');) {
+    if (token.empty()) continue;
+    const int strategy = axis.name == "strategy" ? strategy_ordinal(token) : -1;
+    if (strategy >= 0) {
+      axis.values.push_back(AxisValue::named(strategy, token));
+      continue;
+    }
+    char* parsed_end = nullptr;
+    const double value = std::strtod(token.c_str(), &parsed_end);
+    if (parsed_end != token.c_str() + token.size()) {
+      throw std::invalid_argument("--axis '" + axis.name + "': '" + token +
+                                  "' is not a number");
+    }
+    axis.values.push_back(AxisValue::of(value));
+  }
+  if (axis.values.empty()) {
+    throw std::invalid_argument("--axis '" + axis.name + "' has no values");
+  }
+  return axis;
+}
+
+void override_axis(ScenarioSpec& spec, SweepAxis axis) {
+  for (auto& existing : spec.axes) {
+    if (existing.name == axis.name) {
+      existing = std::move(axis);
+      return;
+    }
+  }
+  spec.axes.push_back(std::move(axis));
+}
+
+template <class Int>
+Int parse_integer(const std::string& flag, const std::string& token, Int lo,
+                  Int hi) {
+  Int value{};
+  const char* const last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, value);
+  if (token.empty() || ec != std::errc() || ptr != last || value < lo ||
+      value > hi) {
+    throw std::invalid_argument(flag + " expects an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got '" + token +
+                                "'");
+  }
+  return value;
+}
+
+template int parse_integer<int>(const std::string&, const std::string&, int,
+                                int);
+template std::uint64_t parse_integer<std::uint64_t>(const std::string&,
+                                                    const std::string&,
+                                                    std::uint64_t,
+                                                    std::uint64_t);
 
 std::string format_axis_value(const AxisValue& v) {
   if (!v.label.empty()) return v.label;

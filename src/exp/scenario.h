@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -253,8 +254,28 @@ struct ScenarioSpec {
 /// scenario like large_torus into a fault-heavy one from the CLI;
 /// strategy strength falls back to the per-strategy default when no
 /// explicit param was registered)
-/// Throws std::invalid_argument for anything else.
+/// Throws std::invalid_argument, naming the axis and the value, for an
+/// unknown name or a value outside the axis's domain (non-finite,
+/// fractional where the axis is an integer or an enum ordinal, or out of
+/// its count/enum range).
 void apply_axis(ScenarioSpec& spec, const std::string& name, double value);
+
+/// Parses one `--axis name=v1,v2,...` argument. The strategy axis also
+/// accepts strategy names. Throws std::invalid_argument on a malformed
+/// argument or a non-numeric value; apply_axis checks the domain.
+SweepAxis parse_axis(const std::string& text);
+
+/// Replaces the spec's axis of the same name, or appends `axis`.
+void override_axis(ScenarioSpec& spec, SweepAxis axis);
+
+/// Strict whole-token integer parse for the CLI flag `flag`: no trailing
+/// characters, no sign on an unsigned type, no overflow, and a result in
+/// [lo, hi]. Throws std::invalid_argument naming the flag. Instantiated
+/// for int and std::uint64_t.
+template <class Int>
+Int parse_integer(const std::string& flag, const std::string& token,
+                  Int lo = std::numeric_limits<Int>::min(),
+                  Int hi = std::numeric_limits<Int>::max());
 
 /// Formats an axis value: the label when given, otherwise "%g".
 std::string format_axis_value(const AxisValue& v);

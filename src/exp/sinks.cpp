@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "metrics/table.h"
 
@@ -133,6 +136,99 @@ void JsonLinesSink::write(const SweepResult& result, std::ostream& os) const {
     }
     os << "}\n";
   }
+}
+
+namespace {
+
+/// " name=value" for each stat on footer line `line`, in field-table
+/// order, leaving out absent (non-finite) values. `head` receives the
+/// line's first stat, which gates the optional lines; `skip_head` keeps
+/// it out of the text when the line header shows it instead.
+std::string footer_stats(const Diagnostics& diag, const char* line,
+                         double* head = nullptr, bool skip_head = false) {
+  std::string out;
+  bool first = true;
+  if (head != nullptr) *head = 0.0;
+  for_each_stats(
+      [&](const auto& stats) {
+        using S = std::remove_cvref_t<decltype(stats)>;
+        for (const auto& stat : support::kFields<S>) {
+          if (stat.line == nullptr || std::strcmp(stat.line, line) != 0) {
+            continue;
+          }
+          const double value = stat.get(stats);
+          const bool is_head = std::exchange(first, false);
+          if (is_head && head != nullptr) *head = value;
+          if ((is_head && skip_head) || !std::isfinite(value)) continue;
+          char buf[64];
+          std::snprintf(buf, sizeof buf, stat.format, value);
+          out += ' ';
+          out += stat.name;
+          out += '=';
+          out += buf;
+        }
+      },
+      diag);
+  return out;
+}
+
+}  // namespace
+
+void write_timing_footer(const SweepResult& result, const ScenarioSpec& spec,
+                         std::ostream& os) {
+  char buf[256];
+  if (result.total_wall_ms > 0.0 && result.total_events > 0.0) {
+    std::snprintf(buf, sizeof buf,
+                  "%.3g simulated events in %.0f ms task time — %.2fM "
+                  "events/sec/thread aggregate\n",
+                  result.total_events, result.total_wall_ms,
+                  result.total_events / result.total_wall_ms / 1000.0);
+    os << buf;
+  }
+  const char* engine = sim::queue_backend_name(spec.engine);
+  os << "queue[" << engine << "]:" << footer_stats(result, "queue")
+     << "\nruns[" << engine << "]:" << footer_stats(result, "runs")
+     << "\nbytes[queue]:" << footer_stats(result, "bytes") << '\n';
+
+  // The other lines print only when their first stat (the shard, probe
+  // or file count) is nonzero; "off" is stated, never left out.
+  double head = 0.0;
+  std::string stats = footer_stats(result, "shards", &head, true);
+  if (head > 0.0) {
+    os << "shards[" << head << "]:" << stats << '\n';
+  } else if (spec.shards > 1) {
+    os << "shards: requested " << spec.shards
+       << ", partition degenerate — ran the single-simulator engine\n";
+  }
+  stats = footer_stats(result, "monitors", &head);
+  if (head > 0.0) {
+    os << "monitors[on]:" << stats << '\n';
+    const trace::InvariantMonitor::Stats& mon = result.monitor.stats;
+    if (mon.has_violation) {
+      std::snprintf(buf, sizeof buf,
+                    "monitors: FIRST VIOLATION %s value=%.6g bound=%.6g at "
+                    "t=%.6g task=%zu events=%llu trace_offset=%llu\n",
+                    mon.first.invariant, mon.first.value, mon.first.bound,
+                    mon.first.cursor.at, mon.first.task,
+                    static_cast<unsigned long long>(mon.first.cursor.events),
+                    static_cast<unsigned long long>(
+                        mon.first.cursor.trace_offset));
+      os << buf;
+    }
+  } else {
+    os << "monitors=off\n";
+  }
+  for (const auto& [line, path] : {std::pair{"trace", &spec.trace_path},
+                                   std::pair{"metrics", &spec.metrics_path}}) {
+    stats = footer_stats(result, line, &head);
+    if (head > 0.0) {
+      os << line << "[on]:" << stats << " (" << *path << ")\n";
+    } else {
+      os << line << "=off\n";
+    }
+  }
+  stats = footer_stats(result, "phases", &head, true);
+  if (head > 0.0) os << "phases[" << head << " shards]:" << stats << '\n';
 }
 
 std::unique_ptr<ResultSink> make_sink(const std::string& name) {

@@ -73,6 +73,7 @@ RunResult execute(const ScenarioSpec& base, const Task& task,
   wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   result.scenario = base.name;
   result.point = std::move(point);
+  result.monitor.stats.first.task = task_index;
   return result;
 }
 
@@ -153,92 +154,7 @@ SweepResult SweepRunner::run(const ScenarioSpec& spec) const {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     sweep.total_wall_ms += wall_ms[i];
     sweep.total_events += task_events(i);
-    const RunResult::QueueTiers& tiers = results[i].queue;
-    sweep.queue.max_bucket_count =
-        std::max(sweep.queue.max_bucket_count, tiers.bucket_count);
-    sweep.queue.rung_spawns += tiers.rung_spawns;
-    sweep.queue.max_overflow_peak =
-        std::max(sweep.queue.max_overflow_peak, tiers.overflow_peak);
-    sweep.queue.reseeds += tiers.reseeds;
-    sweep.queue.unordered_runs += tiers.unordered_runs;
-    sweep.queue.unordered_events += tiers.unordered_events;
-    sweep.queue.ordered_run_events += tiers.ordered_run_events;
-    sweep.queue.narrow_events += tiers.narrow_events;
-    sweep.queue.wide_events += tiers.wide_events;
-    sweep.queue.group_inserts += tiers.group_inserts;
-    if (tiers.lane_peak_bytes > sweep.queue.max_lane_peak_bytes) {
-      sweep.queue.max_lane_peak_bytes = tiers.lane_peak_bytes;
-      sweep.queue.max_lane_peak_lanes = tiers.lane_peak_lanes;
-      sweep.queue.max_lane_peak_live = tiers.lane_peak_live;
-    }
-    const RunResult::ShardDiag& shard = results[i].shard;
-    if (shard.shards > 0.0) {
-      sweep.shard.min_cut_delay =
-          sweep.shard.shards > 0.0
-              ? std::min(sweep.shard.min_cut_delay, shard.min_cut_delay)
-              : shard.min_cut_delay;
-      sweep.shard.shards = std::max(sweep.shard.shards, shard.shards);
-      sweep.shard.max_cut_edges =
-          std::max(sweep.shard.max_cut_edges, shard.cut_edges);
-      sweep.shard.windows += shard.windows;
-      sweep.shard.max_mailbox_peak =
-          std::max(sweep.shard.max_mailbox_peak, shard.mailbox_peak);
-    }
-    const RunResult::MonitorReport& mon = results[i].monitor;
-    if (mon.enabled) {
-      auto& agg = sweep.monitor;
-      agg.rows += 1.0;
-      agg.probes += static_cast<double>(mon.stats.probes);
-      agg.violations += static_cast<double>(mon.stats.violations);
-      agg.max_local_skew =
-          std::max(agg.max_local_skew, mon.stats.max_local_skew);
-      agg.max_global_skew =
-          std::max(agg.max_global_skew, mon.stats.max_global_skew);
-      agg.max_intra = std::max(agg.max_intra, mon.stats.max_intra_cluster);
-      agg.max_m_lag = std::max(agg.max_m_lag, mon.stats.max_m_lag);
-      if (mon.bounds.local_skew > 0.0) {
-        agg.min_local_margin =
-            std::min(agg.min_local_margin,
-                     mon.bounds.local_skew - mon.stats.max_local_skew);
-      }
-      if (mon.bounds.global_skew > 0.0) {
-        agg.min_global_margin =
-            std::min(agg.min_global_margin,
-                     mon.bounds.global_skew - mon.stats.max_global_skew);
-      }
-      if (mon.bounds.intra_cluster > 0.0) {
-        agg.min_intra_margin =
-            std::min(agg.min_intra_margin,
-                     mon.bounds.intra_cluster - mon.stats.max_intra_cluster);
-      }
-      if (mon.stats.has_violation && !agg.has_violation) {
-        agg.has_violation = true;
-        agg.first_task = i;
-        agg.first = mon.stats.first;
-      }
-    }
-    const RunResult::TraceInfo& trace = results[i].trace;
-    if (trace.enabled) {
-      sweep.trace.files += 1.0;
-      sweep.trace.records += trace.records;
-      sweep.trace.bytes += trace.bytes;
-    }
-    const RunResult::SeriesInfo& series = results[i].series;
-    if (series.enabled) {
-      sweep.series.files += 1.0;
-      sweep.series.probes += series.probes;
-      sweep.series.bytes += series.bytes;
-    }
-    const RunResult::ProfileInfo& profile = results[i].profile;
-    if (profile.enabled) {
-      auto& agg = sweep.profile;
-      agg.rows += 1.0;
-      agg.shards = std::max(agg.shards, profile.shards);
-      agg.merge_ms += profile.merge_ms;
-      agg.run_ms += profile.run_ms;
-      agg.wait_ms += profile.wait_ms;
-      agg.max_imbalance = std::max(agg.max_imbalance, profile.imbalance);
-    }
+    sweep.merge(results[i]);
   }
 
   const auto row_timing = [&](std::size_t first_task, std::size_t n_tasks) {

@@ -17,7 +17,11 @@
 // mix, mailbox depths, cut traffic) belongs to the nondeterministic
 // sidecar written by PhaseProfiler, never to this registry — the
 // deterministic series is CI-compared byte-for-byte across
-// `--engine {heap,ladder}` × `--shards {1,2,4}`.
+// `--engine {heap,ladder}` × `--shards {1,2,4}`. Run diagnostics carry
+// that distinction as the support::Plane tag of their field-table row
+// (support/stat_table.h): only kDeterministic stats may feed the series,
+// and tests/test_timing_footer.cpp checks the tag holds across engines
+// and shard counts.
 #pragma once
 
 #include <cstdint>

@@ -22,6 +22,17 @@ std::uint64_t now_ns() {
 
 double to_ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
+/// Appends `,"name":value` for every row of S's field table.
+template <class S>
+void append_stats(std::string& out, const S& stats) {
+  for (const auto& stat : support::kFields<S>) {
+    out += ",\"";
+    out += stat.name;
+    out += "\":";
+    append_json_double(out, stat.get(stats));
+  }
+}
+
 }  // namespace
 
 PhaseProfiler::PhaseProfiler(const std::string& path) : path_(path) {
@@ -84,22 +95,7 @@ void PhaseProfiler::probe_diag(double at,
   line_.clear();
   line_ += "{\"section\":\"diag\",\"t\":";
   append_json_double(line_, at);
-  line_ += ",\"narrow\":";
-  append_json_u64(line_, tiers.narrow_events);
-  line_ += ",\"wide\":";
-  append_json_u64(line_, tiers.wide_events);
-  line_ += ",\"groups\":";
-  append_json_u64(line_, tiers.group_inserts);
-  line_ += ",\"entry_bytes\":";
-  append_json_u64(line_, tiers.entry_bytes());
-  line_ += ",\"unordered\":";
-  append_json_u64(line_, tiers.unordered_events);
-  line_ += ",\"ordered_runs\":";
-  append_json_u64(line_, tiers.ordered_run_events);
-  line_ += ",\"buckets\":";
-  append_json_u64(line_, static_cast<std::uint64_t>(tiers.bucket_count));
-  line_ += ",\"overflow_peak\":";
-  append_json_u64(line_, static_cast<std::uint64_t>(tiers.overflow_peak));
+  append_stats(line_, tiers);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     char key[48];
     std::snprintf(key, sizeof(key), ",\"s%zu_routed\":", s);
@@ -132,6 +128,8 @@ double PhaseProfiler::imbalance() const {
 
 PhaseProfiler::PhaseTotals PhaseProfiler::totals() const {
   PhaseTotals t;
+  t.shards = static_cast<double>(slots_.size());
+  t.imbalance = imbalance();
   for (const ShardSlot& slot : slots_) {
     t.merge_ms += to_ms(slot.total_ns[static_cast<int>(Phase::kMerge)]);
     t.run_ms += to_ms(slot.total_ns[static_cast<int>(Phase::kRun)]);
@@ -162,18 +160,8 @@ void PhaseProfiler::finish() {
     std::fwrite(line_.data(), 1, line_.size(), file_);
   }
   if (!slots_.empty()) {
-    const PhaseTotals t = totals();
-    line_.clear();
-    line_ += "{\"section\":\"summary\",\"shards\":";
-    append_json_u64(line_, slots_.size());
-    line_ += ",\"merge_ms\":";
-    append_json_double(line_, t.merge_ms);
-    line_ += ",\"run_ms\":";
-    append_json_double(line_, t.run_ms);
-    line_ += ",\"wait_ms\":";
-    append_json_double(line_, t.collect_ms);
-    line_ += ",\"imbalance\":";
-    append_json_double(line_, imbalance());
+    line_ = "{\"section\":\"summary\"";
+    append_stats(line_, totals());
     line_ += "}\n";
     std::fwrite(line_.data(), 1, line_.size(), file_);
   }

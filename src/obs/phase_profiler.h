@@ -2,8 +2,9 @@
 //
 // Two kinds of rows, both kept strictly OUT of the deterministic series:
 //
-//   * "diag" rows — per-probe queue-tier occupancy/byte mix (TierStats)
-//     and per-shard mailbox depth / cut-edge traffic. These are
+//   * "diag" rows — per-probe queue-tier stats (every TierStats field-table
+//     row, keyed by its name) and per-shard mailbox depth / cut-edge
+//     traffic. These are
 //     deterministic for a fixed configuration but DEPEND on the engine
 //     and the shard count (narrow vs wide mix differs heap-vs-ladder,
 //     mailbox depth differs by T), so they can never live in the file
@@ -28,12 +29,14 @@
 // the same discipline the mailbox lanes use.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "support/stat_table.h"
 
 namespace ftgcs::obs {
 
@@ -85,15 +88,33 @@ class PhaseProfiler {
   /// max/mean per-shard run-phase time; 0 until >= 1 shard has run time.
   double imbalance() const;
 
+  /// Phase times summed over shards, plus the bound shard count and the
+  /// imbalance ratio.
   struct PhaseTotals {
+    double shards = 0.0;  ///< bound shard count (0 = unsharded run)
     double merge_ms = 0.0;
     double run_ms = 0.0;
     double collect_ms = 0.0;
-  };
-  /// Summed over shards (driver-side, after workers parked).
-  PhaseTotals totals() const;
+    double imbalance = 0.0;  ///< imbalance()
 
-  int shards() const { return static_cast<int>(slots_.size()); }
+    /// Field table (support/stat_table.h): the `--timing` footer's
+    /// phases line, headed by the shard count (sharded runs only).
+    static constexpr auto fields() {
+      using enum support::Agg;
+      using enum support::Plane;
+      using S = PhaseTotals;
+      return std::array{
+          field<&S::shards>("shards", kMax, kEngine, "phases"),
+          field<&S::merge_ms>("merge_ms", kSum, kWallClock, "phases", "%.1f"),
+          field<&S::run_ms>("run_ms", kSum, kWallClock, "phases", "%.1f"),
+          field<&S::collect_ms>("wait_ms", kSum, kWallClock, "phases",
+                                "%.1f"),
+          field<&S::imbalance>("imbalance", kMax, kWallClock, "phases",
+                               "%.3f")};
+    }
+  };
+  /// Driver-side, after workers parked.
+  PhaseTotals totals() const;
 
  private:
   static constexpr int kNumPhases = 3;

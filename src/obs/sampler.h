@@ -23,6 +23,7 @@
 // (pinned by the ScopedAllocGuard test in tests/test_obs_metrics.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -31,6 +32,7 @@
 #include "exp/topology_graph.h"
 #include "metrics/skew_tracker.h"
 #include "obs/metrics.h"
+#include "support/stat_table.h"
 #include "trace/monitor.h"
 
 namespace ftgcs::obs {
@@ -91,6 +93,28 @@ class ProbeSampler {
 
   std::uint64_t probes() const { return probes_; }
   std::uint64_t bytes() const { return bytes_; }
+
+  /// Series summary; a sweep sums it over tasks. Deterministic, like the
+  /// series itself.
+  struct Stats {
+    std::uint64_t files = 0;  ///< 1 per run that wrote a series
+    std::uint64_t probes = 0;
+    std::uint64_t bytes = 0;
+
+    /// Field table (support/stat_table.h): the `--timing` footer's
+    /// metrics line, printed when a file was written.
+    static constexpr auto fields() {
+      using enum support::Agg;
+      using enum support::Plane;
+      using S = Stats;
+      return std::array{
+          field<&S::files>("files", kSum, kDeterministic, "metrics"),
+          field<&S::probes>("probes", kSum, kDeterministic, "metrics"),
+          field<&S::bytes>("bytes", kSum, kDeterministic, "metrics")};
+    }
+  };
+  /// Call after finish() for the closed file's totals.
+  Stats stats() const { return {1, probes_, bytes_}; }
   const std::string& path() const { return path_; }
   MetricsRegistry& registry() { return registry_; }
 

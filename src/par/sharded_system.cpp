@@ -301,21 +301,8 @@ std::uint64_t ShardedFtGcsSystem::total_violations() const {
 sim::EventQueue::TierStats ShardedFtGcsSystem::queue_stats() const {
   sim::EventQueue::TierStats stats;
   for (const auto& shard : shards_) {
-    const sim::EventQueue::TierStats& tier = shard->simulator().queue_stats();
-    stats.bucket_count = std::max(stats.bucket_count, tier.bucket_count);
-    stats.rung_spawns += tier.rung_spawns;
-    stats.overflow_peak = std::max(stats.overflow_peak, tier.overflow_peak);
-    stats.overflow_pushes += tier.overflow_pushes;
-    stats.reseeds += tier.reseeds;
-    stats.unordered_runs += tier.unordered_runs;
-    stats.unordered_events += tier.unordered_events;
-    stats.ordered_run_events += tier.ordered_run_events;
-    stats.narrow_events += tier.narrow_events;
-    stats.wide_events += tier.wide_events;
-    stats.group_inserts += tier.group_inserts;
-    stats.lane_peak_bytes += tier.lane_peak_bytes;  // shards coexist
-    stats.lane_peak_lanes += tier.lane_peak_lanes;
-    stats.lane_peak_live += tier.lane_peak_live;
+    support::merge(stats, shard->simulator().queue_stats(),
+                   support::Scope::kShards);
   }
   return stats;
 }

@@ -33,8 +33,10 @@
 // ShardPlan::degenerate().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -50,6 +52,7 @@
 #include "sim/backend.h"
 #include "sim/event_queue.h"
 #include "sim/time_types.h"
+#include "support/stat_table.h"
 
 namespace ftgcs::trace {
 class TraceCollector;
@@ -110,14 +113,31 @@ class ShardedFtGcsSystem {
     obs::PhaseProfiler* profiler = nullptr;
   };
 
-  /// Deterministic, engine-independent diagnostics of one sharded run
-  /// (reported via the --timing footer, never mixed into metric tables).
+  /// Partition diagnostics of one sharded run: deterministic, but they
+  /// depend on the shard count, so they stay out of the metric tables.
+  /// The defaults describe an unsharded run.
   struct ShardStats {
-    int shards = 1;
-    std::size_t cut_edges = 0;
-    double min_cut_delay = 0.0;
+    int shards = 0;  ///< effective shard count (0 = single simulator)
+    std::size_t cut_edges = 0;  ///< directed node edges crossing the cut
+    /// Conservative lookahead (d − u); +inf (absent) when unsharded.
+    double min_cut_delay = std::numeric_limits<double>::infinity();
     std::uint64_t windows = 0;       ///< safe windows executed
     std::size_t mailbox_peak = 0;    ///< max entries merged at one barrier
+
+    /// Field table (support/stat_table.h): the `--timing` footer's shards
+    /// line, headed by the shard count.
+    static constexpr auto fields() {
+      using enum support::Agg;
+      using enum support::Plane;
+      using S = ShardStats;
+      return std::array{
+          field<&S::shards>("shards", kMax, kEngine, "shards"),
+          field<&S::cut_edges>("cut_edges", kMax, kEngine, "shards"),
+          field<&S::min_cut_delay>("min_cut_delay", kMin, kEngine, "shards",
+                                   "%g"),
+          field<&S::windows>("windows", kSum, kEngine, "shards"),
+          field<&S::mailbox_peak>("mailbox_peak", kMax, kEngine, "shards")};
+    }
   };
 
   ShardedFtGcsSystem(net::Graph cluster_graph, Config config);
@@ -159,8 +179,7 @@ class ShardedFtGcsSystem {
   std::uint64_t fired_events() const;
   std::uint64_t messages_sent() const;
   std::uint64_t total_violations() const;
-  /// Queue-tier diagnostics reduced over shards (max for occupancy
-  /// figures, sum for event counters).
+  /// Queue-tier diagnostics merged over the coexisting shards.
   sim::EventQueue::TierStats queue_stats() const;
   ShardStats shard_stats() const;
 

@@ -62,6 +62,7 @@
 //     before trusting an index.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -73,6 +74,7 @@
 #include "sim/event.h"
 #include "sim/time_types.h"
 #include "support/assert.h"
+#include "support/stat_table.h"
 
 namespace ftgcs::sim {
 
@@ -231,9 +233,8 @@ class EventQueue {
   /// concurrent cancellable events).
   std::size_t pool_size() const { return slots_.size(); }
 
-  /// Queue-tier diagnostics, surfaced through `--timing` footers so sweep
-  /// output shows which tier dominated a run. All values are deterministic
-  /// functions of the schedule (no wall clock involved).
+  /// Queue-tier diagnostics: deterministic functions of the schedule (no
+  /// wall clock involved).
   struct TierStats {
     std::size_t bucket_count = 0;   ///< widest calendar window built
     std::uint64_t rung_spawns = 0;  ///< overflowing buckets split on drain
@@ -268,6 +269,51 @@ class EventQueue {
     /// comparability). Reseed/rung redistribution traffic is not included.
     std::uint64_t entry_bytes() const {
       return 16 * narrow_events + 32 * wide_events + 40 * group_inserts;
+    }
+    /// Narrow deliveries per coalesced broadcast group.
+    double mean_group() const {
+      return group_inserts > 0 ? static_cast<double>(narrow_events) /
+                                     static_cast<double>(group_inserts)
+                               : 0.0;
+    }
+    double bytes_per_event() const {
+      const std::uint64_t events = narrow_events + wide_events;
+      return events > 0 ? static_cast<double>(entry_bytes()) /
+                              static_cast<double>(events)
+                        : 0.0;
+    }
+
+    /// Field table (support/stat_table.h): the `--timing` footer's queue,
+    /// runs and bytes lines and the `.profile` diag rows. Every row is
+    /// engine-dependent: the backends route the same events through
+    /// different lanes.
+    static constexpr auto fields() {
+      using enum support::Agg;
+      using enum support::Plane;
+      using S = TierStats;
+      return std::array{
+          field<&S::bucket_count>("buckets", kMax, kEngine, "queue"),
+          field<&S::rung_spawns>("rung_spawns", kSum, kEngine, "queue"),
+          field<&S::overflow_peak>("overflow_peak", kMax, kEngine, "queue"),
+          field<&S::reseeds>("reseeds", kSum, kEngine, "queue"),
+          field<&S::unordered_runs>("part_runs", kSum, kEngine, "runs"),
+          field<&S::unordered_events>("part_events", kSum, kEngine, "runs"),
+          field<&S::ordered_run_events>("run_events", kSum, kEngine, "runs"),
+          derived<&S::entry_bytes>("entry_bytes", kEngine, "bytes"),
+          field<&S::narrow_events>("narrow", kSum, kEngine, "bytes"),
+          field<&S::wide_events>("wide", kSum, kEngine, "bytes"),
+          field<&S::group_inserts>("groups", kSum, kEngine, "bytes"),
+          derived<&S::mean_group>("mean_group", kEngine, "bytes", "%.1f"),
+          derived<&S::bytes_per_event>("bytes_per_event", kEngine, "bytes",
+                                       "%.1f"),
+          field<&S::lane_peak_bytes>("lane_peak_bytes", kFootprint, kEngine,
+                                     "bytes"),
+          field<&S::lane_peak_lanes>("lane_peak_lanes", kFootprint, kEngine,
+                                     "bytes"),
+          field<&S::lane_peak_live>("lane_peak_live", kFootprint, kEngine,
+                                    "bytes"),
+          field<&S::overflow_pushes>("overflow_pushes", kSum, kEngine,
+                                     nullptr)};
     }
   };
   TierStats tier_stats() const {

@@ -16,11 +16,13 @@
 // format.h for why the canonical key makes the merge partition-invariant).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "support/stat_table.h"
 #include "trace/format.h"
 #include "trace/sink.h"
 #include "trace/writer.h"
@@ -52,6 +54,28 @@ class TraceCollector {
 
   std::uint64_t records() const { return writer_.records(); }
   std::uint64_t bytes_written() const { return writer_.bytes_written(); }
+
+  /// Capture summary; a sweep sums it over tasks. Deterministic: the
+  /// bytes are identical at every engine and shard count.
+  struct Stats {
+    std::uint64_t files = 0;  ///< 1 per run that captured a trace
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
+
+    /// Field table (support/stat_table.h): the `--timing` footer's trace
+    /// line, printed when a file was written.
+    static constexpr auto fields() {
+      using enum support::Agg;
+      using enum support::Plane;
+      using S = Stats;
+      return std::array{
+          field<&S::files>("files", kSum, kDeterministic, "trace"),
+          field<&S::records>("records", kSum, kDeterministic, "trace"),
+          field<&S::bytes>("bytes", kSum, kDeterministic, "trace")};
+    }
+  };
+  /// Call after finish() for the sealed file's totals.
+  Stats stats() const { return {1, records(), bytes_written()}; }
 
   /// Byte half of a replay cursor: the file offset one past the last
   /// committed record (exact even while the frame is buffered).

@@ -92,6 +92,10 @@ void InvariantMonitor::observe_m_lag(double max_lag,
   check("m_lag", max_lag, bounds_.m_lag, cursor);
 }
 
+MonitorReport InvariantMonitor::report() const {
+  return {stats_, local_margin(), global_margin(), intra_margin()};
+}
+
 double InvariantMonitor::local_margin() const {
   return bounds_.local_skew > 0.0 ? bounds_.local_skew - stats_.max_local_skew
                                   : kInf;

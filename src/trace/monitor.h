@@ -22,11 +22,15 @@
 // the default probe cadence, which is what lets the monitors default ON.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "core/node_table.h"
 #include "exp/topology_graph.h"
 #include "sim/time_types.h"
+#include "support/stat_table.h"
 
 namespace ftgcs::trace {
 
@@ -54,7 +58,10 @@ struct Violation {
   double value = 0.0;
   double bound = 0.0;
   MonitorCursor cursor;
+  std::size_t task = 0;  ///< sweep task index (stamped by exp::SweepRunner)
 };
+
+struct MonitorReport;
 
 class InvariantMonitor {
  public:
@@ -67,6 +74,31 @@ class InvariantMonitor {
     double max_m_lag = 0.0;
     bool has_violation = false;
     Violation first;  ///< valid iff has_violation
+
+    /// Field table (support/stat_table.h): the `--timing` footer's
+    /// monitors line, printed when the probe count is nonzero. The first
+    /// violation is a group keyed on has_violation, printed on a line of
+    /// its own.
+    static constexpr auto fields() {
+      using enum support::Agg;
+      using enum support::Plane;
+      using S = Stats;
+      return std::array{
+          field<&S::probes>("probes", kSum, kDeterministic, "monitors"),
+          field<&S::violations>("violations", kSum, kDeterministic,
+                                "monitors"),
+          field<&S::max_local_skew>("max_local", kMax, kDeterministic,
+                                    "monitors", "%.4g"),
+          field<&S::max_global_skew>("max_global", kMax, kDeterministic,
+                                     "monitors", "%.4g"),
+          field<&S::max_intra_cluster>("max_intra", kMax, kDeterministic,
+                                       "monitors", "%.4g"),
+          field<&S::max_m_lag>("max_m_lag", kMax, kDeterministic, nullptr),
+          field<&S::has_violation>("has_violation", kFirst, kDeterministic,
+                                   nullptr),
+          field<&S::first>("first_violation", kFirst, kDeterministic,
+                           nullptr)};
+    }
   };
 
   /// Copies the resolved topology (the monitor outlives probe scratch and
@@ -86,6 +118,8 @@ class InvariantMonitor {
 
   const Stats& stats() const { return stats_; }
   const MonitorBounds& bounds() const { return bounds_; }
+  /// The run's summary: stats plus the local/global/intra margins.
+  MonitorReport report() const;
 
   /// bound − running max; how much headroom survived the run. Meaningless
   /// (returns +inf) when the invariant is disabled.
@@ -103,6 +137,30 @@ class InvariantMonitor {
   Stats stats_;
   std::vector<double> cluster_lo_;  ///< probe scratch, reused
   std::vector<double> cluster_hi_;
+};
+
+/// One run's monitor summary. A run without monitors keeps the defaults:
+/// zero probes and absent (+inf) margins.
+struct MonitorReport {
+  InvariantMonitor::Stats stats;
+  double local_margin = std::numeric_limits<double>::infinity();
+  double global_margin = std::numeric_limits<double>::infinity();
+  double intra_margin = std::numeric_limits<double>::infinity();
+
+  /// The margins' rows follow Stats' maxima on the monitors line; an
+  /// absent margin does not print.
+  static constexpr auto fields() {
+    using enum support::Agg;
+    using enum support::Plane;
+    using S = MonitorReport;
+    return std::array{
+        field<&S::local_margin>("local_margin", kMin, kDeterministic,
+                                "monitors", "%.4g"),
+        field<&S::global_margin>("global_margin", kMin, kDeterministic,
+                                 "monitors", "%.4g"),
+        field<&S::intra_margin>("intra_margin", kMin, kDeterministic,
+                                "monitors", "%.4g")};
+  }
 };
 
 }  // namespace ftgcs::trace

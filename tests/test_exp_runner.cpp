@@ -184,6 +184,94 @@ TEST(Scenario, AxisApplicationCoversDocumentedNames) {
                std::invalid_argument);
 }
 
+// Bad `--axis` input travels parse_axis -> SweepRunner -> apply_axis and
+// must come back as std::invalid_argument naming the axis and the value,
+// never as an abort from a downstream precondition.
+TEST(Scenario, BadAxisValuesThrowTypedErrors) {
+  register_builtin_scenarios();
+  const ScenarioSpec* base =
+      Registry::instance().find("e4_fault_tolerance_boundary");
+  ASSERT_NE(base, nullptr);
+  const struct {
+    const char* arg;
+    const char* value;  ///< as the error message prints it
+  } cases[] = {
+      {"clusters=nan", "nan"},      {"clusters=1e12", "1e+12"},
+      {"clusters=2.5", "2.5"},      {"horizon_rounds=-1", "-1"},
+      {"horizon_rounds=inf", "inf"}, {"strategy=99", "99"},
+      {"fault_mode=9", "9"},        {"f=-1", "-1"},
+      {"shards=0", "0"},            {"probability=1.5", "1.5"},
+      {"attacked=2", "2"},
+  };
+  for (const auto& c : cases) {
+    ScenarioSpec spec = *base;
+    spec.seeds = {1};
+    override_axis(spec, parse_axis(c.arg));
+    const std::string arg = c.arg;
+    const std::string axis = arg.substr(0, arg.find('='));
+    try {
+      SweepRunner({1}).run(spec);
+      ADD_FAILURE() << c.arg << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("'" + axis + "' value " + c.value),
+                std::string::npos)
+          << c.arg << ": " << what;
+    }
+  }
+}
+
+TEST(Scenario, ParseAxisRejectsMalformedArguments) {
+  for (const char* arg : {"clusters", "=1", "clusters=", "clusters=2x",
+                          "clusters=,", "strategy=no-such-strategy"}) {
+    EXPECT_THROW(parse_axis(arg), std::invalid_argument) << arg;
+  }
+  const SweepAxis axis = parse_axis("strategy=two-faced,3");
+  ASSERT_EQ(axis.values.size(), 2u);
+  EXPECT_EQ(axis.values[0].value,
+            static_cast<double>(byz::StrategyKind::kTwoFaced));
+  EXPECT_EQ(axis.values[0].label, "two-faced");
+  EXPECT_EQ(axis.values[1].value, 3.0);
+}
+
+// CLI integer flags parse the whole token: trailing characters, a sign on
+// an unsigned value, overflow and out-of-range values are typed errors
+// that name the flag.
+TEST(Scenario, IntegerFlagsParseStrictly) {
+  const struct {
+    const char* flag;
+    const char* token;
+  } bad_int[] = {{"--shards", "2x"},     {"--threads", "abc"},
+                 {"--threads", ""},      {"--shards", " 2"},
+                 {"--shards", "0"},      {"--shards", "99999999999"},
+                 {"--threads", "1.5"}},
+    bad_u64[] = {{"--seeds", "-1"},
+                 {"--seeds", "+1"},
+                 {"--seeds", "18446744073709551616"},
+                 {"--seeds", "7abc"}};
+  for (const auto& c : bad_int) {
+    try {
+      parse_integer<int>(c.flag, c.token, 1);
+      ADD_FAILURE() << c.flag << " '" << c.token << "' was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(c.flag, 0), 0u)
+          << error.what();
+    }
+  }
+  for (const auto& c : bad_u64) {
+    try {
+      parse_integer<std::uint64_t>(c.flag, c.token);
+      ADD_FAILURE() << c.flag << " '" << c.token << "' was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(c.flag, 0), 0u)
+          << error.what();
+    }
+  }
+  EXPECT_EQ(parse_integer<int>("--shards", "4", 1), 4);
+  EXPECT_EQ(parse_integer<std::uint64_t>("--seeds", "18446744073709551615"),
+            18446744073709551615ull);
+}
+
 TEST(Sinks, AllThreeRenderEveryRow) {
   ScenarioSpec spec = small_scenario();
   spec.axes = {{"clusters", {AxisValue::of(2)}}};

@@ -150,7 +150,7 @@ TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShardsAndEngines) {
     s.engine = engine;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
-    EXPECT_TRUE(result.trace.enabled);
+    EXPECT_EQ(result.trace.files, 1u);
     EXPECT_GT(result.trace.records, 0.0);
     return read_file(path);
   };
@@ -183,7 +183,7 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
     s.engine = sim::QueueBackend::kLadder;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
-    EXPECT_TRUE(result.trace.enabled);
+    EXPECT_EQ(result.trace.files, 1u);
     EXPECT_GT(result.trace.records, 0.0);
     // Pure-receive pulses below the horizon went through the unordered
     // partitioned drain, not only the ordered batch runs.
@@ -220,7 +220,7 @@ TEST(TraceFormat, TorusNarrowCoalescedLaneIdenticalAcrossEnginesAndShards) {
     s.engine = engine;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
-    EXPECT_TRUE(result.trace.enabled);
+    EXPECT_EQ(result.trace.files, 1u);
     EXPECT_GT(result.trace.records, 0.0);
     if (expect_narrow) {
       EXPECT_GT(result.queue.narrow_events, 0.0) << "shards=" << shards;

@@ -267,21 +267,19 @@ TEST(TraceMonitor, RunPointReportsMatchMetricsAndAgreeAcrossBackends) {
   };
 
   const exp::RunResult base = run_with(1, sim::QueueBackend::kLadder);
-  ASSERT_TRUE(base.monitor.enabled);
-  EXPECT_GT(base.monitor.stats.probes, 0u);
+  ASSERT_GT(base.monitor.stats.probes, 0u);
   // The monitor's running node-level maxima must equal the offline metric
   // schema's — same snapshots, independent reductions.
   EXPECT_EQ(base.monitor.stats.max_local_skew, base.metric("max_node_local"));
   EXPECT_EQ(base.monitor.stats.max_intra_cluster, base.metric("max_intra"));
   EXPECT_GE(base.monitor.stats.max_global_skew, base.metric("max_global"));
   EXPECT_EQ(base.monitor.stats.violations, 0u);
-  EXPECT_GT(base.monitor.bounds.local_skew, 0.0);
+  EXPECT_TRUE(std::isfinite(base.monitor.local_margin));  // bound enabled
 
   for (auto [shards, engine] :
        {std::pair<int, sim::QueueBackend>{2, sim::QueueBackend::kLadder},
         std::pair<int, sim::QueueBackend>{2, sim::QueueBackend::kHeap}}) {
     const exp::RunResult other = run_with(shards, engine);
-    ASSERT_TRUE(other.monitor.enabled);
     EXPECT_EQ(other.monitor.stats.probes, base.monitor.stats.probes);
     EXPECT_EQ(other.monitor.stats.violations, base.monitor.stats.violations);
     EXPECT_EQ(other.monitor.stats.max_local_skew,
@@ -295,7 +293,6 @@ TEST(TraceMonitor, RunPointReportsMatchMetricsAndAgreeAcrossBackends) {
   ScenarioSpec off = spec;
   off.monitors = false;
   const exp::RunResult no_monitor = run_point(off, 1);
-  EXPECT_FALSE(no_monitor.monitor.enabled);
   EXPECT_EQ(no_monitor.monitor.stats.probes, 0u);
 }
 
