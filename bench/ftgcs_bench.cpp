@@ -18,25 +18,22 @@
 //                       queue / runs / bytes / shards / monitors / trace /
 //                       metrics / phases lines (README, "The `--timing`
 //                       footer", lists every stat and its plane)
-//   --engine KIND       event-engine backend: heap | ladder (default:
-//                       ladder; tables are bit-identical either way, so
-//                       this is a pure A/B throughput toggle)
 //   --shards T          conservative-parallel backend: stripe each run's
 //                       cluster graph over T worker threads advancing in
 //                       lock-step safe windows (default 1 = single
 //                       simulator; tables are bit-identical at any T, so
-//                       this too is a pure throughput toggle; the
-//                       `--timing` footer reports the cut geometry)
+//                       this is a pure throughput toggle; the `--timing`
+//                       footer reports the cut geometry)
 //   --trace PATH        stream every fired pulse delivery to a binary .ftr
 //                       trace (multi-task sweeps write PATH.taskN). The
-//                       bytes are identical at every --shards/--engine
-//                       choice; inspect with `ftgcs_trace`
+//                       bytes are identical at every --shards choice;
+//                       inspect with `ftgcs_trace`
 //   --metrics PATH      write the deterministic per-probe metrics series
 //                       (JSONL: skew max/p99/p50, envelope margins,
 //                       violations) to PATH — byte-identical at every
-//                       --shards/--engine choice — plus the PATH.profile
-//                       sidecar (wall-clock shard phases + engine/shard-
-//                       dependent queue diag; NOT deterministic).
+//                       --shards choice — plus the PATH.profile sidecar
+//                       (wall-clock shard phases + shard-dependent queue
+//                       diag; NOT deterministic).
 //                       Multi-task sweeps write PATH.taskN; inspect with
 //                       `ftgcs_report`
 //   --no-monitors       disable the online invariant monitors (they are on
@@ -63,9 +60,8 @@ using namespace ftgcs;
                "usage: ftgcs_bench <list | run <scenario> | sweep "
                "<scenario>> [--threads N] [--sink table|csv|jsonl] "
                "[--seeds a,b,c] [--axis name=v1,v2]... [--worst] "
-               "[--per-seed] [--timing] [--engine heap|ladder] "
-               "[--shards T] [--trace PATH] [--metrics PATH] "
-               "[--no-monitors] [--quiet]\n");
+               "[--per-seed] [--timing] [--shards T] [--trace PATH] "
+               "[--metrics PATH] [--no-monitors] [--quiet]\n");
   std::exit(code);
 }
 
@@ -146,8 +142,6 @@ int cmd_run(const std::vector<std::string>& args, bool allow_overrides) {
       spec.aggregation = exp::SeedAggregation::kWorstOverSeeds;
     } else if (arg == "--per-seed") {
       spec.aggregation = exp::SeedAggregation::kPerSeed;
-    } else if (arg == "--engine") {
-      spec.engine = exp::parse_queue_backend(next());
     } else if (arg == "--shards") {
       spec.shards = exp::parse_integer<int>(arg, next(), 1);
     } else if (arg == "--trace") {

@@ -1,8 +1,8 @@
 // M1 — microbenchmarks of the simulation substrate and the protocol hot
 // paths (google-benchmark).
 //
-// Every queue benchmark has a heap and a ladder variant so
-// BENCH_kernel.json pins both backends' curves per commit. The custom
+// Queue families keep their `…Ladder` names, so the BENCH_kernel.json
+// trajectory and CI's `--families` prefixes still match. The custom
 // main() refuses to publish JSON when the google-benchmark library itself
 // was built without NDEBUG ("library_build_type": "debug"): numbers from a
 // debug benchmark runtime must never become the committed baseline (use
@@ -41,12 +41,12 @@ namespace {
 
 using namespace ftgcs;
 
-// ---- event-queue kernels, one body per workload, run on both backends ------
+// ---- event-queue kernels ---------------------------------------------------
 
-void QueueScheduleFire(benchmark::State& state, sim::QueueBackend backend) {
+void BM_EventQueueScheduleFireLadder(benchmark::State& state) {
   sim::Rng rng(1);
   for (auto _ : state) {
-    sim::EventQueue queue(backend);
+    sim::EventQueue queue;
     for (int i = 0; i < 1000; ++i) {
       queue.schedule(rng.next_double(), [] {});
     }
@@ -56,19 +56,12 @@ void QueueScheduleFire(benchmark::State& state, sim::QueueBackend backend) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-void BM_EventQueueScheduleFire(benchmark::State& state) {
-  QueueScheduleFire(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_EventQueueScheduleFire);
-void BM_EventQueueScheduleFireLadder(benchmark::State& state) {
-  QueueScheduleFire(state, sim::QueueBackend::kLadder);
-}
 BENCHMARK(BM_EventQueueScheduleFireLadder);
 
-void QueueCancelHeavy(benchmark::State& state, sim::QueueBackend backend) {
+void BM_EventQueueCancelHeavyLadder(benchmark::State& state) {
   sim::Rng rng(2);
   for (auto _ : state) {
-    sim::EventQueue queue(backend);
+    sim::EventQueue queue;
     std::vector<sim::EventId> ids;
     ids.reserve(1000);
     for (int i = 0; i < 1000; ++i) {
@@ -83,26 +76,19 @@ void QueueCancelHeavy(benchmark::State& state, sim::QueueBackend backend) {
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  QueueCancelHeavy(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_EventQueueCancelHeavy);
-void BM_EventQueueCancelHeavyLadder(benchmark::State& state) {
-  QueueCancelHeavy(state, sim::QueueBackend::kLadder);
-}
 BENCHMARK(BM_EventQueueCancelHeavyLadder);
 
 // The typed path is what the protocol stack actually runs on (pulses,
 // timers, drift, probes): POD payload, slot pool, no closures, no
 // allocation after warm-up. Counters are events/sec.
 
-void TypedScheduleFire(benchmark::State& state, sim::QueueBackend backend) {
+void BM_EventEngineTypedScheduleFireLadder(benchmark::State& state) {
   sim::Rng rng(6);
   struct Sink final : sim::EventSink {
     void on_event(sim::EventKind, const sim::EventPayload&,
                   sim::Time) override {}
   } sink;
-  sim::EventQueue queue(backend);
+  sim::EventQueue queue;
   queue.reserve(1000);
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -119,20 +105,13 @@ void TypedScheduleFire(benchmark::State& state, sim::QueueBackend backend) {
   state.counters["events"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
-void BM_EventEngineTypedScheduleFire(benchmark::State& state) {
-  TypedScheduleFire(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_EventEngineTypedScheduleFire);
-void BM_EventEngineTypedScheduleFireLadder(benchmark::State& state) {
-  TypedScheduleFire(state, sim::QueueBackend::kLadder);
-}
 BENCHMARK(BM_EventEngineTypedScheduleFireLadder);
 
 // The fire-only path carries all network deliveries: payload inline in the
-// queue on the ladder backend, no slot pool at all.
-void FireOnlyScheduleFire(benchmark::State& state, sim::QueueBackend backend) {
+// queue, no slot pool at all.
+void BM_EventEngineFireOnlyLadder(benchmark::State& state) {
   sim::Rng rng(9);
-  sim::EventQueue queue(backend);
+  sim::EventQueue queue;
   queue.reserve(1000);
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -149,18 +128,11 @@ void FireOnlyScheduleFire(benchmark::State& state, sim::QueueBackend backend) {
   state.counters["events"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
-void BM_EventEngineFireOnly(benchmark::State& state) {
-  FireOnlyScheduleFire(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_EventEngineFireOnly);
-void BM_EventEngineFireOnlyLadder(benchmark::State& state) {
-  FireOnlyScheduleFire(state, sim::QueueBackend::kLadder);
-}
 BENCHMARK(BM_EventEngineFireOnlyLadder);
 
-void TypedCancelHeavy(benchmark::State& state, sim::QueueBackend backend) {
+void BM_EventEngineTypedCancelHeavyLadder(benchmark::State& state) {
   sim::Rng rng(7);
-  sim::EventQueue queue(backend);
+  sim::EventQueue queue;
   queue.reserve(1000);
   std::uint64_t events = 0;
   std::vector<sim::EventId> ids;
@@ -183,20 +155,13 @@ void TypedCancelHeavy(benchmark::State& state, sim::QueueBackend backend) {
   state.counters["events"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
-void BM_EventEngineTypedCancelHeavy(benchmark::State& state) {
-  TypedCancelHeavy(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_EventEngineTypedCancelHeavy);
-void BM_EventEngineTypedCancelHeavyLadder(benchmark::State& state) {
-  TypedCancelHeavy(state, sim::QueueBackend::kLadder);
-}
 BENCHMARK(BM_EventEngineTypedCancelHeavyLadder);
 
-void Reschedule(benchmark::State& state, sim::QueueBackend backend) {
+void BM_EventEngineRescheduleLadder(benchmark::State& state) {
   // The logical-timer re-aim pattern: a standing population of timers
   // whose fire times move on every clock-rate change.
   sim::Rng rng(8);
-  sim::EventQueue queue(backend);
+  sim::EventQueue queue;
   queue.reserve(256);
   std::vector<sim::EventId> ids;
   for (int i = 0; i < 256; ++i) {
@@ -210,23 +175,15 @@ void Reschedule(benchmark::State& state, sim::QueueBackend backend) {
   }
   state.SetItemsProcessed(state.iterations() * 256);
 }
-void BM_EventEngineReschedule(benchmark::State& state) {
-  Reschedule(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_EventEngineReschedule);
-void BM_EventEngineRescheduleLadder(benchmark::State& state) {
-  Reschedule(state, sim::QueueBackend::kLadder);
-}
 BENCHMARK(BM_EventEngineRescheduleLadder);
 
 // The 40k-node regime in miniature: a deep standing population (range(0)
-// in-flight events) with steady schedule-ahead/pop cycles. This is where
-// heap pop depth collapses and the calendar window stays O(1) — the pair
-// of curves in BENCH_kernel.json pins the crossover.
-void DeepPopulation(benchmark::State& state, sim::QueueBackend backend) {
+// in-flight events) with steady schedule-ahead/pop cycles: the calendar
+// window must stay O(1) as the population grows.
+void BM_EventEngineDeepPopulationLadder(benchmark::State& state) {
   const int population = static_cast<int>(state.range(0));
   sim::Rng rng(11);
-  sim::EventQueue queue(backend);
+  sim::EventQueue queue;
   queue.reserve(static_cast<std::size_t>(population));
   double now = 0.0;
   for (int i = 0; i < population; ++i) {
@@ -247,13 +204,6 @@ void DeepPopulation(benchmark::State& state, sim::QueueBackend backend) {
   state.counters["events"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
-void BM_EventEngineDeepPopulation(benchmark::State& state) {
-  DeepPopulation(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_EventEngineDeepPopulation)->Arg(4096)->Arg(65536)->Arg(400000);
-void BM_EventEngineDeepPopulationLadder(benchmark::State& state) {
-  DeepPopulation(state, sim::QueueBackend::kLadder);
-}
 BENCHMARK(BM_EventEngineDeepPopulationLadder)
     ->Arg(4096)
     ->Arg(65536)
@@ -261,15 +211,13 @@ BENCHMARK(BM_EventEngineDeepPopulationLadder)
 
 // Narrow-entry group insert kernel: one coalesced fan-out call per
 // broadcast (torus degree 4 + loopback) against a standing population.
-// The ladder variant rides the 16 B narrow lane + 40 B shared group
-// record; the heap variant measures the per-delivery wide fallback the
-// same call degrades to, so the pair pins what coalescing buys at the
-// queue level. Items are deliveries popped per second.
-void QueueNarrowInsert(benchmark::State& state, sim::QueueBackend backend) {
+// The deliveries ride the 16 B narrow lane + 40 B shared group record.
+// Items are deliveries popped per second.
+void BM_QueueNarrowInsertLadder(benchmark::State& state) {
   constexpr int kFanout = 5;  // torus degree 4 + loopback
   static const std::int32_t kRest[kFanout - 1] = {1, 2, 3, 4};
   sim::Rng rng(41);
-  sim::EventQueue queue(backend);
+  sim::EventQueue queue;
   queue.reserve(8192);
   sim::EventPayload proto;
   proto.a = 7;
@@ -299,13 +247,6 @@ void QueueNarrowInsert(benchmark::State& state, sim::QueueBackend backend) {
   state.counters["events"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
-void BM_QueueNarrowInsert(benchmark::State& state) {
-  QueueNarrowInsert(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_QueueNarrowInsert);
-void BM_QueueNarrowInsertLadder(benchmark::State& state) {
-  QueueNarrowInsert(state, sim::QueueBackend::kLadder);
-}
 BENCHMARK(BM_QueueNarrowInsertLadder);
 
 // Round-band kernel: the queue shape of a synchronized torus without the
@@ -325,7 +266,7 @@ void BM_QueueRoundBandLadder(benchmark::State& state) {
   std::size_t lane_bytes = 0;
   std::uint64_t reseeds = 0;
   for (auto _ : state) {
-    sim::EventQueue queue(sim::QueueBackend::kLadder);
+    sim::EventQueue queue;
     sim::Rng rng(5);
     for (int i = 0; i < kSenders; ++i) {
       sim::EventPayload payload;
@@ -368,15 +309,14 @@ BENCHMARK(BM_QueueRoundBandLadder);
 // simulator drains all deliveries. This is the Network::broadcast →
 // Simulator::post_fire_only_group → dispatch chain the 40k hot path
 // runs on, minus the protocol logic. Items are deliveries per second.
-void BroadcastCoalescedFanout(benchmark::State& state,
-                              sim::QueueBackend backend) {
+void BM_BroadcastCoalescedFanoutLadder(benchmark::State& state) {
   struct CountSink final : net::PulseSink {
     std::uint64_t received = 0;
     void on_pulse(const net::Pulse&, sim::Time) override { ++received; }
   };
   net::AugmentedTopology topo(net::Graph::torus(8, 8), 1);
   const int n = topo.num_nodes();
-  sim::Simulator sim(backend);
+  sim::Simulator sim;
   sim.reserve_events(1024);
   net::Network network(sim, &topo.adjacency(),
                        std::make_unique<net::UniformDelay>(1.0, 0.01),
@@ -400,13 +340,6 @@ void BroadcastCoalescedFanout(benchmark::State& state,
   state.SetItemsProcessed(static_cast<std::int64_t>(deliveries));
   state.counters["deliveries"] = benchmark::Counter(
       static_cast<double>(deliveries), benchmark::Counter::kIsRate);
-}
-void BM_BroadcastCoalescedFanout(benchmark::State& state) {
-  BroadcastCoalescedFanout(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_BroadcastCoalescedFanout);
-void BM_BroadcastCoalescedFanoutLadder(benchmark::State& state) {
-  BroadcastCoalescedFanout(state, sim::QueueBackend::kLadder);
 }
 BENCHMARK(BM_BroadcastCoalescedFanoutLadder);
 
@@ -452,11 +385,9 @@ BENCHMARK(BM_NodeTablePulseRun);
 
 // Time-partitioned drain kernel: EventQueue::pop_run_unordered sweeping
 // whole calendar buckets below the horizon with the real pure-receive
-// predicate over a real system's NodeTable. Ladder only — the heap
-// backend has no partitioned drain (pop_run_unordered returns 0 there).
-// Items are events drained per second; hold this against the ordered
-// BM_EventEngineFireOnlyLadder pop curve to see what skipping the
-// per-bucket drain sort buys.
+// predicate over a real system's NodeTable. Items are events drained per
+// second; hold this against the ordered BM_EventEngineFireOnlyLadder pop
+// curve to see what skipping the per-bucket drain sort buys.
 void BM_NodeTablePartitionedDrain(benchmark::State& state) {
   const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
   core::FtGcsSystem::Config config;
@@ -484,7 +415,7 @@ void BM_NodeTablePartitionedDrain(benchmark::State& state) {
     }
   }
 
-  sim::EventQueue queue(sim::QueueBackend::kLadder);
+  sim::EventQueue queue;
   queue.reserve(payloads.size());
   sim::Rng rng(32);
   constexpr sim::SinkId kSink = 7;
@@ -597,8 +528,7 @@ BENCHMARK(BM_NodeTablePurePulse);
 // traffic + columnar dispatch) — the shape of the `large_torus` scaling
 // workload, sized for a microbenchmark. Arg is the torus side (side²
 // clusters, 4·side² nodes).
-void SystemTorusThroughput(benchmark::State& state,
-                           sim::QueueBackend backend) {
+void BM_SystemTorusThroughputLadder(benchmark::State& state) {
   const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
   const int side = static_cast<int>(state.range(0));
   std::uint64_t events = 0;
@@ -607,7 +537,6 @@ void SystemTorusThroughput(benchmark::State& state,
     core::FtGcsSystem::Config config;
     config.params = params;
     config.seed = 15;
-    config.engine = backend;
     auto system = std::make_unique<core::FtGcsSystem>(
         net::Graph::torus(side, side), std::move(config));
     system->start();
@@ -623,13 +552,6 @@ void SystemTorusThroughput(benchmark::State& state,
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["events"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-void BM_SystemTorusThroughput(benchmark::State& state) {
-  SystemTorusThroughput(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_SystemTorusThroughput)->Arg(4)->Arg(8);
-void BM_SystemTorusThroughputLadder(benchmark::State& state) {
-  SystemTorusThroughput(state, sim::QueueBackend::kLadder);
 }
 BENCHMARK(BM_SystemTorusThroughputLadder)->Arg(4)->Arg(8);
 
@@ -706,8 +628,7 @@ void BM_SingleClusterRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleClusterRound);
 
-void SystemEventThroughput(benchmark::State& state,
-                           sim::QueueBackend backend) {
+void BM_SystemEventThroughputLadder(benchmark::State& state) {
   const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
   const int clusters = static_cast<int>(state.range(0));
   std::uint64_t events = 0;
@@ -716,7 +637,6 @@ void SystemEventThroughput(benchmark::State& state,
     core::FtGcsSystem::Config config;
     config.params = params;
     config.seed = 5;
-    config.engine = backend;
     auto system = std::make_unique<core::FtGcsSystem>(
         net::Graph::line(clusters), std::move(config));
     system->start();
@@ -731,13 +651,6 @@ void SystemEventThroughput(benchmark::State& state,
   state.counters["events"] =
       benchmark::Counter(static_cast<double>(events),
                          benchmark::Counter::kIsRate);
-}
-void BM_SystemEventThroughput(benchmark::State& state) {
-  SystemEventThroughput(state, sim::QueueBackend::kHeap);
-}
-BENCHMARK(BM_SystemEventThroughput)->Arg(4)->Arg(16);
-void BM_SystemEventThroughputLadder(benchmark::State& state) {
-  SystemEventThroughput(state, sim::QueueBackend::kLadder);
 }
 BENCHMARK(BM_SystemEventThroughputLadder)->Arg(4)->Arg(16);
 

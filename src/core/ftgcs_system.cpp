@@ -14,8 +14,7 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
                             std::move(cluster_graph), config.params.k)),
       topo_(config.shared_topo != nullptr ? *config.shared_topo
                                           : *owned_topo_),
-      config_(std::move(config)),
-      sim_(config_.engine) {
+      config_(std::move(config)) {
   FTGCS_EXPECTS(config_.params.feasible());
   FTGCS_EXPECTS(config_.fault_plan.max_faults_per_cluster(topo_) <=
                 topo_.cluster_size());

@@ -18,6 +18,7 @@
 #include "net/augmented.h"
 #include "net/graph.h"
 #include "net/network.h"
+#include "sim/backend.h"
 #include "sim/simulator.h"
 
 namespace ftgcs::trace {
@@ -64,10 +65,7 @@ class FtGcsSystem {
     Params params;
     std::uint64_t seed = 1;
     bool enable_global_module = true;
-    /// Event-scheduling front-end. The ladder (calendar-queue) backend is
-    /// the default: it executes the same trace bit-for-bit (pinned by
-    /// tests/test_engine_trace.cpp) and keeps scheduling O(1) at 40k-node
-    /// populations. kHeap remains selectable for A/B runs.
+    /// Unread; benchmark/ftgcs_e2e.cpp still sets it (see sim/backend.h).
     sim::QueueBackend engine = sim::QueueBackend::kLadder;
     /// nullptr → UniformDelay(d, U).
     std::unique_ptr<net::DelayModel> delay_model;

@@ -288,8 +288,8 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
       sampler->sample(ctx);
     }
     if (profiler != nullptr) {
-      // The diag rows live in the sidecar, never the series: tier mix is
-      // engine-dependent and the per-shard split is shard-dependent.
+      // The diag rows live in the sidecar, never the series: the tier mix
+      // and the per-shard split are shard-dependent.
       system_window_diag(system, diag_scratch);
       profiler->probe_diag(t, system_tier_stats(system), diag_scratch);
       profiler->span_end("collect");
@@ -443,7 +443,6 @@ RunResult run_ftgcs(const ResolvedRun& run) {
       par::ShardedFtGcsSystem::Config config;
       config.params = params;
       config.seed = run.seed;
-      config.engine = run.engine;
       config.replicas_know_offsets = run.replicas_know_offsets;
       config.fault_plan = run.fault_plan;
       config.cluster_round_offsets = offsets;
@@ -471,7 +470,6 @@ RunResult run_ftgcs(const ResolvedRun& run) {
   core::FtGcsSystem::Config config;
   config.params = params;
   config.seed = run.seed;
-  config.engine = run.engine;
   config.replicas_know_offsets = run.replicas_know_offsets;
   config.drift_model =
       build_drift(run.drift, params, clusters, params.k, run.seed);
@@ -491,7 +489,6 @@ RunResult run_gcs_baseline(const ResolvedRun& run) {
   const int n = run.graph.num_vertices();
 
   gcs::GcsSystem::Config config;
-  config.engine = run.engine;
   const double mu = run.baseline_mu > 0.0 ? run.baseline_mu : 0.05;
   config.params = gcs::GcsParams::derive(run.params.rho, run.params.d,
                                          run.params.U, mu, run.params.d);
@@ -579,7 +576,6 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
   run.params = spec.params.build();
   run.graph = spec.topology.build();
   run.protocol = spec.protocol;
-  run.engine = spec.engine;
   run.shards = spec.shards;
   run.drift = spec.drift;
   run.baseline_mu = spec.params.mu;

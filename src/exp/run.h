@@ -19,6 +19,7 @@
 #include "obs/phase_profiler.h"
 #include "obs/sampler.h"
 #include "par/sharded_system.h"
+#include "sim/backend.h"
 #include "sim/event_queue.h"
 #include "trace/collector.h"
 #include "trace/monitor.h"
@@ -34,6 +35,7 @@ struct ResolvedRun {
   /// all-pairs BFS — too costly to repeat per consumer).
   int diameter = 0;
   ProtocolKind protocol = ProtocolKind::kFtGcs;
+  /// Unread; benchmark/ftgcs_e2e.cpp still sets it (see sim/backend.h).
   sim::QueueBackend engine = sim::QueueBackend::kLadder;
   /// Conservative-parallel shard count (1 = single simulator). The
   /// effective count can be lower — see par::make_shard_plan.
@@ -61,7 +63,7 @@ struct ResolvedRun {
 };
 
 /// Run diagnostics, kept out of `metrics` so every sink's table stays
-/// bit-identical across `--engine`, `--shards`, `--no-monitors` and the
+/// bit-identical across `--shards`, `--no-monitors` and the
 /// capture flags; the `--timing` footer, the `.profile` sidecar and the
 /// sweep totals render them instead. Each member is its producer's own
 /// stats struct, whose field table (support/stat_table.h) declares every

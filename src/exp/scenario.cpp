@@ -342,11 +342,4 @@ const char* protocol_name(ProtocolKind kind) {
   return "?";
 }
 
-sim::QueueBackend parse_queue_backend(const std::string& name) {
-  if (name == "heap") return sim::QueueBackend::kHeap;
-  if (name == "ladder") return sim::QueueBackend::kLadder;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (expected heap | ladder)");
-}
-
 }  // namespace ftgcs::exp

@@ -22,7 +22,6 @@
 #include "byz/strategies.h"
 #include "core/params.h"
 #include "net/graph.h"
-#include "sim/backend.h"
 
 namespace ftgcs::exp {
 
@@ -198,19 +197,14 @@ struct ScenarioSpec {
   ParamsSpec params;
   RampSpec ramp;
   HorizonSpec horizon;
-  /// Event-engine backend the run's Simulator uses. Both backends produce
-  /// bit-identical tables (enforced by the golden-trace pins and the
-  /// queue differential test); `ftgcs_bench --engine heap|ladder` flips
-  /// this for A/B throughput comparisons on any registered scenario.
-  sim::QueueBackend engine = sim::QueueBackend::kLadder;
 
   /// Shard count for the conservative-parallel backend (src/par/): > 1
   /// stripes ONE run's cluster graph over that many worker threads in
   /// lock-step safe windows. Tables are bit-identical for every shard
   /// count (pinned by tests/test_par_shards.cpp), so `ftgcs_bench
   /// --shards T` — or the "shards" sweep axis — is a pure throughput
-  /// toggle like --engine. FT-GCS protocol only; the baseline and
-  /// degenerate partitions fall back to the single-simulator engine.
+  /// toggle. FT-GCS protocol only; the baseline and degenerate
+  /// partitions fall back to the single-simulator engine.
   int shards = 1;
 
   std::vector<std::uint64_t> seeds = {1};
@@ -224,14 +218,14 @@ struct ScenarioSpec {
   /// Streaming trace capture: write every fired pulse delivery to this
   /// .ftr file (`ftgcs_bench --trace PATH`; empty = off). Multi-task
   /// sweeps suffix ".taskN" per task so files never interleave. The bytes
-  /// are identical for every `--shards T` and both `--engine` backends.
+  /// are identical for every `--shards T`.
   std::string trace_path;
   /// Deterministic metrics series: write one JSONL row per probe to this
   /// file (`ftgcs_bench --metrics PATH`; empty = off), plus the
   /// nondeterministic PATH.profile sidecar (wall-clock phases + queue/
   /// shard diag). Multi-task sweeps suffix ".taskN" like trace_path. The
-  /// series bytes are identical for every `--shards T` and both
-  /// `--engine` backends; the sidecar is not.
+  /// series bytes are identical for every `--shards T`; the sidecar is
+  /// not.
   std::string metrics_path;
   /// Online invariant monitors (`--no-monitors` to disable). Probe-tier
   /// cost; reported in the --timing footer, never in the tables.
@@ -282,9 +276,5 @@ std::string format_axis_value(const AxisValue& v);
 
 const char* topology_kind_name(TopologyKind kind);
 const char* protocol_name(ProtocolKind kind);
-
-/// Parses "heap" | "ladder" (the `--engine` flag). Throws
-/// std::invalid_argument for anything else.
-sim::QueueBackend parse_queue_backend(const std::string& name);
 
 }  // namespace ftgcs::exp

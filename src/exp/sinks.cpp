@@ -185,9 +185,8 @@ void write_timing_footer(const SweepResult& result, const ScenarioSpec& spec,
                   result.total_events / result.total_wall_ms / 1000.0);
     os << buf;
   }
-  const char* engine = sim::queue_backend_name(spec.engine);
-  os << "queue[" << engine << "]:" << footer_stats(result, "queue")
-     << "\nruns[" << engine << "]:" << footer_stats(result, "runs")
+  os << "queue[ladder]:" << footer_stats(result, "queue")
+     << "\nruns[ladder]:" << footer_stats(result, "runs")
      << "\nbytes[queue]:" << footer_stats(result, "bytes") << '\n';
 
   // The other lines print only when their first stat (the shard, probe

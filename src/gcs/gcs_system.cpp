@@ -11,8 +11,7 @@ namespace ftgcs::gcs {
 
 GcsSystem::GcsSystem(net::Graph graph, Config config)
     : graph_(std::move(graph)),
-      config_(std::move(config)),
-      sim_(config_.engine) {
+      config_(std::move(config)) {
   self_ = sim_.register_sink(this);
   sim::Rng master(config_.seed);
   auto delays = config_.delay_model

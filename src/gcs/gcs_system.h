@@ -10,6 +10,7 @@
 #include "gcs/gcs_node.h"
 #include "net/graph.h"
 #include "net/network.h"
+#include "sim/backend.h"
 #include "sim/simulator.h"
 
 namespace ftgcs::gcs {
@@ -19,8 +20,7 @@ class GcsSystem final : public sim::EventSink {
   struct Config {
     GcsParams params;
     std::uint64_t seed = 1;
-    /// Event-scheduling front-end (see sim/backend.h); bit-identical
-    /// traces either way, ladder is O(1) at scale.
+    /// Unread; benchmark/ftgcs_e2e.cpp still sets it (see sim/backend.h).
     sim::QueueBackend engine = sim::QueueBackend::kLadder;
     std::unique_ptr<net::DelayModel> delay_model;   ///< null → Uniform
     std::unique_ptr<clocks::DriftModel> drift_model;///< null → spread const

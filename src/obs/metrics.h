@@ -7,21 +7,20 @@
 //
 //   * schema stability — every JSONL row of one run carries exactly the
 //     registered fields, in registration order, so rows are mechanically
-//     comparable across probes, runs, engines, and shard counts;
+//     comparable across probes, runs, and shard counts;
 //   * zero steady-state allocation — after ProbeSampler::prewarm() the
 //     whole sample→serialize→write path touches only preallocated
 //     storage (the ScopedAllocGuard pin in tests/test_obs_metrics.cpp).
 //
 // Only run-invariant quantities may be registered here: anything that
-// depends on the queue backend or the shard count (narrow/wide event
-// mix, mailbox depths, cut traffic) belongs to the nondeterministic
+// depends on the queue's lane routing or the shard count (narrow/wide
+// event mix, mailbox depths, cut traffic) belongs to the nondeterministic
 // sidecar written by PhaseProfiler, never to this registry — the
 // deterministic series is CI-compared byte-for-byte across
-// `--engine {heap,ladder}` × `--shards {1,2,4}`. Run diagnostics carry
-// that distinction as the support::Plane tag of their field-table row
-// (support/stat_table.h): only kDeterministic stats may feed the series,
-// and tests/test_timing_footer.cpp checks the tag holds across engines
-// and shard counts.
+// `--shards {1,2,4}`. Run diagnostics carry that distinction as the
+// support::Plane tag of their field-table row (support/stat_table.h):
+// only kDeterministic stats may feed the series, and
+// tests/test_timing_footer.cpp checks the tag holds across shard counts.
 #pragma once
 
 #include <cstdint>

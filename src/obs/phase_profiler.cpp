@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "support/assert.h"
@@ -38,12 +39,20 @@ void append_stats(std::string& out, const S& stats) {
 PhaseProfiler::PhaseProfiler(const std::string& path) : path_(path) {
   FTGCS_EXPECTS(!path_.empty());
   file_ = std::fopen(path_.c_str(), "wb");
-  FTGCS_EXPECTS(file_ != nullptr);
+  if (file_ == nullptr) {
+    throw std::runtime_error("metrics: cannot create '" + path_ + "'");
+  }
   line_ = "{\"schema\":\"ftgcs-profile-v1\",\"plane\":\"nondeterministic\"}\n";
   std::fwrite(line_.data(), 1, line_.size(), file_);
 }
 
-PhaseProfiler::~PhaseProfiler() { finish(); }
+PhaseProfiler::~PhaseProfiler() {
+  try {
+    finish();
+  } catch (...) {
+    // Destruction must not throw; an explicit finish() reports the error.
+  }
+}
 
 void PhaseProfiler::bind_shards(int shards) {
   FTGCS_EXPECTS(shards >= 0);
@@ -174,8 +183,14 @@ void PhaseProfiler::finish() {
     line_ += "}\n";
     std::fwrite(line_.data(), 1, line_.size(), file_);
   }
-  std::fclose(file_);
+  // Any failed fwrite above or in probe_diag set the stream's error flag;
+  // the final flush in fclose can fail too.
+  const bool write_failed = std::ferror(file_) != 0;
+  const bool close_failed = std::fclose(file_) != 0;
   file_ = nullptr;
+  if (write_failed || close_failed) {
+    throw std::runtime_error("metrics: short write to '" + path_ + "'");
+  }
 }
 
 }  // namespace ftgcs::obs

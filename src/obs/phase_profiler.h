@@ -4,11 +4,10 @@
 //
 //   * "diag" rows — per-probe queue-tier stats (every TierStats field-table
 //     row, keyed by its name) and per-shard mailbox depth / cut-edge
-//     traffic. These are
-//     deterministic for a fixed configuration but DEPEND on the engine
-//     and the shard count (narrow vs wide mix differs heap-vs-ladder,
-//     mailbox depth differs by T), so they can never live in the file
-//     that is byte-compared across engines × shards.
+//     traffic. These are deterministic for a fixed configuration but
+//     DEPEND on the shard count (each shard's queue routes its own share
+//     of the events; mailbox depth differs by T), so they can never live
+//     in the file that is byte-compared across shard counts.
 //   * "phase"/"span"/"summary" rows — wall-clock timing: per-shard
 //     accumulated merge ∥ run ∥ collect(wait) phase totals around the
 //     three-barrier windows of par::ShardedFtGcsSystem, top-level
@@ -52,7 +51,8 @@ class PhaseProfiler {
  public:
   enum class Phase { kMerge = 0, kRun = 1, kCollect = 2 };
 
-  /// Opens `path` and writes the sidecar header row.
+  /// Opens `path` and writes the sidecar header row. Throws
+  /// std::runtime_error naming the path if it cannot be created.
   explicit PhaseProfiler(const std::string& path);
   ~PhaseProfiler();
 
@@ -83,6 +83,8 @@ class PhaseProfiler {
 
   /// Writes the "phase"/"summary"/"span" rows and closes the file
   /// (idempotent; also run by the dtor). Call after workers joined.
+  /// Throws std::runtime_error naming the path if any write or the close
+  /// failed; the dtor swallows that, so call it explicitly.
   void finish();
 
   /// max/mean per-shard run-phase time; 0 until >= 1 shard has run time.

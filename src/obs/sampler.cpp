@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "support/assert.h"
 
@@ -54,11 +55,19 @@ ProbeSampler::ProbeSampler(Config config, exp::TopologyGraph graph)
   }
 
   file_ = std::fopen(path_.c_str(), "wb");
-  FTGCS_EXPECTS(file_ != nullptr);
+  if (file_ == nullptr) {
+    throw std::runtime_error("metrics: cannot create '" + path_ + "'");
+  }
   write_header(config);
 }
 
-ProbeSampler::~ProbeSampler() { finish(); }
+ProbeSampler::~ProbeSampler() {
+  try {
+    finish();
+  } catch (...) {
+    // Destruction must not throw; an explicit finish() reports the error.
+  }
+}
 
 void ProbeSampler::write_header(const Config& config) {
   // The header carries the shape + bounds a reader needs to interpret
@@ -174,9 +183,14 @@ void ProbeSampler::sample(const SampleContext& ctx) {
 }
 
 void ProbeSampler::finish() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
+  if (file_ == nullptr) return;
+  // A failed fwrite in sample() (a full disk) sets the stream's error
+  // flag; the final flush in fclose can fail too.
+  const bool write_failed = std::ferror(file_) != 0;
+  const bool close_failed = std::fclose(file_) != 0;
+  file_ = nullptr;
+  if (write_failed || close_failed) {
+    throw std::runtime_error("metrics: short write to '" + path_ + "'");
   }
 }
 

@@ -7,10 +7,10 @@
 // sweep over the columnar snapshot, updates gauges/counters from the
 // ground-truth skew sample and the invariant monitor, and appends one
 // JSON row. Everything serialized here is a pure function of (scenario,
-// seed, probe time) — NEVER of the queue backend or the shard count —
-// so the file is bit-identical across `--engine {heap,ladder}` ×
-// `--shards {1,2,4,8}`; backend-dependent diagnostics go to the
-// PhaseProfiler sidecar instead.
+// seed, probe time) — NEVER of the queue's lane routing or the shard
+// count — so the file is bit-identical across `--shards {1,2,4,8}`;
+// routing- and shard-dependent diagnostics go to the PhaseProfiler
+// sidecar instead.
 //
 // Determinism of the sweep itself: nodes and edges are visited in node-id
 // order (each undirected edge once, from its lower endpoint), so the
@@ -62,7 +62,7 @@ class ProbeSampler {
     bool measure_m_lag = false;
     /// Scale of the skew histograms (a time quantity derived from the
     /// run's params — e.g. the intra-cluster bound — so the bucket
-    /// table is identical across backends). Must be > 0.
+    /// table is identical at every shard count). Must be > 0.
     double hist_scale = 1.0;
   };
 
@@ -73,7 +73,8 @@ class ProbeSampler {
 
   /// Copies the resolved topology (same ownership rule as
   /// trace::InvariantMonitor: the sampler outlives resolution scratch).
-  /// Opens `config.path` and writes the header row.
+  /// Opens `config.path` and writes the header row. Throws
+  /// std::runtime_error naming the path if it cannot be created.
   ProbeSampler(Config config, exp::TopologyGraph graph);
   ~ProbeSampler();
 
@@ -89,6 +90,8 @@ class ProbeSampler {
   void sample(const SampleContext& ctx);
 
   /// Flushes and closes the file (idempotent; also run by the dtor).
+  /// Throws std::runtime_error naming the path if any write or the close
+  /// failed; the dtor swallows that, so call it explicitly.
   void finish();
 
   std::uint64_t probes() const { return probes_; }

@@ -110,7 +110,6 @@ ShardedFtGcsSystem::ShardedFtGcsSystem(net::Graph cluster_graph,
     core::FtGcsSystem::Config shard_config;
     shard_config.params = config.params;
     shard_config.seed = config.seed;
-    shard_config.engine = config.engine;
     shard_config.enable_global_module = config.enable_global_module;
     shard_config.replicas_know_offsets = config.replicas_know_offsets;
     shard_config.fault_plan = config.fault_plan;

@@ -70,6 +70,7 @@ class ShardedFtGcsSystem {
   struct Config {
     core::Params params;
     std::uint64_t seed = 1;
+    /// Unread; benchmark/ftgcs_e2e.cpp still sets it (see sim/backend.h).
     sim::QueueBackend engine = sim::QueueBackend::kLadder;
     bool enable_global_module = true;
     bool replicas_know_offsets = true;

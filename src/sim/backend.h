@@ -1,16 +1,12 @@
-// Scheduling backend selection for the event engine.
+// Vestigial queue-backend tag.
 //
-// Two interchangeable front-ends drive the same slot pool and fire the same
-// (time, sequence) order — bit-identical executions, different cost curves:
-//   kHeap   — intrusive 4-ary heap only. O(log n) push/pop; the reference
-//             implementation and the right choice for sparse far-future
-//             timer populations (n small, horizon long).
-//   kLadder — calendar/ladder-queue front-end over near-future time, with
-//             an unsorted far-future overflow lane that is windowed by one
-//             linear scan whenever the calendar drains. Amortized O(1)
-//             push/pop when message delays and timer horizons are bounded
-//             per scenario (they are — see net/channel.h), which is what
-//             keeps 40k-node runs at small-run throughput.
+// The event engine has one scheduling front-end, the ladder (calendar)
+// queue in sim/event_queue.h; nothing reads this enum any more. It and the
+// `engine` members that carry it (core::FtGcsSystem::Config,
+// par::ShardedFtGcsSystem::Config, gcs::GcsSystem::Config,
+// exp::ResolvedRun) stay only because benchmark/ftgcs_e2e.cpp, which is
+// kept unchanged between benchmark revisions, still assigns them; they go
+// with the next change to the benchmark.
 #pragma once
 
 #include <cstdint>
@@ -18,12 +14,7 @@
 namespace ftgcs::sim {
 
 enum class QueueBackend : std::uint8_t {
-  kHeap,
   kLadder,
 };
-
-inline const char* queue_backend_name(QueueBackend backend) {
-  return backend == QueueBackend::kHeap ? "heap" : "ladder";
-}
 
 }  // namespace ftgcs::sim

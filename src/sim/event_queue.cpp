@@ -11,17 +11,12 @@ void EventQueue::reserve(std::size_t capacity) {
   fns_.reserve(capacity);
   positions_.reserve(capacity);
   free_.reserve(capacity);
-  if (backend_ == QueueBackend::kHeap) {
-    heap_.reserve(capacity);
-  } else {
-    // Blocks for `capacity` dense wide entries; sparse tails come on demand.
-    reserve_pool(capacity / kPerBlock<Entry> + 2);
-    wheel_.reserve(std::min(capacity, kMaxBuckets));
-  }
+  // Blocks for `capacity` dense wide entries; sparse tails come on demand.
+  reserve_pool(capacity / kPerBlock<Entry> + 2);
+  wheel_.reserve(std::min(capacity, kMaxBuckets));
 }
 
 void EventQueue::prewarm() {
-  if (backend_ == QueueBackend::kHeap) return;
   // ×2: window drift can pile the live set above the warmup high-water.
   reserve_pool(2 * links_.size());
   head_wide_.reserve(2 * head_wide_.capacity());
@@ -174,7 +169,7 @@ namespace {
 /// deliberately catches NaN and +inf as well: offsets of events scheduled
 /// at kTimeInfinity (or computed against an infinite-width degenerate
 /// window) land in the last bucket, whose drain sort still pops them in
-/// exact (time, seq) order — matching the heap backend.
+/// exact (time, seq) order.
 std::size_t clamp_bucket_index(double off, std::size_t lo, std::size_t hi) {
   if (!(off < static_cast<double>(hi))) return hi;
   if (off <= static_cast<double>(lo)) return lo;
@@ -256,8 +251,6 @@ void EventQueue::insert_ladder_group(Time base, const Duration* delays,
 }
 
 void EventQueue::remove_resident(std::uint32_t slot) {
-  // Swap-remove (the kHeap backend never routes through here — its cancel
-  // path uses remove_at on the real heap directly).
   const std::uint64_t pos = positions_[slot];
   const std::uint64_t tag = pos & ~std::uint64_t{0xffffffff};
   std::uint32_t idx = static_cast<std::uint32_t>(pos);
@@ -446,9 +439,6 @@ bool EventQueue::prepare_head() {
 }
 
 Time EventQueue::next_time() const {
-  if (backend_ == QueueBackend::kHeap) {
-    return heap_.empty() ? kTimeInfinity : heap_[0].at;
-  }
   // Sorting the drain bucket is logically const: the live event set and
   // the pop order are unchanged.
   EventQueue& self = const_cast<EventQueue&>(*this);
@@ -464,16 +454,10 @@ EventId EventQueue::push_entry(Time t, std::uint32_t slot) {
   const std::uint64_t seq = next_seq_++;
   FTGCS_ASSERT(seq < (std::uint64_t{1} << kSeqBits));
   ++stats_.wide_events;
-  if (backend_ == QueueBackend::kHeap) {
-    const HeapEntry entry{t, seq << kSlotBits | slot};
-    heap_.emplace_back();  // grow; sift places the entry into the hole chain
-    place(entry, sift_up(entry, heap_.size() - 1));
-  } else {
-    Entry entry;
-    entry.at = t;
-    entry.key = seq << kSlotBits | slot;
-    insert_ladder(entry);
-  }
+  Entry entry;
+  entry.at = t;
+  entry.key = seq << kSlotBits | slot;
+  insert_ladder(entry);
   return EventId{(static_cast<std::uint64_t>(slot) + 1) << 32 |
                  slots_[slot].gen};
 }
@@ -501,13 +485,11 @@ void EventQueue::schedule_fire_only(Time t, EventKind kind, SinkId sink,
                                     const EventPayload& payload) {
   FTGCS_EXPECTS(kind != EventKind::kClosure);
   FTGCS_EXPECTS(sink < (1u << 24));
-  if (backend_ == QueueBackend::kHeap || payload.x != 0.0 ||
-      payload.d >= 256) {
-    // The heap stores slotted entries only, and the 32-byte inline entry
-    // has no room for payload.x (or a d tag beyond the inline range):
-    // those events take the slotted path with identical (time, seq)
-    // semantics (the returned id is simply dropped — fire-only ids are
-    // unobservable).
+  if (payload.x != 0.0 || payload.d >= 256) {
+    // The 32-byte inline entry has no room for payload.x (or a d tag
+    // beyond the inline range): those events take the slotted path with
+    // identical (time, seq) semantics (the returned id is simply dropped
+    // — fire-only ids are unobservable).
     schedule_typed(t, kind, sink, payload);
     return;
   }
@@ -533,10 +515,10 @@ void EventQueue::schedule_fire_only_group(Time base, const Duration* delays,
   FTGCS_EXPECTS(kind != EventKind::kClosure);
   FTGCS_EXPECTS(sink < (1u << 24));
   if (count == 0) return;
-  if (backend_ == QueueBackend::kHeap || proto.x != 0.0) {
-    // Per-delivery fallback consumes sequence numbers in exactly the same
-    // order, so the pop sequence is unchanged (the heap keeps its slotted
-    // reference layout; x ≠ 0 has no home in the group record).
+  if (proto.x != 0.0) {
+    // x ≠ 0 has no home in the group record. The per-delivery fallback
+    // consumes sequence numbers in exactly the same order, so the pop
+    // sequence is unchanged.
     EventPayload pl = proto;
     for (std::size_t i = 0; i < count; ++i) {
       pl.c = i == 0 ? first_dest : rest_dests[i - 1];
@@ -551,11 +533,7 @@ void EventQueue::schedule_fire_only_group(Time base, const Duration* delays,
 bool EventQueue::cancel(EventId id) {
   std::uint32_t slot;
   if (!decode_live(id, slot)) return false;
-  if (backend_ == QueueBackend::kHeap) {
-    remove_at(static_cast<std::size_t>(positions_[slot]));
-  } else {
-    remove_resident(slot);
-  }
+  remove_resident(slot);
   bump_generation(slot);
   if (slots_[slot].kind() == EventKind::kClosure) fns_[slot] = nullptr;
   free_.push_back(slot);
@@ -571,10 +549,6 @@ bool EventQueue::reschedule(EventId id, Time t) {
   FTGCS_ASSERT(seq < (std::uint64_t{1} << kSeqBits));
   const std::uint64_t key = seq << kSlotBits | slot;
   const std::uint64_t pos = positions_[slot];
-  if (backend_ == QueueBackend::kHeap) {
-    sift(HeapEntry{t, key}, static_cast<std::size_t>(pos));
-    return true;
-  }
   const std::uint64_t tag = pos & ~std::uint64_t{0xffffffff};
   const std::uint32_t idx = static_cast<std::uint32_t>(pos);
   if (tag == 0 && (t >= win_end_ || wheel_live_ + rung_live_ == 0)) {
@@ -656,10 +630,6 @@ std::size_t EventQueue::compact(Bucket& bucket, std::uint64_t tag,
 std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
                                           BatchPredicate pred, const void* ctx,
                                           BatchedEvent* out, std::size_t max) {
-  // The heap backend stays the ordered reference front-end: every event
-  // fires through the exact (time, seq) path, which is what the
-  // differential tests diff the partitioned ladder against.
-  if (backend_ == QueueBackend::kHeap) return 0;
   std::size_t n = 0;
   // Running partition horizon: the earliest non-drainable entry seen so
   // far. Emission is STRICT (`at < bad_lim`): ties with a barrier keep

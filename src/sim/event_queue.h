@@ -1,5 +1,5 @@
 // Cancellable discrete-event queue — typed, slot-pooled, allocation-free
-// after warm-up, with two interchangeable priority front-ends.
+// after warm-up, with a calendar (ladder) priority front-end.
 //
 // Events are (time, sequence) ordered; sequence numbers break ties FIFO so
 // executions are fully deterministic. A *cancellable* event occupies a
@@ -11,27 +11,21 @@
 // (typed events carry a POD payload dispatched to a registered EventSink
 // instead of a closure).
 //
-// Backend kHeap: an intrusive 4-ary heap in one contiguous vector. Each
-// slot knows its heap position, so cancel removes its entry directly
-// (stamp bump + one targeted sift, no tombstones) and reschedule — the
-// dominant operation of logical-timer re-aiming — moves the entry in place
-// under a fresh sequence number. 4-ary beats binary here: half the levels
-// per sift, and the sibling scan stays in one cache line. Cost is
-// O(log n), which collapses at 40k-node populations (~400k in flight).
-//
-// Backend kLadder: a calendar-queue window of buckets over near-future
-// time absorbs push/pop/reschedule in amortized O(1); far-future events
-// live in an UNSORTED overflow lane whose order is never consulted — the
-// window is rebuilt ("reseeded") by one linear scan of that lane whenever
-// it drains — so overflow pushes, removals, and far-future re-aims are
-// O(1) too. The bucket width is auto-tuned to the observed density (window
-// = kWindowStretch × population span), so buckets hold O(1) events on
-// uniform workloads; round-synchronized delivery bands that pile one
-// bucket high are split on drain into a finer "rung" of sub-buckets (a
-// one-level ladder queue) instead of paying one big sort. A bucket is
-// sorted on drain — never on insert — in exactly the heap's (time, seq)
-// order, so the pop sequence is bit-identical between backends (pinned by
-// tests/test_queue_differential.cpp and the golden scenario traces).
+// A calendar-queue window of buckets over near-future time absorbs
+// push/pop/reschedule in amortized O(1) at 40k-node populations (~400k
+// events in flight); far-future events live in an UNSORTED overflow lane
+// whose order is never consulted — the window is rebuilt ("reseeded") by
+// one linear scan of that lane whenever it drains — so overflow pushes,
+// removals, and far-future re-aims are O(1) too. The bucket width is
+// auto-tuned to the observed density (window = kWindowStretch ×
+// population span), so buckets hold O(1) events on uniform workloads;
+// round-synchronized delivery bands that pile one bucket high are split
+// on drain into a finer "rung" of sub-buckets (a one-level ladder queue)
+// instead of paying one big sort. A bucket is sorted on drain — never on
+// insert — in exact (time, seq) order, so the pop sequence is that of a
+// plain (time, seq) priority queue: pinned against the map-based
+// reference queue in tests/reference_queue.h by
+// tests/test_queue_differential.cpp, and by the golden scenario traces.
 //
 // Every ladder lane (wheel bucket, rung sub-bucket, overflow) is a chain
 // of 512-byte blocks from ONE queue-owned LIFO pool, so retained storage
@@ -39,7 +33,7 @@
 // The drain head is copied into two contiguous head vectors (its blocks go
 // back to the pool) and sorted there, so pops are back() reads.
 //
-// Three further ladder-only specializations carry the 40k-node workloads:
+// Three further specializations carry the 40k-node workloads:
 //   * fire-only events (schedule_fire_only — all network deliveries) store
 //     their payload INLINE in the bucket entry: no slot acquire, no
 //     position write, no generation bump — zero random pool accesses on
@@ -55,11 +49,11 @@
 //     list and the delivery index recovers them (seq − base_seq), so seq
 //     assignment is in exactly the caller's per-delivery order and the pop
 //     sequence stays bit-identical to N separate schedule_fire_only calls;
-//   * for cancellable events, positions_ generalizes the heap index to a
-//     residence word (bucket tag + pool entry index), so cancel and
-//     reschedule stay O(1) swap-removals wherever the event lives; a head
-//     sort leaves positions stale and the removal verifies the slot
-//     before trusting an index.
+//   * for cancellable events, positions_ holds a residence word (bucket
+//     tag + pool entry index), so cancel and reschedule stay O(1)
+//     swap-removals wherever the event lives; a head sort leaves
+//     positions stale and the removal verifies the slot before trusting
+//     an index.
 #pragma once
 
 #include <array>
@@ -70,7 +64,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/backend.h"
 #include "sim/event.h"
 #include "sim/time_types.h"
 #include "support/assert.h"
@@ -90,15 +83,12 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  explicit EventQueue(QueueBackend backend = QueueBackend::kHeap)
-      : backend_(backend) {}
+  EventQueue() = default;
 
   // head_ points into this object's own bucket storage; a copied or
   // moved-from queue would alias another instance's buckets.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  QueueBackend backend() const { return backend_; }
 
   /// Schedules `fn` at absolute time `t` (legacy closure path). Events at
   /// equal time run in scheduling order. Returns a handle for `cancel`.
@@ -112,10 +102,10 @@ class EventQueue {
 
   /// Schedules a typed event that can never be cancelled or rescheduled
   /// (Fired.id is the null id). The dominant traffic — network pulse
-  /// deliveries — is fire-only, and on the ladder backend the payload
-  /// rides inline in the bucket entry: no slot pool, no positions, no
-  /// generation stamp. Fires in exactly the (time, seq) order a
-  /// schedule_typed at the same instant would have.
+  /// deliveries — is fire-only, and the payload rides inline in the
+  /// bucket entry: no slot pool, no positions, no generation stamp. Fires
+  /// in exactly the (time, seq) order a schedule_typed at the same
+  /// instant would have.
   void schedule_fire_only(Time t, EventKind kind, SinkId sink,
                           const EventPayload& payload);
 
@@ -128,13 +118,12 @@ class EventQueue {
   /// sequence is bit-identical to `count` schedule_fire_only calls in the
   /// same order.
   ///
-  /// On the ladder backend (and x == 0 payloads) this takes the narrow
-  /// 16-byte entry path: the shared fields live in one pooled group record
-  /// and `rest_dests` is BORROWED — it must stay valid and unchanged until
-  /// every delivery of the group has fired (network adjacency lists
-  /// qualify; they outlive the run). The heap backend and x ≠ 0 payloads
-  /// fall back to per-delivery scheduling with identical (time, seq)
-  /// semantics.
+  /// For x == 0 payloads this takes the narrow 16-byte entry path: the
+  /// shared fields live in one pooled group record and `rest_dests` is
+  /// BORROWED — it must stay valid and unchanged until every delivery of
+  /// the group has fired (network adjacency lists qualify; they outlive
+  /// the run). x ≠ 0 payloads fall back to per-delivery scheduling with
+  /// identical (time, seq) semantics.
   void schedule_fire_only_group(Time base, const Duration* delays,
                                 std::size_t count, EventKind kind,
                                 SinkId sink, const EventPayload& proto,
@@ -156,12 +145,12 @@ class EventQueue {
 
   /// Number of live (not cancelled, not fired) events.
   std::size_t size() const {
-    return heap_.size() + overflow_size() + wheel_live_ + rung_live_;
+    return overflow_size() + wheel_live_ + rung_live_;
   }
 
-  /// Time of the earliest live event; kTimeInfinity when empty. On the
-  /// ladder backend this may sort the current bucket (logically const —
-  /// the live event set and the pop order are unchanged).
+  /// Time of the earliest live event; kTimeInfinity when empty. This may
+  /// sort the current bucket (logically const — the live event set and
+  /// the pop order are unchanged).
   Time next_time() const;
 
   /// Pops and returns the earliest live event. Requires !empty().
@@ -193,10 +182,9 @@ class EventQueue {
                       BatchPredicate pred, const void* ctx, BatchedEvent* out,
                       std::size_t max);
 
-  /// Time-partitioned unordered drain (kLadder only; returns 0 on kHeap,
-  /// which stays the ordered reference front-end). Pops channel events
-  /// that lie STRICTLY below the partition horizon — the earliest live
-  /// event that is not a drainable channel event (a slotted timer/closure/
+  /// Time-partitioned unordered drain. Pops channel events that lie
+  /// STRICTLY below the partition horizon — the earliest live event that
+  /// is not a drainable channel event (a slotted timer/closure/
   /// cancellable entry, or a pred-rejected delivery) — without restoring
   /// (time, seq) order first: buckets are swept in calendar order and
   /// compacted in place, so the per-bucket drain sort is paid only for the
@@ -226,7 +214,7 @@ class EventQueue {
   /// the live entries wherever the drifting window puts them, so after
   /// prewarm steady-state windows allocate nothing (the contract
   /// tests/test_alloc_guard.cpp pins). The reserve is address space the
-  /// steady state never touches. No-op on kHeap.
+  /// steady state never touches.
   void prewarm();
 
   /// Slots currently in the pool (diagnostics; high-water mark of
@@ -255,7 +243,7 @@ class EventQueue {
     std::uint64_t wide_events = 0;     ///< 32 B entries scheduled
     std::uint64_t group_inserts = 0;   ///< coalesced fan-out groups created
     /// Lane storage high-water: pool blocks ever allocated × 512 B plus
-    /// the head vectors' capacity (engine-dependent; 0 on kHeap).
+    /// the head vectors' capacity.
     std::size_t lane_peak_bytes = 0;
     /// Non-empty lanes, and entries held in lanes and head vectors, when
     /// the pool last grew, i.e. at its high-water: the blocks then are at
@@ -263,10 +251,9 @@ class EventQueue {
     std::size_t lane_peak_lanes = 0;
     std::size_t lane_peak_live = 0;
 
-    /// Entry bytes written at schedule time under the ladder layout
-    /// (16 B narrow + 32 B wide + one 40 B group record per fan-out; the
-    /// heap's slotted entries are counted at the same 32 B for
-    /// comparability). Reseed/rung redistribution traffic is not included.
+    /// Entry bytes written at schedule time (16 B narrow + 32 B wide +
+    /// one 40 B group record per fan-out). Reseed/rung redistribution
+    /// traffic is not included.
     std::uint64_t entry_bytes() const {
       return 16 * narrow_events + 32 * wide_events + 40 * group_inserts;
     }
@@ -284,9 +271,9 @@ class EventQueue {
     }
 
     /// Field table (support/stat_table.h): the `--timing` footer's queue,
-    /// runs and bytes lines and the `.profile` diag rows. Every row is
-    /// engine-dependent: the backends route the same events through
-    /// different lanes.
+    /// runs and bytes lines and the `.profile` diag rows. Every row is on
+    /// the engine plane: it counts how the queue routed the events (and
+    /// moves with the shard count), not what the protocol did.
     static constexpr auto fields() {
       using enum support::Agg;
       using enum support::Plane;
@@ -344,22 +331,11 @@ class EventQueue {
   };
   static_assert(sizeof(EventPayload) == 24);
 
-  /// kHeap's intrusive heap node: 16 bytes — a 4-ary sibling group spans
-  /// one cache line. `key` packs (seq << kSlotBits) | slot: comparing keys
-  /// compares sequence numbers first (they are unique), and the slot rides
-  /// along for free.
-  struct HeapEntry {
-    Time at;
-    std::uint64_t key;
-
-    std::uint32_t slot() const {
-      return static_cast<std::uint32_t>(key) & ((1u << kSlotBits) - 1);
-    }
-  };
-
-  /// kLadder's lane element: the heap node plus an inline payload,
-  /// used (and valid) only for inline (fire-only) entries — those never
-  /// touch the slot pool at all. 32 bytes — the queue's streaming working
+  /// The wide lane element: the sort key plus an inline payload, used
+  /// (and valid) only for inline (fire-only) entries — those never touch
+  /// the slot pool at all. `key` packs (seq << kSlotBits) | slot:
+  /// comparing keys compares sequence numbers first (they are unique), and
+  /// the slot rides along for free. 32 bytes — the queue's streaming working
   /// set at 40k-node scale is hundreds of MB of entry traffic per second,
   /// so entry width is directly wall time. The squeeze: an inline entry's
   /// slot field is otherwise a constant sentinel, so its low bits carry
@@ -413,7 +389,7 @@ class EventQueue {
   };
   static_assert(sizeof(GroupRec) == 40);
 
-  // ---- pooled block lanes (kLadder) -----------------------------------------
+  // ---- pooled block lanes ---------------------------------------------------
   /// Pool block: 512 B — 16 wide or 32 narrow entries, eight cache lines.
   union alignas(64) Block {
     Block() {}
@@ -565,11 +541,11 @@ class EventQueue {
 
   template <typename A, typename B = A>
   static bool earlier(const A& a, const B& b) {
-    // Branchless: heap order is data-random, so a short-circuit here is a
-    // guaranteed misprediction fountain inside the sift loops. The two-type
-    // form merges the narrow and wide lanes of one bucket: both carry the
-    // same {at, key} prefix and seqs are unique across lanes, so the packed
-    // low key bits (slot vs group id) never decide an ordering.
+    // Branchless: drain-sort order is data-random, so a short-circuit here
+    // is a guaranteed misprediction fountain. The two-type form merges the
+    // narrow and wide lanes of one bucket: both carry the same {at, key}
+    // prefix and seqs are unique across lanes, so the packed low key bits
+    // (slot vs group id) never decide an ordering.
     return (a.at < b.at) | ((a.at == b.at) & (a.key < b.key));
   }
 
@@ -609,15 +585,6 @@ class EventQueue {
     if (--groups_[gid].live == 0) free_gids_.push_back(gid);
   }
   void fill_fired_narrow(const NarrowEntry& head, Fired& out);
-
-  void place(const HeapEntry& entry, std::size_t i) {
-    heap_[i] = entry;
-    positions_[entry.slot()] = static_cast<std::uint64_t>(i);
-  }
-  std::size_t sift_up(HeapEntry entry, std::size_t i);
-  std::size_t sift_down(HeapEntry entry, std::size_t i);
-  void sift(HeapEntry entry, std::size_t i);
-  void remove_at(std::size_t i);
 
   // ---- ladder tier helpers (event_queue.cpp) --------------------------------
   template <typename T>
@@ -663,17 +630,14 @@ class EventQueue {
   void spawn_rung();
   void reseed();
 
-  QueueBackend backend_ = QueueBackend::kHeap;
-
   std::vector<Slot> slots_;
   std::vector<Callback> fns_;  ///< parallel to slots_; closure events only
   /// Residence of each slot's entry (see encoding above), parallel to
-  /// slots_ but kept separate: sift and bucket moves touch only this dense
-  /// array, not the fat slot records.
+  /// slots_ but kept separate: bucket moves touch only this dense array,
+  /// not the fat slot records.
   std::vector<std::uint64_t> positions_;
   std::vector<std::uint32_t> free_;
-  std::vector<HeapEntry> heap_;  ///< kHeap: the whole queue
-  /// Pooled fan-out group records (kLadder narrow lane). Indexed by the low
+  /// Pooled fan-out group records (the narrow lane). Indexed by the low
   /// kSlotBits of a NarrowEntry key; recycled through free_gids_ when the
   /// last live delivery of a group is popped. Only destroyed wholesale —
   /// the borrowed `rest` pointers are never dereferenced at destruction,
@@ -682,7 +646,7 @@ class EventQueue {
   std::vector<std::uint32_t> free_gids_;
   std::uint64_t next_seq_ = 1;
 
-  // ---- calendar window (kLadder only) ---------------------------------------
+  // ---- calendar window ------------------------------------------------------
   std::vector<Bucket> wheel_;   ///< active buckets: indices [0, wheel_nb_)
   std::size_t wheel_nb_ = 0;    ///< buckets in the current window
   std::size_t wheel_cur_ = 0;   ///< current drain bucket
@@ -733,66 +697,8 @@ class EventQueue {
 };
 
 // ---- inline hot path --------------------------------------------------------
-// The fire loop and the sift helpers run millions of times per simulated
-// second; defining them here lets the Simulator's run loop inline the
-// whole pop path.
-
-inline std::size_t EventQueue::sift_up(HeapEntry entry, std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!earlier(entry, heap_[parent])) break;
-    place(heap_[parent], i);
-    i = parent;
-  }
-  return i;
-}
-
-inline std::size_t EventQueue::sift_down(HeapEntry entry, std::size_t i) {
-  const std::size_t n = heap_.size();
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = first + 4 < n ? first + 4 : n;
-    for (std::size_t child = first + 1; child < last; ++child) {
-      best = earlier(heap_[child], heap_[best]) ? child : best;  // cmov
-    }
-    if (!earlier(heap_[best], entry)) break;
-    place(heap_[best], i);
-    i = best;
-  }
-  return i;
-}
-
-inline void EventQueue::sift(HeapEntry entry, std::size_t i) {
-  const std::size_t up = sift_up(entry, i);
-  place(entry, up == i ? sift_down(entry, i) : up);
-}
-
-inline void EventQueue::remove_at(std::size_t i) {
-  const HeapEntry moved = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (i >= n) return;
-  // Bottom-up deletion (Wegener): walk the hole to the bottom promoting
-  // min-children — no compare against `moved` per level — then bubble
-  // `moved` up from there. `moved` came from the bottom layer, so the
-  // up-pass almost always stops immediately; this trades the sift-down
-  // loop's unpredictable exit branch for one short predictable pass.
-  std::size_t hole = i;
-  for (;;) {
-    const std::size_t first = 4 * hole + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = first + 4 < n ? first + 4 : n;
-    for (std::size_t child = first + 1; child < last; ++child) {
-      best = earlier(heap_[child], heap_[best]) ? child : best;  // cmov
-    }
-    place(heap_[best], hole);
-    hole = best;
-  }
-  place(moved, sift_up(moved, hole));
-}
+// The fire loop runs millions of times per simulated second; defining it
+// here lets the Simulator's run loop inline the whole pop path.
 
 inline void EventQueue::fill_fired_slot(Time at, std::uint32_t slot,
                                         Fired& out) {
@@ -846,17 +752,9 @@ inline void EventQueue::fill_fired_narrow(const NarrowEntry& head, Fired& out) {
 }
 
 inline bool EventQueue::pop_if_at_most(Time t_end, Fired& out) {
-  if (backend_ == QueueBackend::kHeap) {
-    if (heap_.empty() || heap_[0].at > t_end) return false;
-    const HeapEntry head = heap_[0];
-    remove_at(0);
-    fill_fired_slot(head.at, head.slot(), out);
-    return true;
-  }
-  // Ladder fast path: the head vectors are sorted descending, so the head
-  // is one back() read per lane (merged by the shared comparator — seqs
-  // are unique across lanes) and the pop one pop_back — no sift, no tree
-  // walk.
+  // The head vectors are sorted descending, so the head is one back()
+  // read per lane (merged by the shared comparator — seqs are unique
+  // across lanes) and the pop one pop_back.
   if (head_ == nullptr || !head_sorted() || head_size() == 0) {
     if (!prepare_head()) return false;
   }
@@ -894,27 +792,7 @@ inline std::size_t EventQueue::pop_run(Time t_end, std::uint32_t sink_kind,
                                        BatchPredicate pred, const void* ctx,
                                        BatchedEvent* out, std::size_t max) {
   std::size_t n = 0;
-  if (backend_ == QueueBackend::kHeap) {
-    // The heap stores fire-only events in ordinary slots; a matching head
-    // is drained with the minimal slot retirement (bump + free — no Fired
-    // fill, no std::function traffic).
-    while (n < max && !heap_.empty()) {
-      const HeapEntry head = heap_[0];
-      if (head.at > t_end) break;
-      const std::uint32_t slot = head.slot();
-      const Slot& s = slots_[slot];
-      if (s.sink_kind != sink_kind || !pred(s.payload, ctx)) break;
-      out[n].at = head.at;
-      out[n].payload = s.payload;
-      ++n;
-      remove_at(0);
-      bump_generation(slot);
-      free_.push_back(slot);
-    }
-    stats_.ordered_run_events += n;
-    return n;
-  }
-  // Ladder: both head vectors are sorted descending, so a matching run is
+  // Both head vectors are sorted descending, so a matching run is
   // a contiguous suffix of their merge — walk the two tails with the
   // shared comparator, then retire each lane with ONE resize and one
   // live-counter update per bucket instead of per event.

@@ -102,13 +102,13 @@ void Simulator::run_until(Time t_end) {
   EventQueue::Fired fired;
   for (;;) {
     if (batch_pred_ != nullptr) {
-      // Time-partitioned tranche first (ladder backend): every channel
-      // event strictly below the partition horizon fires in one unordered
-      // batch, skipping the drain sort. now_ is deliberately NOT advanced
-      // — the tranche is unordered, each item carries its own fire time,
-      // and channel receivers never read now() (the batch contract); the
-      // clock next moves when an ordered event fires, which is ≥ every
-      // tranche item by the horizon's construction.
+      // Time-partitioned tranche first: every channel event strictly
+      // below the partition horizon fires in one unordered batch, skipping
+      // the drain sort. now_ is deliberately NOT advanced — the tranche is
+      // unordered, each item carries its own fire time, and channel
+      // receivers never read now() (the batch contract); the clock next
+      // moves when an ordered event fires, which is ≥ every tranche item
+      // by the horizon's construction.
       const std::size_t u =
           queue_.pop_run_unordered(t_end, batch_key_, batch_pred_,
                                    batch_ctx_, run_buf_.data(), kMaxRun);
@@ -118,7 +118,7 @@ void Simulator::run_until(Time t_end) {
         continue;
       }
       // Ordered sliver: channel events at or beyond the horizon (barrier
-      // ties, heap backend) still drain as contiguous (time, seq) runs.
+      // ties) still drain as contiguous (time, seq) runs.
       const std::size_t n =
           queue_.pop_run(t_end, batch_key_, batch_pred_, batch_ctx_,
                          batch_buf_.data(), kMaxBatch);

@@ -1,6 +1,7 @@
 // Single-threaded discrete-event simulator facade.
 //
-// Owns the virtual clock and the event queue. Protocol components schedule
+// Owns the virtual clock and the event queue (the ladder front-end of
+// sim/event_queue.h). Protocol components schedule
 // work at absolute Newtonian times; the simulator advances time to the next
 // event and fires it. Time never flows backwards and events scheduled in
 // the past are rejected (contract violation), which catches clock inversion
@@ -18,7 +19,6 @@
 #include <functional>
 #include <vector>
 
-#include "sim/backend.h"
 #include "sim/event.h"
 #include "sim/event_queue.h"
 #include "sim/scratch_arena.h"
@@ -29,14 +29,6 @@ namespace ftgcs::sim {
 class Simulator {
  public:
   using Callback = EventQueue::Callback;
-
-  /// Selects the scheduling front-end (see sim/backend.h). Both backends
-  /// execute bit-identical event sequences; kLadder keeps push/pop O(1)
-  /// at large in-flight populations.
-  explicit Simulator(QueueBackend backend = QueueBackend::kHeap)
-      : queue_(backend) {}
-
-  QueueBackend backend() const { return queue_.backend(); }
 
   /// Current Newtonian time.
   Time now() const { return now_; }
@@ -62,16 +54,16 @@ class Simulator {
   /// run then breaks before it and it fires through the ordinary path,
   /// preserving exact interleaving.
   ///
-  /// On the ladder backend the run loop additionally drains accepted
-  /// events by TIME PARTITION (EventQueue::pop_run_unordered): everything
-  /// strictly below the next non-channel event fires in one unordered
-  /// tranche, skipping the per-bucket drain sort. That adds two
-  /// obligations on top of the contract above: processing accepted events
-  /// must COMMUTE within a tranche (the receiver's end state and counters
-  /// must not depend on the order of accepted events between two barrier
-  /// events — see core/receive_lane.h for the proof obligation this
-  /// discharges), and `pred` must be MONOTONE — once it accepts a payload
-  /// it accepts it forever (classification may only widen over a run).
+  /// The run loop additionally drains accepted events by TIME PARTITION
+  /// (EventQueue::pop_run_unordered): everything strictly below the next
+  /// non-channel event fires in one unordered tranche, skipping the
+  /// per-bucket drain sort. That adds two obligations on top of the
+  /// contract above: processing accepted events must COMMUTE within a
+  /// tranche (the receiver's end state and counters must not depend on
+  /// the order of accepted events between two barrier events — see
+  /// core/receive_lane.h for the proof obligation this discharges), and
+  /// `pred` must be MONOTONE — once it accepts a payload it accepts it
+  /// forever (classification may only widen over a run).
   void set_batch_channel(SinkId sink, EventKind kind, BatchPredicate pred,
                          const void* ctx);
 
@@ -85,8 +77,8 @@ class Simulator {
 
   /// Schedules a typed event after a non-negative delay that can never be
   /// cancelled or rescheduled. The dominant traffic — pulse deliveries —
-  /// is fire-only; on the ladder backend this path carries the payload
-  /// inline in the queue (no slot pool, no handle bookkeeping).
+  /// is fire-only; this path carries the payload inline in the queue (no
+  /// slot pool, no handle bookkeeping).
   void post_fire_only_after(Duration dt, EventKind kind, SinkId sink,
                             const EventPayload& payload);
 
@@ -101,8 +93,8 @@ class Simulator {
   /// in a single queue call — delivery i at now() + delays[i], aimed at
   /// `first_dest` (i = 0) or `rest_dests[i − 1]`, carrying `proto` with
   /// only `c` re-aimed. Fires bit-identically to `count` sequential
-  /// post_fire_only_after calls; on the ladder backend the deliveries
-  /// share one pooled group record and 16-byte entries, and `rest_dests`
+  /// post_fire_only_after calls; the deliveries share one pooled group
+  /// record and 16-byte entries, and `rest_dests`
   /// must stay valid until the last delivery fires (see
   /// EventQueue::schedule_fire_only_group).
   void post_fire_only_group(const Duration* delays, std::size_t count,
@@ -114,7 +106,8 @@ class Simulator {
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Moves a pending event to `t >= now()` under a fresh FIFO sequence —
-  /// observably identical to cancel + re-post, but one in-place heap move.
+  /// observably identical to cancel + re-post, but with no slot churn
+  /// (usually an in-place overwrite inside its calendar bucket).
   /// Returns false if the event already fired or was cancelled.
   bool reschedule(EventId id, Time t) {
     FTGCS_EXPECTS(t >= now_);
@@ -149,8 +142,8 @@ class Simulator {
   EventQueue::TierStats queue_stats() const { return queue_.tier_stats(); }
 
   /// Time of the earliest pending event (kTimeInfinity when idle): the
-  /// partition horizon seen from outside the queue. O(1) amortized on
-  /// both backends; on kLadder it may sort the current drain bucket.
+  /// partition horizon seen from outside the queue. O(1) amortized; it
+  /// may sort the current drain bucket.
   Time next_event_time() const { return queue_.next_time(); }
 
   /// Simulator-owned scratch columns for batch-channel receivers, sized to

@@ -28,8 +28,8 @@ enum class Agg : unsigned char {
 };
 
 enum class Plane : unsigned char {
-  kDeterministic,  ///< a function of scenario + seed, on any engine/shards
-  kEngine,         ///< deterministic, but engine- or shard-count-dependent
+  kDeterministic,  ///< a function of scenario + seed, at any shard count
+  kEngine,         ///< deterministic, but queue-routing or shard-dependent
   kWallClock,
 };
 

@@ -56,7 +56,7 @@ class TraceCollector {
   std::uint64_t bytes_written() const { return writer_.bytes_written(); }
 
   /// Capture summary; a sweep sums it over tasks. Deterministic: the
-  /// bytes are identical at every engine and shard count.
+  /// bytes are identical at every shard count.
   struct Stats {
     std::uint64_t files = 0;  ///< 1 per run that captured a trace
     std::uint64_t records = 0;

@@ -25,8 +25,7 @@
 // Frame boundaries depend only on the record byte stream (a frame is cut
 // when the pending payload reaches kFrameBytes), never on wall clock or
 // shard count — a requirement of the byte-identity contract: traces of the
-// same run are identical files at every `--shards T` and on both queue
-// backends.
+// same run are identical files at every `--shards T`.
 //
 // Records are written in CANONICAL order: sorted by the total key
 // (time, sender, dest, kind, level, value bits). Per-shard capture buffers

@@ -1,6 +1,6 @@
 // The zero-allocation contract, proven at runtime: after warmup, a
 // steady-state run_until window performs ZERO global allocations — on
-// both queue backends and under the sharded backend's worker threads.
+// one simulator and under the sharded backend's worker threads.
 // The same counter also pins geometric growth of the trace capture
 // buffers.
 //
@@ -24,7 +24,6 @@
 #include "core/params.h"
 #include "net/graph.h"
 #include "par/sharded_system.h"
-#include "sim/backend.h"
 #include "sim/event.h"
 #include "support/alloc_guard.h"
 #include "trace/collector.h"
@@ -54,12 +53,11 @@ TEST(AllocGuard, HookCountsThisBinarysAllocations) {
   EXPECT_GE(guard.allocations(), 2u);
 }
 
-void expect_zero_alloc_steady_state(sim::QueueBackend engine) {
+TEST(AllocGuard, SteadyStateRunUntilIsAllocationFree) {
   const core::Params params = test_params();
   core::FtGcsSystem::Config config;
   config.params = params;
   config.seed = 11;
-  config.engine = engine;
   core::FtGcsSystem system(net::Graph::ring(8), std::move(config));
   system.start();
   system.run_until(kWarmupRounds * params.T);
@@ -70,17 +68,7 @@ void expect_zero_alloc_steady_state(sim::QueueBackend engine) {
     system.run_until((kWarmupRounds + round) * params.T);
   }
   EXPECT_EQ(guard.allocations(), 0u)
-      << "steady-state run_until allocated on the "
-      << (engine == sim::QueueBackend::kLadder ? "ladder" : "heap")
-      << " backend";
-}
-
-TEST(AllocGuard, SteadyStateRunUntilIsAllocationFreeLadder) {
-  expect_zero_alloc_steady_state(sim::QueueBackend::kLadder);
-}
-
-TEST(AllocGuard, SteadyStateRunUntilIsAllocationFreeHeap) {
-  expect_zero_alloc_steady_state(sim::QueueBackend::kHeap);
+      << "steady-state run_until allocated";
 }
 
 // The sharded backend: two worker threads, SPSC mailbox traffic across

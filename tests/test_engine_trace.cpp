@@ -30,8 +30,8 @@ TEST(EngineTrace, E6GlobalSkewDrainMatchesPreSwapEngine) {
       Registry::instance().find("e6_global_skew_drain");
   ASSERT_NE(registered, nullptr);
 
-  // The registered default engine is the ladder backend, so this pin also
-  // proves the calendar front-end replays the seed engine's trace exactly.
+  // The run uses the ladder (calendar) queue, so this pin also proves it
+  // replays the seed engine's trace exactly.
   ScenarioSpec spec = *registered;
   apply_axis(spec, "diameter", 2.0);
   const RunResult result = run_point(spec, /*seed=*/5);
@@ -50,13 +50,12 @@ TEST(EngineTrace, E6GlobalSkewDrainMatchesPreSwapEngine) {
   EXPECT_EQ(result.metric("in_global_band"), 1.0);
 }
 
-// Large-ring pin at production scale (1000 clusters, 4000 nodes): run the
-// registered scenario under BOTH engine backends and require (a) every
-// metric bit-identical between them and (b) the key figures equal to the
-// golden values recorded from the heap engine (which executes the same
-// trace as the PR 2 engine). Any divergence in pop order, RNG draw order,
-// or delivery timestamps shifts the event/message counts or the skews.
-TEST(EngineTrace, LargeRingBitIdenticalUnderHeapAndLadder) {
+// Large-ring pin at production scale (1000 clusters, 4000 nodes): the key
+// figures must equal the golden values recorded from the retired 4-ary
+// heap queue (which executed the same trace as the first typed engine).
+// Any divergence in pop order, RNG draw order, or delivery timestamps
+// shifts the event/message counts or the skews.
+TEST(EngineTrace, LargeRingMatchesGoldenValues) {
   register_builtin_scenarios();
   const ScenarioSpec* registered = Registry::instance().find("large_ring");
   ASSERT_NE(registered, nullptr);
@@ -64,53 +63,12 @@ TEST(EngineTrace, LargeRingBitIdenticalUnderHeapAndLadder) {
   ScenarioSpec spec = *registered;
   spec.axes = {{"clusters", {AxisValue::of(1000)}}};
   apply_axis(spec, "clusters", 1000.0);
+  const RunResult result = run_point(spec, /*seed=*/1);
 
-  spec.engine = sim::QueueBackend::kHeap;
-  const RunResult heap = run_point(spec, /*seed=*/1);
-  spec.engine = sim::QueueBackend::kLadder;
-  const RunResult ladder = run_point(spec, /*seed=*/1);
-
-  ASSERT_EQ(heap.metrics.size(), ladder.metrics.size());
-  for (std::size_t i = 0; i < heap.metrics.size(); ++i) {
-    EXPECT_EQ(heap.metrics[i].first, ladder.metrics[i].first);
-    EXPECT_EQ(heap.metrics[i].second, ladder.metrics[i].second)
-        << "metric '" << heap.metrics[i].first
-        << "' differs between engines";
-  }
-
-  // Golden values recorded from the heap engine at this commit.
-  EXPECT_EQ(heap.metric("events"), 7560896.0);
-  EXPECT_EQ(heap.metric("messages"), 6239700.0);
-  EXPECT_EQ(sig(heap.metric("max_local")), "0.100114488244");
-  EXPECT_EQ(sig(heap.metric("max_global")), "0.137683505238");
-}
-
-// Cheap cross-engine sweep: every metric of a full registered grid must be
-// bit-identical between backends (the table-level guarantee the CLI's
-// --engine A/B flag relies on).
-TEST(EngineTrace, E9OverheadScalingIdenticalAcrossEngines) {
-  register_builtin_scenarios();
-  const ScenarioSpec* registered =
-      Registry::instance().find("e9_overhead_scaling");
-  ASSERT_NE(registered, nullptr);
-
-  ScenarioSpec spec = *registered;
-  SweepRunner runner({1, false});
-  spec.engine = sim::QueueBackend::kHeap;
-  const SweepResult heap = runner.run(spec);
-  spec.engine = sim::QueueBackend::kLadder;
-  const SweepResult ladder = runner.run(spec);
-
-  ASSERT_EQ(heap.rows.size(), ladder.rows.size());
-  for (std::size_t r = 0; r < heap.rows.size(); ++r) {
-    ASSERT_EQ(heap.rows[r].metrics.size(), ladder.rows[r].metrics.size());
-    for (std::size_t m = 0; m < heap.rows[r].metrics.size(); ++m) {
-      EXPECT_EQ(heap.rows[r].metrics[m].second,
-                ladder.rows[r].metrics[m].second)
-          << "row " << r << " metric '" << heap.rows[r].metrics[m].first
-          << "' differs between engines";
-    }
-  }
+  EXPECT_EQ(result.metric("events"), 7560896.0);
+  EXPECT_EQ(result.metric("messages"), 6239700.0);
+  EXPECT_EQ(sig(result.metric("max_local")), "0.100114488244");
+  EXPECT_EQ(sig(result.metric("max_global")), "0.137683505238");
 }
 
 }  // namespace

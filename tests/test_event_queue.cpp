@@ -7,23 +7,15 @@
 namespace ftgcs::sim {
 namespace {
 
-// Every queue-contract test runs against both backends: the ladder
-// (calendar) front-end must be observably indistinguishable from the
-// 4-ary-heap reference.
-class EventQueueTest : public ::testing::TestWithParam<QueueBackend> {
+// The queue contract: (time, seq) order, FIFO ties, cancel and reschedule
+// semantics. tests/test_queue_differential.cpp checks the same order
+// against a reference queue under random op streams.
+class EventQueueTest : public ::testing::Test {
  protected:
-  EventQueue q{GetParam()};
+  EventQueue q;
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueTest,
-                         ::testing::Values(QueueBackend::kHeap,
-                                           QueueBackend::kLadder),
-                         [](const auto& suite_info) {
-                           return std::string(
-                               queue_backend_name(suite_info.param));
-                         });
-
-TEST_P(EventQueueTest, FiresInTimeOrder) {
+TEST_F(EventQueueTest, FiresInTimeOrder) {
   std::vector<int> order;
   q.schedule(3.0, [&] { order.push_back(3); });
   q.schedule(1.0, [&] { order.push_back(1); });
@@ -32,7 +24,7 @@ TEST_P(EventQueueTest, FiresInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueTest, EqualTimesFireFifo) {
+TEST_F(EventQueueTest, EqualTimesFireFifo) {
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     q.schedule(5.0, [&order, i] { order.push_back(i); });
@@ -41,7 +33,7 @@ TEST_P(EventQueueTest, EqualTimesFireFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(EventQueueTest, CancelPreventsFiring) {
+TEST_F(EventQueueTest, CancelPreventsFiring) {
   bool fired = false;
   const EventId id = q.schedule(1.0, [&] { fired = true; });
   EXPECT_TRUE(q.cancel(id));
@@ -49,24 +41,24 @@ TEST_P(EventQueueTest, CancelPreventsFiring) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EventQueueTest, CancelIsIdempotent) {
+TEST_F(EventQueueTest, CancelIsIdempotent) {
   const EventId id = q.schedule(1.0, [] {});
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
 }
 
-TEST_P(EventQueueTest, CancelledHeadDoesNotBlockNextTime) {
+TEST_F(EventQueueTest, CancelledHeadDoesNotBlockNextTime) {
   const EventId early = q.schedule(1.0, [] {});
   q.schedule(2.0, [] {});
   q.cancel(early);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
 }
 
-TEST_P(EventQueueTest, NextTimeOnEmptyIsInfinity) {
+TEST_F(EventQueueTest, NextTimeOnEmptyIsInfinity) {
   EXPECT_EQ(q.next_time(), kTimeInfinity);
 }
 
-TEST_P(EventQueueTest, SizeTracksLiveEvents) {
+TEST_F(EventQueueTest, SizeTracksLiveEvents) {
   const EventId a = q.schedule(1.0, [] {});
   q.schedule(2.0, [] {});
   EXPECT_EQ(q.size(), 2u);
@@ -76,14 +68,14 @@ TEST_P(EventQueueTest, SizeTracksLiveEvents) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueTest, PopReturnsTimeAndId) {
+TEST_F(EventQueueTest, PopReturnsTimeAndId) {
   const EventId id = q.schedule(7.5, [] {});
   const auto fired = q.pop();
   EXPECT_DOUBLE_EQ(fired.at, 7.5);
   EXPECT_EQ(fired.id, id);
 }
 
-TEST_P(EventQueueTest, CancelAfterFireIsNoOp) {
+TEST_F(EventQueueTest, CancelAfterFireIsNoOp) {
   int fired = 0;
   const EventId id = q.schedule(1.0, [&] { ++fired; });
   q.schedule(2.0, [] {});
@@ -95,7 +87,7 @@ TEST_P(EventQueueTest, CancelAfterFireIsNoOp) {
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
 }
 
-TEST_P(EventQueueTest, SlotReuseInvalidatesOldIds) {
+TEST_F(EventQueueTest, SlotReuseInvalidatesOldIds) {
   // ABA guard: after an event fires, its pool slot is recycled; a handle
   // from the old generation must neither cancel nor alias the new event.
   const EventId old_id = q.schedule(1.0, [] {});
@@ -114,7 +106,7 @@ TEST_P(EventQueueTest, SlotReuseInvalidatesOldIds) {
   EXPECT_TRUE(second_fired);
 }
 
-TEST_P(EventQueueTest, TypedEventsCarryPayloadAndFifoOrder) {
+TEST_F(EventQueueTest, TypedEventsCarryPayloadAndFifoOrder) {
   for (int i = 0; i < 5; ++i) {
     EventPayload payload;
     payload.a = i;
@@ -132,7 +124,7 @@ TEST_P(EventQueueTest, TypedEventsCarryPayloadAndFifoOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueTest, RescheduleMatchesCancelPlusScheduleOrder) {
+TEST_F(EventQueueTest, RescheduleMatchesCancelPlusScheduleOrder) {
   // A rescheduled event must tie-break as if it had been cancelled and
   // re-scheduled: after everything already sitting at the target time.
   EventPayload payload;
@@ -145,14 +137,14 @@ TEST_P(EventQueueTest, RescheduleMatchesCancelPlusScheduleOrder) {
   EXPECT_EQ(q.pop().payload.a, 1);  // the moved event fires after
 }
 
-TEST_P(EventQueueTest, RescheduleOfDeadIdFails) {
+TEST_F(EventQueueTest, RescheduleOfDeadIdFails) {
   const EventId id = q.schedule_typed(1.0, EventKind::kTimer, 0, {});
   q.pop();
   EXPECT_FALSE(q.reschedule(id, 2.0));
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueTest, TypedPathDoesNotAllocateAfterWarmup) {
+TEST_F(EventQueueTest, TypedPathDoesNotAllocateAfterWarmup) {
   // Steady-state schedule/fire cycles must reuse pooled slots: the pool
   // high-water mark stays at the warm-up size.
   for (int i = 0; i < 64; ++i) {
@@ -168,7 +160,7 @@ TEST_P(EventQueueTest, TypedPathDoesNotAllocateAfterWarmup) {
   EXPECT_EQ(q.pool_size(), warm);
 }
 
-TEST_P(EventQueueTest, InterleavedScheduleCancelStress) {
+TEST_F(EventQueueTest, InterleavedScheduleCancelStress) {
   std::vector<EventId> ids;
   int fired = 0;
   for (int i = 0; i < 1000; ++i) {
@@ -184,7 +176,7 @@ TEST_P(EventQueueTest, InterleavedScheduleCancelStress) {
   EXPECT_EQ(cancelled, 334);
 }
 
-TEST_P(EventQueueTest, FireOnlyEventsInterleaveInFifoOrder) {
+TEST_F(EventQueueTest, FireOnlyEventsInterleaveInFifoOrder) {
   // Fire-only events share the sequence space with cancellable ones: at
   // equal times they fire in exact scheduling order, and their Fired.id
   // is the null id (there is nothing to cancel).
@@ -201,15 +193,13 @@ TEST_P(EventQueueTest, FireOnlyEventsInterleaveInFifoOrder) {
   EXPECT_EQ(fired.payload.a, 2);
   EXPECT_EQ(fired.kind, EventKind::kPulse);
   EXPECT_EQ(fired.sink, 3u);
-  if (GetParam() == QueueBackend::kLadder) {
-    EXPECT_FALSE(fired.id);  // inline entries carry no handle
-  }
+  EXPECT_FALSE(fired.id);  // inline entries carry no handle
   EXPECT_EQ(q.pop().payload.a, 3);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueLadder, FireOnlyPathTouchesNoSlotPool) {
-  EventQueue q(QueueBackend::kLadder);
+  EventQueue q;
   for (int i = 0; i < 100; ++i) {
     q.schedule_fire_only(static_cast<Time>(i), EventKind::kPulse, 0, {});
   }
@@ -220,13 +210,13 @@ TEST(EventQueueLadder, FireOnlyPathTouchesNoSlotPool) {
   EXPECT_TRUE(q.empty());
 }
 
-// ---- ladder-specific behaviour ---------------------------------------------
+// ---- calendar tiers ---------------------------------------------------------
 
 TEST(EventQueueLadder, FarFutureEventsCrossTheOverflowTier) {
   // A population far beyond the first calendar window must survive the
   // horizon rollover: the window drains, reseeds around the far cohort,
   // and pops continue in exact order.
-  EventQueue q(QueueBackend::kLadder);
+  EventQueue q;
   std::vector<double> expected;
   for (int i = 0; i < 200; ++i) {
     const double near = 1.0 + 0.01 * i;
@@ -264,7 +254,7 @@ TEST(EventQueueLadder, SkewedBucketSpawnsARung) {
   // Thousands of events landing in one bucket (identical-ish times next to
   // one far outlier that stretches the window) must trigger the rung split
   // and still fire in FIFO order.
-  EventQueue q(QueueBackend::kLadder);
+  EventQueue q;
   for (int i = 0; i < 6000; ++i) {
     EventPayload payload;
     payload.a = i;
@@ -282,10 +272,10 @@ TEST(EventQueueLadder, SkewedBucketSpawnsARung) {
   EXPECT_GT(q.tier_stats().rung_spawns, 0u);
 }
 
-TEST_P(EventQueueTest, InfiniteTimesPopLastInFifoOrder) {
+TEST_F(EventQueueTest, InfiniteTimesPopLastInFifoOrder) {
   // kTimeInfinity is a legal scheduling time; it must sort after every
-  // finite event and FIFO among itself, on both backends (the ladder's
-  // window math clamps infinite offsets into the last bucket).
+  // finite event and FIFO among itself (the window math clamps infinite
+  // offsets into the last bucket).
   EventPayload payload;
   payload.a = 1;
   q.schedule_typed(kTimeInfinity, EventKind::kTimer, 0, payload);
@@ -310,7 +300,7 @@ TEST_P(EventQueueTest, InfiniteTimesPopLastInFifoOrder) {
 
 TEST(EventQueueLadder, IdenticalTimestampsDegenerateWindow) {
   // Zero time span: the width floor keeps indices finite and order FIFO.
-  EventQueue q(QueueBackend::kLadder);
+  EventQueue q;
   for (int i = 0; i < 300; ++i) {
     EventPayload payload;
     payload.a = i;

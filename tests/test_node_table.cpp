@@ -145,15 +145,13 @@ TEST(NodeTable, ColumnarSnapshotMatchesPerNodeState) {
 TEST(NodeTable, ExecutionInvariantUnderDrainBatching) {
   // The batch drain must be unobservable: running to one horizon in a
   // single run_until (long pure-receive runs) and in many tiny increments
-  // (every boundary breaks a run) must execute the identical schedule, on
-  // both engine backends.
+  // (every boundary breaks a run) must execute the identical schedule.
   const Params params = practical();
   const double horizon = 12.0 * params.T;
-  const auto run = [&](sim::QueueBackend backend, int increments) {
+  const auto run = [&](int increments) {
     FtGcsSystem::Config config;
     config.params = params;
     config.seed = 24;
-    config.engine = backend;
     FtGcsSystem system(net::Graph::line(3), std::move(config));
     system.start();
     for (int i = 1; i <= increments; ++i) {
@@ -170,18 +168,11 @@ TEST(NodeTable, ExecutionInvariantUnderDrainBatching) {
     return Result{system.simulator().fired_events(), columns.logical,
                   columns.gamma};
   };
-  const auto whole = run(sim::QueueBackend::kLadder, 1);
-  const auto sliced = run(sim::QueueBackend::kLadder, 997);
-  const auto heap_whole = run(sim::QueueBackend::kHeap, 1);
-  const auto heap_sliced = run(sim::QueueBackend::kHeap, 997);
+  const auto whole = run(1);
+  const auto sliced = run(997);
   EXPECT_EQ(whole.events, sliced.events);
   EXPECT_EQ(whole.logical, sliced.logical);
   EXPECT_EQ(whole.gamma, sliced.gamma);
-  EXPECT_EQ(whole.events, heap_whole.events);
-  EXPECT_EQ(whole.logical, heap_whole.logical);
-  EXPECT_EQ(whole.gamma, heap_whole.gamma);
-  EXPECT_EQ(heap_whole.events, heap_sliced.events);
-  EXPECT_EQ(heap_whole.logical, heap_sliced.logical);
 }
 
 // The partitioned drain's proof obligation, pinned: committing one

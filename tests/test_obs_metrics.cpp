@@ -1,6 +1,6 @@
 // Metrics-plane pins: histogram bucket geometry, percentile semantics,
 // the zero-allocation sampling contract, a byte-exact golden series, and
-// engine/shard invariance of the deterministic JSONL plane.
+// shard invariance of the deterministic JSONL plane.
 //
 // The golden FNV constant pins the series format (field order, %.17g
 // rendering, header shape) AND the simulated trajectory it serializes.
@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/exp.h"
 #include "obs/histogram.h"
+#include "obs/phase_profiler.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
 #include "support/alloc_guard.h"
@@ -122,12 +125,9 @@ TEST(ProbeSampler, ScaledSpecDerivesFromScale) {
 // ---- zero-allocation sampling contract -------------------------------------
 
 // After prewarm(), sample() must allocate nothing — from the FIRST probe,
-// not after a warm-up: the row buffer is capacity-pinned by prewarm, the
-// registry storage is fixed at registration, and the stdio stream buffer
-// was forced into existence by the header write in the constructor.
-TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
-  // Hand-built 4-node topology (2 clusters × 2, a 4-cycle) — the
-  // sampler only reads adjacency/cluster shape, so this stays tiny.
+/// Hand-built 4-node topology (2 clusters × 2, a 4-cycle) — the sampler
+/// only reads adjacency/cluster shape, so this stays tiny.
+exp::TopologyGraph four_cycle() {
   exp::TopologyGraph graph;
   graph.num_clusters = 2;
   graph.cluster_size = 2;
@@ -135,12 +135,18 @@ TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
   graph.cluster_of = {0, 0, 1, 1};
   graph.min_delay = 0.5;
   graph.max_delay = 1.0;
+  return graph;
+}
 
+// not after a warm-up: the row buffer is capacity-pinned by prewarm, the
+// registry storage is fixed at registration, and the stdio stream buffer
+// was forced into existence by the header write in the constructor.
+TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
   obs::ProbeSampler::Config config;
   config.path = temp_path("alloc_pin.jsonl");
   config.monitors = false;
   config.hist_scale = 1.0;
-  obs::ProbeSampler sampler(config, graph);
+  obs::ProbeSampler sampler(config, four_cycle());
   sampler.prewarm();
 
   core::SystemColumns columns;
@@ -185,18 +191,71 @@ TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
   EXPECT_EQ(series.rows.back().number("global_max"), 1.0);
 }
 
-// ---- golden series + engine/shard invariance -------------------------------
+// ---- unwritable outputs ----------------------------------------------------
+// A metrics path that cannot be created, or a disk that fills up, is a
+// typed error naming the path (like --trace), never an abort or a
+// silently truncated series.
+
+/// Expects `fn` to throw std::runtime_error whose message names `path`.
+template <typename F>
+void expect_error_naming(const std::string& path, F&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "no error for '" << path << "'";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(ProbeSampler, UncreatablePathIsATypedError) {
+  obs::ProbeSampler::Config config;
+  config.path = "/nonexistent/dir/x.jsonl";
+  expect_error_naming(config.path,
+                      [&] { obs::ProbeSampler sampler(config, four_cycle()); });
+}
+
+TEST(PhaseProfiler, UncreatablePathIsATypedError) {
+  const std::string path = "/nonexistent/dir/x.jsonl.profile";
+  expect_error_naming(path, [&] { obs::PhaseProfiler profiler(path); });
+}
+
+TEST(ProbeSampler, FullDiskIsATypedErrorAtFinish) {
+  std::FILE* probe = std::fopen("/dev/full", "wb");
+  if (probe == nullptr) GTEST_SKIP() << "no /dev/full on this system";
+  std::fclose(probe);
+
+  obs::ProbeSampler::Config config;
+  config.path = "/dev/full";
+  obs::ProbeSampler sampler(config, four_cycle());
+  core::SystemColumns columns;
+  columns.logical = {1.0, 1.25, 1.5, 2.0};
+  columns.correct = {1, 1, 1, 1};
+  columns.gamma = {0, 0, 0, 0};
+  metrics::SkewSample skews;
+  obs::SampleContext ctx;
+  ctx.skews = &skews;
+  ctx.columns = &columns;
+  // Well past one stdio buffer, so writes fail inside sample() too.
+  for (int probe_index = 0; probe_index < 200; ++probe_index) {
+    ctx.at = probe_index * 0.125;
+    sampler.sample(ctx);
+  }
+  expect_error_naming(config.path, [&] { sampler.finish(); });
+  EXPECT_NO_THROW(sampler.finish());  // closed: idempotent
+}
+
+// ---- golden series + shard invariance --------------------------------------
 
 /// Runs a registered scenario at clusters=64 with the metrics series on
 /// and returns the series file's bytes.
 std::string run_series(const std::string& scenario, int shards,
-                       sim::QueueBackend engine, const std::string& path) {
+                       const std::string& path) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find(scenario);
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
   apply_axis(spec, "clusters", 64.0);
   spec.shards = shards;
-  spec.engine = engine;
   spec.metrics_path = path;
   const exp::RunResult result = run_point(spec, 1);
   EXPECT_EQ(result.series.files, 1u);
@@ -208,8 +267,7 @@ std::string run_series(const std::string& scenario, int shards,
 
 TEST(MetricsSeries, GoldenFilePin) {
   const std::string path = temp_path("golden_metrics.jsonl");
-  const std::string bytes =
-      run_series("large_ring", 1, sim::QueueBackend::kLadder, path);
+  const std::string bytes = run_series("large_ring", 1, path);
   EXPECT_EQ(fnv1a(bytes), 0x5073449365e29148ull);
   EXPECT_EQ(bytes.size(), 2191u);
 
@@ -228,29 +286,21 @@ TEST(MetricsSeries, GoldenFilePin) {
 
 // The plane-separation pin: the monitored large_torus series (the
 // heaviest registered workload, the acceptance target) must be
-// byte-identical across --engine {heap,ladder} × --shards {1,2,4}. The
-// profiler sidecar absorbs everything backend-dependent; if a
-// backend-sensitive quantity ever leaks into the series, this fails at
-// the first divergent probe.
-TEST(MetricsSeries, TorusSeriesIdenticalAcrossEnginesAndShards) {
-  const std::string base = run_series("large_torus", 1,
-                                      sim::QueueBackend::kLadder,
-                                      temp_path("ms_l1.jsonl"));
-  EXPECT_EQ(base, run_series("large_torus", 2, sim::QueueBackend::kLadder,
-                             temp_path("ms_l2.jsonl")));
-  EXPECT_EQ(base, run_series("large_torus", 4, sim::QueueBackend::kLadder,
-                             temp_path("ms_l4.jsonl")));
-  EXPECT_EQ(base, run_series("large_torus", 1, sim::QueueBackend::kHeap,
-                             temp_path("ms_h1.jsonl")));
-  EXPECT_EQ(base, run_series("large_torus", 2, sim::QueueBackend::kHeap,
-                             temp_path("ms_h2.jsonl")));
+// byte-identical across --shards {1,2,4}. The profiler sidecar absorbs
+// everything shard-dependent; if a shard-sensitive quantity ever leaks
+// into the series, this fails at the first divergent probe.
+TEST(MetricsSeries, TorusSeriesIdenticalAcrossShards) {
+  const std::string base =
+      run_series("large_torus", 1, temp_path("ms_l1.jsonl"));
+  EXPECT_EQ(base, run_series("large_torus", 2, temp_path("ms_l2.jsonl")));
+  EXPECT_EQ(base, run_series("large_torus", 4, temp_path("ms_l4.jsonl")));
 
   // ftgcs_report's differ must agree that the trajectories are equal.
   obs::SeriesData a;
   obs::SeriesData b;
   std::string error;
   ASSERT_TRUE(obs::load_series(temp_path("ms_l1.jsonl"), &a, &error)) << error;
-  ASSERT_TRUE(obs::load_series(temp_path("ms_h2.jsonl"), &b, &error)) << error;
+  ASSERT_TRUE(obs::load_series(temp_path("ms_l4.jsonl"), &b, &error)) << error;
   std::ostringstream table;
   EXPECT_EQ(obs::render_diff(a, b, table), 0);
 }

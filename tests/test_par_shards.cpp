@@ -8,7 +8,7 @@
 // counts, same generators and traffic shape), for a fault-heavy E9
 // variant whose Byzantine senders sit in every cluster (so their pulses
 // cross every shard boundary), and for crash-stop faults injected on both
-// sides of a cut — on both queue backends.
+// sides of a cut.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -38,11 +38,9 @@ void expect_same_metrics(const RunResult& base, const RunResult& other,
   }
 }
 
-/// Runs `spec` at the given shard count and engine.
-RunResult run_with(ScenarioSpec spec, int shards, sim::QueueBackend engine,
-                   std::uint64_t seed) {
+/// Runs `spec` at the given shard count.
+RunResult run_with(ScenarioSpec spec, int shards, std::uint64_t seed) {
   spec.shards = shards;
-  spec.engine = engine;
   return run_point(spec, seed);
 }
 
@@ -84,32 +82,24 @@ TEST(ParShards, LargeRingBitIdenticalAtEveryShardCount) {
   spec.axes = {{"clusters", {AxisValue::of(200)}}};
   apply_axis(spec, "clusters", 200.0);
 
-  const RunResult base = run_with(spec, 1, sim::QueueBackend::kLadder, 1);
+  const RunResult base = run_with(spec, 1, 1);
   for (int shards : {2, 4, 8}) {
-    expect_same_metrics(
-        base, run_with(spec, shards, sim::QueueBackend::kLadder, 1),
-        "ring ladder shards=" + std::to_string(shards));
+    expect_same_metrics(base, run_with(spec, shards, 1),
+                        "ring shards=" + std::to_string(shards));
   }
-  // Heap backend: sharded-vs-single AND cross-engine in one comparison
-  // (the heap single run equals the ladder single run by the engine pins).
-  expect_same_metrics(base, run_with(spec, 2, sim::QueueBackend::kHeap, 1),
-                      "ring heap shards=2");
 }
 
-TEST(ParShards, LargeTorusBitIdenticalAcrossShardsAndEngines) {
+TEST(ParShards, LargeTorusBitIdenticalAcrossShards) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
   spec.axes = {{"clusters", {AxisValue::of(256)}}};
   apply_axis(spec, "clusters", 256.0);
 
-  const RunResult base = run_with(spec, 1, sim::QueueBackend::kLadder, 1);
+  const RunResult base = run_with(spec, 1, 1);
   for (int shards : {2, 4}) {
-    expect_same_metrics(
-        base, run_with(spec, shards, sim::QueueBackend::kLadder, 1),
-        "torus ladder shards=" + std::to_string(shards));
+    expect_same_metrics(base, run_with(spec, shards, 1),
+                        "torus shards=" + std::to_string(shards));
   }
-  expect_same_metrics(base, run_with(spec, 4, sim::QueueBackend::kHeap, 1),
-                      "torus heap shards=4");
 }
 
 // Fault-heavy E9 variant: every cluster carries active Byzantine members

@@ -1,6 +1,7 @@
 // Lockstep differential fuzz: the time-partitioned unordered drain
 // (EventQueue::pop_run_unordered) against a plain ordered drain of the
-// SAME op stream on the SAME backend, for both backends.
+// SAME op stream through the (time, seq) reference queue
+// (tests/reference_queue.h).
 //
 // The partitioned drain's contract is not "same pop order" — it
 // deliberately gives that up below the horizon — but "same multiset of
@@ -10,15 +11,14 @@
 // The fuzz drives both queues through a tier-crossing mixture (dense
 // clusters, far spikes, ties, cancels, timer reschedules, truncated
 // tranche buffers, finite and infinite horizons) and checks that
-// equivalence at full-drain checkpoints. On the heap backend the
-// partitioned drain is specified to be a no-op (ordered reference
-// semantics ARE the heap), which the fuzz pins too.
+// equivalence at full-drain checkpoints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
 #include <vector>
 
+#include "reference_queue.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 
@@ -47,7 +47,9 @@ Obs observe(Time at, const EventPayload& payload) {
   return {at, payload.a, payload.b};
 }
 
-bool admitted(const EventQueue::Fired& fired) {
+/// Either queue's Fired: an ordered pop the channel would have admitted.
+template <typename Fired>
+bool admitted(const Fired& fired) {
   return fired.kind == EventKind::kPulse &&
          admit_even(fired.payload, nullptr);
 }
@@ -61,12 +63,12 @@ Time draw_time(Rng& rng, Time now) {
   return now + 1e5 * (1.0 + rng.next_double());                // far spike
 }
 
-void run_fuzz(QueueBackend backend, std::uint64_t seed) {
+void run_fuzz(std::uint64_t seed) {
   Rng rng(seed);
-  EventQueue subject(backend);    // drains with partitioned tranches
-  EventQueue reference(backend);  // drains ordered only
+  EventQueue subject;        // drains with partitioned tranches
+  ReferenceQueue reference;  // drains ordered only
   std::vector<EventId> subject_timers;
-  std::vector<EventId> reference_timers;
+  std::vector<ReferenceQueue::Id> reference_timers;
 
   std::vector<Obs> subject_admitted;
   std::vector<Obs> reference_admitted;
@@ -128,9 +130,6 @@ void run_fuzz(QueueBackend backend, std::uint64_t seed) {
       const std::size_t cap = 1 + rng.below(64);
       const std::size_t n = subject.pop_run_unordered(
           t_end, kBatchKey, admit_even, nullptr, buf, cap);
-      if (backend == QueueBackend::kHeap) {
-        ASSERT_EQ(n, 0u);  // partitioned drain is a ladder-only fast path
-      }
       ASSERT_LE(n, cap);
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_LE(buf[j].at, t_end);
@@ -153,7 +152,7 @@ void run_fuzz(QueueBackend backend, std::uint64_t seed) {
         tranche_events += n;
         continue;
       }
-      // Barrier (sorted bucket, or a heap): one ordered pop makes progress.
+      // Barrier (a sorted bucket): one ordered pop makes progress.
       const EventQueue::Fired fired = subject.pop();
       now = std::max(now, fired.at);
       if (admitted(fired)) {
@@ -164,11 +163,10 @@ void run_fuzz(QueueBackend backend, std::uint64_t seed) {
     }
     std::vector<Obs> reference_rest;
     while (!reference.empty()) {
-      const EventQueue::Fired fired = reference.pop();
+      const ReferenceQueue::Fired fired = reference.pop();
       // Track the global frontier off the ordered reference (it pops
       // EVERYTHING, so its last pop is the true maximum): the next round's
-      // schedule times must be >= both queues' internal clocks, or the
-      // two would clamp below-frontier times differently.
+      // schedule times must stay >= the subject's drain frontier.
       now = std::max(now, fired.at);
       if (admitted(fired)) {
         reference_admitted.push_back(observe(fired.at, fired.payload));
@@ -190,21 +188,13 @@ void run_fuzz(QueueBackend backend, std::uint64_t seed) {
 
   // The run-length counters must account for exactly the tranche traffic.
   EXPECT_EQ(subject.tier_stats().unordered_events, tranche_events);
-  if (backend == QueueBackend::kLadder) {
-    EXPECT_GT(tranche_events, 0u);
-    EXPECT_GT(subject.tier_stats().unordered_runs, 0u);
-  } else {
-    EXPECT_EQ(tranche_events, 0u);
-  }
+  EXPECT_GT(tranche_events, 0u);
+  EXPECT_GT(subject.tier_stats().unordered_runs, 0u);
 }
 
 TEST(PartitionedDrainDifferential, LadderMatchesOrderedReference) {
-  run_fuzz(QueueBackend::kLadder, 1234);
-  run_fuzz(QueueBackend::kLadder, 99);
-}
-
-TEST(PartitionedDrainDifferential, HeapPartitionedDrainIsANoOp) {
-  run_fuzz(QueueBackend::kHeap, 1234);
+  run_fuzz(1234);
+  run_fuzz(99);
 }
 
 // Compaction across block boundaries: one bucket holds ~6 wide blocks and
@@ -215,10 +205,10 @@ TEST(PartitionedDrainDifferential, HeapPartitionedDrainIsANoOp) {
 // and the admitted multiset and the ordered residue must match an
 // ordered-only drain of the same stream.
 TEST(PartitionedDrainDifferential, CompactionAcrossBlockBoundaries) {
-  EventQueue subject(QueueBackend::kLadder);
-  EventQueue reference(QueueBackend::kLadder);
+  EventQueue subject;
+  ReferenceQueue reference;
   std::vector<EventId> subject_timers;
-  std::vector<EventId> reference_timers;
+  std::vector<ReferenceQueue::Id> reference_timers;
   const auto both_pulse = [&](Time t, std::int32_t a) {
     EventPayload payload;
     payload.a = a;
@@ -241,7 +231,7 @@ TEST(PartitionedDrainDifferential, CompactionAcrossBlockBoundaries) {
   for (int i = 0; i < 1000; ++i) both_pulse(2.5 + i, 2 * i);
   {
     const EventQueue::Fired s = subject.pop();
-    const EventQueue::Fired r = reference.pop();
+    const ReferenceQueue::Fired r = reference.pop();
     ASSERT_EQ(s.at, r.at);
   }
   // The bucket under test, [1498.7, 1500.7): in storage order, drainable
@@ -297,7 +287,7 @@ TEST(PartitionedDrainDifferential, CompactionAcrossBlockBoundaries) {
   }
   std::vector<Obs> reference_rest;
   while (!reference.empty()) {
-    const EventQueue::Fired fired = reference.pop();
+    const ReferenceQueue::Fired fired = reference.pop();
     (admitted(fired) ? reference_admitted : reference_rest)
         .push_back(observe(fired.at, fired.payload));
   }

@@ -1,5 +1,6 @@
-// Randomized differential test: the heap and ladder backends must pop the
-// exact same (time, seq, payload) sequence under any interleaving of
+// Randomized differential test: the ladder EventQueue must pop the exact
+// same (time, seq, payload) sequence as the map-based (time, seq)
+// reference queue (tests/reference_queue.h) under any interleaving of
 // schedule / cancel / reschedule / pop.
 //
 // One RNG decides an op stream that is executed against both queues in
@@ -17,48 +18,49 @@
 #include <deque>
 #include <vector>
 
+#include "reference_queue.h"
 #include "sim/rng.h"
 
 namespace ftgcs::sim {
 namespace {
 
 struct Pair {
-  EventId heap_id;
+  ReferenceQueue::Id reference_id = 0;
   EventId ladder_id;
 };
 
 class Differ {
  public:
-  Differ() : heap_(QueueBackend::kHeap), ladder_(QueueBackend::kLadder) {}
-
   Pair schedule(Time t, std::int32_t tag) {
     EventPayload payload;
     payload.a = tag;
     payload.x = t;
     Pair pair;
-    pair.heap_id = heap_.schedule_typed(t, EventKind::kTimer, 0, payload);
+    pair.reference_id =
+        reference_.schedule_typed(t, EventKind::kTimer, 0, payload);
     pair.ladder_id = ladder_.schedule_typed(t, EventKind::kTimer, 0, payload);
     live_.push_back(pair);
     check_sizes();
     return pair;
   }
 
-  /// Fire-only events (inline payload on the ladder backend) interleave
-  /// with cancellable ones in the same (time, seq) order space.
+  /// Fire-only events (inline payload in the ladder, or slotted when
+  /// x ≠ 0) interleave with cancellable ones in the same (time, seq)
+  /// order space.
   void schedule_fire_only(Time t, std::int32_t tag) {
     EventPayload payload;
     payload.a = tag;
     payload.x = t;
-    heap_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
+    reference_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
     ladder_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
     check_sizes();
   }
 
-  /// Coalesced fan-out group: narrow 16 B entries on the ladder backend,
-  /// a per-delivery fallback loop on the heap — both must consume the
-  /// same seq range and pop the same (time, payload) sequence. The dest
-  /// arrays live in a deque so the pointers the ladder borrows stay
-  /// stable for the queue's whole lifetime.
+  /// Coalesced fan-out group: narrow 16 B entries in the ladder, expanded
+  /// per delivery in the reference — both must consume the same seq range
+  /// and pop the same (time, payload) sequence. The dest arrays live in a
+  /// deque so the pointers the ladder borrows stay stable for the queue's
+  /// whole lifetime.
   void schedule_group(Time base, const std::vector<Duration>& delays,
                       std::int32_t tag) {
     EventPayload proto;
@@ -70,9 +72,9 @@ class Differ {
     for (std::size_t i = 1; i < delays.size(); ++i) {
       rest.push_back(tag + static_cast<std::int32_t>(i));
     }
-    heap_.schedule_fire_only_group(base, delays.data(), delays.size(),
-                                   EventKind::kPulse, 0, proto, tag,
-                                   rest.data());
+    reference_.schedule_fire_only_group(base, delays.data(), delays.size(),
+                                        EventKind::kPulse, 0, proto, tag,
+                                        rest.data());
     ladder_.schedule_fire_only_group(base, delays.data(), delays.size(),
                                      EventKind::kPulse, 0, proto, tag,
                                      rest.data());
@@ -87,14 +89,14 @@ class Differ {
 
   /// Targeted forms: `pair` may already be spent (both sides must agree).
   void cancel_pair(const Pair& pair) {
-    const bool a = heap_.cancel(pair.heap_id);
+    const bool a = reference_.cancel(pair.reference_id);
     const bool b = ladder_.cancel(pair.ladder_id);
     ASSERT_EQ(a, b);
     check_sizes();
   }
 
   void reschedule_pair(const Pair& pair, Time t) {
-    const bool a = heap_.reschedule(pair.heap_id, t);
+    const bool a = reference_.reschedule(pair.reference_id, t);
     const bool b = ladder_.reschedule(pair.ladder_id, t);
     ASSERT_EQ(a, b);
     check_sizes();
@@ -103,33 +105,39 @@ class Differ {
   /// Pops one event from both queues and asserts identical observations.
   /// Returns the popped time so the driver can track "now".
   Time pop() {
-    EXPECT_FALSE(heap_.empty());
+    EXPECT_FALSE(reference_.empty());
     EXPECT_FALSE(ladder_.empty());
-    const auto a = heap_.pop();
+    const auto a = reference_.pop();
     const auto b = ladder_.pop();
     EXPECT_EQ(a.at, b.at);
     EXPECT_EQ(a.kind, b.kind);
     EXPECT_EQ(a.payload.a, b.payload.a);
     EXPECT_EQ(a.payload.b, b.payload.b);
-    EXPECT_EQ(a.payload.c, b.payload.c);  // narrow group decode vs fallback
+    EXPECT_EQ(a.payload.c, b.payload.c);  // narrow group decode
     EXPECT_EQ(a.payload.d, b.payload.d);
     EXPECT_EQ(a.payload.x, b.payload.x);
-    // The popped event's ids become stale in both queues; drop the pair.
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-      if (live_[i].heap_id == a.id) {
-        live_[i] = live_.back();
-        live_.pop_back();
-        break;
+    // A cancellable event's ids become stale in both queues; drop the
+    // pair, and check the ladder fired the handle it issued for it.
+    if (a.id != 0) {
+      for (std::size_t i = 0; i < live_.size(); ++i) {
+        if (live_[i].reference_id == a.id) {
+          EXPECT_EQ(live_[i].ladder_id, b.id);
+          live_[i] = live_.back();
+          live_.pop_back();
+          break;
+        }
       }
     }
     check_sizes();
     return a.at;
   }
 
-  void check_next_time() { EXPECT_EQ(heap_.next_time(), ladder_.next_time()); }
+  void check_next_time() {
+    EXPECT_EQ(reference_.next_time(), ladder_.next_time());
+  }
 
   std::size_t live_count() const { return live_.size(); }
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return reference_.empty(); }
   const EventQueue& ladder() const { return ladder_; }
 
  private:
@@ -141,11 +149,11 @@ class Differ {
   }
 
   void check_sizes() {
-    ASSERT_EQ(heap_.size(), ladder_.size());
-    ASSERT_EQ(heap_.empty(), ladder_.empty());
+    ASSERT_EQ(reference_.size(), ladder_.size());
+    ASSERT_EQ(reference_.empty(), ladder_.empty());
   }
 
-  EventQueue heap_;
+  ReferenceQueue reference_;
   EventQueue ladder_;
   std::vector<Pair> live_;
   /// Group dest arrays; deque keeps the borrowed pointers stable.
@@ -244,12 +252,12 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
   EXPECT_GT(stats.wide_events, 0u);
 }
 
-// Block-lane edge cases, in lockstep with the heap. Ladder lanes are
+// Block-lane edge cases, in lockstep with the reference. Ladder lanes are
 // chains of 512 B blocks (16 wide or 32 narrow entries), so every count
 // around a block edge, every removal position (overflow lane, interior
 // block, tail block, head vectors before and after the head sort), a rung
 // spawn from a many-block bucket and a reseed from a many-block overflow
-// lane must all pop exactly as the heap does.
+// lane must all pop exactly in (time, seq) order.
 TEST(QueueDifferential, BlockLaneEdgeCasesPopIdentically) {
   Differ d;
   // A spread population so the first pop builds a window of ~unit-wide

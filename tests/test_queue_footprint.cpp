@@ -15,7 +15,6 @@
 #include "core/ftgcs_system.h"
 #include "core/params.h"
 #include "net/graph.h"
-#include "sim/backend.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 
@@ -38,7 +37,7 @@ std::size_t lane_bound(const sim::EventQueue::TierStats& stats) {
 sim::EventQueue::TierStats run_round_bands(int rounds) {
   constexpr int kSenders = 1000;
   constexpr int kFanout = 20;
-  sim::EventQueue queue(sim::QueueBackend::kLadder);
+  sim::EventQueue queue;
   sim::Rng rng(5);
   std::vector<std::int32_t> dests(kFanout);
   std::vector<sim::Duration> delays(kFanout);
@@ -85,7 +84,6 @@ sim::EventQueue::TierStats run_torus(int rounds) {
   core::FtGcsSystem::Config config;
   config.params = params;
   config.seed = 3;
-  config.engine = sim::QueueBackend::kLadder;
   core::FtGcsSystem system(net::Graph::torus(8, 8), std::move(config));
   system.start();
   system.run_until(rounds * params.T);

@@ -21,7 +21,7 @@
 // Under TSan this hammers every cross-thread edge of src/par/ and the
 // trace collector; in the normal suite it pins the contract those edges
 // must preserve: tables AND trace bytes bit-identical to --shards 1 at
-// shards {2, 4, 8}, on both queue backends.
+// shards {2, 4, 8}.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -29,7 +29,6 @@
 #include <string>
 
 #include "exp/exp.h"
-#include "sim/backend.h"
 
 namespace ftgcs {
 namespace {
@@ -68,11 +67,9 @@ ScenarioSpec stress_spec() {
   return spec;
 }
 
-RunResult run_stress(int shards, sim::QueueBackend engine,
-                     const std::string& trace_path) {
+RunResult run_stress(int shards, const std::string& trace_path) {
   ScenarioSpec spec = stress_spec();
   spec.shards = shards;
-  spec.engine = engine;
   spec.trace_path = trace_path;
   return run_point(spec, /*seed=*/3);
 }
@@ -89,8 +86,7 @@ void expect_same_metrics(const RunResult& base, const RunResult& other,
 
 TEST(ShardStress, HighContentionCutTrafficBitIdenticalAcrossShards) {
   const std::string base_path = temp_path("stress_s1.ftr");
-  const RunResult base =
-      run_stress(1, sim::QueueBackend::kLadder, base_path);
+  const RunResult base = run_stress(1, base_path);
   ASSERT_EQ(base.trace.files, 1u);
   ASSERT_GT(base.trace.records, 0.0);
   const std::string base_bytes = read_file(base_path);
@@ -98,8 +94,7 @@ TEST(ShardStress, HighContentionCutTrafficBitIdenticalAcrossShards) {
   for (int shards : {2, 4, 8}) {
     const std::string path =
         temp_path("stress_s" + std::to_string(shards) + ".ftr");
-    const RunResult result =
-        run_stress(shards, sim::QueueBackend::kLadder, path);
+    const RunResult result = run_stress(shards, path);
     const std::string label = "shards=" + std::to_string(shards);
 
     // The run must actually have stressed the machinery it claims to:
@@ -113,20 +108,6 @@ TEST(ShardStress, HighContentionCutTrafficBitIdenticalAcrossShards) {
     expect_same_metrics(base, result, label);
     EXPECT_EQ(base_bytes, read_file(path)) << label << ": trace bytes differ";
   }
-}
-
-// The heap backend drives the same mailbox/router/collector machinery
-// through its per-delivery (non-coalesced) scheduling path; one shard
-// count suffices since the engines are pinned equal elsewhere.
-TEST(ShardStress, HighContentionHeapBackendMatches) {
-  const std::string ladder_path = temp_path("stress_heap_base.ftr");
-  const std::string heap_path = temp_path("stress_heap_s4.ftr");
-  const RunResult base =
-      run_stress(1, sim::QueueBackend::kLadder, ladder_path);
-  const RunResult heap = run_stress(4, sim::QueueBackend::kHeap, heap_path);
-  EXPECT_GT(heap.shard.mailbox_peak, 0.0);
-  expect_same_metrics(base, heap, "heap shards=4");
-  EXPECT_EQ(read_file(ladder_path), read_file(heap_path));
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 namespace ftgcs::baselines {
 namespace {
 
@@ -77,6 +80,22 @@ TEST(SrikanthToueg, LargerCliqueLargerBudget) {
   system.run_until(100.0);
   EXPECT_GE(system.min_round(), 8);
   EXPECT_LE(system.skew(), 2.5 * base_config().d + 0.2);
+}
+
+// Exact pin: the bounds above would not notice a change in the event
+// schedule. The fired event count and the final skew at 12 significant
+// digits were captured before the queue's heap front-end was retired
+// (this system runs on the default Simulator), and must not move.
+TEST(SrikanthToueg, FiredEventsAndSkewPinned) {
+  SrikanthTouegSystem::Config config = base_config();
+  config.silent_faults = 1;
+  SrikanthTouegSystem system(std::move(config));
+  system.start();
+  system.run_until(100.0);
+  char skew[40];
+  std::snprintf(skew, sizeof skew, "%.12g", system.skew());
+  EXPECT_EQ(system.simulator().fired_events(), 135u);
+  EXPECT_EQ(std::string(skew), "0.0516958389448");
 }
 
 TEST(SrikanthToueg, RejectsInvalidResilience) {

@@ -20,7 +20,6 @@ namespace {
 struct FooterCase {
   const char* scenario;
   std::vector<const char*> axes;  ///< `--axis` arguments
-  sim::QueueBackend engine = sim::QueueBackend::kLadder;
   int shards = 1;
   bool trace = false;
   bool metrics = false;
@@ -37,7 +36,6 @@ ScenarioSpec spec_for(const FooterCase& c, const std::string& tag) {
   EXPECT_NE(found, nullptr) << c.scenario;
   ScenarioSpec spec = found != nullptr ? *found : ScenarioSpec{};
   for (const char* axis : c.axes) override_axis(spec, parse_axis(axis));
-  spec.engine = c.engine;
   spec.shards = c.shards;
   spec.monitors = c.monitors;
   if (c.trace) spec.trace_path = temp_path(tag + ".ftr");
@@ -146,25 +144,6 @@ TEST(TimingFooter, ShardedTorusWithCapture) {
             "metrics[on]: files=2 probes=8 bytes=4380 (<metrics>)\n");
 }
 
-TEST(TimingFooter, HeapEngine) {
-  FooterCase c;
-  c.scenario = "large_torus";
-  c.axes = {"clusters=16,64"};
-  c.engine = sim::QueueBackend::kHeap;
-  EXPECT_EQ(masked_footer(c, "heap"),
-            "queue[heap]: buckets=0 rung_spawns=0 overflow_peak=0 "
-            "reseeds=0\n"
-            "runs[heap]: part_runs=0 part_events=0 run_events=789421\n"
-            "bytes[queue]: entry_bytes=32137888 narrow=0 wide=1004309 "
-            "groups=0 mean_group=0.0 bytes_per_event=32.0 "
-            "lane_peak_bytes=0 lane_peak_lanes=0 lane_peak_live=0\n"
-            "monitors[on]: probes=8 violations=0 max_local=0.1244 "
-            "max_global=0.1309 max_intra=0.01521 local_margin=270.4 "
-            "global_margin=83.61 intra_margin=0.6993\n"
-            "trace=off\n"
-            "metrics=off\n");
-}
-
 TEST(TimingFooter, MonitorsOff) {
   FooterCase c;
   c.scenario = "e4_fault_tolerance_boundary";
@@ -255,39 +234,35 @@ std::string plane_text(const SweepResult& result, support::Plane plane) {
 }
 
 // The plane tag is a checked claim: every stat tagged deterministic must
-// render byte-identically across engines and shard counts, so a stat that
-// is in fact engine- or shard-dependent fails here rather than leaking
-// into a byte-compared output.
-TEST(TimingFooter, DeterministicPlaneIsEngineAndShardInvariant) {
-  const auto run_with = [](sim::QueueBackend engine, int shards) {
+// render byte-identically across shard counts, so a stat that is in fact
+// shard-dependent fails here rather than leaking into a byte-compared
+// output.
+TEST(TimingFooter, DeterministicPlaneIsShardInvariant) {
+  const auto run_with = [](int shards) {
     FooterCase c;
     c.scenario = "large_torus";
     c.axes = {"clusters=64"};
-    c.engine = engine;
     c.shards = shards;
     c.trace = true;
     c.metrics = true;
     return run_case(spec_for(c, "plane"));
   };
-  const SweepResult base = run_with(sim::QueueBackend::kLadder, 1);
+  const SweepResult base = run_with(1);
   const std::string deterministic =
       plane_text(base, support::Plane::kDeterministic);
   for (const char* key : {"monitors.probes=", "monitors.intra_margin=",
                           "trace.records=", "metrics.bytes="}) {
     EXPECT_NE(deterministic.find(key), std::string::npos) << key;
   }
-  for (const auto& [engine, shards] :
-       {std::pair{sim::QueueBackend::kHeap, 1},
-        std::pair{sim::QueueBackend::kLadder, 2},
-        std::pair{sim::QueueBackend::kHeap, 2}}) {
-    const SweepResult other = run_with(engine, shards);
+  for (int shards : {2, 4}) {
+    const SweepResult other = run_with(shards);
     EXPECT_EQ(plane_text(other, support::Plane::kDeterministic),
               deterministic)
-        << sim::queue_backend_name(engine) << " shards=" << shards;
+        << "shards=" << shards;
     // The engine plane does move, so the check above has teeth.
     EXPECT_NE(plane_text(other, support::Plane::kEngine),
               plane_text(base, support::Plane::kEngine))
-        << sim::queue_backend_name(engine) << " shards=" << shards;
+        << "shards=" << shards;
   }
 }
 

@@ -1,5 +1,5 @@
 // Trace format pins: round-trip fidelity, exact replay offsets, a
-// byte-exact golden file, partition/engine invariance of captured runs,
+// byte-exact golden file, shard-count invariance of captured runs,
 // the collector's commit merge against a sort-everything reference, and
 // first-divergence localization under single-bit corruption.
 //
@@ -137,17 +137,15 @@ TEST(TraceFormat, GoldenFilePin) {
   EXPECT_EQ(reader.records_read(), 10000u);
 }
 
-TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShardsAndEngines) {
+TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShards) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_ring");
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
   apply_axis(spec, "clusters", 64.0);
 
-  const auto run_with = [&](int shards, sim::QueueBackend engine,
-                            const std::string& path) {
+  const auto run_with = [&](int shards, const std::string& path) {
     ScenarioSpec s = spec;
     s.shards = shards;
-    s.engine = engine;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
     EXPECT_EQ(result.trace.files, 1u);
@@ -155,14 +153,9 @@ TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShardsAndEngines) {
     return read_file(path);
   };
 
-  const std::string base =
-      run_with(1, sim::QueueBackend::kLadder, temp_path("id_s1.ftr"));
-  EXPECT_EQ(base,
-            run_with(2, sim::QueueBackend::kLadder, temp_path("id_s2.ftr")));
-  EXPECT_EQ(base,
-            run_with(4, sim::QueueBackend::kLadder, temp_path("id_s4.ftr")));
-  EXPECT_EQ(base,
-            run_with(2, sim::QueueBackend::kHeap, temp_path("id_heap.ftr")));
+  const std::string base = run_with(1, temp_path("id_s1.ftr"));
+  EXPECT_EQ(base, run_with(2, temp_path("id_s2.ftr")));
+  EXPECT_EQ(base, run_with(4, temp_path("id_s4.ftr")));
 }
 
 // The time-partitioned drain pin: a monitored `large_torus` slice (the
@@ -180,7 +173,6 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
   const auto run_with = [&](int shards, const std::string& path) {
     ScenarioSpec s = spec;
     s.shards = shards;
-    s.engine = sim::QueueBackend::kLadder;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
     EXPECT_EQ(result.trace.files, 1u);
@@ -203,47 +195,32 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
 
 // The bytes-per-event pin: broadcast fan-outs ride the ladder's 16 B
 // narrow lane via coalesced group inserts, and the captured trace must
-// stay byte-identical to the heap engine (which falls back to wide
-// per-delivery scheduling) at both shard counts. The narrow/group
-// counter assertions prove the NEW lane actually carried traffic —
-// without them this would silently re-pin the wide path.
-TEST(TraceFormat, TorusNarrowCoalescedLaneIdenticalAcrossEnginesAndShards) {
+// stay byte-identical at shard counts 1 and 2. The narrow/group counter
+// assertions prove the lane actually carried traffic — without them this
+// would silently re-pin the wide path.
+TEST(TraceFormat, TorusNarrowCoalescedLaneIdenticalAcrossShards) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
   apply_axis(spec, "clusters", 64.0);
 
-  const auto run_with = [&](int shards, sim::QueueBackend engine,
-                            bool expect_narrow, const std::string& path) {
+  const auto run_with = [&](int shards, const std::string& path) {
     ScenarioSpec s = spec;
     s.shards = shards;
-    s.engine = engine;
     s.trace_path = path;
     const exp::RunResult result = run_point(s, 1);
     EXPECT_EQ(result.trace.files, 1u);
     EXPECT_GT(result.trace.records, 0.0);
-    if (expect_narrow) {
-      EXPECT_GT(result.queue.narrow_events, 0.0) << "shards=" << shards;
-      EXPECT_GT(result.queue.group_inserts, 0.0) << "shards=" << shards;
-    } else {
-      // The heap fallback must not fabricate narrow entries.
-      EXPECT_EQ(result.queue.narrow_events, 0.0) << "shards=" << shards;
-    }
+    EXPECT_GT(result.queue.narrow_events, 0.0) << "shards=" << shards;
+    EXPECT_GT(result.queue.group_inserts, 0.0) << "shards=" << shards;
     return read_file(path);
   };
 
-  const std::string path_ladder = temp_path("narrow_l1.ftr");
-  const std::string path_heap = temp_path("narrow_h2.ftr");
-  const std::string base =
-      run_with(1, sim::QueueBackend::kLadder, true, path_ladder);
-  EXPECT_EQ(base, run_with(2, sim::QueueBackend::kLadder, true,
-                           temp_path("narrow_l2.ftr")));
-  EXPECT_EQ(base,
-            run_with(1, sim::QueueBackend::kHeap, false,
-                     temp_path("narrow_h1.ftr")));
-  EXPECT_EQ(base, run_with(2, sim::QueueBackend::kHeap, false, path_heap));
+  const std::string path_s1 = temp_path("narrow_s1.ftr");
+  const std::string path_s2 = temp_path("narrow_s2.ftr");
+  EXPECT_EQ(run_with(1, path_s1), run_with(2, path_s2));
 
-  const trace::TraceDiff diff = trace::diff_traces(path_ladder, path_heap);
+  const trace::TraceDiff diff = trace::diff_traces(path_s1, path_s2);
   EXPECT_TRUE(diff.identical) << diff.reason;
   EXPECT_GT(diff.records_compared, 0u);
 }

@@ -114,8 +114,7 @@ std::vector<int> pick_crash_ids(const core::FtGcsSystem& system,
 }
 
 void run_property(const net::Graph& graph, const std::vector<int>& crashes,
-                  sim::QueueBackend engine, int shards,
-                  const std::string& label) {
+                  int shards, const std::string& label) {
   const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
   const net::AugmentedTopology topo(graph, params.k);
   const byz::FaultPlan plan = byz::FaultPlan::uniform(
@@ -126,7 +125,6 @@ void run_property(const net::Graph& graph, const std::vector<int>& crashes,
     config.params = params;
     config.seed = 5;
     config.fault_plan = plan;
-    config.engine = engine;
     core::FtGcsSystem system(graph, std::move(config));
     expect_monitor_matches_offline(
         system, topo, params, pick_crash_ids(system, topo, crashes), label);
@@ -135,7 +133,6 @@ void run_property(const net::Graph& graph, const std::vector<int>& crashes,
     config.params = params;
     config.seed = 5;
     config.fault_plan = plan;
-    config.engine = engine;
     config.shards = shards;
     par::ShardedFtGcsSystem system(graph, std::move(config));
     // Victim selection needs a correctness oracle; build a twin single
@@ -152,18 +149,14 @@ void run_property(const net::Graph& graph, const std::vector<int>& crashes,
 
 TEST(TraceMonitor, MatchesOfflineSkewsOnRingEveryProbe) {
   const net::Graph graph = net::Graph::ring(8);
-  run_property(graph, {1, 6}, sim::QueueBackend::kLadder, 1, "ring/ladder/s1");
-  run_property(graph, {1, 6}, sim::QueueBackend::kHeap, 1, "ring/heap/s1");
-  run_property(graph, {1, 6}, sim::QueueBackend::kLadder, 2, "ring/ladder/s2");
-  run_property(graph, {1, 6}, sim::QueueBackend::kHeap, 2, "ring/heap/s2");
+  run_property(graph, {1, 6}, 1, "ring/s1");
+  run_property(graph, {1, 6}, 2, "ring/s2");
 }
 
 TEST(TraceMonitor, MatchesOfflineSkewsOnTorusEveryProbe) {
   const net::Graph graph = net::Graph::torus(4, 4);
-  run_property(graph, {0, 10}, sim::QueueBackend::kLadder, 1,
-               "torus/ladder/s1");
-  run_property(graph, {0, 10}, sim::QueueBackend::kLadder, 2,
-               "torus/ladder/s2");
+  run_property(graph, {0, 10}, 1, "torus/s1");
+  run_property(graph, {0, 10}, 2, "torus/s2");
 }
 
 /// Hand-built two-cluster graph (k = 2, clusters {0,1} and {2,3}, full
@@ -253,20 +246,19 @@ TEST(TraceMonitor, FirstViolationCapturesReplayCursor) {
   EXPECT_TRUE(std::isinf(monitor.m_lag_margin()));
 }
 
-TEST(TraceMonitor, RunPointReportsMatchMetricsAndAgreeAcrossBackends) {
+TEST(TraceMonitor, RunPointReportsMatchMetricsAndAgreeAcrossShards) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_ring");
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
   apply_axis(spec, "clusters", 64.0);
 
-  const auto run_with = [&](int shards, sim::QueueBackend engine) {
+  const auto run_with = [&](int shards) {
     ScenarioSpec s = spec;
     s.shards = shards;
-    s.engine = engine;
     return run_point(s, 1);
   };
 
-  const exp::RunResult base = run_with(1, sim::QueueBackend::kLadder);
+  const exp::RunResult base = run_with(1);
   ASSERT_GT(base.monitor.stats.probes, 0u);
   // The monitor's running node-level maxima must equal the offline metric
   // schema's — same snapshots, independent reductions.
@@ -276,10 +268,8 @@ TEST(TraceMonitor, RunPointReportsMatchMetricsAndAgreeAcrossBackends) {
   EXPECT_EQ(base.monitor.stats.violations, 0u);
   EXPECT_TRUE(std::isfinite(base.monitor.local_margin));  // bound enabled
 
-  for (auto [shards, engine] :
-       {std::pair<int, sim::QueueBackend>{2, sim::QueueBackend::kLadder},
-        std::pair<int, sim::QueueBackend>{2, sim::QueueBackend::kHeap}}) {
-    const exp::RunResult other = run_with(shards, engine);
+  for (int shards : {2, 4}) {
+    const exp::RunResult other = run_with(shards);
     EXPECT_EQ(other.monitor.stats.probes, base.monitor.stats.probes);
     EXPECT_EQ(other.monitor.stats.violations, base.monitor.stats.violations);
     EXPECT_EQ(other.monitor.stats.max_local_skew,

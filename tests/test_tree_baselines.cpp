@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "baselines/cluster_tree_sync.h"
 #include "baselines/tree_sync.h"
@@ -13,6 +15,12 @@
 
 namespace ftgcs::baselines {
 namespace {
+
+std::string sig(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.12g", value);
+  return buf;
+}
 
 TEST(TreeSync, ConvergesFromZeroState) {
   TreeSyncSystem::Config config;
@@ -133,6 +141,33 @@ TEST(ClusterTree, RampCompressesOntoSingleClusterEdge) {
   // test_ftgcs_system.cpp).
   EXPECT_GE(worst_local, 1.5 * initial_local);
   EXPECT_GE(worst_local, 0.4 * initial_global);
+}
+
+// Exact pins: the bounds above would not notice a change in the event
+// schedule. Both tree baselines run on the default Simulator; the fired
+// event count and one skew value at 12 significant digits were captured
+// before the queue's heap front-end was retired, and must not move.
+TEST(TreeBaselines, FiredEventsAndSkewPinned) {
+  TreeSyncSystem::Config tree;
+  tree.rho = 1e-3;
+  tree.d = 1.0;
+  tree.U = 0.1;
+  tree.share_period = 2.0;
+  tree.seed = 1;
+  TreeSyncSystem tree_system(net::Graph::line(6), std::move(tree));
+  tree_system.start();
+  tree_system.run_until(200.0);
+  EXPECT_EQ(tree_system.simulator().fired_events(), 1684u);
+  EXPECT_EQ(sig(tree_system.global_skew()), "0.0995639615051");
+
+  ClusterTreeSystem::Config cluster;
+  cluster.params = tree_params();
+  cluster.seed = 3;
+  ClusterTreeSystem cluster_system(net::Graph::line(5), std::move(cluster));
+  cluster_system.start();
+  cluster_system.run_until(50.0 * tree_params().T);
+  EXPECT_EQ(cluster_system.simulator().fired_events(), 13952u);
+  EXPECT_EQ(sig(cluster_system.cluster_global_skew()), "1.66720874514");
 }
 
 }  // namespace
