@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/scenario.h"
 #include "metrics/table.h"
 #include "trace/diff.h"
 #include "trace/format.h"
@@ -177,7 +178,7 @@ int main(int argc, char** argv) {
       std::uint64_t limit = 50;
       for (std::size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--limit" && i + 1 < args.size()) {
-          limit = std::stoull(args[++i]);
+          limit = exp::parse_integer<std::uint64_t>("--limit", args[++i]);
         } else {
           usage(2);
         }

@@ -93,9 +93,9 @@ void NodeTable::build(const net::AugmentedTopology& topo,
 
 void NodeTable::on_pulse_run(const sim::BatchedEvent* events, std::size_t n) {
   // Three branch-light sweeps over the run instead of one branchy loop per
-  // event (runs arrive up to Simulator::kMaxRun long via the partitioned
-  // drain): decode into flat scratch columns, evaluate every clock mirror
-  // in one arithmetic pass, then commit. Each pass touches one kind of
+  // event (runs arrive up to Simulator::kMaxBatch long): decode into flat
+  // scratch columns, evaluate every clock mirror in one arithmetic pass,
+  // then commit. Each pass touches one kind of
   // memory — payloads, lane headers, arrival slots — so the hardware
   // prefetcher sees three streams instead of one pointer-chasing mix.
   sim::BatchScratch& s = *scratch_;
@@ -117,9 +117,9 @@ void NodeTable::on_pulse_run(const sim::BatchedEvent* events, std::size_t n) {
     const auto sender = static_cast<std::size_t>(p.a);
     const auto dest = static_cast<std::size_t>(p.c);
     if (fast_[dest] == 0) {
-      // Crashed destination (the predicate admits every managed dest so
-      // classification cannot drift over a run): a pure drop, exactly
-      // what the null sink it would otherwise reach does.
+      // Crashed destination (the predicate admits every managed dest): a
+      // pure drop, exactly what the null sink it would otherwise reach
+      // does.
       continue;
     }
     const std::int32_t sender_cluster = cluster_[sender];
@@ -140,7 +140,7 @@ void NodeTable::on_pulse_run(const sim::BatchedEvent* events, std::size_t n) {
     ++m;
   }
 
-  // Pass 2 — clock evaluation: one fused multiply-add per event, gathered
+  // Pass 2 — clock evaluation: one multiply-add per event, gathered
   // by lane. The mirrors are constant within a run (they mutate only in
   // slotted timer processing, which breaks runs), so evaluation order is
   // immaterial and the loop has no cross-iteration dependence.
@@ -164,10 +164,7 @@ bool NodeTable::pure_pulse(const sim::EventPayload& payload, const void* ctx) {
   if (payload.d ==
       static_cast<std::uint32_t>(net::PulseKind::kClusterPulse)) {
     // Managed, not fast: the crashed subset is dropped inside
-    // on_pulse_run. Keying on the immutable managed_ column makes the
-    // classification TIME-INVARIANT, which the partitioned drain requires
-    // (a crash between push and drain must not flip an accepted event to
-    // rejected — see Simulator::set_batch_channel).
+    // on_pulse_run.
     return table->managed_[dest] != 0;
   }
   if (payload.d == static_cast<std::uint32_t>(net::PulseKind::kMaxLevel)) {

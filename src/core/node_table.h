@@ -78,12 +78,10 @@ class NodeTable final : public net::ClusterPulseTable {
   /// sim::BatchPredicate (ctx = the NodeTable): pure-receive
   /// classification of one pulse payload. kClusterPulse to a MANAGED
   /// destination is a table receive (on_pulse_run itself drops the
-  /// crashed ones — same observable outcome as the null sink, but the
-  /// classification stays constant over a run, which the partitioned
-  /// drain's monotone-predicate obligation requires); a kMaxLevel that is
-  /// self-addressed or below the destination's staleness floor is a pure
-  /// drop (floors only rise — monotone too). Everything else (Byzantine
-  /// sinks, non-stale levels) takes the ordinary per-event path.
+  /// crashed ones — same observable outcome as the null sink); a
+  /// kMaxLevel that is self-addressed or below the destination's
+  /// staleness floor is a pure drop. Everything else (Byzantine sinks,
+  /// non-stale levels) takes the ordinary per-event path.
   static bool pure_pulse(const sim::EventPayload& payload, const void* ctx);
 
   /// Borrows the simulator-owned scratch arena for on_pulse_run's decode

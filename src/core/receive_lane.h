@@ -60,21 +60,10 @@ inline double lane_arrival_value(const ReceiveLane& lane, sim::Time now) {
 /// evaluation into its own array sweep and still execute the exact same
 /// commit.
 ///
-/// ORDER INDEPENDENCE (the partitioned drain's proof obligation — see
-/// Simulator::set_batch_channel): between two barrier events, `listening`,
-/// `own_index`, and the clock mirror are constant (they mutate only in
-/// slotted timer/closure processing, which breaks every run), so each
-/// receive in a tranche commutes with the others:
-///   * dropped counts receives with listening == 0 — order-free;
-///   * the slot min-combines: the arrival value is monotone non-decreasing
-///     in the event time (rate ≥ 0), so the minimum over any permutation
-///     equals the value of the (time, seq)-first receive — exactly what
-///     the previous first-write-wins rule recorded (equal-time receives
-///     compute the identical double, so seq ties cannot differ);
-///   * duplicates counts every receive after the slot is set: n − 1 of n
-///     in any order;
-///   * own_arrival mirrors the (post-combine) slot, so it lands on the
-///     same value regardless of which receive committed last.
+/// A repeat receive from one member min-combines into its slot: the
+/// arrival value is monotone non-decreasing in the event time (rate ≥ 0),
+/// so the slot holds the value of the (time, seq)-first receive, and
+/// own_arrival mirrors the slot.
 inline void lane_commit(ReceiveLane& lane, int member_index, double at) {
   if (!lane.listening) {
     ++lane.dropped;

@@ -21,7 +21,6 @@ void EventQueue::prewarm() {
   reserve_pool(2 * links_.size());
   head_wide_.reserve(2 * head_wide_.capacity());
   head_narrow_.reserve(2 * head_narrow_.capacity());
-  unordered_decode_.reserve(2 * unordered_decode_.capacity());
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -94,22 +93,6 @@ inline std::uint32_t EventQueue::lane_append(Lane& lane, const T& entry) {
   return lane.last * kPerBlock<T> + off;
 }
 
-void EventQueue::lane_truncate(Lane& lane, std::uint32_t keep,
-                               std::uint32_t keep_last) {
-  for (std::uint32_t b = keep == 0 ? lane.first : links_[keep_last].next;
-       b != kNil; b = links_[b].next) {
-    release(b);
-  }
-  if (keep == 0) {
-    lane = Lane{};
-    --lanes_live_;
-    return;
-  }
-  links_[keep_last].next = kNil;
-  lane.last = keep_last;
-  lane.count = keep;
-}
-
 template <typename T>
 std::uint32_t EventQueue::head_append(const T& entry) {
   // The next pop re-sorts this head lane (the other keeps its flag).
@@ -126,18 +109,11 @@ inline void EventQueue::lane_insert(Bucket& bucket, std::uint64_t tag,
                                 ? head_append(entry)
                                 : lane_append(lane_of<T>(bucket), entry);
   set_position(entry, tag | idx);
-  // The inserted entry may be non-drainable: the horizon-scan cache drops.
-  bucket.scan_valid = false;
   count_live(tag, 1);
 }
 
 template <typename T, typename F>
-void EventQueue::visit(Bucket& bucket, F&& f) {
-  if (&bucket == head_) {
-    f(head_vec<T>().data(), head_vec<T>().size());
-    return;
-  }
-  const Lane& lane = lane_of<T>(bucket);
+void EventQueue::visit(const Lane& lane, F&& f) {
   std::uint32_t left = lane.count;
   for (std::uint32_t b = lane.first; b != kNil; b = links_[b].next) {
     const std::uint32_t n = std::min(left, kPerBlock<T>);
@@ -278,10 +254,17 @@ void EventQueue::remove_resident(std::uint32_t slot) {
       set_position(moved, tag | idx);
     }
     if (--lane.count % kPerBlock<Entry> == 0) {  // the tail block emptied
-      lane_truncate(lane, lane.count, links_[lane.last].prev);
+      const std::uint32_t tail = lane.last;
+      release(tail);
+      if (lane.count == 0) {
+        lane = Lane{};
+        --lanes_live_;
+      } else {
+        lane.last = links_[tail].prev;
+        links_[lane.last].next = kNil;
+      }
     }
   }
-  bucket.scan_valid = false;
   count_live(tag, -1);
 }
 
@@ -298,7 +281,7 @@ void EventQueue::materialize(Bucket& bucket) {
 void EventQueue::spawn_rung() {
   // Splits the (wheel) drain head into the rung's sub-bucket lanes.
   const std::size_t n = head_size();
-  rung_nb_ = std::clamp(n / kRungFanout, kMinBuckets, kMaxRungBuckets);
+  rung_nb_ = std::clamp(n / kRungFanout, kMinBuckets, kRungMaxBuckets);
   if (rung_.size() < rung_nb_) rung_.resize(rung_nb_);
   Time tmin = head_wide_.empty() ? head_narrow_.front().at
                                  : head_wide_.front().at;
@@ -348,8 +331,8 @@ void EventQueue::reseed() {
       tmax = std::max(tmax, d[i].at);
     }
   };
-  visit<Entry>(overflow_, span);
-  visit<NarrowEntry>(overflow_, span);
+  visit<Entry>(overflow_.wide, span);
+  visit<NarrowEntry>(overflow_.narrow, span);
   wheel_nb_ = std::clamp(n, kMinBuckets, kMaxBuckets);
   if (wheel_.size() < wheel_nb_) wheel_.resize(wheel_nb_);
   // Events at kTimeInfinity (legal, if unusual) would make every offset
@@ -374,10 +357,8 @@ void EventQueue::reseed() {
     using T = std::remove_cv_t<std::remove_reference_t<decltype(e)>>;
     const std::size_t index = clamp_bucket_index(
         (e.at - win_start_) / bucket_width_, 0, wheel_nb_ - 1);
-    Bucket& bucket = wheel_[index];
     set_position(e, bucket_tag(/*rung=*/false, index) |
-                        lane_append(lane_of<T>(bucket), e));
-    bucket.scan_valid = false;
+                        lane_append(lane_of<T>(wheel_[index]), e));
   };
   // Taken out first, so size() reads n throughout the scatter.
   Lane wide = std::exchange(overflow_.wide, Lane{});
@@ -573,7 +554,6 @@ bool EventQueue::reschedule(EventId id, Time t) {
       FTGCS_ASSERT(entry.slot() == slot);
       entry.at = t;
       entry.key = key;
-      wheel_[bucket_index].scan_valid = false;
       return true;
     }
   }
@@ -583,228 +563,6 @@ bool EventQueue::reschedule(EventId id, Time t) {
   entry.key = key;
   insert_ladder(entry);
   return true;
-}
-
-template <typename T, typename Take>
-std::size_t EventQueue::compact(Bucket& bucket, std::uint64_t tag,
-                                Take&& take) {
-  // The write cursor chases the read cursor; kept entries that move get
-  // their positions rewritten (they may later be cancelled or re-aimed).
-  if (&bucket == head_) {
-    std::vector<T>& v = head_vec<T>();
-    std::uint32_t w = 0;
-    for (std::uint32_t r = 0; r < v.size(); ++r) {
-      if (take(v[r], r)) continue;
-      if (w != r) {
-        v[w] = v[r];
-        set_position(v[w], tag | w);
-      }
-      ++w;
-    }
-    const std::size_t took = v.size() - w;
-    v.resize(w);  // trivially destructible; order (and the flag) survives
-    return took;
-  }
-  constexpr std::uint32_t kPer = kPerBlock<T>;
-  Lane& lane = lane_of<T>(bucket);
-  std::uint32_t rb = lane.first;
-  std::uint32_t wb = lane.first;
-  std::uint32_t w = 0;
-  for (std::uint32_t r = 0; r < lane.count; ++r) {
-    if (r != 0 && r % kPer == 0) rb = links_[rb].next;
-    const T& e = block<T>(rb)[r % kPer];
-    if (take(e, r)) continue;
-    if (w != 0 && w % kPer == 0) wb = links_[wb].next;
-    if (w != r) {
-      T& dst = block<T>(wb)[w % kPer];
-      dst = e;
-      set_position(dst, tag | (wb * kPer + w % kPer));
-    }
-    ++w;
-  }
-  const std::size_t took = lane.count - w;
-  if (took != 0) lane_truncate(lane, w, wb);  // frees the emptied tail
-  return took;
-}
-
-std::size_t EventQueue::pop_run_unordered(Time t_end, std::uint32_t sink_kind,
-                                          BatchPredicate pred, const void* ctx,
-                                          BatchedEvent* out, std::size_t max) {
-  std::size_t n = 0;
-  // Running partition horizon: the earliest non-drainable entry seen so
-  // far. Emission is STRICT (`at < bad_lim`): ties with a barrier keep
-  // their (time, seq) interleaving on the ordered path, so only events
-  // whose relative order is provably unobservable are reordered.
-  Time bad_lim = kTimeInfinity;
-
-  // Sweeps one bucket: refreshes its horizon scan if stale, emits every
-  // drainable entry strictly below min(horizon, t_end), and compacts the
-  // survivors in place (rewriting their positions — unlike the drain
-  // sort, compaction moves entries that may later be cancelled or
-  // re-aimed). Returns false when the sweep must stop: a sorted
-  // (partially drained) head bucket, or the out buffer filled.
-  const auto drain_bucket = [&](Bucket& bucket, std::uint64_t tag) -> bool {
-    const bool is_head = &bucket == head_;
-    if (is_head ? head_size() == 0 : bucket_empty(bucket)) return true;
-    if (is_head && head_sorted()) {
-      // A partially drained head belongs to the ordered path (its pops
-      // are in flight); its minimum is the earlier of the two lanes' back
-      // entries, and every later bucket sits at or above this bucket's
-      // range — stop here.
-      Time head = kTimeInfinity;
-      if (!head_wide_.empty()) head = std::min(head, head_wide_.back().at);
-      if (!head_narrow_.empty()) head = std::min(head, head_narrow_.back().at);
-      bad_lim = std::min(bad_lim, head);
-      return false;
-    }
-    bool decoded = false;  // this call's scan filled unordered_decode_
-    if (!bucket.scan_valid) {
-      // Pass 1 — horizon scan: the earliest entry that must NOT be
-      // reordered. Slotted entries carry sink_kind 0 (never a real
-      // channel), so timers/closures/cancellables are caught by the same
-      // compare as foreign-channel traffic. The drainable minimum rides
-      // along as the repeat-sweep guard below. Narrow decodes (a group
-      // record plus a random adjacency read each) are kept for pass 2 —
-      // any entry this scan admits, the emit below reuses verbatim.
-      Time bad = kTimeInfinity;
-      Time good = kTimeInfinity;
-      EventPayload pl;
-      visit<Entry>(bucket, [&](const Entry* d, std::size_t m) {
-        for (const Entry* e = d; e != d + m; ++e) {
-          if (e->sink_kind == sink_kind) {
-            pl.a = e->a;
-            pl.b = e->b;
-            pl.c = e->c;
-            pl.d = e->inline_d();
-            if (pred(pl, ctx)) {
-              good = std::min(good, e->at);
-              continue;
-            }
-          }
-          bad = std::min(bad, e->at);
-        }
-      });
-      const std::size_t mn0 =
-          is_head ? head_narrow_.size() : bucket.narrow.count;
-      if (unordered_decode_.size() < mn0) unordered_decode_.resize(mn0);
-      EventPayload* dec = unordered_decode_.data();
-      visit<NarrowEntry>(bucket, [&](const NarrowEntry* d, std::size_t m) {
-        for (const NarrowEntry* e = d; e != d + m; ++e, ++dec) {
-          if (narrow_sink_kind(*e) == sink_kind) {
-            narrow_payload(*e, *dec);
-            if (pred(*dec, ctx)) {
-              good = std::min(good, e->at);
-              continue;
-            }
-          }
-          bad = std::min(bad, e->at);
-        }
-      });
-      decoded = true;
-      bucket.bad_floor = bad;
-      bucket.good_floor = good;
-      bucket.scan_valid = true;
-    }
-    const Time lim = std::min(bad_lim, bucket.bad_floor);
-    if (bucket.good_floor >= lim || bucket.good_floor > t_end) {
-      // Nothing drainable below the horizon: O(1) skip on repeat sweeps
-      // (the common shape while the ordered path works toward a barrier).
-      bad_lim = std::min(bad_lim, bucket.bad_floor);
-      return true;
-    }
-    // Pass 2 — emit + compact, one lane at a time (emission is unordered,
-    // so lane interleaving is free). `lim ≤ bad_floor`, so `at < lim`
-    // admits only drainable entries: no predicate re-evaluation here. A
-    // full out buffer keeps the rest.
-    std::size_t took = compact<Entry>(bucket, tag, [&](const Entry& e,
-                                                       std::size_t) {
-      if (!(e.at < lim && e.at <= t_end) || n == max) return false;
-      BatchedEvent& slot = out[n++];
-      slot.at = e.at;
-      slot.payload.a = e.a;
-      slot.payload.b = e.b;
-      slot.payload.c = e.c;
-      slot.payload.d = e.inline_d();
-      slot.payload.x = 0.0;
-      return true;
-    });
-    took += compact<NarrowEntry>(bucket, tag, [&](const NarrowEntry& e,
-                                                  std::size_t r) {
-      if (!(e.at < lim && e.at <= t_end) || n == max) return false;
-      BatchedEvent& slot = out[n++];
-      slot.at = e.at;
-      // Everything below lim passed the scan's predicate, so a scan run
-      // by THIS call already decoded it (same index — the lane has not
-      // been compacted in between). A cached scan means decoding here.
-      if (decoded) {
-        slot.payload = unordered_decode_[r];
-      } else {
-        narrow_payload(e, slot.payload);
-      }
-      narrow_retire(e.key);
-      return true;
-    });
-    count_live(tag, -static_cast<std::ptrdiff_t>(took));
-    if (n != max) {
-      // Full pass: every drainable entry below min(lim, t_end) was
-      // emitted, so the survivors sit at or above that. (On a buffer-full
-      // break the old bound is still valid — just looser.)
-      bucket.good_floor = std::min(lim, t_end);
-    }
-    bad_lim = std::min(bad_lim, bucket.bad_floor);
-    return n != max;
-  };
-
-  // Sweep buckets in calendar order from the current drain position.
-  // Bucket b's lower time bound prunes the sweep: entries of every bucket
-  // except the drain head itself sit at or above their bucket's origin
-  // (inserts floor the offset; only the drain bucket takes low-clamped
-  // stragglers), so once a bucket origin reaches min(horizon, t_end)
-  // nothing further can be emitted. A non-infinite horizon therefore
-  // stops the sweep within one bucket of the barrier — the "sliver" the
-  // ordered path still sorts.
-  for (;;) {
-    if (wheel_live_ + rung_live_ == 0) {
-      // Window drained with no barrier found: rebuild it from the
-      // overflow tier, exactly as prepare_head would, and keep sweeping.
-      if (overflow_size() == 0) break;
-      reseed();
-    }
-    bool cont = true;
-    if (rung_active_) {
-      for (std::size_t s = rung_cur_; cont && s < rung_nb_; ++s) {
-        if (s != rung_cur_) {
-          const Time lb =
-              rung_start_ + static_cast<double>(s) * rung_width_;
-          if (lb > t_end || lb >= bad_lim) {
-            cont = false;
-            break;
-          }
-        }
-        cont = drain_bucket(rung_[s], bucket_tag(/*rung=*/true, s));
-      }
-      for (std::size_t b = wheel_cur_ + 1; cont && b < wheel_nb_; ++b) {
-        const Time lb = win_start_ + static_cast<double>(b) * bucket_width_;
-        if (lb > t_end || lb >= bad_lim) break;
-        cont = drain_bucket(wheel_[b], bucket_tag(/*rung=*/false, b));
-      }
-    } else {
-      for (std::size_t b = wheel_cur_; cont && b < wheel_nb_; ++b) {
-        if (b != wheel_cur_) {
-          const Time lb =
-              win_start_ + static_cast<double>(b) * bucket_width_;
-          if (lb > t_end || lb >= bad_lim) break;
-        }
-        cont = drain_bucket(wheel_[b], bucket_tag(/*rung=*/false, b));
-      }
-    }
-    if (!cont || wheel_live_ + rung_live_ != 0) break;
-  }
-  if (n != 0) {
-    ++stats_.unordered_runs;
-    stats_.unordered_events += n;
-  }
-  return n;
 }
 
 EventQueue::Fired EventQueue::pop() {

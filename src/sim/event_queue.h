@@ -182,23 +182,6 @@ class EventQueue {
                       BatchPredicate pred, const void* ctx, BatchedEvent* out,
                       std::size_t max);
 
-  /// Time-partitioned unordered drain. Pops channel events that lie
-  /// STRICTLY below the partition horizon — the earliest live event that
-  /// is not a drainable channel event (a slotted timer/closure/
-  /// cancellable entry, or a pred-rejected delivery) — without restoring
-  /// (time, seq) order first: buckets are swept in calendar order and
-  /// compacted in place, so the per-bucket drain sort is paid only for the
-  /// horizon-adjacent sliver that still fires through pop()/pop_run().
-  /// Emitted items are NOT sorted; callers must require order-independent
-  /// receivers (see Simulator::set_batch_channel — the batch contract plus
-  /// two partition obligations: processing must commute within a run, and
-  /// the predicate must be MONOTONE, i.e. once it accepts a payload it
-  /// accepts it forever — that is what keeps each bucket's cached horizon
-  /// scan (Bucket::bad_floor) conservative between calls).
-  std::size_t pop_run_unordered(Time t_end, std::uint32_t sink_kind,
-                                BatchPredicate pred, const void* ctx,
-                                BatchedEvent* out, std::size_t max);
-
   /// Total events ever scheduled (for stats / microbenchmarks).
   /// Reschedules consume sequence numbers (they re-enter the FIFO order),
   /// so this counts logical schedules exactly like cancel+schedule would.
@@ -229,12 +212,9 @@ class EventQueue {
     std::size_t overflow_peak = 0;  ///< overflow-tier occupancy high-water mark
     std::uint64_t overflow_pushes = 0;  ///< events routed via the overflow tier
     std::uint64_t reseeds = 0;      ///< windows rebuilt from the overflow tier
-    // Batch-channel run lengths (see pop_run / pop_run_unordered): how much
-    // of the fired traffic bypassed per-event dispatch, and how much of
-    // that additionally bypassed the drain sort entirely.
-    std::uint64_t unordered_runs = 0;    ///< partitioned drains that emitted
-    std::uint64_t unordered_events = 0;  ///< events drained below the horizon
-    std::uint64_t ordered_run_events = 0;  ///< events drained in sorted runs
+    std::uint64_t ordered_run_events = 0;  ///< events drained by pop_run
+    /// Always 0; kept for benchmark/ftgcs_e2e.cpp until the benchmark changes.
+    std::uint64_t unordered_events = 0;
     // Bytes-per-event split (see schedule_fire_only_group): how much of the
     // scheduled traffic rode the narrow 16-byte delivery lane vs the wide
     // 32-byte entries (inline fire-only + slotted), and how many pooled
@@ -283,8 +263,6 @@ class EventQueue {
           field<&S::rung_spawns>("rung_spawns", kSum, kEngine, "queue"),
           field<&S::overflow_peak>("overflow_peak", kMax, kEngine, "queue"),
           field<&S::reseeds>("reseeds", kSum, kEngine, "queue"),
-          field<&S::unordered_runs>("part_runs", kSum, kEngine, "runs"),
-          field<&S::unordered_events>("part_events", kSum, kEngine, "runs"),
           field<&S::ordered_run_events>("run_events", kSum, kEngine, "runs"),
           derived<&S::entry_bytes>("entry_bytes", kEngine, "bytes"),
           field<&S::narrow_events>("narrow", kSum, kEngine, "bytes"),
@@ -419,22 +397,9 @@ class EventQueue {
   /// One calendar bucket (or the overflow lane): two unsorted lanes,
   /// merged on pop by the shared comparator once the bucket becomes the
   /// drain head and moves into the head vectors.
-  ///
-  /// `bad_floor`/`scan_valid` cache the partitioned drain's horizon scan:
-  /// the earliest entry that CANNOT be drained unordered (slotted, or
-  /// pred-rejected — see pop_run_unordered). Every mutation that can add
-  /// such an entry clears `scan_valid`; removing drainable entries (the
-  /// partitioned compaction itself) keeps it, and a monotone predicate
-  /// keeps a stale floor conservative (too low, never too high) — so the
-  /// scan is paid once per bucket filling, not per call.
   struct Bucket {
     Lane wide;
-    Lane narrow;              ///< 16 B delivery lane (see NarrowEntry)
-    bool scan_valid = false;  ///< the two floors reflect the current items
-    Time bad_floor = 0.0;   ///< min time of a non-drainable entry (+inf: none)
-    Time good_floor = 0.0;  ///< lower bound on drainable entries' times —
-                            ///< lets a repeat sweep skip the whole bucket
-                            ///< in O(1) when the horizon has not moved
+    Lane narrow;  ///< 16 B delivery lane (see NarrowEntry)
   };
   static bool bucket_empty(const Bucket& b) {
     return b.wide.count + b.narrow.count == 0;
@@ -537,7 +502,7 @@ class EventQueue {
   /// per-sub-bucket sort is trivial, coarse enough that draining the rung
   /// does not degenerate into scanning thousands of empty sub-buckets.
   static constexpr std::size_t kRungFanout = 16;
-  static constexpr std::size_t kMaxRungBuckets = 4096;
+  static constexpr std::size_t kRungMaxBuckets = 4096;
 
   template <typename A, typename B = A>
   static bool earlier(const A& a, const B& b) {
@@ -603,23 +568,16 @@ class EventQueue {
   void release(std::uint32_t b) { free_blocks_[free_top_++] = b; }
   template <typename T>
   [[gnu::noinline]] std::uint32_t head_append(const T& entry);
-  /// Keeps the first `keep` entries; `keep_last` is the block holding the
-  /// last kept one. Releases the blocks behind it.
-  void lane_truncate(Lane& lane, std::uint32_t keep, std::uint32_t keep_last);
   [[gnu::noinline]] void grow_pool();
   /// Allocates chunks (and table capacity) for a pool of `blocks` blocks.
   void reserve_pool(std::size_t blocks);
-  /// Calls f(data, n) on each storage run of `bucket`'s T lane, in order.
+  /// Calls f(data, n) on each block's run of `lane`'s entries, in order.
   template <typename T, typename F>
-  void visit(Bucket& bucket, F&& f);
+  void visit(const Lane& lane, F&& f);
   /// Hands a lane's entries to f(entry) in order, recycling each block
   /// once read; the lane ends empty.
   template <typename T, typename F>
   void drain_chain(Lane& lane, F&& f);
-  /// pop_run_unordered's in-place filter: drops the entries `take(e, i)`
-  /// accepts, keeps the rest in order. Returns the number taken.
-  template <typename T, typename Take>
-  std::size_t compact(Bucket& bucket, std::uint64_t tag, Take&& take);
   /// Removes the (cancellable) entry of `slot` from wherever it lives.
   void remove_resident(std::uint32_t slot);
   /// Ensures the head vectors hold the sorted, non-empty drain bucket.
@@ -687,11 +645,6 @@ class EventQueue {
   std::vector<NarrowEntry> head_narrow_;
   bool head_sorted_wide_ = false;
   bool head_sorted_narrow_ = false;
-
-  /// pop_run_unordered scratch: payloads decoded during a bucket's horizon
-  /// scan, reused verbatim by the same call's emit pass so each narrow
-  /// entry's group record + destination read happens once, not twice.
-  std::vector<EventPayload> unordered_decode_;
 
   TierStats stats_;
 };

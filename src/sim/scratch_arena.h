@@ -1,9 +1,9 @@
 // Reusable scratch columns for batch-channel receivers.
 //
-// The partitioned drain hands receivers tranches of up to a few thousand
-// events (Simulator::kMaxRun); a vectorized receiver wants to decode them
-// into flat columns (lane index, member index, fire time, computed value)
-// before the array sweeps. Those columns are pure scratch — dead between
+// The batch channel hands receivers runs of up to Simulator::kMaxBatch
+// events; a vectorized receiver wants to decode them into flat columns
+// (lane index, member index, fire time, computed value) before the array
+// sweeps. Those columns are pure scratch — dead between
 // runs — so the Simulator owns ONE arena and every receiver bound to its
 // batch channel borrows it: no per-run allocation, no per-receiver copies
 // going cold between runs. There is at most one batch channel per
@@ -24,7 +24,7 @@ struct BatchScratch {
   std::vector<double> value;         ///< computed arrival values
 
   /// Grows every column to hold `n` entries (never shrinks — the arena is
-  /// sized once to the largest tranche and stays warm).
+  /// sized once to the longest run and stays warm).
   void ensure(std::size_t n) {
     if (lane.size() < n) {
       lane.resize(n);

@@ -37,8 +37,7 @@ void Simulator::set_batch_channel(SinkId sink, EventKind kind,
   batch_kind_ = kind;
   batch_key_ = sink << 8 | static_cast<std::uint32_t>(kind);
   batch_buf_.resize(kMaxBatch);
-  run_buf_.resize(kMaxRun);
-  scratch_.ensure(kMaxRun);
+  scratch_.ensure(kMaxBatch);
 }
 
 EventId Simulator::post_at(Time t, EventKind kind, SinkId sink,
@@ -102,23 +101,6 @@ void Simulator::run_until(Time t_end) {
   EventQueue::Fired fired;
   for (;;) {
     if (batch_pred_ != nullptr) {
-      // Time-partitioned tranche first: every channel event strictly
-      // below the partition horizon fires in one unordered batch, skipping
-      // the drain sort. now_ is deliberately NOT advanced — the tranche is
-      // unordered, each item carries its own fire time, and channel
-      // receivers never read now() (the batch contract); the clock next
-      // moves when an ordered event fires, which is ≥ every tranche item
-      // by the horizon's construction.
-      const std::size_t u =
-          queue_.pop_run_unordered(t_end, batch_key_, batch_pred_,
-                                   batch_ctx_, run_buf_.data(), kMaxRun);
-      if (u != 0) {
-        fired_ += u;
-        batch_sink_->on_event_batch(batch_kind_, run_buf_.data(), u);
-        continue;
-      }
-      // Ordered sliver: channel events at or beyond the horizon (barrier
-      // ties) still drain as contiguous (time, seq) runs.
       const std::size_t n =
           queue_.pop_run(t_end, batch_key_, batch_pred_, batch_ctx_,
                          batch_buf_.data(), kMaxBatch);

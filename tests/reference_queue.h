@@ -1,6 +1,5 @@
 // Minimal (time, seq) reference queue: the differential oracle that
-// sim::EventQueue is checked against (tests/test_queue_differential.cpp,
-// tests/test_partitioned_drain.cpp).
+// sim::EventQueue is checked against (tests/test_queue_differential.cpp).
 //
 // It is the definition of the pop order and nothing more: a std::map keyed
 // by (time, seq) plus an id → key map for cancel and reschedule. Sequence
@@ -85,6 +84,9 @@ class ReferenceQueue {
     keys_.erase(fired.id);
     return fired;
   }
+
+  /// The earliest event, left in place. Requires !empty().
+  const Fired& front() const { return events_.begin()->second; }
 
   Time next_time() const {
     return events_.empty() ? kTimeInfinity : events_.begin()->first.first;

@@ -175,11 +175,10 @@ TEST(NodeTable, ExecutionInvariantUnderDrainBatching) {
   EXPECT_EQ(whole.gamma, sliced.gamma);
 }
 
-// The partitioned drain's proof obligation, pinned: committing one
-// tranche of receives to a lane in ANY order must produce bit-identical
-// lane state (arrival slots, own_arrival, dropped, duplicates). The
-// min-combine in lane_commit is what buys this — see the ORDER
-// INDEPENDENCE comment in core/receive_lane.h.
+// Committing one tranche of receives to a lane in ANY order must produce
+// bit-identical lane state (arrival slots, own_arrival, dropped,
+// duplicates). The min-combine in lane_commit (core/receive_lane.h) is
+// what buys this.
 TEST(ReceiveLane, CommitOrderIndependentWithinATranche) {
   constexpr int k = 4;
   const auto fresh = [] {

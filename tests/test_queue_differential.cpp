@@ -9,20 +9,46 @@
 // spawns), far-future spikes (overflow tier + horizon rollovers when the
 // window reseeds past them), exact ties (FIFO order), and occasional times
 // below the last popped time (the drain-bucket clamp path). Pop bursts
-// drag the window across many bucket-width boundaries and reseeds.
+// drag the window across many bucket-width boundaries and reseeds. The
+// batch channel's drain (pop_run interleaved with pop_if_at_most) is held
+// to the same sequence.
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
 #include "reference_queue.h"
 #include "sim/rng.h"
+#include "sim/simulator.h"
 
 namespace ftgcs::sim {
 namespace {
+
+/// The batch channel under test: sink 0 pulses whose tag is even.
+const std::uint32_t kBatchKey = static_cast<std::uint32_t>(EventKind::kPulse);
+
+bool admit_even(const EventPayload& payload, const void*) {
+  return (payload.a & 1) == 0;
+}
+
+/// True iff the channel takes the reference event into a run. A pulse
+/// with x ≠ 0 rides the slotted path, which the channel never takes.
+bool batchable(const ReferenceQueue::Fired& fired) {
+  return fired.kind == EventKind::kPulse && fired.payload.x == 0.0 &&
+         admit_even(fired.payload, nullptr);
+}
+
+void expect_same_payload(const EventPayload& a, const EventPayload& b) {
+  EXPECT_EQ(a.a, b.a);
+  EXPECT_EQ(a.b, b.b);
+  EXPECT_EQ(a.c, b.c);  // narrow group decode
+  EXPECT_EQ(a.d, b.d);
+  EXPECT_EQ(a.x, b.x);
+}
 
 struct Pair {
   ReferenceQueue::Id reference_id = 0;
@@ -46,11 +72,11 @@ class Differ {
 
   /// Fire-only events (inline payload in the ladder, or slotted when
   /// x ≠ 0) interleave with cancellable ones in the same (time, seq)
-  /// order space.
-  void schedule_fire_only(Time t, std::int32_t tag) {
+  /// order space. `slotted` carries x = t (slotted unless t = 0).
+  void schedule_fire_only(Time t, std::int32_t tag, bool slotted = true) {
     EventPayload payload;
     payload.a = tag;
-    payload.x = t;
+    payload.x = slotted ? t : 0.0;
     reference_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
     ladder_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
     check_sizes();
@@ -108,28 +134,51 @@ class Differ {
     EXPECT_FALSE(reference_.empty());
     EXPECT_FALSE(ladder_.empty());
     const auto a = reference_.pop();
-    const auto b = ladder_.pop();
-    EXPECT_EQ(a.at, b.at);
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.payload.a, b.payload.a);
-    EXPECT_EQ(a.payload.b, b.payload.b);
-    EXPECT_EQ(a.payload.c, b.payload.c);  // narrow group decode
-    EXPECT_EQ(a.payload.d, b.payload.d);
-    EXPECT_EQ(a.payload.x, b.payload.x);
-    // A cancellable event's ids become stale in both queues; drop the
-    // pair, and check the ladder fired the handle it issued for it.
-    if (a.id != 0) {
-      for (std::size_t i = 0; i < live_.size(); ++i) {
-        if (live_[i].reference_id == a.id) {
-          EXPECT_EQ(live_[i].ladder_id, b.id);
-          live_[i] = live_.back();
-          live_.pop_back();
-          break;
-        }
+    check_popped(a, ladder_.pop());
+    return a.at;
+  }
+
+  /// pop_if_at_most on the ladder: the reference's next event, or none
+  /// when the reference has nothing due by `t_end`.
+  bool pop_if_at_most(Time t_end, Time& now) {
+    EventQueue::Fired b;
+    if (!ladder_.pop_if_at_most(t_end, b)) {
+      EXPECT_TRUE(reference_.empty() || reference_.next_time() > t_end);
+      return false;
+    }
+    if (reference_.empty()) {
+      ADD_FAILURE() << "ladder popped past the reference";
+      return false;
+    }
+    check_popped(reference_.pop(), b);
+    now = b.at;
+    return true;
+  }
+
+  /// One batch-channel run through pop_run: exactly the reference's next
+  /// n events, each one the channel takes, and maximal — short of `cap`,
+  /// the next event due by `t_end` is one the channel rejects.
+  std::size_t pop_run(Time t_end, std::size_t cap, Time& now) {
+    const std::size_t n = ladder_.pop_run(t_end, kBatchKey, admit_even,
+                                          nullptr, run_.data(), cap);
+    EXPECT_LE(n, cap);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (reference_.empty()) {
+        ADD_FAILURE() << "run outlived the reference";
+        return n;
       }
+      const ReferenceQueue::Fired a = reference_.pop();
+      EXPECT_TRUE(batchable(a)) << "run item " << i;
+      EXPECT_LE(run_[i].at, t_end);
+      EXPECT_EQ(a.at, run_[i].at) << "run item " << i;
+      expect_same_payload(a.payload, run_[i].payload);
+      now = run_[i].at;
+    }
+    if (n < cap && !reference_.empty() && reference_.next_time() <= t_end) {
+      EXPECT_FALSE(batchable(reference_.front())) << "run stopped early";
     }
     check_sizes();
-    return a.at;
+    return n;
   }
 
   void check_next_time() {
@@ -148,6 +197,26 @@ class Differ {
     return pair;
   }
 
+  void check_popped(const ReferenceQueue::Fired& a,
+                    const EventQueue::Fired& b) {
+    EXPECT_EQ(a.at, b.at);
+    EXPECT_EQ(a.kind, b.kind);
+    expect_same_payload(a.payload, b.payload);
+    // A cancellable event's ids become stale in both queues; drop the
+    // pair, and check the ladder fired the handle it issued for it.
+    if (a.id != 0) {
+      for (std::size_t i = 0; i < live_.size(); ++i) {
+        if (live_[i].reference_id == a.id) {
+          EXPECT_EQ(live_[i].ladder_id, b.id);
+          live_[i] = live_.back();
+          live_.pop_back();
+          break;
+        }
+      }
+    }
+    check_sizes();
+  }
+
   void check_sizes() {
     ASSERT_EQ(reference_.size(), ladder_.size());
     ASSERT_EQ(reference_.empty(), ladder_.empty());
@@ -158,6 +227,8 @@ class Differ {
   std::vector<Pair> live_;
   /// Group dest arrays; deque keeps the borrowed pointers stable.
   std::deque<std::vector<std::int32_t>> dests_;
+  std::vector<BatchedEvent> run_ =
+      std::vector<BatchedEvent>(Simulator::kMaxBatch);
 };
 
 /// Draws a scheduling time around `now` from a mixture built to cross
@@ -172,6 +243,33 @@ Time draw_time(Rng& rng, Time now) {
   // Slightly below the frontier: by the time this fires, pops may have
   // advanced past it — the drain-bucket clamp path.
   return now * (1.0 - 1e-9 * rng.next_double());
+}
+
+/// The batch-channel op stream: channel pulses of either tag parity (a
+/// slice on the slotted path), fan-out groups of either parity on the
+/// narrow lane, timers, cancels and re-aims — so admitted and rejected
+/// traffic share buckets in both lanes.
+void random_batch_ops(Rng& rng, Differ& d, Time now, int count) {
+  for (int op = 0; op < count; ++op) {
+    const double pick = rng.next_double();
+    const Time t = draw_time(rng, now);
+    const auto tag = static_cast<std::int32_t>(rng.below(1 << 20));
+    if (pick < 0.40) {
+      d.schedule_fire_only(t, tag, /*slotted=*/rng.next_double() < 0.1);
+    } else if (pick < 0.55) {
+      std::vector<Duration> delays(1 + rng.below(8));
+      for (Duration& delay : delays) {
+        delay = std::max(t - now, 0.0) + 1e-3 * rng.next_double();
+      }
+      d.schedule_group(now, delays, tag);
+    } else if (pick < 0.80 || d.live_count() == 0) {
+      d.schedule(t, tag);
+    } else if (pick < 0.90) {
+      d.cancel(rng.below(d.live_count()));
+    } else {
+      d.reschedule(rng.below(d.live_count()), draw_time(rng, now));
+    }
+  }
 }
 
 TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
@@ -356,6 +454,57 @@ TEST(QueueDifferential, MonotoneSimulationShapedStream) {
   }
   while (!d.empty()) now = d.pop();
   EXPECT_EQ(d.live_count(), 0u);
+}
+
+// The batch channel's drain in lockstep with the reference: pop_run runs
+// (out buffers of 1..kMaxBatch, finite t_end cuts) interleaved with
+// pop_if_at_most must pop exactly the reference's (time, payload)
+// sequence, every run item must be one the channel takes, and every run
+// must be maximal.
+TEST(QueueDifferential, BatchRunsMatchReference) {
+  for (const std::uint64_t seed : {1234u, 99u}) {
+    Rng rng(seed);
+    Differ d;
+    Time now = 0.0;
+    std::uint64_t run_events = 0;
+    for (int round = 0; round < 60; ++round) {
+      random_batch_ops(rng, d, now, 400);
+      if (round % 10 == 4) {
+        // A pile past the rung-spawn threshold in one bucket, both lanes:
+        // runs must flow across rung sub-buckets.
+        const Time pile = now + 25.0;
+        std::vector<Duration> delays;
+        for (int i = 0; i < 2500; ++i) {
+          const Time t = pile + 1e-4 * rng.next_double();
+          d.schedule_fire_only(t, static_cast<std::int32_t>(i),
+                               /*slotted=*/false);
+          delays.push_back(t - now);
+        }
+        d.schedule_group(now, delays, 2 * round);
+      }
+      // Every seventh round (and the last) drains to empty.
+      const Time t_end = round % 7 == 6 || round == 59
+                             ? kTimeInfinity
+                             : now + 50.0 * rng.next_double();
+      for (;;) {
+        if (rng.next_double() < 0.75) {
+          const std::size_t cap = 1 + rng.below(Simulator::kMaxBatch);
+          const std::size_t n = d.pop_run(t_end, cap, now);
+          run_events += n;
+          if (n != 0) continue;
+        }
+        if (!d.pop_if_at_most(t_end, now)) break;
+      }
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " round " << round;
+    }
+    EXPECT_TRUE(d.empty());
+    const EventQueue::TierStats stats = d.ladder().tier_stats();
+    EXPECT_EQ(stats.ordered_run_events, run_events);
+    EXPECT_GT(run_events, 20000u);
+    EXPECT_GT(stats.narrow_events, 0u);
+    EXPECT_GT(stats.rung_spawns, 0u);
+    EXPECT_GT(stats.reseeds, 0u);
+  }
 }
 
 }  // namespace

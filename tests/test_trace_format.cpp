@@ -158,13 +158,12 @@ TEST(TraceFormat, CapturedRunBytesIdenticalAcrossShards) {
   EXPECT_EQ(base, run_with(4, temp_path("id_s4.ftr")));
 }
 
-// The time-partitioned drain pin: a monitored `large_torus` slice (the
-// heaviest registered workload per round, the one the partitioned drain
-// exists for) must stream byte-identical traces at --shards 1 and 2,
-// and ftgcs_trace's differ must agree. The run_unordered counters prove
-// the NEW path actually carried traffic — without that assertion this
-// would silently degrade into re-pinning the old ordered drain.
-TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
+// The batch-channel pin: a monitored `large_torus` slice (the heaviest
+// registered workload per round) must stream byte-identical traces at
+// --shards 1 and 2, and ftgcs_trace's differ must agree. The run counter
+// proves the batch runs actually carried traffic — without that
+// assertion this would silently re-pin per-event dispatch alone.
+TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShards) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
   spec.axes = {{"clusters", {AxisValue::of(64)}}};
@@ -177,9 +176,8 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShardsViaPartitionedDrain) {
     const exp::RunResult result = run_point(s, 1);
     EXPECT_EQ(result.trace.files, 1u);
     EXPECT_GT(result.trace.records, 0.0);
-    // Pure-receive pulses below the horizon went through the unordered
-    // partitioned drain, not only the ordered batch runs.
-    EXPECT_GT(result.queue.unordered_events, 0.0) << "shards=" << shards;
+    // Pure-receive pulses went through the batch runs.
+    EXPECT_GT(result.queue.ordered_run_events, 0u) << "shards=" << shards;
     return read_file(path);
   };
 
