@@ -72,6 +72,7 @@ Run run_regime(const core::Params& params, Regime regime,
   cfg.U = params.U;
 
   std::vector<std::unique_ptr<core::ClusterSyncEngine>> engines;
+  std::vector<std::unique_ptr<core::ClusterMemberSink>> sinks;
   metrics::PulseDiameterTrace trace(params.k);
   for (int i = 0; i < params.k; ++i) {
     auto engine = std::make_unique<core::ClusterSyncEngine>(
@@ -103,11 +104,8 @@ Run run_regime(const core::Params& params, Regime regime,
       // exactly where InterclusterSync sets γ.
       raw->clock().set_gamma(sim.now(), gamma);
     };
-    network.register_handler(
-        i, [&topo, raw](const net::Pulse& pulse, sim::Time now) {
-          if (pulse.kind != net::PulseKind::kClusterPulse) return;
-          raw->on_member_pulse(topo.index_in_cluster(pulse.sender), now);
-        });
+    sinks.push_back(std::make_unique<core::ClusterMemberSink>(topo, 0, *raw));
+    network.register_handler(i, sinks.back().get());
     engines.push_back(std::move(engine));
   }
 

@@ -43,44 +43,9 @@ using namespace ftgcs;
 
 // ---- event-queue kernels ---------------------------------------------------
 
-void BM_EventQueueScheduleFireLadder(benchmark::State& state) {
-  sim::Rng rng(1);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (int i = 0; i < 1000; ++i) {
-      queue.schedule(rng.next_double(), [] {});
-    }
-    while (!queue.empty()) {
-      queue.pop().fn();
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleFireLadder);
-
-void BM_EventQueueCancelHeavyLadder(benchmark::State& state) {
-  sim::Rng rng(2);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    std::vector<sim::EventId> ids;
-    ids.reserve(1000);
-    for (int i = 0; i < 1000; ++i) {
-      ids.push_back(queue.schedule(rng.next_double(), [] {}));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 2) {
-      queue.cancel(ids[i]);
-    }
-    while (!queue.empty()) {
-      queue.pop().fn();
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueCancelHeavyLadder);
-
-// The typed path is what the protocol stack actually runs on (pulses,
-// timers, drift, probes): POD payload, slot pool, no closures, no
-// allocation after warm-up. Counters are events/sec.
+// The typed path is the only one the protocol stack runs on (pulses,
+// timers, drift, probes): POD payload, slot pool, no allocation after
+// warm-up. Counters are events/sec.
 
 void BM_EventEngineTypedScheduleFireLadder(benchmark::State& state) {
   sim::Rng rng(6);

@@ -31,6 +31,12 @@ invariants that a compiler never checks:
                           globals make runs order- and process-dependent
                           and are unsynchronized under the sharded
                           backend's worker threads. Scope: all of src/.
+  no-closure-dispatch     No std::function in the event engine or the
+                          network: every event fires through a typed
+                          sim::EventSink and every delivery through a
+                          net::PulseSink, so a type-erased callback there
+                          would reopen a second, allocating dispatch path.
+                          Scope: src/{sim,net}/.
 
 Waivers are per-line and must carry a reason:
 
@@ -70,6 +76,8 @@ WALL_CLOCK_DIRS = {"sim", "net", "core", "par", "gcs", "byz", "clocks", "obs"}
 # code (src/par/) and must stay free of chrono tokens.
 WALL_CLOCK_EXEMPT = {"obs/phase_profiler.cpp"}
 OUTPUT_FEEDING_DIRS = {"exp", "metrics", "trace", "obs"}
+TYPED_DISPATCH_DIRS = {"sim", "net"}
+CLOSURE = re.compile(r"\bstd\s*::\s*function\b")
 
 WALL_CLOCK_PATTERNS = [
     (re.compile(r"\b(?:std\s*::\s*)?s?rand\s*\("), "rand()/srand()"),
@@ -108,7 +116,7 @@ HOT_ALLOC_PATTERNS = [
 UNORDERED_DECL = re.compile(
     r"\bunordered_(?:multi)?(?:map|set)\s*<[^;{}()]*>[\s&]*(\w+)\s*[;={(,)]")
 ALL_RULES = ("no-wall-clock", "no-unordered-iteration", "no-hot-path-alloc",
-             "no-mutable-global")
+             "no-mutable-global", "no-closure-dispatch")
 
 WAIVER = re.compile(
     r"ftgcs-lint:\s*allow\(\s*([a-z\-]+(?:\s*,\s*[a-z\-]+)*)\s*\)\s*(.*)")
@@ -301,6 +309,16 @@ def check_wall_clock(src, rel_path, findings):
                 rel_path, src.line_of(m.start()), "no-wall-clock",
                 "%s in simulation code (determinism: runs must depend only "
                 "on the seed)" % what))
+
+
+def check_closure_dispatch(src, rel_path, findings):
+    if top_dir(rel_path) not in TYPED_DISPATCH_DIRS:
+        return
+    for m in CLOSURE.finditer(src.stripped):
+        findings.append(Finding(
+            rel_path, src.line_of(m.start()), "no-closure-dispatch",
+            "std::function in the typed dispatch layer (events fire "
+            "through sim::EventSink, deliveries through net::PulseSink)"))
 
 
 def check_unordered_iteration(src, rel_path, findings):
@@ -554,6 +572,7 @@ def lint_file(path, rel_path, engine, compile_args):
     # Text-reliable rules always run on the token engine.
     check_wall_clock(src, rel_path, raw)
     check_unordered_iteration(src, rel_path, raw)
+    check_closure_dispatch(src, rel_path, raw)
     ast_done = False
     if engine == "libclang":
         ast_done = libclang_check_file(path, rel_path, compile_args, raw)

@@ -87,11 +87,7 @@ ClusterTreeSystem::ClusterTreeSystem(net::Graph cluster_graph, Config config)
       ctx.rng = master.fork(1000 + static_cast<std::uint64_t>(id));
       byz_nodes_.push_back(std::make_unique<byz::ByzantineNode>(
           std::move(ctx), byz::make_strategy(it->kind, it->param)));
-      byz::ByzantineNode* raw = byz_nodes_.back().get();
-      network_->register_handler(
-          id, [raw](const net::Pulse& pulse, sim::Time now) {
-            raw->on_pulse(pulse, now);
-          });
+      network_->register_handler(id, byz_nodes_.back().get());
       continue;
     }
 
@@ -123,24 +119,15 @@ ClusterTreeSystem::ClusterTreeSystem(net::Graph cluster_graph, Config config)
         pulse.kind = net::PulseKind::kClusterPulse;
         network_->broadcast(id, pulse);
       };
-      network_->register_handler(
-          id, [this, engine](const net::Pulse& pulse, sim::Time now) {
-            if (pulse.kind != net::PulseKind::kClusterPulse) return;
-            if (topo_.cluster_of(pulse.sender) != config_.root_cluster)
-              return;
-            engine->on_member_pulse(topo_.index_in_cluster(pulse.sender),
-                                    now);
-          });
+      root_sinks_.push_back(std::make_unique<core::ClusterMemberSink>(
+          topo_, config_.root_cluster, *engine));
+      network_->register_handler(id, root_sinks_.back().get());
     } else {
       echo_members_[id] = std::make_unique<EchoClusterNode>(
           sim_, *network_, topo_, config_.params, id,
           cluster_parent_[cluster], cluster_depth_[cluster],
           (start_round - 1) * config_.params.T);
-      auto* echo = echo_members_[id].get();
-      network_->register_handler(
-          id, [echo](const net::Pulse& pulse, sim::Time now) {
-            echo->on_pulse(pulse, now);
-          });
+      network_->register_handler(id, echo_members_[id].get());
     }
   }
 

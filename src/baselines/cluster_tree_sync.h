@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -41,14 +40,14 @@
 namespace ftgcs::baselines {
 
 /// Non-root member: echoes its parent cluster's pulse waves.
-class EchoClusterNode {
+class EchoClusterNode final : public net::PulseSink {
  public:
   EchoClusterNode(sim::Simulator& simulator, net::Network& network,
                   const net::AugmentedTopology& topo,
                   const core::Params& params, int node_id, int parent_cluster,
                   int depth, double initial_logical);
 
-  void on_pulse(const net::Pulse& pulse, sim::Time now);
+  void on_pulse(const net::Pulse& pulse, sim::Time now) override;
   void set_hardware_rate(sim::Time now, double rate) {
     clock_.set_hardware_rate(now, rate);
   }
@@ -112,6 +111,7 @@ class ClusterTreeSystem {
   /// Root-cluster members run Algorithm 1; others echo. Entries are
   /// mutually exclusive; both null for Byzantine ids.
   std::vector<std::unique_ptr<core::ClusterSyncEngine>> root_members_;
+  std::vector<std::unique_ptr<core::ClusterMemberSink>> root_sinks_;
   std::vector<std::unique_ptr<EchoClusterNode>> echo_members_;
   std::vector<std::unique_ptr<byz::ByzantineNode>> byz_nodes_;
   std::unique_ptr<clocks::DriftModel> drift_;

@@ -21,6 +21,7 @@ SrikanthTouegNode::SrikanthTouegNode(sim::Simulator& simulator,
       clock_(0.0, 0.0, 1.0, simulator.now(), 0.0) {
   FTGCS_EXPECTS(cfg.n > 3 * cfg.f);
   FTGCS_EXPECTS(cfg.period > 0.0);
+  self_ = simulator.register_sink(this);
 }
 
 void SrikanthTouegNode::start() {
@@ -31,10 +32,15 @@ void SrikanthTouegNode::start() {
 void SrikanthTouegNode::schedule_timeout() {
   if (timeout_event_) sim_.cancel(timeout_event_);
   const sim::Time at = hardware_.when_reaches(next_timeout_, sim_.now());
-  timeout_event_ = sim_.at(at, [this] {
-    timeout_event_ = sim::EventId{};
-    propose(round_ + 1);
-  });
+  timeout_event_ = sim_.post_at(at, sim::EventKind::kTimer, self_, {});
+}
+
+void SrikanthTouegNode::on_event(sim::EventKind kind,
+                                 const sim::EventPayload& /*payload*/,
+                                 sim::Time /*now*/) {
+  FTGCS_ASSERT(kind == sim::EventKind::kTimer);
+  timeout_event_ = sim::EventId{};
+  propose(round_ + 1);
 }
 
 void SrikanthTouegNode::propose(int round) {
@@ -101,16 +107,12 @@ SrikanthTouegSystem::SrikanthTouegSystem(Config config)
   nodes_.resize(config_.n);
   for (int id = 0; id < config_.n; ++id) {
     if (id < config_.silent_faults) {
-      network_->register_handler(id, [](const net::Pulse&, sim::Time) {});
+      network_->register_null_handler(id);
       continue;
     }
     nodes_[id] =
         std::make_unique<SrikanthTouegNode>(sim_, *network_, node_cfg, id);
-    SrikanthTouegNode* raw = nodes_[id].get();
-    network_->register_handler(
-        id, [raw](const net::Pulse& pulse, sim::Time now) {
-          raw->on_pulse(pulse, now);
-        });
+    network_->register_handler(id, nodes_[id].get());
   }
 
   drift_ = config_.drift_model

@@ -32,7 +32,8 @@
 
 namespace ftgcs::baselines {
 
-class SrikanthTouegNode {
+class SrikanthTouegNode final : public net::PulseSink,
+                                public sim::EventSink {
  public:
   struct Config {
     int n = 0;          ///< clique size
@@ -44,8 +45,12 @@ class SrikanthTouegNode {
                     const Config& cfg, int node_id);
 
   void start();
-  void on_pulse(const net::Pulse& pulse, sim::Time now);
+  void on_pulse(const net::Pulse& pulse, sim::Time now) override;
   void set_hardware_rate(sim::Time now, double rate);
+
+  /// sim::EventSink: the round timeout fires (kTimer).
+  void on_event(sim::EventKind kind, const sim::EventPayload& payload,
+                sim::Time now) override;
 
   double logical(sim::Time now) const { return clock_.read(now); }
   int round() const { return round_; }
@@ -60,6 +65,7 @@ class SrikanthTouegNode {
   net::Network& net_;
   Config cfg_;
   int id_;
+  sim::SinkId self_ = sim::kInvalidSink;
 
   clocks::HardwareClock hardware_;
   clocks::LogicalClock clock_;

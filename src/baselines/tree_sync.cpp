@@ -26,16 +26,14 @@ TreeSyncSystem::TreeSyncSystem(net::Graph graph, Config config)
                                                           config_.U);
   network_ = std::make_unique<net::Network>(sim_, graph_.adjacency(),
                                             std::move(delays), master.fork(1));
+  self_ = sim_.register_sink(this);
 
   nodes_.reserve(graph_.num_vertices());
   for (int id = 0; id < graph_.num_vertices(); ++id) {
     const double l0 =
         config_.initial_logical.empty() ? 0.0 : config_.initial_logical[id];
-    nodes_.push_back(std::make_unique<Node>(sim_.now(), l0));
-    network_->register_handler(
-        id, [this, id](const net::Pulse& pulse, sim::Time now) {
-          on_pulse(id, pulse, now);
-        });
+    nodes_.push_back(std::make_unique<Node>(*this, id, sim_.now(), l0));
+    network_->register_handler(id, nodes_.back().get());
   }
 
   drift_ = config_.drift_model
@@ -66,7 +64,16 @@ void TreeSyncSystem::share_tick(int node) {
   pulse.kind = net::PulseKind::kShare;
   pulse.value = nodes_[node]->logical.read(sim_.now());
   network_->broadcast(node, pulse);
-  sim_.after(config_.share_period, [this, node] { share_tick(node); });
+  sim::EventPayload tick;
+  tick.a = node;
+  sim_.post_after(config_.share_period, sim::EventKind::kTimer, self_, tick);
+}
+
+void TreeSyncSystem::on_event(sim::EventKind kind,
+                              const sim::EventPayload& payload,
+                              sim::Time /*now*/) {
+  FTGCS_ASSERT(kind == sim::EventKind::kTimer);
+  share_tick(payload.a);
 }
 
 void TreeSyncSystem::on_pulse(int node, const net::Pulse& pulse,

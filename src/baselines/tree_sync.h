@@ -30,7 +30,7 @@
 
 namespace ftgcs::baselines {
 
-class TreeSyncSystem {
+class TreeSyncSystem final : public sim::EventSink {
  public:
   struct Config {
     double rho = 0.0;
@@ -60,12 +60,25 @@ class TreeSyncSystem {
   double local_skew() const;
   double global_skew() const;
 
+  /// sim::EventSink: a share tick fires (kTimer; a = sharing node).
+  void on_event(sim::EventKind kind, const sim::EventPayload& payload,
+                sim::Time now) override;
+
  private:
-  struct Node {
+  /// One node's clocks; also its network sink, forwarding to the system.
+  struct Node final : net::PulseSink {
+    TreeSyncSystem& system;
+    int id;
     clocks::HardwareClock hardware;
     clocks::LogicalClock logical;
-    Node(sim::Time t0, double l0)
-        : hardware(t0, 0.0, 1.0), logical(0.0, 0.0, 1.0, t0, l0) {}
+    Node(TreeSyncSystem& owner, int node_id, sim::Time t0, double l0)
+        : system(owner),
+          id(node_id),
+          hardware(t0, 0.0, 1.0),
+          logical(0.0, 0.0, 1.0, t0, l0) {}
+    void on_pulse(const net::Pulse& pulse, sim::Time now) override {
+      system.on_pulse(id, pulse, now);
+    }
   };
 
   void share_tick(int node);
@@ -75,6 +88,7 @@ class TreeSyncSystem {
   Config config_;
   std::vector<int> parent_;
   sim::Simulator sim_;
+  sim::SinkId self_ = sim::kInvalidSink;  ///< share ticks
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unique_ptr<clocks::DriftModel> drift_;

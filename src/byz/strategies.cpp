@@ -1,6 +1,7 @@
 #include "byz/strategies.h"
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@ ByzantineNode::ByzantineNode(AttackContext ctx,
   FTGCS_EXPECTS(strategy_ != nullptr);
   FTGCS_EXPECTS(ctx_.sim != nullptr && ctx_.net != nullptr &&
                 ctx_.topo != nullptr && ctx_.params != nullptr);
+  ctx_.sink = ctx_.sim->register_sink(this);
 }
 
 void ByzantineNode::start() { strategy_->start(ctx_); }
@@ -36,16 +38,53 @@ net::Pulse cluster_pulse(int sender) {
   return pulse;
 }
 
+/// What a strategy's kTimer event does when it fires at its host
+/// (payload.d; c = receiver, x = channel delay).
+enum class ByzAction : std::uint32_t {
+  kUnicast,           ///< unicast a cluster pulse to c, channel-sampled delay
+  kUnicastWithDelay,  ///< unicast a cluster pulse to c with delay x
+  kTick,              ///< Strategy::on_tick
+};
+
+sim::EventPayload action(ByzAction what, int to = 0, double delay = 0.0) {
+  sim::EventPayload payload;
+  payload.c = to;
+  payload.d = static_cast<std::uint32_t>(what);
+  payload.x = delay;
+  return payload;
+}
+
 /// Schedules a broadcast-like unicast to one receiver at absolute time
-/// `send_at` (clamped to now).
+/// `send_at` (clamped to now). The channel delay is sampled when the send
+/// fires, not here, so each edge's stream is drawn in send order.
 void send_at(AttackContext& ctx, int to, sim::Time send_at) {
   const sim::Time at = std::max(send_at, ctx.sim->now());
-  const int self = ctx.self;
-  auto* net = ctx.net;
-  ctx.sim->at(at, [net, self, to] {
-    net->unicast(self, to, cluster_pulse(self));
-  });
+  ctx.sim->post_at(at, sim::EventKind::kTimer, ctx.sink,
+                   action(ByzAction::kUnicast, to));
 }
+
+}  // namespace
+
+void ByzantineNode::on_event(sim::EventKind kind,
+                             const sim::EventPayload& payload,
+                             sim::Time /*now*/) {
+  FTGCS_ASSERT(kind == sim::EventKind::kTimer);
+  switch (static_cast<ByzAction>(payload.d)) {
+    case ByzAction::kUnicast:
+      ctx_.net->unicast(ctx_.self, payload.c, cluster_pulse(ctx_.self));
+      return;
+    case ByzAction::kUnicastWithDelay:
+      ctx_.net->unicast_with_delay(ctx_.self, payload.c,
+                                   cluster_pulse(ctx_.self), payload.x);
+      return;
+    case ByzAction::kTick:
+      strategy_->on_tick(ctx_);
+      return;
+  }
+  FTGCS_ASSERT(false && "unknown Byzantine action");
+}
+
+namespace {
 
 class SilentStrategy final : public Strategy {};
 
@@ -57,13 +96,16 @@ class RandomPulserStrategy final : public Strategy {
 
   void start(AttackContext& ctx) override { schedule_next(ctx); }
 
+  void on_tick(AttackContext& ctx) override {
+    ctx.net->broadcast(ctx.self, cluster_pulse(ctx.self));
+    schedule_next(ctx);
+  }
+
  private:
   void schedule_next(AttackContext& ctx) {
     const double gap = -std::log1p(-ctx.rng.next_double()) / rate_;
-    ctx.sim->after(gap, [this, &ctx] {
-      ctx.net->broadcast(ctx.self, cluster_pulse(ctx.self));
-      schedule_next(ctx);
-    });
+    ctx.sim->post_after(gap, sim::EventKind::kTimer, ctx.sink,
+                        action(ByzAction::kTick));
   }
 
   double rate_;
@@ -198,14 +240,11 @@ class DelayJitterStrategy final : public Strategy {
     const double d = ctx.params->d;
     const double u = ctx.params->U;
     const sim::Time at = std::max(info.predicted_pulse, ctx.sim->now());
-    const int self = ctx.self;
-    auto* net = ctx.net;
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const int to = neighbors[i];
       const sim::Duration delay = (i % 2 == 0) ? d - u : d;
-      ctx.sim->at(at, [net, self, to, delay] {
-        net->unicast_with_delay(self, to, cluster_pulse(self), delay);
-      });
+      ctx.sim->post_at(at, sim::EventKind::kTimer, ctx.sink,
+                       action(ByzAction::kUnicastWithDelay, neighbors[i],
+                              delay));
     }
   }
 };

@@ -9,7 +9,9 @@
 // The only physical constraint the adversary cannot break is the channel:
 // a message between neighbors is in transit for a time in [d−U, d]. Since
 // the adversary chooses *when* to send, this still yields arbitrary
-// arrival times; strategies simply schedule sends.
+// arrival times; strategies simply schedule sends. A scheduled send is a
+// typed event to the hosting ByzantineNode, so adversarial traffic takes
+// the same allocation-free path as every other event.
 #pragma once
 
 #include <memory>
@@ -39,6 +41,8 @@ struct AttackContext {
   const net::AugmentedTopology* topo = nullptr;
   const core::Params* params = nullptr;
   sim::Rng rng{0};
+  /// The hosting ByzantineNode's simulator sink (set by its constructor).
+  sim::SinkId sink = sim::kInvalidSink;
 };
 
 class Strategy {
@@ -62,16 +66,24 @@ class Strategy {
     (void)ctx;
     (void)info;
   }
+
+  /// A tick the strategy posted to its host fired.
+  virtual void on_tick(AttackContext& ctx) { (void)ctx; }
 };
 
-/// Hosts one strategy: owns the context, registers as the network sink.
-class ByzantineNode final : public net::PulseSink {
+/// Hosts one strategy: owns the context, is the faulty id's network sink
+/// and the simulator sink of every event its strategy schedules.
+class ByzantineNode final : public net::PulseSink, public sim::EventSink {
  public:
   ByzantineNode(AttackContext ctx, std::unique_ptr<Strategy> strategy);
 
   void start();
   void on_pulse(const net::Pulse& pulse, sim::Time now) override;
   void on_reference_round(const RoundInfo& info);
+
+  /// sim::EventSink: a send or tick the strategy scheduled fires.
+  void on_event(sim::EventKind kind, const sim::EventPayload& payload,
+                sim::Time now) override;
 
   int id() const { return ctx_.self; }
 

@@ -1,13 +1,11 @@
 #include "clocks/logical_timer.h"
 
-#include <utility>
-
 #include "support/assert.h"
 
 namespace ftgcs::clocks {
 
 LogicalTimerSet::LogicalTimerSet(sim::Simulator& simulator,
-                                 LogicalClock& clock, Client* client)
+                                 LogicalClock& clock, Client& client)
     : sim_(simulator), clock_(clock), client_(client) {
   self_ = simulator.register_sink(this);
   clock_.set_rate_observer([this](sim::Time now) { reschedule_all(now); });
@@ -37,14 +35,7 @@ void LogicalTimerSet::on_event(sim::EventKind kind,
   FTGCS_ASSERT(pending.armed);
   pending.armed = false;  // disarm before firing so the fire may re-arm
   --armed_count_;
-  if (key < fns_.size() && fns_[key]) {  // fns_ empty on the typed path
-    Callback fn = std::move(fns_[key]);
-    fns_[key] = nullptr;
-    fn();
-  } else {
-    FTGCS_ASSERT(client_ != nullptr);
-    client_->on_logical_timer(key);
-  }
+  client_.on_logical_timer(key);
 }
 
 void LogicalTimerSet::arm(Key key, double logical_target) {
@@ -57,19 +48,11 @@ void LogicalTimerSet::arm(Key key, double logical_target) {
   ++armed_count_;
 }
 
-void LogicalTimerSet::arm(Key key, double logical_target, Callback fn) {
-  FTGCS_EXPECTS(fn != nullptr);
-  arm(key, logical_target);
-  if (key >= fns_.size()) fns_.resize(key + 1);
-  fns_[key] = std::move(fn);
-}
-
 void LogicalTimerSet::cancel(Key key) {
   if (!armed(key)) return;
   Pending& pending = pending_[key];
   sim_.cancel(pending.event);
   pending.armed = false;
-  if (key < fns_.size()) fns_[key] = nullptr;
   --armed_count_;
 }
 

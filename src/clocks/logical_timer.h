@@ -9,17 +9,14 @@
 //
 // Timers are keyed by a small integer so a protocol can name them
 // (round-pulse, phase-2-end, round-end, ...) and replace/cancel by name.
-// Pending timers live in a key-indexed slot vector (keys are dense by
+// Pending timers live in a key-indexed inline array (keys are dense by
 // design) and fire as typed kTimer events whose payload is the key — the
-// whole arm/fire/reschedule cycle allocates nothing. Protocols implement
-// the Client interface; a legacy per-arm callback overload remains for
-// tests and ad-hoc uses.
+// whole arm/fire/reschedule cycle allocates nothing. Every fire reaches
+// the set's Client, which tells timers apart by key.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "clocks/logical_clock.h"
 #include "sim/simulator.h"
@@ -28,7 +25,6 @@ namespace ftgcs::clocks {
 
 class LogicalTimerSet final : public sim::EventSink {
  public:
-  using Callback = std::function<void()>;
   using Key = std::uint32_t;
 
   /// Typed fire interface: `key` identifies which timer fired.
@@ -42,10 +38,9 @@ class LogicalTimerSet final : public sim::EventSink {
 
   /// Binds to a simulator and a clock. The set registers itself as the
   /// clock's rate observer; the clock must outlive the set. `client`
-  /// receives typed fires (may be null if only the callback overload of
-  /// arm() is used).
+  /// receives every fire and must outlive the set too.
   LogicalTimerSet(sim::Simulator& simulator, LogicalClock& clock,
-                  Client* client = nullptr);
+                  Client& client);
 
   ~LogicalTimerSet();
 
@@ -58,9 +53,6 @@ class LogicalTimerSet final : public sim::EventSink {
   /// clock first reaches the target. Requires logical_target >=
   /// clock.read(now).
   void arm(Key key, double logical_target);
-
-  /// Legacy overload: fires `fn` instead of notifying the client.
-  void arm(Key key, double logical_target, Callback fn);
 
   /// Cancels timer `key`; no-op if not armed. O(1).
   void cancel(Key key);
@@ -84,9 +76,7 @@ class LogicalTimerSet final : public sim::EventSink {
 
  private:
   /// 24 bytes — a protocol's whole timer family (3 keys) shares one cache
-  /// line. Closures live in the parallel fns_ vector, which stays EMPTY
-  /// unless the legacy callback overload is used, so the typed fire path
-  /// never touches std::function storage.
+  /// line.
   struct Pending {
     bool armed = false;
     double target = 0.0;
@@ -98,10 +88,9 @@ class LogicalTimerSet final : public sim::EventSink {
 
   sim::Simulator& sim_;
   LogicalClock& clock_;
-  Client* client_;
+  Client& client_;
   sim::SinkId self_ = sim::kInvalidSink;
   std::array<Pending, kMaxKeys> pending_{};  ///< indexed by key
-  std::vector<Callback> fns_;  ///< sized only by the callback overload
   std::size_t armed_count_ = 0;
 };
 

@@ -15,7 +15,7 @@ ClusterSyncEngine::ClusterSyncEngine(sim::Simulator& simulator,
       cfg_(cfg),
       clock_(cfg.phi, cfg.mu, initial_hardware_rate, simulator.now(),
              (cfg.start_round - 1) * (cfg.tau1 + cfg.tau2 + cfg.tau3)),
-      timers_(simulator, clock_, this),
+      timers_(simulator, clock_, *this),
       loopback_rng_(loopback_rng) {
   self_ = simulator.register_sink(this);
   FTGCS_EXPECTS(cfg.start_round >= 1);

@@ -40,6 +40,8 @@
 #include "clocks/logical_clock.h"
 #include "clocks/logical_timer.h"
 #include "core/receive_lane.h"
+#include "net/augmented.h"
+#include "net/network.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -216,6 +218,28 @@ class ClusterSyncEngine final : public clocks::LogicalTimerSet::Client,
   std::uint64_t violations_ = 0;
   std::uint64_t starved_rounds_ = 0;
   double last_correction_ = 0.0;
+};
+
+/// Network sink of an engine that listens to one cluster: forwards that
+/// cluster's kClusterPulse deliveries to on_member_pulse and drops all
+/// other traffic. For hosts without FtGcsNode's columnar receive: the
+/// cluster-tree baseline's root members and single-cluster test rigs.
+class ClusterMemberSink final : public net::PulseSink {
+ public:
+  ClusterMemberSink(const net::AugmentedTopology& topo, int cluster,
+                    ClusterSyncEngine& engine)
+      : topo_(topo), cluster_(cluster), engine_(engine) {}
+
+  void on_pulse(const net::Pulse& pulse, sim::Time now) override {
+    if (pulse.kind != net::PulseKind::kClusterPulse) return;
+    if (topo_.cluster_of(pulse.sender) != cluster_) return;
+    engine_.on_member_pulse(topo_.index_in_cluster(pulse.sender), now);
+  }
+
+ private:
+  const net::AugmentedTopology& topo_;
+  int cluster_;
+  ClusterSyncEngine& engine_;
 };
 
 }  // namespace ftgcs::core

@@ -52,6 +52,7 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
   network_ = std::make_unique<net::Network>(sim_, &topo_.adjacency(),
                                             std::move(delays), master.fork(1));
   network_->set_trace(config_.trace_sink);
+  self_ = sim_.register_sink(this);
   if (shard.active()) {
     remote_flags_.assign(static_cast<std::size_t>(topo_.num_nodes()), 0);
     for (int id = 0; id < topo_.num_nodes(); ++id) {
@@ -130,14 +131,13 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
   // Columnar dispatch: the table adopts every correct node's receive
   // lanes, the network routes fast kClusterPulse deliveries through it,
   // and the simulator drains pure-receive pulse runs in batches.
-  table_.build(topo_, nodes_);
+  table_.build(topo_, nodes_, sim_.batch_scratch());
   for (auto& node : nodes_) {
     if (node) node->attach_table(&table_);
   }
   network_->set_cluster_dispatch(&table_, table_.fast_flags());
   sim_.set_batch_channel(network_->sink_id(), sim::EventKind::kPulse,
                          &NodeTable::pure_pulse, &table_);
-  table_.bind_scratch(&sim_.batch_scratch());
 
   // Give each cluster's Byzantine nodes a reference observation of a
   // correct member's round schedule (omniscient adversary).
@@ -275,7 +275,18 @@ void FtGcsSystem::set_edge_active(int b, int c, bool active) {
 
 void FtGcsSystem::schedule_edge_toggle(int b, int c, bool active,
                                        sim::Time at) {
-  sim_.at(at, [this, b, c, active] { set_edge_active(b, c, active); });
+  sim::EventPayload payload;
+  payload.a = b;
+  payload.b = c;
+  payload.d = active ? 1 : 0;
+  sim_.post_at(at, sim::EventKind::kTimer, self_, payload);
+}
+
+void FtGcsSystem::on_event(sim::EventKind kind,
+                           const sim::EventPayload& payload,
+                           sim::Time /*now*/) {
+  FTGCS_ASSERT(kind == sim::EventKind::kTimer);
+  set_edge_active(payload.a, payload.b, payload.d != 0);
 }
 
 std::uint64_t FtGcsSystem::total_violations() const {

@@ -40,7 +40,7 @@ struct SystemSnapshot {
   std::vector<NodeState> nodes;
 };
 
-class FtGcsSystem {
+class FtGcsSystem final : public sim::EventSink {
  public:
   /// Shard scoping for the conservative-parallel backend (src/par/): the
   /// system instantiates ONLY the nodes of clusters owned by `shard` and
@@ -184,6 +184,11 @@ class FtGcsSystem {
   /// Schedules set_edge_active(b, c, active) at absolute time `at`.
   void schedule_edge_toggle(int b, int c, bool active, sim::Time at);
 
+  /// sim::EventSink: a scheduled edge toggle fires (kTimer; a = b, b = c,
+  /// d = active).
+  void on_event(sim::EventKind kind, const sim::EventPayload& payload,
+                sim::Time now) override;
+
  private:
   /// Built only when Config::shared_topo is unset; topo_ is the single
   /// access path either way. Declared first so everything that borrows
@@ -193,6 +198,7 @@ class FtGcsSystem {
   const net::AugmentedTopology& topo_;
   Config config_;
   sim::Simulator sim_;
+  sim::SinkId self_ = sim::kInvalidSink;  ///< edge-toggle events
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<FtGcsNode>> nodes_;  // null for faulty ids
   std::vector<std::unique_ptr<byz::ByzantineNode>> byz_nodes_;

@@ -9,8 +9,10 @@
 namespace ftgcs::core {
 
 void NodeTable::build(const net::AugmentedTopology& topo,
-                      const std::vector<std::unique_ptr<FtGcsNode>>& nodes) {
+                      const std::vector<std::unique_ptr<FtGcsNode>>& nodes,
+                      sim::BatchScratch& scratch) {
   FTGCS_EXPECTS(lanes_.empty());  // built once
+  scratch_ = &scratch;
   const int n = topo.num_nodes();
   FTGCS_EXPECTS(static_cast<int>(nodes.size()) == n);
   k_ = topo.cluster_size();

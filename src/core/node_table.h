@@ -66,10 +66,13 @@ class NodeTable final : public net::ClusterPulseTable {
   NodeTable& operator=(const NodeTable&) = delete;
 
   /// Builds the arrays over `topo` and adopts the receive lanes of every
-  /// correct node (`nodes[id]` null for faulty ids). Called once by
-  /// FtGcsSystem after node construction, before start().
+  /// correct node (`nodes[id]` null for faulty ids). on_pulse_run decodes
+  /// into `scratch`, the simulator-owned arena (see sim/scratch_arena.h),
+  /// which must outlive the table. Called once by FtGcsSystem after node
+  /// construction, before start().
   void build(const net::AugmentedTopology& topo,
-             const std::vector<std::unique_ptr<FtGcsNode>>& nodes);
+             const std::vector<std::unique_ptr<FtGcsNode>>& nodes,
+             sim::BatchScratch& scratch);
 
   /// net::ClusterPulseTable — the batched pulse receive: kClusterPulse
   /// events route to a lane, stale/self kMaxLevel events drop in place.
@@ -83,13 +86,6 @@ class NodeTable final : public net::ClusterPulseTable {
   /// staleness floor is a pure drop. Everything else (Byzantine sinks,
   /// non-stale levels) takes the ordinary per-event path.
   static bool pure_pulse(const sim::EventPayload& payload, const void* ctx);
-
-  /// Borrows the simulator-owned scratch arena for on_pulse_run's decode
-  /// columns (see sim/scratch_arena.h). Optional: an unbound table uses a
-  /// private arena, so standalone construction (tests) keeps working.
-  void bind_scratch(sim::BatchScratch* scratch) {
-    scratch_ = scratch != nullptr ? scratch : &own_scratch_;
-  }
 
   /// Crash-stop: marks `node` crashed — the fast flag drops to 0 (its
   /// deliveries fall through to the per-node sink, by then the null sink)
@@ -175,9 +171,7 @@ class NodeTable final : public net::ClusterPulseTable {
   /// kMaxLevel quorum windows, parallel to lanes_ (indexed by the same
   /// lane_offset_ spans; window i counts pulses from lane_cluster_[i]).
   std::vector<QuorumWindow> quorum_windows_;
-  // ---- batch scratch --------------------------------------------------------
-  sim::BatchScratch own_scratch_;  ///< fallback when no simulator arena bound
-  sim::BatchScratch* scratch_ = &own_scratch_;
+  sim::BatchScratch* scratch_ = nullptr;  ///< borrowed (see build)
 };
 
 }  // namespace ftgcs::core

@@ -45,7 +45,7 @@ GcsNode::GcsNode(sim::Simulator& simulator, net::Network& network,
       hardware_(simulator.now(), 0.0, 1.0),
       // ϕ = 0: the plain GCS has no amortization layer, only γ.
       clock_(0.0, params.mu, 1.0, simulator.now(), 0.0),
-      timers_(simulator, clock_, this),
+      timers_(simulator, clock_, *this),
       last_share_(neighbors.size()) {
   FTGCS_EXPECTS(params.broadcast_period > 0.0);
   FTGCS_EXPECTS(params.kappa > 0.0);

@@ -10,19 +10,6 @@ namespace ftgcs::net {
 
 namespace {
 
-/// Adapts the legacy std::function handler onto the typed sink interface.
-class FunctionSink final : public PulseSink {
- public:
-  explicit FunctionSink(Network::Handler handler)
-      : handler_(std::move(handler)) {}
-  void on_pulse(const Pulse& pulse, sim::Time now) override {
-    handler_(pulse, now);
-  }
-
- private:
-  Network::Handler handler_;
-};
-
 class NullSink final : public PulseSink {
  public:
   void on_pulse(const Pulse&, sim::Time) override {}
@@ -93,12 +80,6 @@ void Network::register_handler(int node, PulseSink* sink) {
   FTGCS_EXPECTS(node >= 0 && node < num_nodes());
   FTGCS_EXPECTS(sink != nullptr);
   sinks_[node] = sink;
-}
-
-void Network::register_handler(int node, Handler handler) {
-  FTGCS_EXPECTS(handler != nullptr);
-  owned_sinks_.push_back(std::make_unique<FunctionSink>(std::move(handler)));
-  register_handler(node, owned_sinks_.back().get());
 }
 
 void Network::register_null_handler(int node) {

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -99,10 +98,6 @@ class ShardRouter {
 
 class Network final : public sim::EventSink {
  public:
-  /// Legacy closure handler; adapted onto PulseSink (cold path, used by
-  /// tests and the simpler baselines).
-  using Handler = std::function<void(const Pulse&, sim::Time)>;
-
   /// `adjacency[v]` lists v's neighbors (no self-loops). The network adds
   /// loopback delivery on broadcast. One RNG stream per directed edge is
   /// forked from `rng`.
@@ -124,9 +119,6 @@ class Network final : public sim::EventSink {
   /// Installs the receive sink for `node`. Must be set before any message
   /// can be delivered to it. The sink must outlive the network.
   void register_handler(int node, PulseSink* sink);
-
-  /// Legacy overload: wraps `handler` in an owned adapter sink.
-  void register_handler(int node, Handler handler);
 
   /// Installs a sink that discards deliveries (crashed/faulty-silent ids).
   void register_null_handler(int node);
@@ -216,7 +208,6 @@ class Network final : public sim::EventSink {
   std::unique_ptr<DelayModel> delays_;
   bool uniform_channel_ = false;
   std::vector<PulseSink*> sinks_;
-  std::vector<std::unique_ptr<PulseSink>> owned_sinks_;  // legacy adapters
   ClusterPulseTable* dispatch_ = nullptr;   ///< columnar fast path (optional)
   const std::uint8_t* dispatch_fast_ = nullptr;  ///< per-dest fast flags
   ShardRouter* router_ = nullptr;           ///< cut-edge diversion (optional)

@@ -6,10 +6,9 @@
 // closures: an event carries an EventKind, the index of a registered
 // EventSink, and a fixed-size POD payload the sink interprets. Nothing on
 // this path allocates, and cancellation is a generation-stamp bump on the
-// event's pool slot (see event_queue.h).
-//
-// The legacy `std::function<void()>` path still exists (EventKind::kClosure)
-// for cold one-shot scheduling (fault injection, edge toggles, tests).
+// event's pool slot (see event_queue.h). It is the only dispatch path:
+// cold one-shot work (Byzantine sends, edge toggles, baseline timeouts)
+// is a typed event to its owner's sink like everything else.
 #pragma once
 
 #include <cstddef>
@@ -22,18 +21,22 @@ namespace ftgcs::sim {
 /// Tag of a typed event. The engine never interprets the payload — the tag
 /// exists so one sink can multiplex several event families (and so traces
 /// and debuggers can tell events apart without knowing the receiver).
+///
+/// 0 is deliberately not a kind: cancellable queue entries carry a zero
+/// (sink << 8 | kind) word, which therefore never matches a batch channel
+/// (see EventQueue::pop_run).
 enum class EventKind : std::uint8_t {
-  kClosure = 0,  ///< legacy path: the slot's std::function runs
-  kPulse,        ///< network message delivery (net/Network)
-  kTimer,        ///< logical-timer fire (clocks/LogicalTimerSet & friends)
-  kDrift,        ///< hardware-drift step (clocks/DriftModel)
-  kProbe,        ///< periodic measurement (metrics/SkewProbe)
+  kPulse = 1,  ///< network message delivery (net/Network)
+  kTimer,      ///< timer fire (clocks/LogicalTimerSet, one-shot timers)
+  kDrift,      ///< hardware-drift step (clocks/DriftModel)
+  kProbe,      ///< periodic measurement (metrics/SkewProbe)
 };
 
 /// Fixed-size POD payload of a typed event. Fields are generic words; the
 /// (kind, sink) pair defines the schema. Conventions used in this codebase:
 ///   kPulse: a=sender, b=level, c=dest node, d=PulseKind, x=value
-///   kTimer: a=key/round, x=auxiliary value
+///   kTimer: a=key/round, x=auxiliary value (one-shot timers: see the
+///           owner's on_event)
 ///   kDrift: a=script index / phase flag
 ///   kProbe: unused
 struct EventPayload {
@@ -59,8 +62,8 @@ struct BatchedEvent {
 
 /// Classifies a payload as a *pure receive* for the batch drain (see
 /// Simulator::set_batch_channel). Must be a stateless read of `ctx` —
-/// called once per candidate event at pop time. A plain function pointer,
-/// not std::function: the call sits inside the queue's pop loop.
+/// called once per candidate event at pop time. A plain function pointer
+/// (no type erasure): the call sits inside the queue's pop loop.
 using BatchPredicate = bool (*)(const EventPayload& payload, const void* ctx);
 
 /// Receiver of typed events. Components register once (getting a stable

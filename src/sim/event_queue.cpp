@@ -8,7 +8,6 @@ namespace ftgcs::sim {
 
 void EventQueue::reserve(std::size_t capacity) {
   slots_.reserve(capacity);
-  fns_.reserve(capacity);
   positions_.reserve(capacity);
   free_.reserve(capacity);
   // Blocks for `capacity` dense wide entries; sparse tails come on demand.
@@ -21,6 +20,21 @@ void EventQueue::prewarm() {
   reserve_pool(2 * links_.size());
   head_wide_.reserve(2 * head_wide_.capacity());
   head_narrow_.reserve(2 * head_narrow_.capacity());
+  // The same margin for the window tiers, which a reseed or rung spawn
+  // over a larger live set widens, and for the fan-out group records;
+  // free_gids_ can hold every group id, so retiring one never regrows it.
+  // The drain head lives in the tier being drained: re-aim it after the
+  // move.
+  const auto drain_bucket = [this]() -> Bucket& {
+    return rung_active_ ? rung_[rung_cur_] : wheel_[wheel_cur_];
+  };
+  const bool has_head = head_ != nullptr;
+  FTGCS_ASSERT(!has_head || head_ == &drain_bucket());
+  wheel_.reserve(std::min(2 * wheel_.size(), kMaxBuckets));
+  rung_.reserve(std::min(2 * rung_.size(), kRungMaxBuckets));
+  if (has_head) head_ = &drain_bucket();
+  groups_.reserve(2 * groups_.size());
+  free_gids_.reserve(groups_.capacity());
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -35,7 +49,6 @@ std::uint32_t EventQueue::acquire_slot() {
     return slot;
   }
   slots_.emplace_back();
-  fns_.emplace_back();
   positions_.push_back(0);
   FTGCS_ASSERT(slots_.size() < kInlineBase);  // inline range stays unused
   return static_cast<std::uint32_t>(slots_.size() - 1);
@@ -443,17 +456,8 @@ EventId EventQueue::push_entry(Time t, std::uint32_t slot) {
                  slots_[slot].gen};
 }
 
-EventId EventQueue::schedule(Time t, Callback fn) {
-  FTGCS_EXPECTS(fn != nullptr);
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].set(EventKind::kClosure, 0);
-  fns_[slot] = std::move(fn);
-  return push_entry(t, slot);
-}
-
 EventId EventQueue::schedule_typed(Time t, EventKind kind, SinkId sink,
                                    const EventPayload& payload) {
-  FTGCS_EXPECTS(kind != EventKind::kClosure);
   FTGCS_EXPECTS(sink < (1u << 24));  // packed next to the kind tag
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
@@ -464,7 +468,6 @@ EventId EventQueue::schedule_typed(Time t, EventKind kind, SinkId sink,
 
 void EventQueue::schedule_fire_only(Time t, EventKind kind, SinkId sink,
                                     const EventPayload& payload) {
-  FTGCS_EXPECTS(kind != EventKind::kClosure);
   FTGCS_EXPECTS(sink < (1u << 24));
   if (payload.x != 0.0 || payload.d >= 256) {
     // The 32-byte inline entry has no room for payload.x (or a d tag
@@ -493,7 +496,6 @@ void EventQueue::schedule_fire_only_group(Time base, const Duration* delays,
                                           const EventPayload& proto,
                                           std::int32_t first_dest,
                                           const std::int32_t* rest_dests) {
-  FTGCS_EXPECTS(kind != EventKind::kClosure);
   FTGCS_EXPECTS(sink < (1u << 24));
   if (count == 0) return;
   if (proto.x != 0.0) {
@@ -516,7 +518,6 @@ bool EventQueue::cancel(EventId id) {
   if (!decode_live(id, slot)) return false;
   remove_resident(slot);
   bump_generation(slot);
-  if (slots_[slot].kind() == EventKind::kClosure) fns_[slot] = nullptr;
   free_.push_back(slot);
   return true;
 }

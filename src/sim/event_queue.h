@@ -8,8 +8,8 @@
 // rejected by a stamp comparison — no map lookup anywhere. Slots are
 // recycled through a free list: a steady-state simulation performs no
 // allocation per event, neither for the bookkeeping nor for the work item
-// (typed events carry a POD payload dispatched to a registered EventSink
-// instead of a closure).
+// (every event carries a POD payload dispatched to a registered
+// EventSink).
 //
 // A calendar-queue window of buckets over near-future time absorbs
 // push/pop/reschedule in amortized O(1) at 40k-node populations (~400k
@@ -58,7 +58,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -81,8 +80,6 @@ struct EventId {
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
   EventQueue() = default;
 
   // head_ points into this object's own bucket storage; a copied or
@@ -90,13 +87,10 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `fn` at absolute time `t` (legacy closure path). Events at
-  /// equal time run in scheduling order. Returns a handle for `cancel`.
-  EventId schedule(Time t, Callback fn);
-
-  /// Schedules a typed event at absolute time `t`. The engine stores only
-  /// the POD payload; the caller-side Simulator dispatches to the sink.
-  /// This path never allocates once the pool is warm.
+  /// Schedules a typed event at absolute time `t`. Events at equal time
+  /// fire in scheduling order. The engine stores only the POD payload;
+  /// the caller-side Simulator dispatches to the sink. Returns a handle
+  /// for `cancel`/`reschedule`. Never allocates once the pool is warm.
   EventId schedule_typed(Time t, EventKind kind, SinkId sink,
                          const EventPayload& payload);
 
@@ -157,10 +151,9 @@ class EventQueue {
   struct Fired {
     Time at = 0.0;
     EventId id;  ///< null for fire-only events
-    EventKind kind = EventKind::kClosure;
+    EventKind kind = EventKind::kPulse;
     SinkId sink = kInvalidSink;
     EventPayload payload;
-    Callback fn;
   };
   Fired pop();
 
@@ -191,8 +184,9 @@ class EventQueue {
   /// allocate nothing.
   void reserve(std::size_t capacity);
 
-  /// Pins the warmed-up capacity profile: reserves the block pool (and
-  /// the head vectors) at 2× the high-water reached so far. The pool
+  /// Pins the warmed-up capacity profile: reserves the block pool, the
+  /// head vectors, the window tiers and the group records at 2× the
+  /// high-water reached so far. The pool
   /// allocates only when its free list is empty, and lane storage follows
   /// the live entries wherever the drifting window puts them, so after
   /// prewarm steady-state windows allocate nothing (the contract
@@ -290,9 +284,7 @@ class EventQueue {
   }
 
  private:
-  /// 32 bytes — two slots per cache line; closures live in the parallel
-  /// fns_ array so the typed hot path never touches std::function storage.
-  /// The sink id and event kind share one word (24 + 8 bits): a run has at
+  /// 32 bytes — two slots per cache line. The sink id and event kind share one word (24 + 8 bits): a run has at
   /// most a few-per-node sinks, far below 2^24.
   struct Slot {
     std::uint32_t gen = 1;  ///< never 0, so EventId.value != 0 always
@@ -589,7 +581,6 @@ class EventQueue {
   void reseed();
 
   std::vector<Slot> slots_;
-  std::vector<Callback> fns_;  ///< parallel to slots_; closure events only
   /// Residence of each slot's entry (see encoding above), parallel to
   /// slots_ but kept separate: bucket moves touch only this dense array,
   /// not the fat slot records.
@@ -659,15 +650,8 @@ inline void EventQueue::fill_fired_slot(Time at, std::uint32_t slot,
   out.at = at;
   out.id = EventId{(static_cast<std::uint64_t>(slot) + 1) << 32 | s.gen};
   out.kind = s.kind();
+  out.sink = s.sink();
   out.payload = s.payload;
-  if (out.kind == EventKind::kClosure) {
-    out.sink = kInvalidSink;
-    out.fn = std::move(fns_[slot]);
-    fns_[slot] = nullptr;  // drop captures now, not at slot reuse
-  } else {
-    out.sink = s.sink();
-    out.fn = nullptr;
-  }
   bump_generation(slot);  // the id is spent: cancel-after-fire no-ops
   free_.push_back(slot);
 }
@@ -684,7 +668,6 @@ inline void EventQueue::fill_fired(const Entry& head, Fired& out) {
     out.payload.c = head.c;
     out.payload.d = head.inline_d();
     out.payload.x = 0.0;  // x ≠ 0 events take the slotted path
-    out.fn = nullptr;
     return;
   }
   fill_fired_slot(head.at, head.slot(), out);
@@ -700,7 +683,6 @@ inline void EventQueue::fill_fired_narrow(const NarrowEntry& head, Fired& out) {
   out.kind = static_cast<EventKind>(sk & 0xffu);
   out.sink = sk >> 8;
   narrow_payload(head, out.payload);
-  out.fn = nullptr;
   narrow_retire(head.key);
 }
 

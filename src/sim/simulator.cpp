@@ -1,20 +1,8 @@
 #include "sim/simulator.h"
 
-#include <utility>
-
 #include "support/assert.h"
 
 namespace ftgcs::sim {
-
-EventId Simulator::at(Time t, Callback fn) {
-  FTGCS_EXPECTS(t >= now_);
-  return queue_.schedule(t, std::move(fn));
-}
-
-EventId Simulator::after(Duration dt, Callback fn) {
-  FTGCS_EXPECTS(dt >= 0.0);
-  return queue_.schedule(now_ + dt, std::move(fn));
-}
 
 SinkId Simulator::register_sink(EventSink* sink) {
   FTGCS_EXPECTS(sink != nullptr);
@@ -27,10 +15,10 @@ void Simulator::set_batch_channel(SinkId sink, EventKind kind,
   FTGCS_EXPECTS(sink < sinks_.size());
   FTGCS_EXPECTS(pred != nullptr);
   FTGCS_EXPECTS(batch_pred_ == nullptr);  // one channel per simulator
-  // kClosure would pack to the same (sink << 8 | kind) = 0 key that
+  // Kind 0 would pack to the same (sink << 8 | kind) = 0 key that
   // cancellable ladder entries carry by default — pop_run's mismatch test
   // relies on a real channel key never being 0.
-  FTGCS_EXPECTS(kind != EventKind::kClosure);
+  FTGCS_EXPECTS(static_cast<std::uint32_t>(kind) != 0);
   batch_pred_ = pred;
   batch_ctx_ = ctx;
   batch_sink_ = sinks_[sink];
@@ -78,24 +66,6 @@ void Simulator::post_fire_only_group(const Duration* delays, std::size_t count,
                                   first_dest, rest_dests);
 }
 
-void Simulator::dispatch(EventQueue::Fired& fired) {
-  if (fired.kind == EventKind::kClosure) {
-    fired.fn();
-  } else {
-    sinks_[fired.sink]->on_event(fired.kind, fired.payload, now_);
-  }
-}
-
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  auto fired = queue_.pop();
-  FTGCS_ASSERT(fired.at >= now_);
-  now_ = fired.at;
-  ++fired_;
-  dispatch(fired);
-  return true;
-}
-
 void Simulator::run_until(Time t_end) {
   FTGCS_EXPECTS(t_end >= now_);
   EventQueue::Fired fired;
@@ -116,7 +86,7 @@ void Simulator::run_until(Time t_end) {
     FTGCS_ASSERT(fired.at >= now_);
     now_ = fired.at;
     ++fired_;
-    dispatch(fired);
+    sinks_[fired.sink]->on_event(fired.kind, fired.payload, now_);
   }
   now_ = t_end;
 }

@@ -7,16 +7,13 @@
 // the past are rejected (contract violation), which catches clock inversion
 // bugs early.
 //
-// Two scheduling paths exist:
-//   * typed  — register_sink() once, then post_at()/post_after() with an
-//     EventKind + POD payload; dispatch is an indexed virtual call and the
-//     whole path is allocation-free (the hot path: pulses, timers, drift).
-//   * closure — at()/after() with a std::function, for cold one-shot work
-//     (fault injection, topology toggles, tests).
+// There is one scheduling path: register_sink() once, then post_at()/
+// post_after() (cancellable) or the post_fire_only_*() family with an
+// EventKind + POD payload. Dispatch is an indexed virtual call and the
+// whole path is allocation-free.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/event.h"
@@ -28,16 +25,8 @@ namespace ftgcs::sim {
 
 class Simulator {
  public:
-  using Callback = EventQueue::Callback;
-
   /// Current Newtonian time.
   Time now() const { return now_; }
-
-  /// Schedules `fn` at absolute time `t >= now()`.
-  EventId at(Time t, Callback fn);
-
-  /// Schedules `fn` after a non-negative delay.
-  EventId after(Duration dt, Callback fn);
 
   /// Registers a typed-event receiver; the returned id is stable for the
   /// simulator's lifetime. The sink must outlive the simulator (sinks are
@@ -110,9 +99,6 @@ class Simulator {
   /// then advanced to exactly `t_end`.
   void run_until(Time t_end);
 
-  /// Fires exactly one event if available. Returns false when idle.
-  bool step();
-
   /// True if no pending events remain.
   bool idle() const { return queue_.empty(); }
 
@@ -143,8 +129,6 @@ class Simulator {
   static constexpr std::size_t kMaxBatch = 256;
 
  private:
-  void dispatch(EventQueue::Fired& fired);
-
   EventQueue queue_;
   std::vector<EventSink*> sinks_;
   Time now_ = kTimeZero;

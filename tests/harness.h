@@ -3,7 +3,6 @@
 // testing Algorithm 1 and Corollary 3.5 in isolation.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,7 +58,7 @@ class ClusterHarness {
     for (int i = 0; i < params.k; ++i) {
       if (i >= active) {
         engines_.push_back(nullptr);  // silent (crashed from start)
-        network_.register_handler(i, [](const net::Pulse&, sim::Time) {});
+        network_.register_null_handler(i);
         continue;
       }
       cfg.active = true;
@@ -74,20 +73,14 @@ class ClusterHarness {
         pulse.kind = net::PulseKind::kClusterPulse;
         network_.broadcast(id, pulse);
       };
-      network_.register_handler(
-          i, [this, raw](const net::Pulse& pulse, sim::Time now) {
-            if (pulse.kind != net::PulseKind::kClusterPulse) return;
-            if (topo_.cluster_of(pulse.sender) != 0) return;
-            raw->on_member_pulse(topo_.index_in_cluster(pulse.sender), now);
-          });
+      attach(i, *raw);
       engines_.push_back(std::move(engine));
     }
 
     // Inert members of the observer cluster still receive broadcasts.
     if (options.observers > 0) {
       for (int j = options.observers; j < params.k; ++j) {
-        network_.register_handler(topo_.node(1, j),
-                                  [](const net::Pulse&, sim::Time) {});
+        network_.register_null_handler(topo_.node(1, j));
       }
     }
 
@@ -95,14 +88,7 @@ class ClusterHarness {
       cfg.active = false;
       auto replica = std::make_unique<core::ClusterSyncEngine>(
           sim_, cfg, 1.0, master.fork(100 + j));
-      auto* raw = replica.get();
-      const int id = topo_.node(1, j);
-      network_.register_handler(
-          id, [this, raw](const net::Pulse& pulse, sim::Time now) {
-            if (pulse.kind != net::PulseKind::kClusterPulse) return;
-            if (topo_.cluster_of(pulse.sender) != 0) return;
-            raw->on_member_pulse(topo_.index_in_cluster(pulse.sender), now);
-          });
+      attach(topo_.node(1, j), *replica);
       observers_.push_back(std::move(replica));
     }
   }
@@ -145,12 +131,20 @@ class ClusterHarness {
   }
 
  private:
+  /// Feeds `engine` (member or observer) cluster 0's pulses.
+  void attach(int node, core::ClusterSyncEngine& engine) {
+    sinks_.push_back(
+        std::make_unique<core::ClusterMemberSink>(topo_, 0, engine));
+    network_.register_handler(node, sinks_.back().get());
+  }
+
   core::Params params_;
   sim::Simulator sim_;
   net::AugmentedTopology topo_;
   net::Network network_;
   std::vector<std::unique_ptr<core::ClusterSyncEngine>> engines_;
   std::vector<std::unique_ptr<core::ClusterSyncEngine>> observers_;
+  std::vector<std::unique_ptr<core::ClusterMemberSink>> sinks_;
 };
 
 }  // namespace ftgcs::testing

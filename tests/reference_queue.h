@@ -26,7 +26,7 @@ class ReferenceQueue {
   struct Fired {
     Time at = 0.0;
     Id id = 0;
-    EventKind kind = EventKind::kClosure;
+    EventKind kind = EventKind::kPulse;
     SinkId sink = kInvalidSink;
     EventPayload payload;
   };

@@ -17,11 +17,15 @@
 // since the interesting allocations would happen on worker threads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "byz/fault_plan.h"
+#include "byz/strategies.h"
 #include "core/ftgcs_system.h"
 #include "core/params.h"
+#include "net/augmented.h"
 #include "net/graph.h"
 #include "par/sharded_system.h"
 #include "sim/event.h"
@@ -53,21 +57,27 @@ TEST(AllocGuard, HookCountsThisBinarysAllocations) {
   EXPECT_GE(guard.allocations(), 2u);
 }
 
+// Warms up `system`, pins its profile, and counts the allocations of the
+// guarded rounds.
+template <typename System>
+std::uint64_t guarded_allocations(System& system, const core::Params& params) {
+  system.start();
+  system.run_until(kWarmupRounds * params.T);
+  system.prewarm();
+  const support::ScopedAllocGuard guard;
+  for (int round = 1; round <= kGuardedRounds; ++round) {
+    system.run_until((kWarmupRounds + round) * params.T);
+  }
+  return guard.allocations();
+}
+
 TEST(AllocGuard, SteadyStateRunUntilIsAllocationFree) {
   const core::Params params = test_params();
   core::FtGcsSystem::Config config;
   config.params = params;
   config.seed = 11;
   core::FtGcsSystem system(net::Graph::ring(8), std::move(config));
-  system.start();
-  system.run_until(kWarmupRounds * params.T);
-  system.prewarm();
-
-  const support::ScopedAllocGuard guard;
-  for (int round = 1; round <= kGuardedRounds; ++round) {
-    system.run_until((kWarmupRounds + round) * params.T);
-  }
-  EXPECT_EQ(guard.allocations(), 0u)
+  EXPECT_EQ(guarded_allocations(system, params), 0u)
       << "steady-state run_until allocated";
 }
 
@@ -84,16 +94,56 @@ TEST(AllocGuard, SteadyStateShardedRunIsAllocationFree) {
   config.shards = 2;
   par::ShardedFtGcsSystem system(net::Graph::ring(8), std::move(config));
   ASSERT_EQ(system.num_shards(), 2);
-  system.start();
-  system.run_until(kWarmupRounds * params.T);
-  system.prewarm();
-
-  const support::ScopedAllocGuard guard;
-  for (int round = 1; round <= kGuardedRounds; ++round) {
-    system.run_until((kWarmupRounds + round) * params.T);
-  }
-  EXPECT_EQ(guard.allocations(), 0u)
+  EXPECT_EQ(guarded_allocations(system, params), 0u)
       << "steady-state sharded run_until allocated (shards=2)";
+}
+
+// The same contract under faults: f = 1 Byzantine member per cluster,
+// every strategy, on one simulator and at shards = 2. Adversarial sends
+// (timed unicasts, chosen-delay unicasts, noise pulses) are typed events
+// to the faulty node's own sink, so they allocate no more than correct
+// traffic does.
+TEST(AllocGuard, SteadyStateByzantineRunIsAllocationFree) {
+  const core::Params params = test_params();
+  const net::AugmentedTopology topo(net::Graph::ring(8), params.k);
+  const struct {
+    byz::StrategyKind kind;
+    double param;
+  } strategies[] = {
+      {byz::StrategyKind::kSilent, 0.0},
+      {byz::StrategyKind::kRandomPulser, 0.7},
+      {byz::StrategyKind::kTwoFaced, 0.2},
+      {byz::StrategyKind::kClockLiar, 50.0},
+      {byz::StrategyKind::kSkewPump, 0.3},
+      {byz::StrategyKind::kEquivocator, 0.4},
+      {byz::StrategyKind::kWindowEdge, 0.2},
+      {byz::StrategyKind::kDelayJitter, 0.0},
+  };
+  for (const auto& [kind, param] : strategies) {
+    const byz::FaultPlan plan =
+        byz::FaultPlan::uniform(topo, 1, kind, param, 5);
+    {
+      core::FtGcsSystem::Config config;
+      config.params = params;
+      config.seed = 11;
+      config.fault_plan = plan;
+      core::FtGcsSystem system(net::Graph::ring(8), std::move(config));
+      EXPECT_EQ(guarded_allocations(system, params), 0u)
+          << byz::strategy_name(kind) << ": steady-state run_until allocated";
+    }
+    {
+      par::ShardedFtGcsSystem::Config config;
+      config.params = params;
+      config.seed = 11;
+      config.shards = 2;
+      config.fault_plan = plan;
+      par::ShardedFtGcsSystem system(net::Graph::ring(8), std::move(config));
+      ASSERT_EQ(system.num_shards(), 2);
+      EXPECT_EQ(guarded_allocations(system, params), 0u)
+          << byz::strategy_name(kind)
+          << ": steady-state sharded run_until allocated (shards=2)";
+    }
+  }
 }
 
 // Trace capture buffers must grow geometrically: an exact per-batch

@@ -232,10 +232,12 @@ TEST(ClusterSync, LatePulsesDroppedAndCounted) {
   const Params params = test_params();
   ClusterHarness harness(params, {});
   harness.start();
-  // Step to phase 3 of round 1: listening is off.
+  // Advance in small steps to phase 3 of round 1: listening is off.
   auto& engine = harness.engine(0);
+  const double dt = 1e-3 * params.T;
   while (engine.round() <= 1 && engine.listening()) {
-    ASSERT_TRUE(harness.sim().step());
+    ASSERT_FALSE(harness.sim().idle());
+    harness.sim().run_until(harness.sim().now() + dt);
   }
   ASSERT_EQ(engine.round(), 1);
   const auto before = engine.dropped_pulses();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 namespace ftgcs::sim {
@@ -12,44 +14,53 @@ namespace {
 // against a reference queue under random op streams.
 class EventQueueTest : public ::testing::Test {
  protected:
+  /// Schedules a cancellable timer event tagged `tag` (payload.a).
+  EventId schedule(Time t, std::int32_t tag = 0) {
+    EventPayload payload;
+    payload.a = tag;
+    return q.schedule_typed(t, EventKind::kTimer, 0, payload);
+  }
+
+  /// Pops every remaining event; returns their tags in pop order.
+  std::vector<std::int32_t> drain() {
+    std::vector<std::int32_t> tags;
+    while (!q.empty()) tags.push_back(q.pop().payload.a);
+    return tags;
+  }
+
   EventQueue q;
 };
 
 TEST_F(EventQueueTest, FiresInTimeOrder) {
-  std::vector<int> order;
-  q.schedule(3.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(2.0, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  schedule(3.0, 3);
+  schedule(1.0, 1);
+  schedule(2.0, 2);
+  EXPECT_EQ(drain(), (std::vector<std::int32_t>{1, 2, 3}));
 }
 
 TEST_F(EventQueueTest, EqualTimesFireFifo) {
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5.0, [&order, i] { order.push_back(i); });
-  }
-  while (!q.empty()) q.pop().fn();
+  for (int i = 0; i < 10; ++i) schedule(5.0, i);
+  const std::vector<std::int32_t> order = drain();
+  ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST_F(EventQueueTest, CancelPreventsFiring) {
-  bool fired = false;
-  const EventId id = q.schedule(1.0, [&] { fired = true; });
+  const EventId id = schedule(1.0);
   EXPECT_TRUE(q.cancel(id));
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(fired);
+  EXPECT_TRUE(drain().empty());
 }
 
 TEST_F(EventQueueTest, CancelIsIdempotent) {
-  const EventId id = q.schedule(1.0, [] {});
+  const EventId id = schedule(1.0);
   EXPECT_TRUE(q.cancel(id));
   EXPECT_FALSE(q.cancel(id));
 }
 
 TEST_F(EventQueueTest, CancelledHeadDoesNotBlockNextTime) {
-  const EventId early = q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
+  const EventId early = schedule(1.0);
+  schedule(2.0);
   q.cancel(early);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
 }
@@ -59,8 +70,8 @@ TEST_F(EventQueueTest, NextTimeOnEmptyIsInfinity) {
 }
 
 TEST_F(EventQueueTest, SizeTracksLiveEvents) {
-  const EventId a = q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
+  const EventId a = schedule(1.0);
+  schedule(2.0);
   EXPECT_EQ(q.size(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.size(), 1u);
@@ -69,18 +80,16 @@ TEST_F(EventQueueTest, SizeTracksLiveEvents) {
 }
 
 TEST_F(EventQueueTest, PopReturnsTimeAndId) {
-  const EventId id = q.schedule(7.5, [] {});
+  const EventId id = schedule(7.5);
   const auto fired = q.pop();
   EXPECT_DOUBLE_EQ(fired.at, 7.5);
   EXPECT_EQ(fired.id, id);
 }
 
 TEST_F(EventQueueTest, CancelAfterFireIsNoOp) {
-  int fired = 0;
-  const EventId id = q.schedule(1.0, [&] { ++fired; });
-  q.schedule(2.0, [] {});
-  q.pop().fn();
-  EXPECT_EQ(fired, 1);
+  const EventId id = schedule(1.0, 1);
+  schedule(2.0, 2);
+  EXPECT_EQ(q.pop().payload.a, 1);
   // The id is spent; cancelling it must not touch the remaining event.
   EXPECT_FALSE(q.cancel(id));
   EXPECT_EQ(q.size(), 1u);
@@ -90,20 +99,18 @@ TEST_F(EventQueueTest, CancelAfterFireIsNoOp) {
 TEST_F(EventQueueTest, SlotReuseInvalidatesOldIds) {
   // ABA guard: after an event fires, its pool slot is recycled; a handle
   // from the old generation must neither cancel nor alias the new event.
-  const EventId old_id = q.schedule(1.0, [] {});
+  const EventId old_id = schedule(1.0, 1);
   q.pop();
   EXPECT_TRUE(q.empty());
 
-  bool second_fired = false;
-  const EventId new_id = q.schedule(2.0, [&] { second_fired = true; });
+  const EventId new_id = schedule(2.0, 2);
   // The pool recycled the slot (same index), so the ids share the slot
   // half but differ in generation.
   EXPECT_EQ(old_id.value >> 32, new_id.value >> 32);
   EXPECT_NE(old_id.value, new_id.value);
   EXPECT_FALSE(q.cancel(old_id));  // stale generation: rejected
   EXPECT_EQ(q.size(), 1u);
-  q.pop().fn();
-  EXPECT_TRUE(second_fired);
+  EXPECT_EQ(drain(), (std::vector<std::int32_t>{2}));
 }
 
 TEST_F(EventQueueTest, TypedEventsCarryPayloadAndFifoOrder) {
@@ -119,7 +126,6 @@ TEST_F(EventQueueTest, TypedEventsCarryPayloadAndFifoOrder) {
     EXPECT_EQ(fired.sink, 7u);
     EXPECT_EQ(fired.payload.a, i);  // equal times: scheduling order
     EXPECT_DOUBLE_EQ(fired.payload.x, 0.5 * i);
-    EXPECT_FALSE(fired.fn);
   }
   EXPECT_TRUE(q.empty());
 }
@@ -162,17 +168,17 @@ TEST_F(EventQueueTest, TypedPathDoesNotAllocateAfterWarmup) {
 
 TEST_F(EventQueueTest, InterleavedScheduleCancelStress) {
   std::vector<EventId> ids;
-  int fired = 0;
   for (int i = 0; i < 1000; ++i) {
-    ids.push_back(q.schedule(static_cast<Time>(i % 100), [&] { ++fired; }));
+    ids.push_back(schedule(static_cast<Time>(i % 100), i));
   }
   // Cancel every third event.
   int cancelled = 0;
   for (std::size_t i = 0; i < ids.size(); i += 3) {
     if (q.cancel(ids[i])) ++cancelled;
   }
-  while (!q.empty()) q.pop().fn();
-  EXPECT_EQ(fired + cancelled, 1000);
+  const std::vector<std::int32_t> fired = drain();
+  for (const std::int32_t tag : fired) EXPECT_NE(tag % 3, 0);
+  EXPECT_EQ(static_cast<int>(fired.size()) + cancelled, 1000);
   EXPECT_EQ(cancelled, 334);
 }
 

@@ -14,10 +14,24 @@
 namespace ftgcs::net {
 namespace {
 
+/// Appends every delivery to `log` as (sender, arrival time).
+struct Inbox final : PulseSink {
+  std::vector<std::pair<int, sim::Time>>* log = nullptr;
+  void on_pulse(const Pulse& p, sim::Time t) override {
+    log->emplace_back(p.sender, t);
+  }
+};
+
+struct Counter final : PulseSink {
+  int count = 0;
+  void on_pulse(const Pulse&, sim::Time) override { ++count; }
+};
+
 struct Fixture {
   sim::Simulator sim;
   Network network;
   std::map<int, std::vector<std::pair<int, sim::Time>>> received;
+  std::vector<Inbox> inboxes;
 
   explicit Fixture(const Graph& g, std::unique_ptr<DelayModel> delays =
                                        nullptr)
@@ -25,10 +39,10 @@ struct Fixture {
                 delays ? std::move(delays)
                        : std::make_unique<UniformDelay>(1.0, 0.2),
                 sim::Rng(5)) {
+    inboxes.resize(static_cast<std::size_t>(g.num_vertices()));
     for (int v = 0; v < g.num_vertices(); ++v) {
-      network.register_handler(v, [this, v](const Pulse& p, sim::Time t) {
-        received[v].emplace_back(p.sender, t);
-      });
+      inboxes[v].log = &received[v];
+      network.register_handler(v, &inboxes[v]);
     }
   }
 };
@@ -160,11 +174,9 @@ TEST(Network, WorksOnAugmentedTopology) {
   sim::Simulator sim;
   Network network(sim, topo.adjacency(),
                   std::make_unique<UniformDelay>(1.0, 0.1), sim::Rng(9));
-  std::vector<int> count(topo.num_nodes(), 0);
+  std::vector<Counter> sinks(static_cast<std::size_t>(topo.num_nodes()));
   for (int v = 0; v < topo.num_nodes(); ++v) {
-    network.register_handler(v, [&count, v](const Pulse&, sim::Time) {
-      ++count[v];
-    });
+    network.register_handler(v, &sinks[v]);
   }
   Pulse pulse;
   pulse.sender = 0;  // member 0 of cluster 0
@@ -172,10 +184,10 @@ TEST(Network, WorksOnAugmentedTopology) {
   sim.run_until(2.0);
   // Reaches self + 3 cluster peers + 4 members of cluster 1.
   int total = 0;
-  for (int c : count) total += c;
+  for (const Counter& sink : sinks) total += sink.count;
   EXPECT_EQ(total, 8);
-  EXPECT_EQ(count[0], 1);
-  EXPECT_EQ(count[7], 1);
+  EXPECT_EQ(sinks[0].count, 1);
+  EXPECT_EQ(sinks[7].count, 1);
 }
 
 }  // namespace

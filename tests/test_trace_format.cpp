@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "byz/strategies.h"
 #include "exp/exp.h"
 #include "sim/event.h"
 #include "sim/rng.h"
@@ -189,6 +190,49 @@ TEST(TraceFormat, TorusMonitoredSliceIdenticalAcrossShards) {
   const trace::TraceDiff diff = trace::diff_traces(path_s1, path_s2);
   EXPECT_TRUE(diff.identical) << diff.reason;
   EXPECT_GT(diff.records_compared, 0u);
+}
+
+// The Byzantine scheduling pin: every strategy, f = 1 faulty member per
+// cluster, on a 16-cluster torus with --trace. Fired events, trace records
+// and the FNV-1a hash of the trace bytes are pinned to values recorded
+// when adversarial sends still ran as std::function closures, so the
+// typed events that replaced them must replay them exactly. E4's grid
+// sweeps only five of the eight strategies; window-edge, delay-jitter and
+// random-pulser are pinned nowhere else.
+TEST(TraceFormat, EveryStrategyTorusTracePinned) {
+  exp::register_builtin_scenarios();
+  ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
+  spec.axes = {};
+  apply_axis(spec, "clusters", 16.0);
+  apply_axis(spec, "fault_mode", 1.0);
+
+  const struct {
+    const char* strategy;
+    double events;
+    std::uint64_t records;
+    std::uint64_t hash;
+  } pins[] = {
+      {"silent", 149088, 123296, 0x91a49bbab951a578ull},
+      {"random-pulser", 176711, 149900, 0xf103ec580ba35e50ull},
+      {"two-faced", 165215, 131744, 0x98670d63e6141565ull},
+      {"clock-liar", 158936, 132160, 0x4b2da1d2e58c49eeull},
+      {"skew-pump", 164989, 131556, 0x447c73a51abe7370ull},
+      {"equivocator", 165213, 131692, 0x6045f3d8d016bf59ull},
+      {"window-edge", 164972, 131366, 0x19d4daa974b48512ull},
+      {"delay-jitter", 165184, 131741, 0x02fed15e01abaec2ull},
+  };
+  for (int kind = 0; kind < 8; ++kind) {
+    const auto& pin = pins[kind];
+    ScenarioSpec s = spec;
+    apply_axis(s, "strategy", kind);
+    ASSERT_STREQ(byz::strategy_name(s.faults.strategy), pin.strategy);
+    s.trace_path = temp_path(std::string("byz_") + pin.strategy + ".ftr");
+    const exp::RunResult result = run_point(s, 1);
+    const std::uint64_t hash = fnv1a(read_file(s.trace_path));
+    EXPECT_EQ(result.metric("events"), pin.events) << pin.strategy;
+    EXPECT_EQ(result.trace.records, pin.records) << pin.strategy;
+    EXPECT_EQ(hash, pin.hash) << pin.strategy;
+  }
 }
 
 // The bytes-per-event pin: broadcast fan-outs ride the ladder's 16 B
