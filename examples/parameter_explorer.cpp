@@ -3,11 +3,17 @@
 // and the bounds the theorems predict.
 //
 //   ./parameter_explorer [rho] [d] [U] [f]
+//
+// A malformed argument (a non-number, rho too large for the practical
+// preset, d <= 0, U outside [0, d], f < 0) prints a message and exits 2.
+#include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/params.h"
+#include "exp/scenario.h"
 #include "metrics/table.h"
 
 namespace {
@@ -37,10 +43,33 @@ void show(const char* name, const ftgcs::core::Params& p, int diameter) {
 int main(int argc, char** argv) {
   using namespace ftgcs;
 
-  const double rho = argc > 1 ? std::atof(argv[1]) : 1e-4;
-  const double d = argc > 2 ? std::atof(argv[2]) : 1.0;
-  const double U = argc > 3 ? std::atof(argv[3]) : 0.01;
-  const int f = argc > 4 ? std::atoi(argv[4]) : 1;
+  double rho = 1e-4;
+  double d = 1.0;
+  double U = 0.01;
+  int f = 1;
+  try {
+    if (argc > 1) rho = exp::parse_real("rho", argv[1]);
+    if (argc > 2) d = exp::parse_real("d", argv[2]);
+    if (argc > 3) U = exp::parse_real("U", argv[3]);
+    // k = 3f + 1 must fit in an int.
+    if (argc > 4) {
+      f = exp::parse_integer<int>("f", argv[4], 0, (INT_MAX - 1) / 3);
+    }
+    if (!(rho > 0.0) || core::Params::practical_phi(rho) == 0.0) {
+      throw std::invalid_argument(
+          "rho must be positive and small enough for the practical preset");
+    }
+    if (!(d > 0.0)) throw std::invalid_argument("d must be positive");
+    if (!(U >= 0.0 && U <= d)) {
+      throw std::invalid_argument("U must lie in [0, d]");
+    }
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr,
+                 "parameter_explorer: %s\nusage: parameter_explorer [rho] "
+                 "[d] [U] [f]\n",
+                 error.what());
+    return 2;
+  }
   const int diameter = 16;
 
   std::printf("model inputs: rho=%g d=%g U=%g f=%d\n\n", rho, d, U, f);

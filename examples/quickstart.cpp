@@ -3,20 +3,32 @@
 // and inspect the skews against the paper's bounds.
 //
 //   ./quickstart [clusters] [seed]
+//
+// A malformed argument (clusters < 1, a non-integer) prints a message and
+// exits 2.
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 
 #include "byz/fault_plan.h"
 #include "core/ftgcs_system.h"
+#include "exp/scenario.h"
 #include "metrics/skew_tracker.h"
 #include "net/graph.h"
 
 int main(int argc, char** argv) {
   using namespace ftgcs;
 
-  const int clusters = argc > 1 ? std::atoi(argv[1]) : 8;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                                      : 1;
+  int clusters = 8;
+  std::uint64_t seed = 1;
+  try {
+    if (argc > 1) clusters = exp::parse_integer<int>("clusters", argv[1], 1);
+    if (argc > 2) seed = exp::parse_integer<std::uint64_t>("seed", argv[2]);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr,
+                 "quickstart: %s\nusage: quickstart [clusters] [seed]\n",
+                 error.what());
+    return 2;
+  }
 
   // 1. Derive all protocol parameters from the model constants:
   //    hardware drift ρ, message delay d, delay uncertainty U, and the

@@ -128,6 +128,27 @@ Params Params::paper_strict(double rho, double d, double U, int f) {
   return p;
 }
 
+double Params::practical_phi(double rho) {
+  // Choose the smallest ϕ whose general-execution recurrence (Claim B.15
+  // with ζ = 1, ϑ = ϑ_g) contracts with margin: α ≤ 0.8. Smaller ϕ keeps
+  // the logical-rate envelope ϑ_max tame.
+  const double alpha_target = 0.8;
+  const double mu = 32.0 * rho;
+  const double theta = (1.0 + rho) * (1.0 + mu);
+  const double zeta_probe_base = 1.0 + mu;
+  for (double phi = 0.01; phi <= 0.95; phi += 0.005) {
+    const double zeta_max = (1.0 + phi) * zeta_probe_base;
+    const double gamma = zeta_max * (theta - 1.0);
+    if (gamma >= 1.0) continue;
+    const double alpha12 =
+        (2.0 * theta * theta + 5.0 * theta - 5.0) /
+            (2.0 * (theta + 1.0) * (1.0 - gamma)) +
+        gamma / (1.0 - gamma) * (1.0 + 1.0 / phi);
+    if (alpha12 <= alpha_target) return phi;
+  }
+  return 0.0;
+}
+
 Params Params::practical(double rho, double d, double U, int f) {
   Params p;
   p.rho = rho;
@@ -137,28 +158,8 @@ Params Params::practical(double rho, double d, double U, int f) {
   p.eps = 0.0;
   p.c2 = 32.0;
   p.mu = p.c2 * rho;
-  // Choose the smallest ϕ whose general-execution recurrence (Claim B.15
-  // with ζ = 1, ϑ = ϑ_g) contracts with margin: α ≤ 0.8. Smaller ϕ keeps
-  // the logical-rate envelope ϑ_max tame.
-  const double alpha_target = 0.8;
-  const double theta = (1.0 + rho) * (1.0 + p.mu);
-  const double zeta_probe_base = 1.0 + p.mu;
-  double chosen = 0.0;
-  for (double phi = 0.01; phi <= 0.95; phi += 0.005) {
-    const double zeta_max = (1.0 + phi) * zeta_probe_base;
-    const double gamma = zeta_max * (theta - 1.0);
-    if (gamma >= 1.0) continue;
-    const double alpha12 =
-        (2.0 * theta * theta + 5.0 * theta - 5.0) /
-            (2.0 * (theta + 1.0) * (1.0 - gamma)) +
-        gamma / (1.0 - gamma) * (1.0 + 1.0 / phi);
-    if (alpha12 <= alpha_target) {
-      chosen = phi;
-      break;
-    }
-  }
-  FTGCS_EXPECTS(chosen > 0.0);  // ρ too large for the construction
-  p.phi = chosen;
+  p.phi = practical_phi(rho);
+  FTGCS_EXPECTS(p.phi > 0.0);  // ρ too large for the construction
   p.derive();
   return p;
 }

@@ -92,6 +92,9 @@ struct Params {
   // ---- presets ------------------------------------------------------------
   static Params paper_strict(double rho, double d, double U, int f);
   static Params practical(double rho, double d, double U, int f);
+  /// The ϕ the practical preset picks for drift ρ, or 0 when ρ is too
+  /// large for the construction (practical() then fails its precondition).
+  static double practical_phi(double rho);
   /// Explicit µ and ϕ (ablations / sensitivity sweeps); everything else
   /// derived as in the presets.
   static Params custom(double rho, double d, double U, int f, double mu,

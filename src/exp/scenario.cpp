@@ -312,6 +312,17 @@ template std::uint64_t parse_integer<std::uint64_t>(const std::string&,
                                                     std::uint64_t,
                                                     std::uint64_t);
 
+double parse_real(const std::string& flag, const std::string& token) {
+  char* parsed_end = nullptr;
+  const double value = std::strtod(token.c_str(), &parsed_end);
+  if (token.empty() || parsed_end != token.c_str() + token.size() ||
+      !std::isfinite(value)) {
+    throw std::invalid_argument(flag + " expects a finite number, got '" +
+                                token + "'");
+  }
+  return value;
+}
+
 std::string format_axis_value(const AxisValue& v) {
   if (!v.label.empty()) return v.label;
   char buf[32];

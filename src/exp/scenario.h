@@ -271,6 +271,11 @@ Int parse_integer(const std::string& flag, const std::string& token,
                   Int lo = std::numeric_limits<Int>::min(),
                   Int hi = std::numeric_limits<Int>::max());
 
+/// Strict whole-token parse of a finite real for the CLI argument `flag`:
+/// no trailing characters, no inf or nan. Throws std::invalid_argument
+/// naming the argument.
+double parse_real(const std::string& flag, const std::string& token);
+
 /// Formats an axis value: the label when given, otherwise "%g".
 std::string format_axis_value(const AxisValue& v);
 

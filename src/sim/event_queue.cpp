@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "support/sort_nearly_sorted.h"
+
 namespace ftgcs::sim {
 
 void EventQueue::reserve(std::size_t capacity) {
@@ -35,6 +37,7 @@ void EventQueue::prewarm() {
   if (has_head) head_ = &drain_bucket();
   groups_.reserve(2 * groups_.size());
   free_gids_.reserve(groups_.capacity());
+  sort_bins_.reserve(kMaxSortBins);
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -281,14 +284,82 @@ void EventQueue::remove_resident(std::uint32_t slot) {
   count_live(tag, -1);
 }
 
+template <typename T>
+void EventQueue::materialize_lane(Lane& lane, bool binned) {
+  std::vector<T>& head = head_vec<T>();
+  const std::size_t n = lane.count;
+  if (n == 0) return;
+  // Grow exactly as n push_backs would: lane_peak_bytes reports this
+  // capacity.
+  if (head.capacity() < n) {
+    std::size_t capacity = std::max<std::size_t>(head.capacity(), 1);
+    while (capacity < n) capacity *= 2;
+    head.reserve(capacity);
+  }
+  head.resize(n);
+  Time tmin = block<T>(lane.first)[0].at;
+  Time tmax = tmin;
+  if (binned) {
+    visit<T>(lane, [&](const T* d, std::size_t m) {
+      for (std::size_t i = 0; i < m; ++i) {
+        tmin = std::min(tmin, d[i].at);
+        tmax = std::max(tmax, d[i].at);
+      }
+    });
+  }
+  // Bin k of nb covers [tmin + k·span/nb, tmin + (k+1)·span/nb): the
+  // index is monotone in `at`, so every inversion left is inside one bin.
+  const std::size_t nb = std::min(n, kMaxSortBins);
+  const double span = tmax - tmin;
+  const double scale = static_cast<double>(nb) / span;
+  // A zero span (one timestamp, or a lane left unbinned), an infinite
+  // one (an event at kTimeInfinity) or a subnormal one (infinite scale)
+  // has no usable bins; `!(span > 0)` also rejects NaN.
+  if (!(span > 0.0) || !std::isfinite(span) || !std::isfinite(scale)) {
+    // One bin: chain order is mostly ascending seq, so the reversed copy
+    // leaves equal-time entries in descending order already.
+    std::size_t pos = n;
+    drain_chain<T>(lane, [&](const T& e) { head[--pos] = e; });
+    return;
+  }
+  const auto bin = [&](const T& e) {
+    return std::min(static_cast<std::size_t>((e.at - tmin) * scale), nb - 1);
+  };
+  sort_bins_.assign(nb, 0);
+  visit<T>(lane, [&](const T* d, std::size_t m) {
+    for (std::size_t i = 0; i < m; ++i) ++sort_bins_[bin(d[i])];
+  });
+  std::uint32_t below = 0;  // entries in earlier bins
+  for (std::uint32_t& count : sort_bins_) {
+    below += std::exchange(count, below);
+  }
+  // Ascending bins from the back, each filled back to front, so the
+  // vector is descending by bin and chain order reverses within a bin.
+  drain_chain<T>(lane, [&](const T& e) {
+    head[n - 1 - sort_bins_[bin(e)]++] = e;
+  });
+}
+
 void EventQueue::materialize(Bucket& bucket) {
-  drain_chain<Entry>(bucket.wide,
-                     [&](const Entry& e) { head_wide_.push_back(e); });
-  drain_chain<NarrowEntry>(
-      bucket.narrow, [&](const NarrowEntry& e) { head_narrow_.push_back(e); });
+  // A bucket about to split into a rung is copied, not ordered.
+  const bool binned =
+      rung_active_ || bucket.wide.count + bucket.narrow.count <=
+                          kRungSpawnThreshold;
+  materialize_lane<Entry>(bucket.wide, binned);
+  materialize_lane<NarrowEntry>(bucket.narrow, binned);
   head_ = &bucket;
   head_sorted_wide_ = false;
   head_sorted_narrow_ = false;
+}
+
+template <typename T>
+void EventQueue::sort_head(std::vector<T>& head) {
+  // Descending (time, seq), so pops are pop_back and cancel stays a
+  // swap-remove. Positions are NOT rewritten (a random write per event
+  // into the multi-MB positions_); removal verifies the slot instead.
+  stats_.sorted_elements += head.size();
+  stats_.sort_fallbacks += support::sort_nearly_sorted(
+      head, [](const T& a, const T& b) { return earlier(b, a); });
 }
 
 void EventQueue::spawn_rung() {
@@ -391,19 +462,9 @@ bool EventQueue::prepare_head() {
         spawn_rung();
         continue;
       }
-      // Descending (time, seq), so pops are pop_back and cancel stays a
-      // swap-remove. Positions are NOT rewritten (a random write per event
-      // into the multi-MB positions_); removal verifies the slot instead.
       // A clean lane keeps its order.
-      const auto later = [](const auto& a, const auto& b) {
-        return earlier(b, a);
-      };
-      if (!head_sorted_wide_) {
-        std::sort(head_wide_.begin(), head_wide_.end(), later);
-      }
-      if (!head_sorted_narrow_) {
-        std::sort(head_narrow_.begin(), head_narrow_.end(), later);
-      }
+      if (!head_sorted_wide_) sort_head(head_wide_);
+      if (!head_sorted_narrow_) sort_head(head_narrow_);
       head_sorted_wide_ = true;
       head_sorted_narrow_ = true;
       return true;

@@ -21,7 +21,7 @@
 // population span), so buckets hold O(1) events on uniform workloads;
 // round-synchronized delivery bands that pile one bucket high are split
 // on drain into a finer "rung" of sub-buckets (a one-level ladder queue)
-// instead of paying one big sort. A bucket is sorted on drain — never on
+// instead of being ordered whole. A bucket is ordered on drain — never on
 // insert — in exact (time, seq) order, so the pop sequence is that of a
 // plain (time, seq) priority queue: pinned against the map-based
 // reference queue in tests/reference_queue.h by
@@ -30,8 +30,14 @@
 // Every ladder lane (wheel bucket, rung sub-bucket, overflow) is a chain
 // of 512-byte blocks from ONE queue-owned LIFO pool, so retained storage
 // is O(live entries + non-empty lanes), wherever reseeds move the bands.
-// The drain head is copied into two contiguous head vectors (its blocks go
-// back to the pool) and sorted there, so pops are back() reads.
+// The drain head is scattered into two contiguous head vectors (its blocks
+// go back to the pool), descending, so pops are back() reads. Ordering it
+// takes linear time: a distribution pass over ~n time bins of the lane's
+// measured span lands each entry in its bin, and an exact pass,
+// support::sort_nearly_sorted (a budgeted insertion sort, shared with the
+// trace commit), orders the few entries that share a bin under the
+// (time, seq) comparator. The exact pass alone re-sorts the head after an
+// insert into it or a cancel out of it.
 //
 // Three further specializations carry the 40k-node workloads:
 //   * fire-only events (schedule_fire_only — all network deliveries) store
@@ -207,6 +213,11 @@ class EventQueue {
     std::uint64_t overflow_pushes = 0;  ///< events routed via the overflow tier
     std::uint64_t reseeds = 0;      ///< windows rebuilt from the overflow tier
     std::uint64_t ordered_run_events = 0;  ///< events drained by pop_run
+    /// Entries through the drain head's exact pass (sort_nearly_sorted),
+    /// re-sorts after a head insert or cancel included.
+    std::uint64_t sorted_elements = 0;
+    /// Exact passes whose move budget ran out, so std::sort finished them.
+    std::uint64_t sort_fallbacks = 0;
     /// Always 0; kept for benchmark/ftgcs_e2e.cpp until the benchmark changes.
     std::uint64_t unordered_events = 0;
     // Bytes-per-event split (see schedule_fire_only_group): how much of the
@@ -258,6 +269,8 @@ class EventQueue {
           field<&S::overflow_peak>("overflow_peak", kMax, kEngine, "queue"),
           field<&S::reseeds>("reseeds", kSum, kEngine, "queue"),
           field<&S::ordered_run_events>("run_events", kSum, kEngine, "runs"),
+          field<&S::sorted_elements>("sorted_elements", kSum, kEngine, "runs"),
+          field<&S::sort_fallbacks>("sort_fallbacks", kSum, kEngine, "runs"),
           derived<&S::entry_bytes>("entry_bytes", kEngine, "bytes"),
           field<&S::narrow_events>("narrow", kSum, kEngine, "bytes"),
           field<&S::wide_events>("wide", kSum, kEngine, "bytes"),
@@ -467,9 +480,9 @@ class EventQueue {
   /// Bucket count tracks the population, capped well below the population
   /// at 40k-node scale: the limiting resource is the cache working set of
   /// ACTIVE bucket tails (the delivery band sweeps them on every insert),
-  /// not the per-bucket sort, which stays cheap up to a few hundred
-  /// contiguous entries. 2^14 × wider buckets beat 2^17 × narrow ones by
-  /// ~15% end-to-end on the 40k torus.
+  /// not the ordering of the drain bucket, which is linear in its entries
+  /// (distribution pass + exact pass). 2^14 × wider buckets beat 2^17 ×
+  /// narrow ones by ~15% end-to-end on the 40k torus.
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 14;
   /// The window is stretched this far past the span observed at reseed.
@@ -484,14 +497,18 @@ class EventQueue {
   /// and 4× both measured worse.
   static constexpr double kWindowStretch = 2.0;
   /// A drain-head bucket larger than this is split into a rung of finer
-  /// sub-buckets instead of sorted whole (skew absorption). Sorting ~2k
-  /// contiguous PODs costs ~11 compares/event and no redistribution, so
-  /// the rung only engages on real pile-ups (round-synchronized delivery
-  /// bands and reseed transfers put 100s–1000s of events per bucket; see
-  /// kRungFanout).
+  /// sub-buckets instead of ordered whole (skew absorption). Ordering a
+  /// bucket in place costs a distribution pass, whose bin counts stay
+  /// within a few KB up to this size, and an exact pass over ~1 entry per
+  /// bin, so the rung only engages on real pile-ups (round-synchronized
+  /// delivery bands and reseed transfers put 100s–1000s of events per
+  /// bucket; see kRungFanout).
   static constexpr std::size_t kRungSpawnThreshold = 2048;
-  /// Sub-buckets target ~kRungFanout events each: fine enough that the
-  /// per-sub-bucket sort is trivial, coarse enough that draining the rung
+  /// The distribution pass uses one time bin per entry, up to this many
+  /// (rung sub-buckets may hold more entries than kRungSpawnThreshold).
+  static constexpr std::size_t kMaxSortBins = kRungSpawnThreshold;
+  /// Sub-buckets target ~kRungFanout events each: fine enough that
+  /// ordering a sub-bucket is trivial, coarse enough that draining the rung
   /// does not degenerate into scanning thousands of empty sub-buckets.
   static constexpr std::size_t kRungFanout = 16;
   static constexpr std::size_t kRungMaxBuckets = 4096;
@@ -576,7 +593,15 @@ class EventQueue {
   /// Advances the window, spawns rungs, and reseeds from the overflow tier
   /// as needed. Returns false iff the queue is empty.
   bool prepare_head();
+  /// Moves `bucket` into the (empty) head vectors; see materialize_lane.
   void materialize(Bucket& bucket);
+  /// Scatters `lane` into its empty head vector in descending time-bin
+  /// order (`binned`), or reversed in one piece, and recycles its blocks.
+  template <typename T>
+  void materialize_lane(Lane& lane, bool binned);
+  /// The exact pass over one head lane: descending (time, seq).
+  template <typename T>
+  void sort_head(std::vector<T>& head);
   void spawn_rung();
   void reseed();
 
@@ -636,6 +661,8 @@ class EventQueue {
   std::vector<NarrowEntry> head_narrow_;
   bool head_sorted_wide_ = false;
   bool head_sorted_narrow_ = false;
+  /// Distribution-pass bin offsets (≤ kMaxSortBins; prewarm reserves them).
+  std::vector<std::uint32_t> sort_bins_;
 
   TierStats stats_;
 };

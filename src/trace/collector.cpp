@@ -1,38 +1,10 @@
 #include "trace/collector.h"
 
-#include <algorithm>
 #include <utility>
 
+#include "support/sort_nearly_sorted.h"
+
 namespace ftgcs::trace {
-
-namespace {
-
-/// Element moves the insertion sort may spend per record before it gives
-/// up and falls back to std::sort.
-constexpr std::size_t kInsertionMovesPerRecord = 4;
-
-/// Sorts `records` under record_key_less in place: insertion sort, linear
-/// in n plus the inversions of a fire-order buffer, until the move budget
-/// runs out, then std::sort so the worst case stays O(n log n).
-void sort_nearly_sorted(std::vector<Record>& records) {
-  std::size_t budget = kInsertionMovesPerRecord * records.size();
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    if (!record_key_less(records[i], records[i - 1])) continue;
-    const Record record = records[i];
-    std::size_t j = i;
-    for (; j > 0 && record_key_less(record, records[j - 1]); --j) {
-      records[j] = records[j - 1];
-    }
-    records[j] = record;
-    if (i - j > budget) {
-      std::sort(records.begin(), records.end(), record_key_less);
-      return;
-    }
-    budget -= i - j;
-  }
-}
-
-}  // namespace
 
 /// Lock-free per-shard capture buffer: only its owning worker thread
 /// appends, and the collector drains it only while the workers are parked.
@@ -93,7 +65,13 @@ void TraceCollector::commit() {
   // merge writes the same bytes, whatever the shard interleaving and capture
   // order. Each buffer is sorted in place; a k-way merge over the shard
   // heads (a linear scan: shard counts are small) streams into the writer.
-  for (auto& shard : shards_) sort_nearly_sorted(shard->records());
+  // A capture buffer is in fire order, so it is nearly sorted already.
+  for (auto& shard : shards_) {
+    support::sort_nearly_sorted(shard->records(),
+                                [](const Record& a, const Record& b) {
+                                  return record_key_less(a, b);
+                                });
+  }
   for (;;) {
     ShardBuffer* next = nullptr;
     for (auto& shard : shards_) {

@@ -507,5 +507,126 @@ TEST(QueueDifferential, BatchRunsMatchReference) {
   }
 }
 
+// Ties, in lockstep with the reference. The drain head is ordered by a
+// distribution pass over time bins and then an exact (time, seq) pass, so
+// this case piles entries onto a few exact instants, in every shape the
+// bins cannot order on their own: wide timers re-aimed in place onto the
+// instants in random order (so a bin's chain order is no longer seq
+// order), zero-spread fan-out groups whose deliveries share one instant,
+// lanes whose whole span is one instant (no bins at all), a same-instant
+// pile past the rung-spawn threshold (2048), and inserts and cancels into
+// the drain head while it is being drained.
+TEST(QueueDifferential, TieHeavyBucketsPopIdentically) {
+  Rng rng(31);
+  Differ d;
+  // A spread population, so the first pop builds a window of ~2-wide
+  // buckets over [0, ~2000).
+  d.schedule(0.0, -1);
+  for (int i = 0; i < 1000; ++i) d.schedule_fire_only(1.0 + i, -2 - i);
+  EXPECT_EQ(d.pop(), 0.0);
+
+  // Each timer with the instants of its bucket it may be re-aimed to.
+  struct Timer {
+    Pair pair;
+    Time at;
+    std::size_t instants;
+  };
+  std::vector<Timer> timers;
+  const auto zero_spread = [&](Time t, std::size_t count, std::int32_t tag) {
+    d.schedule_group(0.0, std::vector<Duration>(count, t), tag);
+  };
+  // Four instants in one bucket, hit in random order by every entry kind.
+  const Time ties[] = {200.5, 200.5 + 1e-3, 200.5 + 2e-3, 200.5 + 3e-3};
+  for (int i = 0; i < 300; ++i) {
+    const Time t = ties[rng.below(4)];
+    const double pick = rng.next_double();
+    if (pick < 0.35) {
+      timers.push_back({d.schedule(t, 1000 + i), ties[0], 4});
+    } else if (pick < 0.7) {
+      d.schedule_fire_only(t, 2 * i, /*slotted=*/rng.next_double() < 0.1);
+    } else {
+      zero_spread(t, 1 + rng.below(8), 2 * i);
+    }
+  }
+  // One instant per lane: timers alone in one bucket, a zero-spread group
+  // alone in another.
+  for (int i = 0; i < 60; ++i) {
+    timers.push_back({d.schedule(300.5, 3000 + i), 300.5, 1});
+  }
+  zero_spread(400.5, 500, 4000);
+  // A same-instant pile past the rung threshold, both lanes: the rung
+  // cannot split it, so its one sub-bucket is ordered whole.
+  for (int i = 0; i < 1200; ++i) {
+    timers.push_back({d.schedule(500.5, 5000 + i), 500.5, 1});
+  }
+  for (int g = 0; g < 70; ++g) zero_spread(500.5, 20, 6000 + 2 * g);
+  // Re-aim most timers onto an instant of their own bucket in random
+  // order: in-place overwrites with fresh seqs, so seq order within an
+  // instant no longer follows chain order.
+  for (std::size_t i = timers.size(); i > 1; --i) {
+    std::swap(timers[i - 1], timers[rng.below(i)]);
+  }
+  for (std::size_t i = 0; i < timers.size() * 3 / 4; ++i) {
+    const Timer& timer = timers[i];
+    const auto instant = static_cast<double>(rng.below(timer.instants));
+    d.reschedule_pair(timer.pair, timer.at + 1e-3 * instant);
+  }
+
+  // Drain to the first instant, then insert into and cancel out of the
+  // drain head before draining everything, pops and runs interleaved.
+  Time now = 0.0;
+  while (now < ties[0]) now = d.pop();
+  for (int i = 0; i < 40; ++i) {
+    const Time t = ties[rng.below(4)];
+    if (i % 3 == 0) {
+      timers.push_back({d.schedule(t, 7000 + i), ties[0], 4});
+    } else if (i % 3 == 1) {
+      d.schedule_fire_only(t, 2 * (7000 + i), /*slotted=*/false);
+    } else {
+      zero_spread(t, 1 + rng.below(8), 2 * (7000 + i));
+    }
+  }
+  for (int i = 0; i < 40; ++i) {
+    d.cancel_pair(timers[rng.below(timers.size())].pair);
+  }
+  for (;;) {
+    if (rng.next_double() < 0.5) {
+      const std::size_t cap = 1 + rng.below(Simulator::kMaxBatch);
+      if (d.pop_run(kTimeInfinity, cap, now) != 0) continue;
+    }
+    if (!d.pop_if_at_most(kTimeInfinity, now)) break;
+    ASSERT_FALSE(HasFailure());
+  }
+  EXPECT_TRUE(d.empty());
+  const EventQueue::TierStats stats = d.ladder().tier_stats();
+  EXPECT_GT(stats.rung_spawns, 0u);
+  EXPECT_GT(stats.sort_fallbacks, 0u);  // the shuffled instants
+  EXPECT_GT(stats.sorted_elements, 5000u);
+}
+
+// What a delivery band looks like is ordered by the distribution pass
+// alone, leaving the exact pass well inside its move budget: a zero-spread
+// fan-out (one instant, seqs in chain order), a fan-out over distinct
+// shuffled times, and inline deliveries over ascending times.
+TEST(QueueDifferential, DeliveryBandsSortWithoutFallback) {
+  Differ d;
+  d.schedule(0.0, -1);
+  for (int i = 0; i < 1000; ++i) d.schedule_fire_only(1.0 + i, -2 - i);
+  EXPECT_EQ(d.pop(), 0.0);
+  d.schedule_group(0.0, std::vector<Duration>(1500, 100.5), 10);
+  std::vector<Duration> spread;
+  for (int i = 0; i < 1500; ++i) {
+    spread.push_back(200.5 + 1e-3 * ((i * 37) % 1500) / 1500.0);
+  }
+  d.schedule_group(0.0, spread, 20);
+  for (int i = 0; i < 1500; ++i) {
+    d.schedule_fire_only(300.5 + 1e-3 * i / 1500.0, 2 * i, /*slotted=*/false);
+  }
+  while (!d.empty()) d.pop();
+  const EventQueue::TierStats stats = d.ladder().tier_stats();
+  EXPECT_EQ(stats.sort_fallbacks, 0u);
+  EXPECT_GE(stats.sorted_elements, 4500u);
+}
+
 }  // namespace
 }  // namespace ftgcs::sim

@@ -102,7 +102,8 @@ TEST(TimingFooter, FaultBoundaryViolations) {
   EXPECT_EQ(masked_footer(c, "e4"),
             "queue[ladder]: buckets=340 rung_spawns=0 overflow_peak=340 "
             "reseeds=1981\n"
-            "runs[ladder]: run_events=523536\n"
+            "runs[ladder]: run_events=523536 sorted_elements=1161927 "
+            "sort_fallbacks=218\n"
             "bytes[queue]: entry_bytes=26401312 narrow=841500 wide=291591 "
             "groups=90160 mean_group=9.3 bytes_per_event=23.3 "
             "lane_peak_bytes=38912 lane_peak_lanes=71 lane_peak_live=244\n"
@@ -128,7 +129,8 @@ TEST(TimingFooter, ShardedTorusWithCapture) {
   EXPECT_EQ(masked_footer(c, "torus"),
             "queue[ladder]: buckets=9344 rung_spawns=0 overflow_peak=9344 "
             "reseeds=103\n"
-            "runs[ladder]: run_events=789421\n"
+            "runs[ladder]: run_events=789421 sorted_elements=1067226 "
+            "sort_fallbacks=61\n"
             "bytes[queue]: entry_bytes=27478688 narrow=332800 wide=671509 "
             "groups=16640 mean_group=20.0 bytes_per_event=27.4 "
             "lane_peak_bytes=1372160 lane_peak_lanes=2518 "
@@ -150,7 +152,8 @@ TEST(TimingFooter, MonitorsOff) {
   EXPECT_EQ(masked_footer(c, "nomon"),
             "queue[ladder]: buckets=340 rung_spawns=0 overflow_peak=340 "
             "reseeds=1981\n"
-            "runs[ladder]: run_events=523536\n"
+            "runs[ladder]: run_events=523536 sorted_elements=1161927 "
+            "sort_fallbacks=218\n"
             "bytes[queue]: entry_bytes=26401312 narrow=841500 wide=291591 "
             "groups=90160 mean_group=9.3 bytes_per_event=23.3 "
             "lane_peak_bytes=38912 lane_peak_lanes=71 lane_peak_live=244\n"
@@ -170,7 +173,8 @@ TEST(TimingFooter, DegenerateShardFallback) {
   EXPECT_EQ(masked_footer(c, "fallback"),
             "queue[ladder]: buckets=51 rung_spawns=0 overflow_peak=51 "
             "reseeds=2196\n"
-            "runs[ladder]: run_events=77760\n"
+            "runs[ladder]: run_events=77760 sorted_elements=173058 "
+            "sort_fallbacks=0\n"
             "bytes[queue]: entry_bytes=4744056 narrow=120060 wide=50703 "
             "groups=30015 mean_group=4.0 bytes_per_event=27.8 "
             "lane_peak_bytes=9216 lane_peak_lanes=16 lane_peak_live=31\n"
@@ -197,7 +201,8 @@ TEST(TimingFooter, MixedShardedAndFallbackTasks) {
   EXPECT_EQ(masked_footer(c, "mixed"),
             "queue[ladder]: buckets=205 rung_spawns=0 overflow_peak=205 "
             "reseeds=655\n"
-            "runs[ladder]: run_events=82567\n"
+            "runs[ladder]: run_events=82567 sorted_elements=191225 "
+            "sort_fallbacks=365\n"
             "bytes[queue]: entry_bytes=4435872 narrow=42120 wide=108786 "
             "groups=7020 mean_group=6.0 bytes_per_event=29.4 "
             "lane_peak_bytes=29696 lane_peak_lanes=38 lane_peak_live=298\n"
