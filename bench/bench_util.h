@@ -1,4 +1,5 @@
-// Shared helpers for the experiment binaries (E1–E13).
+// Shared helpers for the experiment binaries not yet ported to registered
+// scenarios (E3, E5, E7, E10–E13).
 //
 // Each experiment regenerates one quantitative claim of the paper as a
 // table: the header states the claim, the rows give paper-predicted vs
@@ -6,17 +7,15 @@
 //
 // The ramp helpers are thin shims over the exp/ engine: a ramp experiment
 // is an exp::ResolvedRun (line topology + offset ramp + horizon), and its
-// outcome is read back from the engine's standard metric schema. Ported
-// experiments (E1, E4, E6, E9) skip this layer entirely and run registered
-// scenarios; see exp/builtin_scenarios.cpp.
+// outcome is read back from the engine's standard metric schema. E1, E2,
+// E4, E6, E8 and E9 have no binary: they are registered scenarios (see
+// exp/builtin_scenarios.cpp), run with `ftgcs_bench run <name>`.
 #pragma once
 
 #include <cstdio>
 #include <iostream>
 #include <string>
-#include <utility>
 
-#include "byz/fault_plan.h"
 #include "core/ftgcs_system.h"
 #include "exp/run.h"
 #include "metrics/skew_tracker.h"
@@ -52,11 +51,10 @@ struct RampOutcome {
   std::uint64_t violations = 0;
 };
 
-/// Describes a ramp-absorption experiment on a line as an exp::ResolvedRun
-/// (callers may tweak fields before handing it to exp::run_resolved).
-inline exp::ResolvedRun ramp_run(const core::Params& params, int clusters,
-                                 int gap_rounds, double rounds,
-                                 std::uint64_t seed) {
+/// Runs a ramp-absorption experiment on a line for `rounds` rounds.
+inline RampOutcome run_ramp(const core::Params& params, int clusters,
+                            int gap_rounds, double rounds,
+                            std::uint64_t seed) {
   exp::ResolvedRun run;
   run.params = params;
   run.graph = net::Graph::line(clusters);
@@ -64,16 +62,6 @@ inline exp::ResolvedRun ramp_run(const core::Params& params, int clusters,
   run.gap_rounds = gap_rounds;
   run.horizon_rounds = rounds;
   run.seed = seed;
-  return run;
-}
-
-/// Runs a ramp-absorption experiment on a line for `rounds` rounds.
-inline RampOutcome run_ramp(const core::Params& params, int clusters,
-                            int gap_rounds, double rounds,
-                            std::uint64_t seed,
-                            byz::FaultPlan fault_plan = {}) {
-  exp::ResolvedRun run = ramp_run(params, clusters, gap_rounds, rounds, seed);
-  run.fault_plan = std::move(fault_plan);
   const exp::RunResult result = exp::run_resolved(run);
 
   RampOutcome outcome;

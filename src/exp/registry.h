@@ -1,9 +1,10 @@
 // Named scenario registry.
 //
-// Scenarios register by value under their `name`; the CLI, the ported
-// experiment binaries and the tests all look experiments up here instead of
-// hand-rolling setup code. register_builtin_scenarios() installs the
-// paper-reproduction scenarios (E1, E4, E6, E9 families) and is idempotent.
+// Scenarios register by value under their `name`; the CLI,
+// benchmark/ftgcs_e2e.cpp and the tests all look experiments up here
+// instead of hand-rolling setup code. register_builtin_scenarios() installs the
+// paper-reproduction scenarios (E1, E2, E4, E6, E8, E9 families) and the
+// large-grid workloads, and is idempotent.
 #pragma once
 
 #include <string>

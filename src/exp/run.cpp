@@ -599,13 +599,19 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
     run.fault_plan =
         build_fault_plan(spec.faults, topo, run.params, seed);
   } else if (spec.faults.active()) {
-    // Baseline pump faults: `count` nodes spread evenly over the graph.
+    // Baseline pump faults (one node per cluster-graph vertex): kInCluster
+    // puts `count` nodes on consecutive vertices from `cluster`; every
+    // other mode spreads them evenly over the graph.
     const int count = std::max(1, spec.faults.count);
     const int n = run.graph.num_vertices();
+    const bool placed = spec.faults.mode == FaultMode::kInCluster;
+    FTGCS_EXPECTS(!placed || (spec.faults.cluster >= 0 &&
+                              spec.faults.cluster < n));
     for (int i = 0; i < count && i < n; ++i) {
       byz::FaultSpec fault;
-      fault.node = static_cast<int>(
-          (static_cast<long long>(i) * n) / count);
+      fault.node = placed ? (spec.faults.cluster + i) % n
+                          : static_cast<int>(
+                                (static_cast<long long>(i) * n) / count);
       fault.kind = spec.faults.strategy;
       fault.param = spec.faults.param_abs;
       run.fault_plan.add(fault);

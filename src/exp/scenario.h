@@ -90,7 +90,10 @@ enum class FaultMode {
 
 /// Fault-plan selection. The strategy parameter is param_abs +
 /// param_times_E·E so attack strengths can scale with the derived pulse
-/// diameter without knowing it at registration time.
+/// diameter without knowing it at registration time. Under kGcsBaseline
+/// the faults are pump nodes with strength param_abs: kInCluster places
+/// `count` of them on consecutive vertices from `cluster`, every other
+/// active mode spreads `count` evenly from vertex 0.
 struct FaultPlanSpec {
   FaultMode mode = FaultMode::kNone;
   bool enabled = true;  ///< sweep toggle (the "attacked" axis); false → no faults

@@ -50,6 +50,11 @@ inline constexpr std::size_t kMagicBytes = 8;
 /// Frame payload flush threshold. Part of the format contract: changing it
 /// changes frame boundaries and therefore the bytes of every trace.
 inline constexpr std::size_t kFrameBytes = 64 * 1024;
+/// Largest payload a frame can hold: the writer cuts a frame after the
+/// record that reaches kFrameBytes, and one record is at most 49 bytes
+/// (kind, four 10-byte varints, 8 value bytes). The writer reserves this
+/// much; the reader rejects a longer length field before allocating.
+inline constexpr std::size_t kMaxFrameBytes = kFrameBytes + 64;
 
 /// One decoded delivery record. `seq` and `offset` are reader-populated
 /// cursor fields (the record's index in the stream and the absolute file
@@ -72,6 +77,7 @@ inline bool kind_has_level(std::uint8_t kind) {
   return kind == 1 || kind == 3;
 }
 inline bool kind_has_value(std::uint8_t kind) { return kind == 2; }
+inline constexpr std::uint8_t kMaxKind = 3;
 
 inline std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^

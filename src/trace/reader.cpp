@@ -53,19 +53,27 @@ void TraceReader::fail(const std::string& what) const {
 
 bool TraceReader::load_frame() {
   frame_file_offset_ += frame_.size();
+  frame_.clear();
+  cursor_ = 0;
   std::uint32_t length = 0;
   std::uint32_t count = 0;
   if (!get_u32(file_, length) || !get_u32(file_, count)) {
-    frame_.clear();
-    cursor_ = 0;
     fail("truncated frame header");
+  }
+  // Both checks run before the payload buffer is sized, so a corrupt
+  // header costs at most one kMaxFrameBytes frame.
+  if (length > kMaxFrameBytes) {
+    fail("frame length " + std::to_string(length) + " exceeds " +
+         std::to_string(kMaxFrameBytes) + " bytes");
+  }
+  if (count > length) {
+    fail("frame record count " + std::to_string(count) + " exceeds its " +
+         std::to_string(length) + "-byte payload");
   }
   frame_file_offset_ += 8;
   if (length == 0) {  // end marker; the trailer must match
-    frame_.clear();
-    cursor_ = 0;
     std::uint64_t total = 0;
-    if (count != 0 || !get_u64(file_, total)) fail("truncated trailer");
+    if (!get_u64(file_, total)) fail("truncated trailer");
     if (total != records_read_) {
       fail("trailer count " + std::to_string(total) + " != " +
            std::to_string(records_read_) + " records decoded");
@@ -74,7 +82,6 @@ bool TraceReader::load_frame() {
     return false;
   }
   frame_.resize(length);
-  cursor_ = 0;
   if (std::fread(frame_.data(), 1, length, file_) != length) {
     fail("truncated frame payload");
   }
@@ -103,7 +110,11 @@ bool TraceReader::next(Record& out) {
   out.seq = records_read_;
   out.offset = offset();
   if (cursor_ >= frame_.size()) fail("record overruns frame");
-  out.kind = frame_[cursor_++];
+  out.kind = frame_[cursor_];
+  if (out.kind > kMaxKind) {
+    fail("unknown record kind " + std::to_string(out.kind));
+  }
+  ++cursor_;
   out.sender = static_cast<std::int32_t>(unzigzag(read_varint()));
   out.dest = static_cast<std::int32_t>(unzigzag(read_varint()));
   prev_time_bits_ ^= read_varint();

@@ -2,10 +2,13 @@
 //
 // next() decodes one record at a time and stamps it with its replay cursor
 // (seq = index in the stream, offset = absolute file offset of its first
-// byte). Malformed input — bad magic, truncated frames, varint overruns,
-// a trailer count that disagrees with the records actually decoded —
-// throws std::runtime_error with the offending offset in the message, so
-// ftgcs_trace can localize corruption instead of guessing.
+// byte). Malformed input — bad magic, truncated frames, a frame length
+// above kMaxFrameBytes or a record count above the payload length (both
+// rejected before the payload is allocated), a record kind above
+// kMaxKind, varint overruns, a trailer count that disagrees with the
+// records actually decoded — throws std::runtime_error with the offending
+// offset in the message, so ftgcs_trace can localize corruption instead
+// of guessing.
 #pragma once
 
 #include <cstdint>

@@ -33,7 +33,7 @@ TraceWriter::TraceWriter(const std::string& path) {
     throw std::runtime_error("trace: short write to '" + path + "'");
   }
   bytes_written_ = kMagicBytes;
-  pending_.reserve(kFrameBytes + 64);
+  pending_.reserve(kMaxFrameBytes);
 }
 
 TraceWriter::~TraceWriter() {

@@ -144,7 +144,8 @@ TEST(Registry, BuiltinsRegisterAndResolve) {
        {"e1_local_skew_vs_diameter", "e1_gradient_scale",
         "e4_fault_tolerance_boundary", "e6_global_skew_drain",
         "e6_split_drift_containment", "e9_overhead_scaling",
-        "e8_gcs_pump_baseline"}) {
+        "e8_gcs_pump_baseline", "e2_cluster_skew_bound",
+        "e8_ftgcs_skew_pump", "e8_gcs_pump_failure"}) {
     const ScenarioSpec* spec = Registry::instance().find(name);
     ASSERT_NE(spec, nullptr) << name;
     EXPECT_EQ(spec->name, name);

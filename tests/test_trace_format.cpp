@@ -502,5 +502,74 @@ TEST(TraceFormat, ReaderRejectsTruncationAndBadMagic) {
   EXPECT_THROW(trace::TraceReader bad(garbage), std::runtime_error);
 }
 
+// A corrupt frame header must be rejected before the payload buffer is
+// sized (one flipped high byte of the u32 length would otherwise ask for
+// up to 4 GiB), and a record kind above kMaxKind must not decode as a
+// level-less record. Each error names the offending offset.
+TEST(TraceFormat, ReaderRejectsCorruptFrameHeaderAndKind) {
+  exp::register_builtin_scenarios();
+  ScenarioSpec spec = *exp::Registry::instance().find("large_ring");
+  spec.axes.clear();
+  apply_axis(spec, "clusters", 8.0);
+  apply_axis(spec, "horizon_rounds", 2.0);
+  const std::string path = temp_path("corrupt_base.ftr");
+  spec.trace_path = path;
+  ASSERT_GT(run_point(spec, 1).trace.records, 0.0);
+  const std::string bytes = read_file(path);
+  // Header: magic [0, 8), first frame length [8, 12) and count [12, 16),
+  // then the first record's kind byte at 16.
+  ASSERT_GT(bytes.size(), 17u);
+  const auto u32_at = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; --i) {
+      v = v << 8 | static_cast<unsigned char>(bytes[at + i]);
+    }
+    return v;
+  };
+  const std::uint32_t length = u32_at(8);
+  ASSERT_LE(length, trace::kMaxFrameBytes);
+
+  const auto read_error = [&](std::size_t at, std::uint32_t value,
+                              int width) {
+    std::string mutated = bytes;
+    for (int i = 0; i < width; ++i) {
+      mutated[at + i] = static_cast<char>(value >> (8 * i));
+    }
+    const std::string mutated_path = temp_path("corrupt.ftr");
+    {
+      std::ofstream out(mutated_path, std::ios::binary);
+      out.write(mutated.data(), static_cast<std::streamoff>(mutated.size()));
+    }
+    try {
+      trace::TraceReader reader(mutated_path);
+      trace::Record record;
+      while (reader.next(record)) {
+      }
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  const auto expect_error = [](const std::string& what,
+                               const std::string& text) {
+    EXPECT_NE(what.find(text), std::string::npos) << what;
+  };
+
+  const std::uint32_t too_long =
+      static_cast<std::uint32_t>(trace::kMaxFrameBytes) + 1;
+  const std::string long_frame = read_error(8, too_long, 4);
+  expect_error(long_frame, "at offset 8: frame length " +
+                               std::to_string(too_long) + " exceeds " +
+                               std::to_string(trace::kMaxFrameBytes));
+
+  expect_error(read_error(12, length + 1, 4),
+               "at offset 8: frame record count " +
+                   std::to_string(length + 1) + " exceeds its " +
+                   std::to_string(length) + "-byte payload");
+
+  expect_error(read_error(16, trace::kMaxKind + 1, 1),
+               "at offset 16: unknown record kind 4");
+}
+
 }  // namespace
 }  // namespace ftgcs
