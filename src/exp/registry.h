@@ -2,9 +2,9 @@
 //
 // Scenarios register by value under their `name`; the CLI,
 // benchmark/ftgcs_e2e.cpp and the tests all look experiments up here
-// instead of hand-rolling setup code. register_builtin_scenarios() installs the
-// paper-reproduction scenarios (E1, E2, E4, E6, E8, E9 families) and the
-// large-grid workloads, and is idempotent.
+// instead of hand-rolling setup code. register_builtin_scenarios() installs
+// the paper-reproduction scenarios (E1, E2, E4, E5, E6, E8, E9 and E13
+// families) and the large-grid workloads, and is idempotent.
 #pragma once
 
 #include <string>

@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
+#include "baselines/cluster_tree_sync.h"
+#include "baselines/srikanth_toueg.h"
+#include "baselines/tree_sync.h"
 #include "clocks/drift_model.h"
 #include "core/ftgcs_system.h"
 #include "exp/topology_graph.h"
@@ -485,47 +490,37 @@ RunResult run_ftgcs(const ResolvedRun& run) {
                           profiler.get());
 }
 
-RunResult run_gcs_baseline(const ResolvedRun& run) {
-  const int n = run.graph.num_vertices();
-
-  gcs::GcsSystem::Config config;
-  const double mu = run.baseline_mu > 0.0 ? run.baseline_mu : 0.05;
-  config.params = gcs::GcsParams::derive(run.params.rho, run.params.d,
-                                         run.params.U, mu, run.params.d);
-  config.seed = run.seed;
-  config.drift_model = build_drift(run.drift, run.params, n, 1, run.seed);
-  if (run.fault_plan.size() > 0) {
-    // Plain GCS has no cluster structure: reuse the planned node ids as
-    // pump nodes (ids beyond the base graph are clamped away).
-    for (const auto& spec : run.fault_plan.specs()) {
-      if (spec.node < n) config.pump_nodes.push_back(spec.node);
-    }
-    config.pump_rate = run.fault_plan.specs().front().param;
-  }
-
-  gcs::GcsSystem system(run.graph, std::move(config));
+/// The one probe loop of the comparison systems: starts `system`, probes
+/// `read(system)` (local, global skew) on the sample_times grid, and fills
+/// the shared baseline schema. `own` carries the metrics only the builder
+/// knows (the plain-GCS trigger κ).
+template <class System, class Read>
+RunResult measure_baseline(
+    System& system, const ResolvedRun& run, int nodes, Read read,
+    const std::vector<std::pair<std::string, double>>& own = {}) {
   system.start();
-
   SampleMaxima agg;
   for (double t : sample_times(run.horizon_rounds, run.probe_interval_rounds,
                                run.params.T)) {
     system.run_until(t);
-    const double local = system.local_skew();
-    const double global = system.global_skew();
+    const auto [local, global] = read(system);
     agg.max_local = std::max(agg.max_local, local);
     agg.max_global = std::max(agg.max_global, global);
     agg.final_local = local;
     agg.final_global = global;
   }
 
+  const int n = run.graph.num_vertices();
   RunResult result;
   result.seed = run.seed;
   auto& m = result.metrics;
   m.emplace_back("clusters", n);
   m.emplace_back("diameter", run.diameter);
-  m.emplace_back("nodes", n);
+  m.emplace_back("nodes", nodes);
   m.emplace_back("edges", static_cast<double>(run.graph.num_edges()));
-  m.emplace_back("kappa", config.params.kappa);
+  m.insert(m.end(), own.begin(), own.end());
+  m.emplace_back("S_init", (n - 1) * run.gap_rounds * run.params.T);
+  m.emplace_back("init_local", run.gap_rounds * run.params.T);
   m.emplace_back("max_local", agg.max_local);
   m.emplace_back("max_global", agg.max_global);
   m.emplace_back("final_local", agg.final_local);
@@ -534,6 +529,98 @@ RunResult run_gcs_baseline(const ResolvedRun& run) {
                  static_cast<double>(system.simulator().fired_events()));
   result.queue = system.simulator().queue_stats();
   return result;
+}
+
+/// Builds the comparison system of `run.protocol` and hands it to
+/// measure_baseline. Every kind runs on one simulator (`shards` ignored).
+RunResult run_baseline(const ResolvedRun& run) {
+  const core::Params& params = run.params;
+  const int n = run.graph.num_vertices();
+  const auto drift = [&](int members_per_cluster) {
+    return build_drift(run.drift, params, n, members_per_cluster, run.seed);
+  };
+  const auto local_global = [](const auto& system) {
+    return std::pair{system.local_skew(), system.global_skew()};
+  };
+  switch (run.protocol) {
+    case ProtocolKind::kGcsBaseline: {
+      gcs::GcsSystem::Config config;
+      const double mu = run.baseline_mu > 0.0 ? run.baseline_mu : 0.05;
+      config.params =
+          gcs::GcsParams::derive(params.rho, params.d, params.U, mu, params.d);
+      config.seed = run.seed;
+      config.drift_model = drift(1);
+      if (run.fault_plan.size() > 0) {
+        // Plain GCS has no cluster structure: reuse the planned node ids
+        // as pump nodes (ids beyond the base graph are clamped away).
+        for (const auto& spec : run.fault_plan.specs()) {
+          if (spec.node < n) config.pump_nodes.push_back(spec.node);
+        }
+        config.pump_rate = run.fault_plan.specs().front().param;
+      }
+      const double kappa = config.params.kappa;
+      gcs::GcsSystem system(run.graph, std::move(config));
+      return measure_baseline(system, run, n, local_global,
+                              {{"kappa", kappa}});
+    }
+    case ProtocolKind::kSrikanthToueg: {
+      // A clique of the graph's n vertices: ST reads only rho, d and U.
+      const std::size_t pairs = static_cast<std::size_t>(n) * (n - 1) / 2;
+      if (n <= 3 * params.f || run.graph.num_edges() != pairs) {
+        throw std::invalid_argument(
+            "srikanth-toueg needs a clique of n > 3f vertices, got n=" +
+            std::to_string(n));
+      }
+      baselines::SrikanthTouegSystem::Config config;
+      config.n = n;
+      config.f = params.f;
+      config.rho = params.rho;
+      config.d = params.d;
+      config.U = params.U;
+      config.period = 10.0 * params.d;
+      config.seed = run.seed;
+      config.drift_model = drift(1);
+      baselines::SrikanthTouegSystem system(std::move(config));
+      return measure_baseline(system, run, n, [](const auto& st) {
+        const double skew = st.skew();  // every pair is an edge
+        return std::pair{skew, skew};
+      });
+    }
+    case ProtocolKind::kTreeSync: {
+      baselines::TreeSyncSystem::Config config;
+      config.rho = params.rho;
+      config.d = params.d;
+      config.U = params.U;
+      config.share_period = 4.0;
+      config.seed = run.seed;
+      config.drift_model = drift(1);
+      for (int v = 0; v < n; ++v) {
+        config.initial_logical.push_back(v * run.gap_rounds * params.T);
+      }
+      baselines::TreeSyncSystem system(run.graph, std::move(config));
+      return measure_baseline(system, run, n, local_global);
+    }
+    case ProtocolKind::kClusterTree: {
+      baselines::ClusterTreeSystem::Config config;
+      config.params = params;
+      config.seed = run.seed;
+      config.drift_model = drift(params.k);
+      config.fault_plan = run.fault_plan;
+      for (int c = 0; c < n; ++c) {
+        config.cluster_round_offsets.push_back(c * run.gap_rounds);
+      }
+      baselines::ClusterTreeSystem system(run.graph, std::move(config));
+      return measure_baseline(
+          system, run, system.topology().num_nodes(), [](const auto& tree) {
+            return std::pair{tree.cluster_local_skew(),
+                             tree.cluster_global_skew()};
+          });
+    }
+    case ProtocolKind::kFtGcs:
+      break;
+  }
+  FTGCS_ASSERT(false);
+  return {};
 }
 
 }  // namespace
@@ -594,10 +681,15 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
       (run.graph.num_vertices() - 1) * run.gap_rounds * run.params.T;
   run.horizon_rounds = spec.horizon.resolve(run.params, run.diameter, s_init);
 
-  if (spec.protocol == ProtocolKind::kFtGcs) {
+  if (spec.protocol == ProtocolKind::kFtGcs ||
+      spec.protocol == ProtocolKind::kClusterTree) {
     net::AugmentedTopology topo(run.graph, run.params.k);
     run.fault_plan =
         build_fault_plan(spec.faults, topo, run.params, seed);
+  } else if (spec.faults.active() &&
+             spec.protocol != ProtocolKind::kGcsBaseline) {
+    throw std::invalid_argument(std::string(protocol_name(spec.protocol)) +
+                                " models no faults: set fault_mode=0");
   } else if (spec.faults.active()) {
     // Baseline pump faults (one node per cluster-graph vertex): kInCluster
     // puts `count` nodes on consecutive vertices from `cluster`; every
@@ -621,14 +713,8 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
 }
 
 RunResult run_resolved(const ResolvedRun& run) {
-  switch (run.protocol) {
-    case ProtocolKind::kFtGcs:
-      return run_ftgcs(run);
-    case ProtocolKind::kGcsBaseline:
-      return run_gcs_baseline(run);
-  }
-  FTGCS_ASSERT(false);
-  return {};
+  return run.protocol == ProtocolKind::kFtGcs ? run_ftgcs(run)
+                                               : run_baseline(run);
 }
 
 RunResult run_point(const ScenarioSpec& spec, std::uint64_t seed) {

@@ -53,7 +53,7 @@ struct ResolvedRun {
   bool replicas_know_offsets = true;
   std::uint64_t seed = 1;
   /// Streaming trace capture: path of the .ftr file to write (empty =
-  /// tracing off). FT-GCS runs only; the GCS baseline ignores it.
+  /// tracing off). FT-GCS runs only; the baselines ignore it.
   std::string trace_path;
   /// Deterministic metrics series: JSONL path (empty = off) + the
   /// PATH.profile wall-clock sidecar. FT-GCS runs only.

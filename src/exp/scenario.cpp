@@ -114,6 +114,26 @@ void TopologySpec::set_clusters(int n) {
 // ---- ParamsSpec -------------------------------------------------------------
 
 core::Params ParamsSpec::build() const {
+  // The model and preset preconditions of core::Params (and U < d, which
+  // the global-skew module's spacing d - U needs), checked here so that an
+  // infeasible axis value is a typed error instead of an abort.
+  const auto reject = [this](const std::string& why) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "params rho=%g d=%g U=%g: ", rho, d, U);
+    throw std::invalid_argument(buf + why);
+  };
+  if (!(rho > 0.0)) reject("expected rho > 0");
+  if (!(d > 0.0 && U >= 0.0 && U < d)) reject("expected 0 <= U < d");
+  if (preset == Preset::kPractical && core::Params::practical_phi(rho) <= 0.0) {
+    reject("rho too large for the practical preset (no phi contracts)");
+  }
+  if (preset == Preset::kCustom && !(mu > 0.0 && phi > 0.0 && phi < 1.0)) {
+    reject("the custom preset expects mu > 0 and 0 < phi < 1");
+  }
+  if (cluster_size > 0 && cluster_size < 3 * f + 1) {
+    reject("cluster_size " + std::to_string(cluster_size) +
+           " is below 3f+1 = " + std::to_string(3 * f + 1));
+  }
   core::Params result;
   switch (preset) {
     case Preset::kPractical:
@@ -349,6 +369,9 @@ const char* protocol_name(ProtocolKind kind) {
   switch (kind) {
     case ProtocolKind::kFtGcs: return "ftgcs";
     case ProtocolKind::kGcsBaseline: return "gcs";
+    case ProtocolKind::kSrikanthToueg: return "srikanth-toueg";
+    case ProtocolKind::kTreeSync: return "tree-sync";
+    case ProtocolKind::kClusterTree: return "cluster-tree";
   }
   return "?";
 }

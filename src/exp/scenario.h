@@ -113,9 +113,15 @@ struct FaultPlanSpec {
 
 // ---- protocol & parameters --------------------------------------------------
 
+/// Every kind but kFtGcs is a comparison baseline run by one probe loop.
+/// kSrikanthToueg and kTreeSync model no faults (an active plan throws
+/// std::invalid_argument); kClusterTree takes the FT-GCS fault plan.
 enum class ProtocolKind {
-  kFtGcs,        ///< the full PODC'19 construction (core::FtGcsSystem)
-  kGcsBaseline,  ///< plain non-fault-tolerant GCS (gcs::GcsSystem)
+  kFtGcs,          ///< the full PODC'19 construction (core::FtGcsSystem)
+  kGcsBaseline,    ///< plain non-fault-tolerant GCS (gcs::GcsSystem)
+  kSrikanthToueg,  ///< Srikanth–Toueg on a clique of the graph's n vertices
+  kTreeSync,       ///< node-level master/slave pulse echo (§1)
+  kClusterTree,    ///< fault-tolerant cluster master/slave tree (§1)
 };
 
 /// Parameter preset selection (resolved via core::Params at run time).
@@ -206,7 +212,7 @@ struct ScenarioSpec {
   /// lock-step safe windows. Tables are bit-identical for every shard
   /// count (pinned by tests/test_par_shards.cpp), so `ftgcs_bench
   /// --shards T` — or the "shards" sweep axis — is a pure throughput
-  /// toggle. FT-GCS protocol only; the baseline and degenerate
+  /// toggle. FT-GCS protocol only; the baselines and degenerate
   /// partitions fall back to the single-simulator engine.
   int shards = 1;
 

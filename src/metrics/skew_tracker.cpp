@@ -118,8 +118,16 @@ SkewProbe::SkewProbe(core::FtGcsSystem& system, sim::Duration interval,
 }
 
 void SkewProbe::start() {
-  system_.simulator().post_after(interval_, sim::EventKind::kProbe, self_,
-                                 {});
+  t0_ = system_.simulator().now();
+  schedule_next();
+}
+
+void SkewProbe::schedule_next() {
+  // Sample k lands at t0 + k·interval exactly, never at a rounded running
+  // sum that can fall one ulp short of a steady_after boundary.
+  ++next_sample_;
+  system_.simulator().post_at(t0_ + next_sample_ * interval_,
+                              sim::EventKind::kProbe, self_, {});
 }
 
 void SkewProbe::on_event(sim::EventKind kind, const sim::EventPayload&,
@@ -150,8 +158,7 @@ void SkewProbe::sample_once() {
     fold_max(steady_max_, sample);
     ++steady_samples_;
   }
-  system_.simulator().post_after(interval_, sim::EventKind::kProbe, self_,
-                                 {});
+  schedule_next();
 }
 
 }  // namespace ftgcs::metrics

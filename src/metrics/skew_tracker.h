@@ -66,10 +66,13 @@ class SkewProbe final : public sim::EventSink {
 
  private:
   void sample_once();
+  void schedule_next();
 
   core::FtGcsSystem& system_;
   sim::Duration interval_;
   sim::Time steady_after_;
+  sim::Time t0_ = 0.0;             ///< start() time
+  std::uint64_t next_sample_ = 0;  ///< k of the pending sample
   sim::SinkId self_ = sim::kInvalidSink;
   core::SystemColumns columns_;  ///< reused; probing allocates nothing
   std::vector<SkewSample> samples_;

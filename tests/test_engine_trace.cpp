@@ -1,5 +1,5 @@
 // Golden-trace pins for the typed event engine, plus the golden tables
-// of the E2 and E8 scenarios.
+// of the E2, E5, E8 and E13 scenarios.
 //
 // The engine swap (typed slot-pooled queue, batched broadcast, in-place
 // timer reschedule) is required to preserve equal-time FIFO ordering and
@@ -154,6 +154,58 @@ TEST(EngineTrace, E8GcsPumpFailureMatchesGoldenValues) {
                 {"0.802806959437", "0.802806959437", "0.802806959437",
                  "28900"},
                 {"5.29795193755", "5.29465917463", "34.6222974126", "28623"}});
+}
+
+// E5, the three systems on one ramp (line of 8, 4 rounds = 16.17 per
+// edge, S_init = 113.2, seed 3). The binary these replaced printed max
+// local 113.2 / 113.1 / 16.56 and final global 0.009341 / 2.412 / 23.2.
+// Both tree rows agree with it on max_local; their final_global differs
+// because the binary read it at another time: tree sync ran 120 time
+// units against 30 rounds = 121.3 here, and the cluster tree's summed
+// T/8 clock stopped one probe short of 100T (2.412 is the value at
+// 99.875T).
+TEST(EngineTrace, E5RampMatchesGoldenValues) {
+  expect_table("e5_tree_sync",
+               {"S_init", "max_local", "final_global", "events"},
+               {{"113.194625019", "113.201502835", "0.0117269429042", "684"}});
+  expect_table("e5_cluster_tree",
+               {"S_init", "max_local", "final_global", "events"},
+               {{"113.194625019", "113.089899193", "2.55429835724",
+                 "46240"}});
+  expect_table("e5_ftgcs_ramp",
+               {"init_local", "max_local", "final_global", "violations",
+                "events"},
+               {{"16.170660717", "16.5608496963", "23.1975820175", "0",
+                 "1965680"}},
+               {1, 2});
+}
+
+// E13, rows in grid order: U for Lynch-Welch, (rho, U) for
+// Srikanth-Toueg, worst over seeds 1-3 (events summed). The Lynch-Welch
+// column equals the binary's to its four digits. Its Srikanth-Toueg
+// columns read 1.027 / 1.001 / 0.9973 / 0.9948 / 1.001 at rho = 1e-3 and
+// 1.065 / 1.055 / 1.067 / 1.078 / 1.074 at 1e-2: it sampled every d/4 for
+// 600 time units, this scenario every T/16 (0.12 to 0.16) for 320 rounds
+// (593 to 821), and the finer grid catches more of each resynchronization
+// peak (EXPERIMENTS.md, E13).
+TEST(EngineTrace, E13LynchWelchVsSrikanthTouegMatchesGoldenValues) {
+  expect_table("e13_lynch_welch", {"steady_intra", "violations", "events"},
+               {{"0.324155331114", "0", "127116"},
+                {"0.16602983773", "0", "67561"},
+                {"0.0747326246116", "0", "42705"},
+                {"0.0380178842926", "0", "28685"},
+                {"0.0197545112302", "0", "24188"}});
+  expect_table("e13_srikanth_toueg", {"max_global", "events"},
+               {{"1.05378643611", "4440"},
+                {"1.00970676368", "3780"},
+                {"1.00799855718", "3480"},
+                {"1.00267239605", "3300"},
+                {"1.00471274723", "3192"},
+                {"1.11328912465", "4500"},
+                {"1.07253275397", "3840"},
+                {"1.08674217106", "3492"},
+                {"1.07580455329", "3300"},
+                {"1.07636675061", "3240"}});
 }
 
 }  // namespace

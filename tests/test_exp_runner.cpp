@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace ftgcs::exp {
 namespace {
@@ -145,7 +148,9 @@ TEST(Registry, BuiltinsRegisterAndResolve) {
         "e4_fault_tolerance_boundary", "e6_global_skew_drain",
         "e6_split_drift_containment", "e9_overhead_scaling",
         "e8_gcs_pump_baseline", "e2_cluster_skew_bound",
-        "e8_ftgcs_skew_pump", "e8_gcs_pump_failure"}) {
+        "e8_ftgcs_skew_pump", "e8_gcs_pump_failure", "e5_tree_sync",
+        "e5_cluster_tree", "e5_ftgcs_ramp", "e13_lynch_welch",
+        "e13_srikanth_toueg"}) {
     const ScenarioSpec* spec = Registry::instance().find(name);
     ASSERT_NE(spec, nullptr) << name;
     EXPECT_EQ(spec->name, name);
@@ -220,6 +225,70 @@ TEST(Scenario, BadAxisValuesThrowTypedErrors) {
           << c.arg << ": " << what;
     }
   }
+}
+
+// An axis value the parameter presets cannot derive from is a typed error
+// from ParamsSpec::build that names the values, never an abort in
+// core::Params or the global-skew module.
+class InfeasibleParamsAxis
+    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+
+TEST_P(InfeasibleParamsAxis, ThrowsTypedError) {
+  register_builtin_scenarios();
+  ScenarioSpec spec = *Registry::instance().find("e2_cluster_skew_bound");
+  spec.seeds = {1};
+  override_axis(spec, parse_axis(GetParam().first));
+  try {
+    SweepRunner({1}).run(spec);
+    ADD_FAILURE() << GetParam().first << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(GetParam().second),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenario, InfeasibleParamsAxis,
+    ::testing::Values(std::pair{"rho=0.01", "rho=0.01 "},
+                      std::pair{"rho=0", "rho=0 "},
+                      std::pair{"U=2", "U=2:"},
+                      std::pair{"d=0.001", "d=0.001 "},
+                      std::pair{"cluster_size=2", "cluster_size 2 "}),
+    [](const auto& axis) {
+      std::string name = axis.param.first;
+      for (char& c : name) {
+        if (c == '=' || c == '.') c = '_';
+      }
+      return name;
+    });
+
+// The comparison kinds run on one simulator whatever `shards` says, so
+// their rows are identical at 1 and 2 shards; Srikanth-Toueg and tree
+// sync model no faults and reject an active fault plan, and
+// Srikanth-Toueg needs a clique of n > 3f.
+TEST(Baselines, NewKindsAreShardInvariantAndRejectFaults) {
+  register_builtin_scenarios();
+  for (const char* name :
+       {"e5_tree_sync", "e5_cluster_tree", "e13_srikanth_toueg"}) {
+    ScenarioSpec spec = *Registry::instance().find(name);
+    const SweepResult one = SweepRunner({2}).run(spec);
+    spec.shards = 2;
+    expect_identical(one, SweepRunner({2}).run(spec));
+  }
+  for (const char* name : {"e5_tree_sync", "e13_srikanth_toueg"}) {
+    ScenarioSpec spec = *Registry::instance().find(name);
+    spec.faults.mode = FaultMode::kUniform;
+    EXPECT_THROW(resolve(spec, 1), std::invalid_argument) << name;
+    spec.faults.enabled = false;  // an inactive plan is fine
+    EXPECT_NO_THROW(resolve(spec, 1)) << name;
+  }
+  ScenarioSpec st = *Registry::instance().find("e13_srikanth_toueg");
+  apply_axis(st, "clusters", 3);  // n = 3f
+  EXPECT_THROW(run_point(st, 1), std::invalid_argument);
+  st.topology.kind = TopologyKind::kLine;
+  apply_axis(st, "clusters", 4);
+  EXPECT_THROW(run_point(st, 1), std::invalid_argument);
 }
 
 TEST(Scenario, ParseAxisRejectsMalformedArguments) {
@@ -300,8 +369,8 @@ TEST(Sinks, AllThreeRenderEveryRow) {
 }
 
 TEST(RampShim, EngineMatchesAnalyticRampHeight) {
-  // The bench_util ramp helpers route through ResolvedRun; the engine's
-  // S_init metric must equal the analytic ramp height (|C|-1)*gap*T.
+  // The engine's S_init metric must equal the analytic ramp height
+  // (|C|-1)*gap*T, in the FT-GCS schema and in the shared baseline one.
   const core::Params params = core::Params::practical(1e-3, 1.0, 0.01, 1);
   ScenarioSpec spec;
   spec.name = "ramp_shim";
@@ -312,6 +381,10 @@ TEST(RampShim, EngineMatchesAnalyticRampHeight) {
   EXPECT_DOUBLE_EQ(result.metric("S_init"), 3 * 3 * params.T);
   EXPECT_GT(result.metric("messages"), 0.0);
   EXPECT_EQ(result.metric("violations"), 0.0);
+  spec.protocol = ProtocolKind::kTreeSync;
+  const RunResult tree = run_point(spec, 1);
+  EXPECT_EQ(tree.metric("S_init"), result.metric("S_init"));
+  EXPECT_EQ(tree.metric("init_local"), result.metric("init_local"));
 }
 
 }  // namespace

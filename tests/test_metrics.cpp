@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "byz/fault_plan.h"
 #include "metrics/skew_tracker.h"
 #include "metrics/stabilization.h"
 #include "metrics/stats.h"
@@ -170,6 +172,40 @@ TEST(MeasureSkews, FullyFaultyClusterSkipped) {
   EXPECT_DOUBLE_EQ(s.intra_cluster, 0.5);
   EXPECT_DOUBLE_EQ(s.cluster_local, 0.0);  // no live pair
   EXPECT_DOUBLE_EQ(s.cluster_global, 0.0);
+}
+
+// The probe clock is t0 + k·interval, not a running sum: sample 20 of a
+// T/4 probe lands on 5T exactly (a summed clock falls one ulp short), so
+// a steady window opening at 5T counts it. On this run (one cluster, f = 1
+// two-faced member at strength E, seed 1) the steady maximum lies on that
+// very sample.
+TEST(SkewProbe, SamplesLandExactlyOnTheIntervalGrid) {
+  const core::Params params = core::Params::practical(1e-4, 1.0, 0.05, 1);
+  const net::Graph graph = net::Graph::line(1);
+  core::FtGcsSystem::Config config;
+  config.params = params;
+  config.seed = 1;
+  config.fault_plan = byz::FaultPlan::uniform(
+      net::AugmentedTopology(graph, params.k), 1,
+      byz::StrategyKind::kTwoFaced, params.E, 1);
+  core::FtGcsSystem system(graph, std::move(config));
+  const double interval = params.T / 4.0;
+  SkewProbe probe(system, interval, 5.0 * params.T);
+  probe.start();
+  system.start();
+  system.run_until(20.0 * params.T);
+
+  const auto& samples = probe.samples();
+  EXPECT_EQ(samples.size(), 80u);
+  ASSERT_GE(samples.size(), 20u);
+  double steady = 0.0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(samples[i].at, static_cast<double>(i + 1) * interval) << i;
+    if (i + 1 >= 20) steady = std::max(steady, samples[i].intra_cluster);
+  }
+  EXPECT_EQ(samples[19].at, 5.0 * params.T);
+  EXPECT_EQ(probe.steady_max().intra_cluster, steady);
+  EXPECT_EQ(probe.steady_max().intra_cluster, samples[19].intra_cluster);
 }
 
 }  // namespace
