@@ -102,7 +102,7 @@ void FtGcsNode::start() {
 void FtGcsNode::attach_table(NodeTable* table) {
   table_ = table;
   if (max_estimator_) {
-    max_estimator_->bind_level_floor(table->level_floor_slot(id_));
+    max_estimator_->bind_mirror(table->level_mirror(id_));
     max_estimator_->bind_quorum(table->quorum_span(id_),
                                 table->quorum_count(id_));
   }
@@ -191,8 +191,11 @@ void FtGcsNode::on_pulse(const net::Pulse& pulse, sim::Time now) {
 }
 
 void FtGcsNode::set_hardware_rate(sim::Time now, double rate) {
-  // The envelope check is on a dimensionless rate; its slack is the rate
-  // epsilon, not the (much looser) time epsilon this used to borrow.
+  // Paper §2's model, h ∈ [1, 1+ρ]. The envelope check is on a
+  // dimensionless rate; its slack is the rate epsilon, not the (much
+  // looser) time epsilon this used to borrow. The lower bound is exact:
+  // the send-time proof that a level delivery is dead
+  // (core/node_table.h) needs M_v to grow at no less than 1/(1+ρ).
   FTGCS_EXPECTS(rate >= 1.0 && rate <= 1.0 + params_.rho + support::kRateEps);
   hardware_.set_rate(now, rate);
   engine_.set_hardware_rate(now, rate);
@@ -233,7 +236,7 @@ void FtGcsNode::on_event(sim::EventKind kind,
       engine_.halt();
       estimates_.halt();
       if (max_estimator_) max_estimator_->halt();
-      if (table_ != nullptr) table_->mark_crashed(id_);
+      if (table_ != nullptr) table_->mark_crashed(id_, now);
       break;
     case kInjectAction:
       engine_.inject_transient_fault(now, payload.x);

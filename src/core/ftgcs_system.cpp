@@ -138,6 +138,12 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
   network_->set_cluster_dispatch(&table_, table_.fast_flags());
   sim_.set_batch_channel(network_->sink_id(), sim::EventKind::kPulse,
                          &NodeTable::pure_pulse, &table_);
+  // Level deliveries proven dead at send time skip the queue (see
+  // core/node_table.h) and are only counted. A traced run records every
+  // delivery, so it elides nothing.
+  table_.set_level_model(config_.params.d, config_.params.U,
+                         config_.params.rho);
+  if (config_.trace_sink == nullptr) network_->enable_level_elision();
 
   // Give each cluster's Byzantine nodes a reference observation of a
   // correct member's round schedule (omniscient adversary).
@@ -185,6 +191,8 @@ void FtGcsSystem::start() {
   for (int id = 0; id < topo_.num_nodes(); ++id) {
     if (nodes_[id]) {
       FtGcsNode* raw = nodes_[id].get();
+      // FtGcsNode::set_hardware_rate rejects a rate outside [1, 1+ρ] with
+      // a contract failure: level elision relies on h ≥ 1.
       sinks.push_back([raw](sim::Time now, double rate) {
         raw->set_hardware_rate(now, rate);
       });

@@ -117,7 +117,12 @@ class FtGcsSystem final : public sim::EventSink {
   /// Installs drift and starts every node at time 0.
   void start();
 
-  void run_until(sim::Time t) { sim_.run_until(t); }
+  /// Runs to `t`, then checks that every level delivery elided on the
+  /// promise of arriving stale did (NodeTable::check_claims).
+  void run_until(sim::Time t) {
+    sim_.run_until(t);
+    table_.check_claims(t);
+  }
 
   /// Pins the warmed-up capacity profile of every lazily-grown runtime
   /// structure (queue bucket lanes, quorum windows) so that subsequent

@@ -26,6 +26,7 @@ void MaxEstimator::start() {
   FTGCS_EXPECTS(!started_);
   started_ = true;
   schedule_next_emission(sim_.now());
+  publish(sim_.now());
 }
 
 double MaxEstimator::read(sim::Time now) const {
@@ -43,6 +44,7 @@ void MaxEstimator::set_hardware_rate(sim::Time now, double rate) {
   advance(now);
   rate_ = rate / (1.0 + cfg_.rho);
   if (started_) schedule_next_emission(now);
+  publish(now);
 }
 
 void MaxEstimator::halt() {
@@ -67,6 +69,7 @@ void MaxEstimator::on_event(sim::EventKind kind, const sim::EventPayload&,
   pending_emit_ = sim::EventId{};
   emit_through(read(now));
   schedule_next_emission(now);
+  publish(now);
 }
 
 void MaxEstimator::emit_through(double value) {
@@ -74,17 +77,18 @@ void MaxEstimator::emit_through(double value) {
     on_emit(next_level_);
     ++next_level_;
   }
-  publish_floor();
 }
 
 void MaxEstimator::observe_own_clock(double logical, sim::Time now) {
   advance(now);
-  if (logical <= m0_) return;
-  m0_ = logical;
-  if (started_) {
-    emit_through(m0_);
-    schedule_next_emission(now);
+  if (logical > m0_) {
+    m0_ = logical;
+    if (started_) {
+      emit_through(m0_);
+      schedule_next_emission(now);
+    }
   }
+  publish(now);
 }
 
 QuorumWindow& MaxEstimator::heard_window(int cluster) {
@@ -120,13 +124,15 @@ void MaxEstimator::on_level_pulse(int cluster, int member_index,
   // L^max ≥ (ℓ+1)(d−U) already holds — safe to jump.
   const double candidate = (level + 1) * spacing_;
   advance(now);
-  if (candidate <= m0_) return;
-  m0_ = candidate;
-  ++jumps_;
-  if (started_) {
-    emit_through(m0_);
-    schedule_next_emission(now);
+  if (candidate > m0_) {
+    m0_ = candidate;
+    ++jumps_;
+    if (started_) {
+      emit_through(m0_);
+      schedule_next_emission(now);
+    }
   }
+  publish(now);
   // No explicit prune needed: the jump advanced next_level_, so the
   // staleness floor rose and heard_mask compacts each window lazily.
 }

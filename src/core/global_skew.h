@@ -15,16 +15,86 @@
 // The catch-up rule (Theorem C.3) — go fast when L_v ≤ M_v − c·δ and no
 // trigger fires — lives in InterclusterController; this class only
 // maintains M_v.
+//
+// Inside a system the estimator writes its segment (m0, t0, rate) and its
+// staleness floor through to a LevelMirror in the columnar NodeTable.
+// That mirror is all a sender needs to prove, at send time, that a level
+// pulse will arrive after the receiver has already emitted the next level
+// (the proof and its rounding margin are in core/node_table.h); such a
+// delivery is elided from the event queue. The proof rests on M_v's rate
+// h_v/(1+ρ) staying ≥ 1/(1+ρ), i.e. on h_v ≥ 1, which FtGcsNode's rate
+// sink enforces.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "core/quorum_window.h"
 #include "sim/simulator.h"
+#include "support/assert.h"
 
 namespace ftgcs::core {
+
+/// Write-through copy of one estimator's state for the columnar layer:
+/// M_v(t) = m0 + rate·(t − t0), evaluated with MaxEstimator::read's exact
+/// arithmetic, and the staleness floor (levels below it are dropped on
+/// arrival). m0 is −∞ until the emission schedule starts (no emission is
+/// due, so no delivery may be proven stale by timing). Floor sentinels:
+/// INT32_MAX drops every level (no estimator, crashed), INT32_MIN marks a
+/// sink with its own delivery semantics (a Byzantine node).
+///
+/// Claims: a level delivery elided because the node is certain to pass
+/// its level before it arrives (core/node_table.h) records that promise —
+/// its level and arrival, the earliest per level, in one of kClaims slots.
+/// Every floor rise settles the claims it passes, and each must still lie
+/// strictly ahead: the always-on check that the proof held. A claim that
+/// arrives unsettled fails NodeTable::check_claims.
+struct LevelMirror {
+  static constexpr int kClaims = 2;
+  static constexpr std::int32_t kNoClaim = INT32_MIN;
+
+  double m0 = -std::numeric_limits<double>::infinity();
+  double t0 = 0.0;
+  double rate = 0.0;
+  double claim_at[kClaims] = {0.0, 0.0};
+  std::int32_t floor = INT32_MAX;
+  std::int32_t claim_level[kClaims] = {kNoClaim, kNoClaim};
+
+  /// Records that level `level` (≥ floor) must be below the floor strictly
+  /// before `at`. False, recording nothing, when every slot holds another
+  /// level.
+  bool claim(std::int32_t level, double at) {
+    for (int i = 0; i < kClaims; ++i) {
+      if (claim_level[i] == level) {
+        if (at < claim_at[i]) claim_at[i] = at;
+        return true;
+      }
+    }
+    for (int i = 0; i < kClaims; ++i) {
+      if (claim_level[i] == kNoClaim) {
+        claim_level[i] = level;
+        claim_at[i] = at;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Raises the floor to `value` at time `now`, settling the claims it
+  /// passes: each must arrive strictly after `now`.
+  void set_floor(std::int32_t value, double now) {
+    for (int i = 0; i < kClaims; ++i) {
+      if (claim_level[i] != kNoClaim && claim_level[i] < value) {
+        FTGCS_ASSERT(claim_at[i] > now);  // an elided level arrived live
+        claim_level[i] = kNoClaim;
+      }
+    }
+    floor = value;
+  }
+};
+static_assert(sizeof(LevelMirror) == 56);
 
 class MaxEstimator final : public sim::EventSink {
  public:
@@ -71,13 +141,15 @@ class MaxEstimator final : public sim::EventSink {
   /// included). read() stays valid.
   void halt();
 
-  /// Binds a write-through mirror of the staleness floor (the value
+  /// Binds the write-through LevelMirror (segment plus the staleness floor
   /// is_stale_level compares against: next-level − 1) and publishes it
   /// immediately. The columnar dispatch layer uses it to classify — and
-  /// drop — stale level pulses without touching this object.
-  void bind_level_floor(std::int32_t* floor) {
-    floor_mirror_ = floor;
-    publish_floor();
+  /// drop — stale level pulses without touching this object, and senders
+  /// use it to prove a delivery stale before it is sent. After halt() the
+  /// mirror is no longer written: the crash marks it instead.
+  void bind_mirror(LevelMirror* mirror) {
+    mirror_ = mirror;
+    publish(sim_.now());
   }
 
   /// Adopts the node's quorum windows from the system's columnar table
@@ -104,8 +176,13 @@ class MaxEstimator final : public sim::EventSink {
   void advance(sim::Time now);
   void schedule_next_emission(sim::Time now);
   void emit_through(double value);
-  void publish_floor() {
-    if (floor_mirror_ != nullptr) *floor_mirror_ = next_level_ - 1;
+  /// Writes the segment and the floor through to the bound mirror.
+  void publish(sim::Time now) {
+    if (mirror_ == nullptr || halted_) return;
+    mirror_->m0 = started_ ? m0_ : -std::numeric_limits<double>::infinity();
+    mirror_->t0 = t0_;
+    mirror_->rate = rate_;
+    mirror_->set_floor(next_level_ - 1, now);
   }
 
   sim::Simulator& sim_;
@@ -118,7 +195,7 @@ class MaxEstimator final : public sim::EventSink {
   double rate_;
 
   int next_level_ = 1;  ///< next level to emit
-  std::int32_t* floor_mirror_ = nullptr;  ///< staleness floor write-through
+  LevelMirror* mirror_ = nullptr;  ///< write-through (see bind_mirror)
   sim::EventId pending_emit_{};
   bool halted_ = false;
 

@@ -26,8 +26,8 @@ void NodeTable::build(const net::AugmentedTopology& topo,
   // destinations without an estimator (their on_pulse ignores kMaxLevel);
   // a destination with its own sink semantics — a Byzantine node — must
   // never be batch-dropped, so its floor goes to INT32_MIN below. Managed
-  // nodes with an estimator overwrite the slot via the bound mirror.
-  level_floor_.assign(static_cast<std::size_t>(n), INT32_MAX);
+  // nodes with an estimator overwrite the mirror through the binding.
+  level_.assign(static_cast<std::size_t>(n), LevelMirror{});
   gamma_.assign(static_cast<std::size_t>(n), 0);
   lane_offset_.assign(static_cast<std::size_t>(n) + 1, 0);
 
@@ -44,7 +44,7 @@ void NodeTable::build(const net::AugmentedTopology& topo,
     } else {
       // Faulty id: its sink (Byzantine node) keeps full delivery
       // semantics — nothing may be batch-dropped on its behalf.
-      level_floor_[static_cast<std::size_t>(id)] = INT32_MIN;
+      level_[static_cast<std::size_t>(id)].floor = INT32_MIN;
     }
   }
   lane_offset_[static_cast<std::size_t>(n)] =
@@ -175,19 +175,65 @@ bool NodeTable::pure_pulse(const sim::EventPayload& payload, const void* ctx) {
     // are pure. The floor also encodes the endpoints: INT32_MAX for
     // destinations that ignore levels entirely (no estimator, crashed),
     // INT32_MIN for sinks with their own semantics (Byzantine nodes).
-    if (table->level_floor_[dest] == INT32_MIN) return false;
-    return payload.a == payload.c ||
-           payload.b < table->level_floor_[dest];
+    const std::int32_t floor = table->level_[dest].floor;
+    if (floor == INT32_MIN) return false;
+    return payload.a == payload.c || payload.b < floor;
   }
   return false;
 }
 
-void NodeTable::mark_crashed(int node) {
+std::size_t NodeTable::mark_dead_levels(int sender, int level, sim::Time now,
+                                        const sim::Duration* delays,
+                                        std::size_t count,
+                                        const std::int32_t* rest_dests,
+                                        std::uint8_t* dead) {
+  // ℓ+1's emission target, computed as MaxEstimator computes it.
+  const double target = static_cast<double>(level + 1) * spacing_;
+  const bool timed = spacing_ > 0.0;  // set_level_model was called
+  const auto is_dead = [&](std::size_t dest, sim::Duration delay) {
+    LevelMirror& m = level_[dest];
+    if (m.floor == INT32_MIN) return false;  // Byzantine: own semantics
+    if (level < m.floor) return true;
+    if (!timed) return false;
+    // (★), with the margin derived in the header. A proven delivery is
+    // claimed on the destination (the arrival as the ring computes it);
+    // with its claim slots full it is not elided.
+    const double margin = 0x1p-40 * (1.0 + target + now + delay);
+    if (!(m.m0 + m.rate * (now - m.t0) + delay * min_rate_ >
+          target + margin) ||
+        !m.claim(level, now + delay)) {
+      return false;
+    }
+    claimed_ = true;
+    return true;
+  };
+  // The loopback is dropped on arrival whatever the floor.
+  dead[0] = level_[static_cast<std::size_t>(sender)].floor != INT32_MIN;
+  std::size_t marked = dead[0];
+  for (std::size_t i = 1; i < count; ++i) {
+    dead[i] = is_dead(static_cast<std::size_t>(rest_dests[i - 1]), delays[i]);
+    marked += dead[i];
+  }
+  return marked;
+}
+
+void NodeTable::check_claims(sim::Time now) const {
+  if (!claimed_) return;  // nothing was ever elided on the timing proof
+  for (const LevelMirror& m : level_) {
+    for (int i = 0; i < LevelMirror::kClaims; ++i) {
+      // Unsettled and already arrived: an elided level arrived live.
+      FTGCS_ASSERT(m.claim_level[i] == LevelMirror::kNoClaim ||
+                   m.claim_at[i] > now);
+    }
+  }
+}
+
+void NodeTable::mark_crashed(int node, sim::Time now) {
   const auto id = static_cast<std::size_t>(node);
   FTGCS_EXPECTS(managed_[id] != 0);
   crashed_[id] = 1;
   fast_[id] = 0;
-  level_floor_[id] = INT32_MAX;
+  level_[id].set_floor(INT32_MAX, now);
 }
 
 void NodeTable::snapshot_columns(sim::Time at, SystemColumns& out) const {

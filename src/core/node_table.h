@@ -10,7 +10,8 @@
 // parallel arrays indexed by node id and lane:
 //
 //   * per node id — cluster, index-in-cluster, crashed/fast flags, γ, the
-//     kMaxLevel staleness floor, and the node's lane range;
+//     App. C estimator mirror (segment + kMaxLevel staleness floor), and
+//     the node's lane range;
 //   * per lane (one per engine: the own ClusterSync engine first, then one
 //     passive replica per adjacent cluster, in estimates order) — a
 //     ReceiveLane whose arrival slots live in one flat bank.
@@ -25,6 +26,48 @@
 // delivery as a pure receive (batchable kClusterPulse, or a droppable
 // stale/self kMaxLevel) from these arrays alone, which is what lets the
 // simulator drain delivery runs without consulting the receivers.
+//
+// Dead level deliveries (mark_dead_levels). A level-ℓ delivery to a
+// correct w is a pure drop on arrival iff w has by then emitted ℓ+1 (its
+// floor next_level − 1 exceeds ℓ) or it is w's own loopback. The sender
+// can prove that at send time, from w's mirror alone, when
+//
+//   M_w(now) + delay / (1+ρ) > (ℓ+1)(d−U) + margin.              (★)
+//
+// Proof: M_w only grows — at rate h_w/(1+ρ) between re-bases, by jumps at
+// quorums and round starts — and h_w ≥ 1 (the rate sink enforces it), so
+// M_w(now + delay) ≥ M_w(now) + delay/(1+ρ) > (ℓ+1)(d−U): w's emission
+// timer for ℓ+1 fires strictly before the arrival, and a quorum or a round
+// start can only make it earlier. Crashing in between saturates the floor,
+// which drops the delivery too. The inequality must be strict: an
+// emission timer tied with the arrival may fire after it on seq.
+//
+// The margin absorbs floating-point rounding, in units of the run's
+// magnitude s = 1 + (ℓ+1)(d−U) + now + delay (every time and M value
+// involved is below s; u = 2⁻⁵³ the unit roundoff):
+//   * (★)'s own left side: 5 roundings, ≤ 5u·s; 1/(1+ρ) is computed as
+//     MaxEstimator computes h/(1+ρ) at h = 1, so rounding is monotone
+//     and the factor stays a lower bound of every rate the estimator holds;
+//   * the emission timer's now + (target − current)/rate: ≤ 5u·s in value
+//     per arming, and a timer whose fire-time read rounds just below the
+//     target re-arms once more by the same few ulps;
+//   * the arrival time now + delay: u·s;
+//   * each re-base of w's segment (advance(): a rate change, a round
+//     start, a completed level quorum) rounds m0 once more: ≤ 3u·s each.
+// margin = 2⁻⁴⁰·s = 8192 u·s covers the fixed terms plus ~2,700 re-bases
+// of one node inside one delay window. A window holds at most a few per
+// neighbour (quorums complete once per level and sender cluster; rounds
+// and drift steps are far apart), and the claims below catch any
+// shortfall. The margin must stay small against U: s grows with the
+// clock (1.5·10⁷ after the paper-strict case's 12 rounds, where
+// 2⁻⁴⁰·s is 1.4% of U = 10⁻³; 2⁻³⁰·s would exceed U there and prove
+// almost nothing).
+// Every delivery proven this way leaves a claim on the destination's
+// mirror (see LevelMirror): each floor rise settles the claims it passes
+// and asserts they still lie strictly ahead, and check_claims asserts at
+// every run_until boundary that no claim arrived unsettled. Both checks
+// are always on. Loopbacks and levels already below the floor need none:
+// the floor never falls.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +75,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/global_skew.h"
 #include "core/quorum_window.h"
 #include "core/receive_lane.h"
 #include "net/network.h"
@@ -78,6 +122,23 @@ class NodeTable final : public net::ClusterPulseTable {
   /// events route to a lane, stale/self kMaxLevel events drop in place.
   void on_pulse_run(const sim::BatchedEvent* events, std::size_t n) override;
 
+  /// Sets the App. C constants the send-time proof needs (level spacing
+  /// d − U, minimum M rate 1/(1+ρ)). Without it only loopbacks and
+  /// levels already below the floor are marked dead.
+  void set_level_model(double d, double U, double rho) {
+    spacing_ = d - U;
+    min_rate_ = 1.0 / (1.0 + rho);
+  }
+
+  /// net::ClusterPulseTable — marks the dead deliveries of one level
+  /// broadcast (see the proof above): the loopback, destinations already
+  /// past the level, and destinations that satisfy (★) and take the
+  /// claim. Never a floor-INT32_MIN (Byzantine) destination.
+  std::size_t mark_dead_levels(int sender, int level, sim::Time now,
+                               const sim::Duration* delays, std::size_t count,
+                               const std::int32_t* rest_dests,
+                               std::uint8_t* dead) override;
+
   /// sim::BatchPredicate (ctx = the NodeTable): pure-receive
   /// classification of one pulse payload. kClusterPulse to a MANAGED
   /// destination is a table receive (on_pulse_run itself drops the
@@ -87,10 +148,15 @@ class NodeTable final : public net::ClusterPulseTable {
   /// non-stale levels) takes the ordinary per-event path.
   static bool pure_pulse(const sim::EventPayload& payload, const void* ctx);
 
-  /// Crash-stop: marks `node` crashed — the fast flag drops to 0 (its
-  /// deliveries fall through to the per-node sink, by then the null sink)
-  /// and the level floor saturates (level pulses to it batch-drop).
-  void mark_crashed(int node);
+  /// Always-on check at a run_until boundary `now`: aborts if a claim of
+  /// mark_dead_levels has arrived (at ≤ now) while its level was still at
+  /// or above the destination's floor.
+  void check_claims(sim::Time now) const;
+
+  /// Crash-stop at `now`: marks `node` crashed — the fast flag drops to 0
+  /// (its deliveries fall through to the per-node sink, by then the null
+  /// sink) and the level floor saturates (level pulses to it batch-drop).
+  void mark_crashed(int node, sim::Time now);
   bool crashed(int node) const {
     return crashed_[static_cast<std::size_t>(node)] != 0;
   }
@@ -98,10 +164,10 @@ class NodeTable final : public net::ClusterPulseTable {
   /// Per-dest batchable flags for Network::set_cluster_dispatch.
   const std::uint8_t* fast_flags() const { return fast_.data(); }
 
-  /// Write-through slot of `node`'s kMaxLevel staleness floor (bound to
-  /// its MaxEstimator; stays INT32_MAX — drop everything — without one).
-  std::int32_t* level_floor_slot(int node) {
-    return &level_floor_[static_cast<std::size_t>(node)];
+  /// Write-through estimator mirror of `node` (bound to its MaxEstimator;
+  /// the floor stays INT32_MAX — drop everything — without one).
+  LevelMirror* level_mirror(int node) {
+    return &level_[static_cast<std::size_t>(node)];
   }
 
   /// Mirror of γ_v (written by the node at each round-start decision).
@@ -161,7 +227,7 @@ class NodeTable final : public net::ClusterPulseTable {
   std::vector<std::uint8_t> managed_;  ///< has adopted lanes (correct node)
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint8_t> fast_;     ///< managed && !crashed
-  std::vector<std::int32_t> level_floor_;  ///< kMaxLevel staleness floor
+  std::vector<LevelMirror> level_;  ///< App. C estimator mirrors
   std::vector<std::int32_t> gamma_;
   std::vector<std::int32_t> lane_offset_;  ///< size num_nodes + 1
   // ---- per lane -------------------------------------------------------------
@@ -172,6 +238,9 @@ class NodeTable final : public net::ClusterPulseTable {
   /// lane_offset_ spans; window i counts pulses from lane_cluster_[i]).
   std::vector<QuorumWindow> quorum_windows_;
   sim::BatchScratch* scratch_ = nullptr;  ///< borrowed (see build)
+  double spacing_ = 0.0;   ///< d − U (set_level_model; 0 = unset)
+  double min_rate_ = 0.0;  ///< 1/(1+ρ)
+  bool claimed_ = false;   ///< mark_dead_levels has recorded a claim
 };
 
 }  // namespace ftgcs::core

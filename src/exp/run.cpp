@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -138,6 +139,13 @@ sim::EventQueue::TierStats system_tier_stats(core::FtGcsSystem& s) {
 sim::EventQueue::TierStats system_tier_stats(
     const par::ShardedFtGcsSystem& s) {
   return s.queue_stats();
+}
+net::Network::DeliveryStats system_delivery_stats(core::FtGcsSystem& s) {
+  return s.network().delivery_stats();
+}
+net::Network::DeliveryStats system_delivery_stats(
+    const par::ShardedFtGcsSystem& s) {
+  return s.delivery_stats();
 }
 void system_window_diag(core::FtGcsSystem&,
                         std::vector<obs::ShardWindowDiag>& out) {
@@ -296,7 +304,10 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
       // The diag rows live in the sidecar, never the series: the tier mix
       // and the per-shard split are shard-dependent.
       system_window_diag(system, diag_scratch);
-      profiler->probe_diag(t, system_tier_stats(system), diag_scratch);
+      const net::Network::DeliveryStats deliveries =
+          system_delivery_stats(system);
+      profiler->probe_diag(t, system_tier_stats(system), diag_scratch,
+                           &deliveries);
       profiler->span_end("collect");
     }
   }
@@ -376,6 +387,7 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
   m.emplace_back("events", static_cast<double>(system_events(system)));
   if (run.measure_m_lag) m.emplace_back("max_m_lag", agg.max_m_lag);
   result.queue = system_tier_stats(system);
+  result.deliveries = system_delivery_stats(system);
   result.shard = system_shard_stats(system);
   if (monitor != nullptr) result.monitor = monitor->report();
   if (sampler != nullptr) {
@@ -674,6 +686,21 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
   run.trace_path = spec.trace_path;
   run.metrics_path = spec.metrics_path;
   run.monitors = spec.monitors;
+
+  // Params::custom keeps a (mu, phi) whose Claim B.15 recurrence does not
+  // contract and sets E = 0, which FT-GCS's round lengths cannot use (the
+  // cluster tree runs the same Algorithm 1). Srikanth-Toueg and the other
+  // baselines ignore E, so they keep accepting such values.
+  if ((spec.protocol == ProtocolKind::kFtGcs ||
+       spec.protocol == ProtocolKind::kClusterTree) &&
+      !run.params.feasible()) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "params rho=%g d=%g U=%g mu=%g phi=%g: infeasible for %s\n",
+                  run.params.rho, run.params.d, run.params.U, run.params.mu,
+                  run.params.phi, protocol_name(spec.protocol));
+    throw std::invalid_argument(buf + run.params.feasibility_report());
+  }
 
   run.diameter = run.graph.diameter();
   run.gap_rounds = spec.ramp.resolve(run.params, run.diameter);

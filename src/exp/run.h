@@ -70,6 +70,7 @@ struct ResolvedRun {
 /// stat's name, merge and plane once.
 struct Diagnostics {
   sim::EventQueue::TierStats queue;
+  net::Network::DeliveryStats deliveries;     ///< zero for the baselines
   par::ShardedFtGcsSystem::ShardStats shard;  ///< defaults when unsharded
   trace::MonitorReport monitor;               ///< defaults when off
   trace::TraceCollector::Stats trace;         ///< zero when not tracing
@@ -85,6 +86,7 @@ struct Diagnostics {
 template <class F, class... D>
 void for_each_stats(F&& f, D&... d) {
   f(d.queue...);
+  f(d.deliveries...);
   f(d.shard...);
   f(d.monitor.stats...);
   f(d.monitor...);

@@ -233,6 +233,10 @@ void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
     spec.params.d = real(false);
   } else if (name == "U") {
     spec.params.U = real(false);
+  } else if (name == "preset") {
+    spec.params.preset = static_cast<ParamsSpec::Preset>(
+        integer(0, static_cast<int>(ParamsSpec::Preset::kCustom),
+                "a preset name or an ordinal"));
   } else if (name == "mu") {
     spec.params.mu = real(false);
   } else if (name == "phi") {
@@ -275,14 +279,22 @@ SweepAxis parse_axis(const std::string& text) {
     }
     return -1;
   };
+  const auto preset_ordinal = [](const std::string& token) {
+    for (int p = 0; p <= static_cast<int>(ParamsSpec::Preset::kCustom); ++p) {
+      if (token == preset_name(static_cast<ParamsSpec::Preset>(p))) return p;
+    }
+    return -1;
+  };
   SweepAxis axis;
   axis.name = text.substr(0, eq);
   std::istringstream list(text.substr(eq + 1));
   for (std::string token; std::getline(list, token, ',');) {
     if (token.empty()) continue;
-    const int strategy = axis.name == "strategy" ? strategy_ordinal(token) : -1;
-    if (strategy >= 0) {
-      axis.values.push_back(AxisValue::named(strategy, token));
+    const int named = axis.name == "strategy" ? strategy_ordinal(token)
+                      : axis.name == "preset" ? preset_ordinal(token)
+                                              : -1;
+    if (named >= 0) {
+      axis.values.push_back(AxisValue::named(named, token));
       continue;
     }
     char* parsed_end = nullptr;
@@ -361,6 +373,15 @@ const char* topology_kind_name(TopologyKind kind) {
     case TopologyKind::kTree: return "tree";
     case TopologyKind::kHypercube: return "hypercube";
     case TopologyKind::kGnp: return "gnp";
+  }
+  return "?";
+}
+
+const char* preset_name(ParamsSpec::Preset preset) {
+  switch (preset) {
+    case ParamsSpec::Preset::kPractical: return "practical";
+    case ParamsSpec::Preset::kPaperStrict: return "paper_strict";
+    case ParamsSpec::Preset::kCustom: return "custom";
   }
   return "?";
 }

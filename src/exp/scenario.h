@@ -250,9 +250,11 @@ struct ScenarioSpec {
 
 /// Writes one axis assignment into the spec. Supported axis names:
 ///   diameter, clusters, gap_rounds, gap_kappa, f, cluster_size,
-///   faults_per_cluster, strategy, attacked, rho, d, U, mu, phi,
+///   faults_per_cluster, strategy, attacked, rho, d, U, preset, mu, phi,
 ///   horizon_rounds, flip_rounds, probability, shards, fault_mode
-/// (fault_mode = the FaultMode enum ordinal: 0 none, 1 uniform,
+/// (preset = the ParamsSpec::Preset ordinal: 0 practical, 1 paper_strict,
+/// 2 custom, which reads mu and phi;
+/// fault_mode = the FaultMode enum ordinal: 0 none, 1 uniform,
 /// 2 in-cluster, 3 iid — the knob that turns a fault-free throughput
 /// scenario like large_torus into a fault-heavy one from the CLI;
 /// strategy strength falls back to the per-strategy default when no
@@ -263,8 +265,8 @@ struct ScenarioSpec {
 /// its count/enum range).
 void apply_axis(ScenarioSpec& spec, const std::string& name, double value);
 
-/// Parses one `--axis name=v1,v2,...` argument. The strategy axis also
-/// accepts strategy names. Throws std::invalid_argument on a malformed
+/// Parses one `--axis name=v1,v2,...` argument. The strategy and preset
+/// axes also accept names (strategy_name, preset_name). Throws std::invalid_argument on a malformed
 /// argument or a non-numeric value; apply_axis checks the domain.
 SweepAxis parse_axis(const std::string& text);
 
@@ -290,5 +292,7 @@ std::string format_axis_value(const AxisValue& v);
 
 const char* topology_kind_name(TopologyKind kind);
 const char* protocol_name(ProtocolKind kind);
+/// "practical", "paper_strict" or "custom" (the preset axis's names).
+const char* preset_name(ParamsSpec::Preset preset);
 
 }  // namespace ftgcs::exp

@@ -189,10 +189,13 @@ void write_timing_footer(const SweepResult& result, const ScenarioSpec& spec,
      << "\nruns[ladder]:" << footer_stats(result, "runs")
      << "\nbytes[queue]:" << footer_stats(result, "bytes") << '\n';
 
-  // The other lines print only when their first stat (the shard, probe
-  // or file count) is nonzero; "off" is stated, never left out.
+  // The other lines print only when their first stat (the delivery,
+  // shard, probe or file count) is nonzero; "off" is stated, never left
+  // out. Only FT-GCS runs count deliveries.
   double head = 0.0;
-  std::string stats = footer_stats(result, "shards", &head, true);
+  std::string stats = footer_stats(result, "deliveries", &head);
+  if (head > 0.0) os << "deliveries:" << stats << '\n';
+  stats = footer_stats(result, "shards", &head, true);
   if (head > 0.0) {
     os << "shards[" << head << "]:" << stats << '\n';
   } else if (spec.shards > 1) {

@@ -112,6 +112,34 @@ void Network::set_shard_router(ShardRouter* router,
   }
 }
 
+bool Network::enable_level_elision() {
+  FTGCS_EXPECTS(dispatch_ != nullptr && trace_ == nullptr);
+  elide_levels_ = sim_.enable_dead_ring(
+      delays_->min_delay(), delays_->max_delay(), &Network::elided_fired, this);
+  return elide_levels_;
+}
+
+void Network::elided_fired(std::size_t n, void* self) {
+  auto* network = static_cast<Network*>(self);
+  network->messages_delivered_ += n;
+  network->delivered_by_kind_[static_cast<std::size_t>(
+      PulseKind::kMaxLevel)] += n;
+}
+
+Network::DeliveryStats Network::delivery_stats() const {
+  DeliveryStats stats;
+  stats.cluster = delivered_by_kind_[static_cast<std::size_t>(
+      PulseKind::kClusterPulse)];
+  stats.level =
+      delivered_by_kind_[static_cast<std::size_t>(PulseKind::kMaxLevel)];
+  stats.share =
+      delivered_by_kind_[static_cast<std::size_t>(PulseKind::kShare)];
+  stats.propose =
+      delivered_by_kind_[static_cast<std::size_t>(PulseKind::kPropose)];
+  stats.elided = elided_;
+  return stats;
+}
+
 const std::vector<int>& Network::neighbors(int node) const {
   FTGCS_EXPECTS(node >= 0 && node < num_nodes());
   return (*adj_)[static_cast<std::size_t>(node)];
@@ -156,7 +184,9 @@ void Network::deliver(int from, int to, const Pulse& pulse,
 void Network::on_event(sim::EventKind kind, const sim::EventPayload& payload,
                        sim::Time now) {
   FTGCS_ASSERT(kind == sim::EventKind::kPulse);
+  FTGCS_ASSERT(payload.d < delivered_by_kind_.size());
   ++messages_delivered_;
+  ++delivered_by_kind_[payload.d];
   if (trace_ != nullptr) trace_->on_delivery(now, payload);
   // Columnar fast path (single-event form — Simulator::step and deliveries
   // not drained as part of a run): same receive as the batch hook below.
@@ -182,6 +212,16 @@ void Network::on_event_batch(sim::EventKind kind,
   FTGCS_ASSERT(kind == sim::EventKind::kPulse);
   FTGCS_ASSERT(dispatch_ != nullptr);
   messages_delivered_ += n;
+  // Batch runs carry only kClusterPulse and kMaxLevel (the predicate).
+  std::uint64_t levels = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    levels += events[i].payload.d ==
+              static_cast<std::uint32_t>(PulseKind::kMaxLevel);
+  }
+  delivered_by_kind_[static_cast<std::size_t>(PulseKind::kMaxLevel)] +=
+      levels;
+  delivered_by_kind_[static_cast<std::size_t>(PulseKind::kClusterPulse)] +=
+      n - levels;
   if (trace_ != nullptr) trace_->on_delivery_batch(events, n);
   dispatch_->on_pulse_run(events, n);
 }
@@ -209,17 +249,32 @@ void Network::broadcast(int from, const Pulse& pulse) {
     // EventQueue::schedule_fire_only_group). The destination list is
     // borrowed straight from the adjacency, which outlives every
     // in-flight delivery.
-    if (group_delays_.size() <= neighbors.size()) {
-      group_delays_.resize(neighbors.size() + 1);
+    const std::size_t count = neighbors.size() + 1;
+    if (group_delays_.size() < count) {
+      group_delays_.resize(count);
+      group_dead_.resize(count);
     }
     group_delays_[0] = sample_delay(
         from, from, loopback_streams_[static_cast<std::size_t>(from)]);
     for (std::size_t j = 0; j < neighbors.size(); ++j) {
       group_delays_[j + 1] = sample_delay(from, neighbors[j], streams[j]);
     }
-    sim_.post_fire_only_group(group_delays_.data(), neighbors.size() + 1,
+    // Level fan-outs: with every delay drawn (the draw order above is
+    // untouched), the table marks the deliveries that are dead on arrival
+    // and the simulator keeps them out of the queue.
+    const std::uint8_t* dead = nullptr;
+    if (elide_levels_ && pulse.kind == PulseKind::kMaxLevel) {
+      const std::size_t marked = dispatch_->mark_dead_levels(
+          from, pulse.level, sim_.now(), group_delays_.data(), count,
+          neighbors.data(), group_dead_.data());
+      if (marked != 0) {
+        elided_ += marked;
+        dead = group_dead_.data();
+      }
+    }
+    sim_.post_fire_only_group(group_delays_.data(), count,
                               sim::EventKind::kPulse, self_, payload, from,
-                              neighbors.data());
+                              neighbors.data(), dead);
     return;
   }
   // Boundary sender of a sharded run: identical draws and encode-once

@@ -20,8 +20,22 @@
 // allocation per message, O(1) cancellation semantics inherited from the
 // engine, and the per-stream RNG draw order is identical to sampling one
 // edge at a time (each directed edge owns its stream).
+//
+// A level broadcast (App. C) is batched the same way, and then most of it
+// never enters the queue: with elision on (enable_level_elision), the
+// cluster-pulse table marks the deliveries it can prove will be dropped
+// unread on arrival — the loopback, receivers already past the level, and
+// receivers whose M_w is certain to pass the next level first (the proof
+// and its rounding margin are in core/node_table.h). Such a delivery's
+// only effect on arrival is to be counted, so it skips the queue: the
+// simulator's DeadRing fires it once the clock has passed its arrival and
+// hands the network the count, keeping the fired and delivered counts
+// exact. Only the coalesced path elides: a sharded boundary sender's
+// deliveries, and every unicast, keep their ordinary posts. A traced run
+// elides nothing, since its trace records every delivery.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,6 +43,8 @@
 #include "net/channel.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "support/assert.h"
+#include "support/stat_table.h"
 
 namespace ftgcs::trace {
 class TraceSink;
@@ -75,6 +91,16 @@ class ClusterPulseTable {
   virtual ~ClusterPulseTable() = default;
   virtual void on_pulse_run(const sim::BatchedEvent* events,
                             std::size_t n) = 0;
+
+  /// One call per level broadcast of `sender` at `now`: sets dead[i] = 1
+  /// for each delivery i (dest `sender` for i = 0, rest_dests[i − 1]
+  /// beyond; delay delays[i]) that is certain to be a pure drop when it
+  /// arrives, 0 otherwise, and returns how many it marked.
+  virtual std::size_t mark_dead_levels(int sender, int level, sim::Time now,
+                                       const sim::Duration* delays,
+                                       std::size_t count,
+                                       const std::int32_t* rest_dests,
+                                       std::uint8_t* dead) = 0;
 };
 
 /// Receiver of deliveries that leave the local shard of a sharded run.
@@ -134,6 +160,13 @@ class Network final : public sim::EventSink {
   /// This network's typed-event sink id (for Simulator::set_batch_channel).
   sim::SinkId sink_id() const { return self_; }
 
+  /// Turns on level elision (see the file comment): enables the
+  /// simulator's DeadRing over this channel's delay window. Requires the
+  /// cluster dispatch (its table proves the deliveries dead) and no trace
+  /// tap. Returns false, eliding nothing, if the ring cannot cover the
+  /// window.
+  bool enable_level_elision();
+
   /// Sharded mode: deliveries whose destination has `remote[dest] != 0`
   /// are diverted to `router` (with their sampled arrival time) instead of
   /// being scheduled locally. Delay sampling is unchanged either way, so
@@ -148,7 +181,10 @@ class Network final : public sim::EventSink {
   /// network. Deliveries fire exactly once on the destination's owner
   /// shard even in sharded runs, which is what makes the captured stream
   /// partition-invariant (see trace/sink.h).
-  void set_trace(trace::TraceSink* sink) { trace_ = sink; }
+  void set_trace(trace::TraceSink* sink) {
+    FTGCS_EXPECTS(!elide_levels_);  // elided deliveries leave no record
+    trace_ = sink;
+  }
 
   /// Correct-node broadcast: delivers to all neighbors and to self. The
   /// delivery group is pre-sampled as one batch.
@@ -171,6 +207,44 @@ class Network final : public sim::EventSink {
   std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
 
+  /// Fired deliveries by PulseKind, plus the level deliveries that were
+  /// elided from the queue. Shards of one run add up.
+  struct DeliveryStats {
+    std::uint64_t cluster = 0;  ///< kClusterPulse deliveries fired
+    std::uint64_t level = 0;    ///< kMaxLevel deliveries fired
+    std::uint64_t share = 0;    ///< kShare deliveries fired
+    std::uint64_t propose = 0;  ///< kPropose deliveries fired
+    /// Level deliveries sent past the queue (DeadRing). Engine plane: a
+    /// sharded boundary sender elides nothing, so it moves with --shards.
+    std::uint64_t elided = 0;
+
+    std::uint64_t total() const { return cluster + level + share + propose; }
+    /// Elided share of the fired deliveries.
+    double elided_share() const {
+      return total() > 0 ? static_cast<double>(elided) /
+                               static_cast<double>(total())
+                         : 0.0;
+    }
+
+    /// Field table (support/stat_table.h): the `--timing` footer's
+    /// deliveries line and the `.profile` diag rows.
+    static constexpr auto fields() {
+      using enum support::Agg;
+      using enum support::Plane;
+      using S = DeliveryStats;
+      return std::array{
+          derived<&S::total>("total", kDeterministic, "deliveries"),
+          field<&S::cluster>("cluster", kSum, kDeterministic, "deliveries"),
+          field<&S::level>("level", kSum, kDeterministic, "deliveries"),
+          field<&S::share>("share", kSum, kDeterministic, "deliveries"),
+          field<&S::propose>("propose", kSum, kDeterministic, "deliveries"),
+          field<&S::elided>("elided", kSum, kEngine, "deliveries"),
+          derived<&S::elided_share>("elided_share", kEngine, "deliveries",
+                                    "%.3f")};
+    }
+  };
+  DeliveryStats delivery_stats() const;
+
   /// EventSink: one kPulse event per in-flight message.
   void on_event(sim::EventKind kind, const sim::EventPayload& payload,
                 sim::Time now) override;
@@ -178,7 +252,7 @@ class Network final : public sim::EventSink {
   /// EventSink batch hook: a drained run of pure-receive pulse events —
   /// kClusterPulse deliveries to fast destinations (decoded and forwarded
   /// to the cluster-pulse table in one call) interleaved with stale
-  /// kMaxLevel deliveries (dropped; only the delivered count moves).
+  /// kMaxLevel deliveries (dropped; only the delivered counts see them).
   void on_event_batch(sim::EventKind kind, const sim::BatchedEvent* events,
                       std::size_t n) override;
 
@@ -191,6 +265,9 @@ class Network final : public sim::EventSink {
   void deliver(int from, int to, const Pulse& pulse, sim::Duration delay);
   sim::Rng& edge_rng(int from, int to);
   void init_streams(sim::Rng rng);
+
+  /// sim::Simulator::DeadFired: n elided level deliveries fired.
+  static void elided_fired(std::size_t n, void* self);
 
   sim::Duration sample_delay(int from, int to, sim::Rng& rng) const {
     // Devirtualized fast path for the default uniform channel: same draw,
@@ -218,14 +295,20 @@ class Network final : public sim::EventSink {
   std::vector<std::vector<sim::Rng>> edge_streams_;
   std::vector<sim::Rng> loopback_streams_;
   /// Broadcast scratch: all of one fan-out's delays sampled here before the
-  /// queue sees the group (loopback at [0], neighbor j at [j + 1]).
+  /// queue sees the group (loopback at [0], neighbor j at [j + 1]), and
+  /// the dead mask of a level fan-out, indexed alike.
   std::vector<sim::Duration> group_delays_;
+  std::vector<std::uint8_t> group_dead_;
+  bool elide_levels_ = false;  ///< see enable_level_elision
   /// Sharded runs: 1 for senders with at least one cut (remote) neighbor —
   /// those keep the per-delivery divert loop; everyone else broadcasts
   /// through the coalesced group path. Empty until set_shard_router.
   std::vector<std::uint8_t> boundary_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_delivered_ = 0;
+  /// Fired deliveries indexed by PulseKind (payload.d).
+  std::array<std::uint64_t, 4> delivered_by_kind_{};
+  std::uint64_t elided_ = 0;
 };
 
 }  // namespace ftgcs::net

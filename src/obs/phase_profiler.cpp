@@ -99,12 +99,14 @@ void PhaseProfiler::span_end(const char* name) {
 
 void PhaseProfiler::probe_diag(double at,
                                const sim::EventQueue::TierStats& tiers,
-                               const std::vector<ShardWindowDiag>& shards) {
+                               const std::vector<ShardWindowDiag>& shards,
+                               const net::Network::DeliveryStats* deliveries) {
   if (file_ == nullptr) return;
   line_.clear();
   line_ += "{\"section\":\"diag\",\"t\":";
   append_json_double(line_, at);
   append_stats(line_, tiers);
+  if (deliveries != nullptr) append_stats(line_, *deliveries);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     char key[48];
     std::snprintf(key, sizeof(key), ",\"s%zu_routed\":", s);

@@ -3,7 +3,8 @@
 // Two kinds of rows, both kept strictly OUT of the deterministic series:
 //
 //   * "diag" rows — per-probe queue-tier stats (every TierStats field-table
-//     row, keyed by its name) and per-shard mailbox depth / cut-edge
+//     row, keyed by its name), the network's delivery counts (every
+//     DeliveryStats row) and per-shard mailbox depth / cut-edge
 //     traffic. These are deterministic for a fixed configuration but
 //     DEPEND on the shard count (each shard's queue routes its own share
 //     of the events; mailbox depth differs by T), so they can never live
@@ -34,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "net/network.h"
 #include "sim/event_queue.h"
 #include "support/stat_table.h"
 
@@ -77,9 +79,11 @@ class PhaseProfiler {
   void span_begin(const char* name);
   void span_end(const char* name);
 
-  /// Appends one "diag" row (driver-side, at a quiesced probe boundary).
+  /// Appends one "diag" row (driver-side, at a quiesced probe boundary);
+  /// `deliveries` is optional.
   void probe_diag(double at, const sim::EventQueue::TierStats& tiers,
-                  const std::vector<ShardWindowDiag>& shards);
+                  const std::vector<ShardWindowDiag>& shards,
+                  const net::Network::DeliveryStats* deliveries = nullptr);
 
   /// Writes the "phase"/"summary"/"span" rows and closes the file
   /// (idempotent; also run by the dtor). Call after workers joined.

@@ -306,6 +306,15 @@ sim::EventQueue::TierStats ShardedFtGcsSystem::queue_stats() const {
   return stats;
 }
 
+net::Network::DeliveryStats ShardedFtGcsSystem::delivery_stats() const {
+  net::Network::DeliveryStats stats;
+  for (const auto& shard : shards_) {
+    support::merge(stats, shard->network().delivery_stats(),
+                   support::Scope::kShards);
+  }
+  return stats;
+}
+
 void ShardedFtGcsSystem::shard_window_diag(
     std::vector<obs::ShardWindowDiag>& out) const {
   out.resize(shards_.size());

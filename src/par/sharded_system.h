@@ -182,6 +182,8 @@ class ShardedFtGcsSystem {
   std::uint64_t total_violations() const;
   /// Queue-tier diagnostics merged over the coexisting shards.
   sim::EventQueue::TierStats queue_stats() const;
+  /// The shards' delivery counts, summed.
+  net::Network::DeliveryStats delivery_stats() const;
   ShardStats shard_stats() const;
 
   /// Per-shard diagnostics for the profiler's "diag" rows (cut-edge

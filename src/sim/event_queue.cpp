@@ -206,7 +206,21 @@ void EventQueue::insert_ladder_group(Time base, const Duration* delays,
                                      std::size_t count, EventKind kind,
                                      SinkId sink, const EventPayload& proto,
                                      std::int32_t first_dest,
-                                     const std::int32_t* rest_dests) {
+                                     const std::int32_t* rest_dests,
+                                     const std::uint8_t* dead) {
+  std::size_t live = count;
+  if (dead != nullptr) {
+    for (std::size_t i = 0; i < count; ++i) live -= dead[i] != 0 ? 1 : 0;
+    if (live == 0) {
+      // Every delivery lives elsewhere: only their seqs are taken.
+      for (std::size_t i = 0; i < count; ++i) {
+        FTGCS_EXPECTS(delays[i] >= 0.0);
+      }
+      next_seq_ += count;
+      FTGCS_ASSERT(next_seq_ < (std::uint64_t{1} << kSeqBits));
+      return;
+    }
+  }
   std::uint32_t gid;
   if (!free_gids_.empty()) {
     gid = free_gids_.back();
@@ -226,16 +240,17 @@ void EventQueue::insert_ladder_group(Time base, const Duration* delays,
   g.b = proto.b;
   g.d = proto.d;
   g.sink_kind = sink << 8 | static_cast<std::uint32_t>(kind);
-  g.live = static_cast<std::uint32_t>(count);
+  g.live = static_cast<std::uint32_t>(live);
   // One bump of `count`: delivery i gets base_seq + i, exactly the seqs
   // `count` sequential schedule_fire_only calls would have consumed.
   next_seq_ += count;
   FTGCS_ASSERT(next_seq_ < (std::uint64_t{1} << kSeqBits));
   ++stats_.group_inserts;
-  stats_.narrow_events += count;
+  stats_.narrow_events += live;
   NarrowEntry e;
   for (std::size_t i = 0; i < count; ++i) {
     FTGCS_EXPECTS(delays[i] >= 0.0);
+    if (dead != nullptr && dead[i] != 0) continue;
     e.at = base + delays[i];
     e.key = (g.base_seq + i) << kSlotBits | gid;
     insert_ladder(e);
@@ -556,10 +571,12 @@ void EventQueue::schedule_fire_only_group(Time base, const Duration* delays,
                                           SinkId sink,
                                           const EventPayload& proto,
                                           std::int32_t first_dest,
-                                          const std::int32_t* rest_dests) {
+                                          const std::int32_t* rest_dests,
+                                          const std::uint8_t* dead) {
   FTGCS_EXPECTS(sink < (1u << 24));
   if (count == 0) return;
   if (proto.x != 0.0) {
+    FTGCS_EXPECTS(dead == nullptr);
     // x ≠ 0 has no home in the group record. The per-delivery fallback
     // consumes sequence numbers in exactly the same order, so the pop
     // sequence is unchanged.
@@ -571,7 +588,7 @@ void EventQueue::schedule_fire_only_group(Time base, const Duration* delays,
     return;
   }
   insert_ladder_group(base, delays, count, kind, sink, proto, first_dest,
-                      rest_dests);
+                      rest_dests, dead);
 }
 
 bool EventQueue::cancel(EventId id) {

@@ -124,11 +124,17 @@ class EventQueue {
   /// the group has fired (network adjacency lists qualify; they outlive
   /// the run). x ≠ 0 payloads fall back to per-delivery scheduling with
   /// identical (time, seq) semantics.
+  ///
+  /// `dead` (optional; x == 0 only): deliveries with dead[i] != 0 are not
+  /// inserted — the caller keeps them elsewhere — but still consume their
+  /// sequence numbers, so every survivor keeps the seq, and the tie order,
+  /// it has without the mask. A group with no survivor takes no record.
   void schedule_fire_only_group(Time base, const Duration* delays,
                                 std::size_t count, EventKind kind,
                                 SinkId sink, const EventPayload& proto,
                                 std::int32_t first_dest,
-                                const std::int32_t* rest_dests);
+                                const std::int32_t* rest_dests,
+                                const std::uint8_t* dead = nullptr);
 
   /// Cancels a pending event. Cancelling an already-fired or already-
   /// cancelled event is a no-op (returns false). Stamp bump + targeted
@@ -566,7 +572,8 @@ class EventQueue {
   void insert_ladder_group(Time base, const Duration* delays,
                            std::size_t count, EventKind kind, SinkId sink,
                            const EventPayload& proto, std::int32_t first_dest,
-                           const std::int32_t* rest_dests);
+                           const std::int32_t* rest_dests,
+                           const std::uint8_t* dead);
   /// Appends to `bucket` (the head vectors if it is the drain head).
   template <typename T>
   void lane_insert(Bucket& bucket, std::uint64_t tag, const T& entry);

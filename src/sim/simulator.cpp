@@ -28,6 +28,14 @@ void Simulator::set_batch_channel(SinkId sink, EventKind kind,
   scratch_.ensure(kMaxBatch);
 }
 
+bool Simulator::enable_dead_ring(Duration min_delay, Duration max_delay,
+                                 DeadFired fired, void* ctx) {
+  FTGCS_EXPECTS(fired != nullptr);
+  dead_fired_ = fired;
+  dead_ctx_ = ctx;
+  return dead_.configure(min_delay, max_delay);
+}
+
 EventId Simulator::post_at(Time t, EventKind kind, SinkId sink,
                            const EventPayload& payload) {
   FTGCS_EXPECTS(t >= now_);
@@ -60,14 +68,26 @@ void Simulator::post_fire_only_group(const Duration* delays, std::size_t count,
                                      EventKind kind, SinkId sink,
                                      const EventPayload& proto,
                                      std::int32_t first_dest,
-                                     const std::int32_t* rest_dests) {
+                                     const std::int32_t* rest_dests,
+                                     const std::uint8_t* dead) {
   FTGCS_EXPECTS(sink < sinks_.size());
+  if (dead != nullptr) {
+    FTGCS_EXPECTS(dead_.enabled());
+    for (std::size_t i = 0; i < count; ++i) {
+      // The arithmetic of the queue's own arrival time (base + delay).
+      if (dead[i] != 0) dead_.push(now_, now_ + delays[i]);
+    }
+  }
   queue_.schedule_fire_only_group(now_, delays, count, kind, sink, proto,
-                                  first_dest, rest_dests);
+                                  first_dest, rest_dests, dead);
 }
 
 void Simulator::run_until(Time t_end) {
   FTGCS_EXPECTS(t_end >= now_);
+  // Dead deliveries (DeadRing) fire a bin at a time once the clock has
+  // passed the bin, and the last ones ≤ t_end before returning. A dead
+  // delivery's only effect is its count, so firing up to a bin late
+  // changes nothing a run_until caller can see.
   EventQueue::Fired fired;
   for (;;) {
     if (batch_pred_ != nullptr) {
@@ -79,15 +99,18 @@ void Simulator::run_until(Time t_end) {
         now_ = batch_buf_[n - 1].at;
         fired_ += n;
         batch_sink_->on_event_batch(batch_kind_, batch_buf_.data(), n);
+        if (dead_.passed(now_)) fire_dead(dead_.retire_before(now_));
         continue;
       }
     }
     if (!queue_.pop_if_at_most(t_end, fired)) break;
     FTGCS_ASSERT(fired.at >= now_);
+    if (dead_.passed(fired.at)) fire_dead(dead_.retire_before(fired.at));
     now_ = fired.at;
     ++fired_;
     sinks_[fired.sink]->on_event(fired.kind, fired.payload, now_);
   }
+  if (!dead_.empty()) fire_dead(dead_.retire_through(t_end));
   now_ = t_end;
 }
 

@@ -10,12 +10,16 @@
 // There is one scheduling path: register_sink() once, then post_at()/
 // post_after() (cancellable) or the post_fire_only_*() family with an
 // EventKind + POD payload. Dispatch is an indexed virtual call and the
-// whole path is allocation-free.
+// whole path is allocation-free. A coalesced broadcast may mark some of
+// its deliveries dead (proven pure drops, see post_fire_only_group): those
+// skip the queue for the DeadRing, which only counts them as fired once
+// the clock has passed their arrival.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "sim/dead_ring.h"
 #include "sim/event.h"
 #include "sim/event_queue.h"
 #include "sim/scratch_arena.h"
@@ -47,6 +51,20 @@ class Simulator {
   void set_batch_channel(SinkId sink, EventKind kind, BatchPredicate pred,
                          const void* ctx);
 
+  /// Receives the count of dead deliveries that fired together (see
+  /// enable_dead_ring); `ctx` is passed through.
+  using DeadFired = void (*)(std::size_t n, void* ctx);
+
+  /// Turns on dead-delivery elision: post_fire_only_group then accepts a
+  /// dead mask for deliveries whose delays lie in [min_delay, max_delay].
+  /// A dead delivery is a pure drop whose only effect is to be counted: it
+  /// fires (fired_events()) once the drain clock has passed its arrival, a
+  /// DeadRing bin at a time, and `fired` gets the bin's count. Returns
+  /// false, and elision stays off, if the window is degenerate (see
+  /// DeadRing::configure).
+  bool enable_dead_ring(Duration min_delay, Duration max_delay,
+                        DeadFired fired, void* ctx);
+
   /// Schedules a typed event at absolute time `t >= now()`.
   EventId post_at(Time t, EventKind kind, SinkId sink,
                   const EventPayload& payload);
@@ -77,10 +95,17 @@ class Simulator {
   /// record and 16-byte entries, and `rest_dests`
   /// must stay valid until the last delivery fires (see
   /// EventQueue::schedule_fire_only_group).
+  ///
+  /// `dead` (optional; requires enable_dead_ring and proto.x == 0):
+  /// dead[i] != 0 marks delivery i as a pure drop on arrival. It takes no
+  /// queue entry: the DeadRing counts it as fired after its arrival, and
+  /// before run_until returns from any t_end ≥ it, so fired_events()
+  /// reads the same as without the mask.
   void post_fire_only_group(const Duration* delays, std::size_t count,
                             EventKind kind, SinkId sink,
                             const EventPayload& proto, std::int32_t first_dest,
-                            const std::int32_t* rest_dests);
+                            const std::int32_t* rest_dests,
+                            const std::uint8_t* dead = nullptr);
 
   /// Cancels a pending event; no-op if already fired/cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -100,16 +125,19 @@ class Simulator {
   void run_until(Time t_end);
 
   /// True if no pending events remain.
-  bool idle() const { return queue_.empty(); }
+  bool idle() const { return queue_.empty() && dead_.empty(); }
 
   /// Pre-sizes the event pool (see EventQueue::reserve).
   void reserve_events(std::size_t capacity) { queue_.reserve(capacity); }
 
   /// Pins the queue's warmed-up capacity profile so steady-state windows
   /// allocate nothing (see EventQueue::prewarm).
-  void prewarm() { queue_.prewarm(); }
+  void prewarm() {
+    queue_.prewarm();
+    dead_.prewarm();
+  }
 
-  std::size_t pending_events() const { return queue_.size(); }
+  std::size_t pending_events() const { return queue_.size() + dead_.size(); }
   std::uint64_t fired_events() const { return fired_; }
   std::uint64_t scheduled_events() const { return queue_.scheduled_count(); }
 
@@ -129,7 +157,17 @@ class Simulator {
   static constexpr std::size_t kMaxBatch = 256;
 
  private:
+  /// Fires n dead deliveries.
+  void fire_dead(std::size_t n) {
+    if (n == 0) return;
+    fired_ += n;
+    dead_fired_(n, dead_ctx_);
+  }
+
   EventQueue queue_;
+  DeadRing dead_;  ///< elided deliveries (see post_fire_only_group)
+  DeadFired dead_fired_ = nullptr;
+  void* dead_ctx_ = nullptr;
   std::vector<EventSink*> sinks_;
   Time now_ = kTimeZero;
   std::uint64_t fired_ = 0;

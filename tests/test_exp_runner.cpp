@@ -263,6 +263,41 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// Params::custom keeps a (mu, phi) whose Claim B.15 recurrence does not
+// contract (E = 0). FT-GCS and the cluster tree (the same Algorithm 1)
+// reject it with the feasibility report; Srikanth-Toueg ignores E and
+// keeps accepting it, as e13_srikanth_toueg's own custom values show.
+TEST(Scenario, InfeasibleCustomParamsRejectedForFtGcsOnly) {
+  register_builtin_scenarios();
+  for (const char* name : {"e2_cluster_skew_bound", "e5_cluster_tree"}) {
+    ScenarioSpec spec = *Registry::instance().find(name);
+    spec.seeds = {1};
+    override_axis(spec, parse_axis("preset=custom"));
+    override_axis(spec, parse_axis("mu=0.5"));
+    override_axis(spec, parse_axis("phi=0.5"));
+    try {
+      SweepRunner({1}).run(spec);
+      ADD_FAILURE() << name << ": infeasible custom params were accepted";
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("params rho=", 0), 0u) << what;
+      EXPECT_NE(what.find("alpha(12) < 1:      VIOLATED"), std::string::npos)
+          << what;
+    }
+    // A contracting (mu, phi) under the same preset runs.
+    spec.axes.clear();
+    spec.params.mu = 0.01;
+    EXPECT_TRUE(resolve(spec, 1).params.feasible()) << name;
+  }
+  ScenarioSpec st = *Registry::instance().find("e13_srikanth_toueg");
+  ASSERT_EQ(st.params.preset, ParamsSpec::Preset::kCustom);
+  st.axes.clear();
+  EXPECT_FALSE(resolve(st, 1).params.feasible());
+  EXPECT_EQ(parse_axis("preset=practical,paper_strict,custom").values.size(),
+            3u);
+  EXPECT_THROW(parse_axis("preset=strict"), std::invalid_argument);
+}
+
 // The comparison kinds run on one simulator whatever `shards` says, so
 // their rows are identical at 1 and 2 shards; Srikanth-Toueg and tree
 // sync model no faults and reject an active fault plan, and

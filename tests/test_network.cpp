@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -188,6 +189,81 @@ TEST(Network, WorksOnAugmentedTopology) {
   EXPECT_EQ(total, 8);
   EXPECT_EQ(sinks[0].count, 1);
   EXPECT_EQ(sinks[7].count, 1);
+}
+
+// ---- level elision ----------------------------------------------------------
+
+/// Cluster-pulse table that proves every level delivery dead.
+struct MarkAllTable final : ClusterPulseTable {
+  int mark_calls = 0;
+  std::vector<sim::BatchedEvent> received;
+  void on_pulse_run(const sim::BatchedEvent* events, std::size_t n) override {
+    received.insert(received.end(), events, events + n);
+  }
+  std::size_t mark_dead_levels(int, int, sim::Time, const sim::Duration*,
+                               std::size_t count, const std::int32_t*,
+                               std::uint8_t* dead) override {
+    ++mark_calls;
+    std::fill(dead, dead + count, std::uint8_t{1});
+    return count;
+  }
+};
+
+struct RemoteLog final : ShardRouter {
+  std::vector<int> dests;
+  void remote_deliver(int, sim::Time, const sim::EventPayload& payload)
+      override {
+    dests.push_back(payload.c);
+  }
+};
+
+bool accept_all(const sim::EventPayload&, const void*) { return true; }
+
+TEST(Network, LevelElisionSkipsTheQueueButNotBoundarySenders) {
+  // Line 0 - 1 - 2 with node 2 on another shard: sender 0 is interior,
+  // sender 1 owns the cut edge.
+  sim::Simulator sim;
+  Network network(sim, Graph::line(3).adjacency(),
+                  std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(5));
+  MarkAllTable table;
+  const std::vector<std::uint8_t> fast(3, 1);
+  network.set_cluster_dispatch(&table, fast.data());
+  sim.set_batch_channel(network.sink_id(), sim::EventKind::kPulse,
+                        &accept_all, nullptr);
+  ASSERT_TRUE(network.enable_level_elision());
+  RemoteLog router;
+  const std::vector<std::uint8_t> remote = {0, 0, 1};
+  network.set_shard_router(&router, remote.data());
+
+  Pulse cluster;
+  cluster.sender = 0;
+  network.broadcast(0, cluster);  // cluster pulses are never marked
+  EXPECT_EQ(table.mark_calls, 0);
+  Pulse level;
+  level.kind = PulseKind::kMaxLevel;
+  level.level = 3;
+  level.sender = 0;
+  network.broadcast(0, level);  // interior: both deliveries elided
+  EXPECT_EQ(table.mark_calls, 1);
+  level.sender = 1;
+  network.broadcast(1, level);  // boundary: the per-delivery posts
+  EXPECT_EQ(table.mark_calls, 1);
+  EXPECT_EQ(router.dests, (std::vector<int>{2}));
+
+  const sim::EventQueue::TierStats queue = sim.queue_stats();
+  EXPECT_EQ(queue.narrow_events, 2u);  // the cluster pulse's group
+  EXPECT_EQ(queue.wide_events, 2u);    // sender 1's local posts
+  EXPECT_EQ(network.messages_sent(), 7u);
+  EXPECT_EQ(network.delivery_stats().elided, 2u);
+
+  sim.run_until(2.0);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.fired_events(), 6u);  // all but the routed one
+  EXPECT_EQ(network.messages_delivered(), 6u);
+  const Network::DeliveryStats stats = network.delivery_stats();
+  EXPECT_EQ(stats.cluster, 2u);
+  EXPECT_EQ(stats.level, 4u);
+  EXPECT_EQ(table.received.size(), 4u);  // the elided two are only counted
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The `--timing` footer is the user-facing view of every run diagnostic:
 // the monitors' margins against the paper's envelopes next to the queue,
-// shard and capture counters. These goldens pin its deterministic lines
+// delivery, shard and capture counters. These goldens pin its deterministic lines
 // (everything but the wall-clock throughput and `phases[...]` lines and
 // the output paths), so a change to how a stat is merged across shards or
 // tasks, or how it is printed, shows up here.
@@ -100,13 +100,15 @@ TEST(TimingFooter, FaultBoundaryViolations) {
   c.scenario = "e4_fault_tolerance_boundary";
   c.axes = {"faults_per_cluster=1,2"};
   EXPECT_EQ(masked_footer(c, "e4"),
-            "queue[ladder]: buckets=340 rung_spawns=0 overflow_peak=340 "
+            "queue[ladder]: buckets=265 rung_spawns=0 overflow_peak=265 "
             "reseeds=1981\n"
-            "runs[ladder]: run_events=523536 sorted_elements=1161927 "
-            "sort_fallbacks=218\n"
-            "bytes[queue]: entry_bytes=26401312 narrow=841500 wide=291591 "
-            "groups=90160 mean_group=9.3 bytes_per_event=23.3 "
-            "lane_peak_bytes=38912 lane_peak_lanes=71 lane_peak_live=244\n"
+            "runs[ladder]: run_events=246638 sorted_elements=892509 "
+            "sort_fallbacks=214\n"
+            "bytes[queue]: entry_bytes=21954544 narrow=563577 wide=291591 "
+            "groups=90160 mean_group=6.3 bytes_per_event=25.7 "
+            "lane_peak_bytes=38400 lane_peak_lanes=70 lane_peak_live=226\n"
+            "deliveries: total=891336 cluster=234378 level=656958 share=0 "
+            "propose=0 elided=277923 elided_share=0.312\n"
             "monitors[on]: probes=7200 violations=705 max_local=33.41 "
             "max_global=33.41 max_intra=1.052 local_margin=154.1 "
             "global_margin=8.806 intra_margin=-0.3376\n"
@@ -135,6 +137,8 @@ TEST(TimingFooter, ShardedTorusWithCapture) {
             "groups=16640 mean_group=20.0 bytes_per_event=27.4 "
             "lane_peak_bytes=1372160 lane_peak_lanes=2518 "
             "lane_peak_live=6656\n"
+            "deliveries: total=825068 cluster=166400 level=658668 share=0 "
+            "propose=0 elided=0 elided_share=0.000\n"
             "shards[2]: cut_edges=512 min_cut_delay=0.99 windows=168 "
             "mailbox_peak=768\n"
             "monitors[on]: probes=8 violations=0 max_local=0.1244 "
@@ -150,13 +154,15 @@ TEST(TimingFooter, MonitorsOff) {
   c.axes = {"faults_per_cluster=1,2"};
   c.monitors = false;
   EXPECT_EQ(masked_footer(c, "nomon"),
-            "queue[ladder]: buckets=340 rung_spawns=0 overflow_peak=340 "
+            "queue[ladder]: buckets=265 rung_spawns=0 overflow_peak=265 "
             "reseeds=1981\n"
-            "runs[ladder]: run_events=523536 sorted_elements=1161927 "
-            "sort_fallbacks=218\n"
-            "bytes[queue]: entry_bytes=26401312 narrow=841500 wide=291591 "
-            "groups=90160 mean_group=9.3 bytes_per_event=23.3 "
-            "lane_peak_bytes=38912 lane_peak_lanes=71 lane_peak_live=244\n"
+            "runs[ladder]: run_events=246638 sorted_elements=892509 "
+            "sort_fallbacks=214\n"
+            "bytes[queue]: entry_bytes=21954544 narrow=563577 wide=291591 "
+            "groups=90160 mean_group=6.3 bytes_per_event=25.7 "
+            "lane_peak_bytes=38400 lane_peak_lanes=70 lane_peak_live=226\n"
+            "deliveries: total=891336 cluster=234378 level=656958 share=0 "
+            "propose=0 elided=277923 elided_share=0.312\n"
             "monitors=off\n"
             "trace=off\n"
             "metrics=off\n");
@@ -171,13 +177,15 @@ TEST(TimingFooter, DegenerateShardFallback) {
   c.axes = {"clusters=1", "faults_per_cluster=1,2"};
   c.shards = 4;
   EXPECT_EQ(masked_footer(c, "fallback"),
-            "queue[ladder]: buckets=51 rung_spawns=0 overflow_peak=51 "
+            "queue[ladder]: buckets=39 rung_spawns=0 overflow_peak=39 "
             "reseeds=2196\n"
-            "runs[ladder]: run_events=77760 sorted_elements=173058 "
+            "runs[ladder]: run_events=28425 sorted_elements=123763 "
             "sort_fallbacks=0\n"
-            "bytes[queue]: entry_bytes=4744056 narrow=120060 wide=50703 "
-            "groups=30015 mean_group=4.0 bytes_per_event=27.8 "
-            "lane_peak_bytes=9216 lane_peak_lanes=16 lane_peak_live=31\n"
+            "bytes[queue]: entry_bytes=3951720 narrow=70539 wide=50703 "
+            "groups=30015 mean_group=2.4 bytes_per_event=32.6 "
+            "lane_peak_bytes=9216 lane_peak_lanes=16 lane_peak_live=25\n"
+            "deliveries: total=126007 cluster=32316 level=93691 share=0 "
+            "propose=0 elided=49521 elided_share=0.393\n"
             "shards: requested 4, partition degenerate — ran the "
             "single-simulator engine\n"
             "monitors[on]: probes=7200 violations=235 max_local=1.048 "
@@ -199,13 +207,15 @@ TEST(TimingFooter, MixedShardedAndFallbackTasks) {
   c.shards = 2;
   c.metrics = true;
   EXPECT_EQ(masked_footer(c, "mixed"),
-            "queue[ladder]: buckets=205 rung_spawns=0 overflow_peak=205 "
+            "queue[ladder]: buckets=172 rung_spawns=0 overflow_peak=172 "
             "reseeds=655\n"
-            "runs[ladder]: run_events=82567 sorted_elements=191225 "
-            "sort_fallbacks=365\n"
-            "bytes[queue]: entry_bytes=4435872 narrow=42120 wide=108786 "
-            "groups=7020 mean_group=6.0 bytes_per_event=29.4 "
-            "lane_peak_bytes=29696 lane_peak_lanes=38 lane_peak_live=298\n"
+            "runs[ladder]: run_events=61355 sorted_elements=173422 "
+            "sort_fallbacks=374\n"
+            "bytes[queue]: entry_bytes=4095360 narrow=20838 wide=108786 "
+            "groups=7020 mean_group=3.0 bytes_per_event=31.6 "
+            "lane_peak_bytes=28672 lane_peak_lanes=36 lane_peak_live=282\n"
+            "deliveries: total=118500 cluster=28644 level=89856 share=0 "
+            "propose=0 elided=21282 elided_share=0.180\n"
             "shards[2]: cut_edges=32 min_cut_delay=0.99 windows=1440 "
             "mailbox_peak=40\n"
             "monitors[on]: probes=1440 violations=0 max_local=0.1652 "
@@ -251,7 +261,8 @@ TEST(TimingFooter, DeterministicPlaneIsShardInvariant) {
   const std::string deterministic =
       plane_text(base, support::Plane::kDeterministic);
   for (const char* key : {"monitors.probes=", "monitors.intra_margin=",
-                          "trace.records=", "metrics.bytes="}) {
+                          "trace.records=", "metrics.bytes=",
+                          "deliveries.level="}) {
     EXPECT_NE(deterministic.find(key), std::string::npos) << key;
   }
   for (int shards : {2, 4}) {
