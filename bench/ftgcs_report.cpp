@@ -5,14 +5,16 @@
 //                                         when a sibling <path>.profile
 //                                         exists, shard phase/imbalance
 //                                         and span tables too
-//   ftgcs_report diff <a> <b>             A/B field-by-field comparison
+//   ftgcs_report diff <a> <b>             A/B field-by-field comparison;
+//                                         when both sidecars exist, their
+//                                         phase totals side by side too
 //
 // `diff` exits 0 when the two deterministic series are bit-equal
 // trajectories and 1 when any shared field differs at any probe (the
 // table shows the max |A−B| per field). Exit 2 = usage / unreadable or
-// malformed file. The `show` command never opens the .profile sidecar's
-// wall-clock sections for comparison — profiles are nondeterministic by
-// contract and only ever rendered, never diffed.
+// malformed file. The .profile sidecars' wall-clock sections never count
+// toward that verdict — profiles are nondeterministic by contract and
+// only ever rendered, never compared.
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -67,6 +69,15 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
   const obs::SeriesData a = load_or_die(path_a);
   const obs::SeriesData b = load_or_die(path_b);
   const int differing = obs::render_diff(a, b, std::cout);
+  // Sidecars are optional and never part of the verdict: a missing or
+  // unreadable one only drops the phase-totals table.
+  obs::SeriesData profile_a;
+  obs::SeriesData profile_b;
+  std::string error;
+  if (obs::load_series(path_a + ".profile", &profile_a, &error) &&
+      obs::load_series(path_b + ".profile", &profile_b, &error)) {
+    obs::render_profile_diff(profile_a, profile_b, std::cout);
+  }
   if (differing == 0) {
     std::printf("identical trajectories: %zu probes\n", a.rows.size());
     return 0;

@@ -248,7 +248,9 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
     }
     // Probe boundaries are the quiesced commit points of the trace: every
     // shard has advanced to exactly t and its worker is parked, so the
-    // per-shard capture buffers are safe to merge.
+    // per-shard capture buffers are safe to merge (a sharded run has
+    // streamed all but its last window already). The monitor's replay
+    // cursor below reads the committed totals.
     if (collector != nullptr) collector->commit();
     system.snapshot_columns(columns);
     const auto skews = metrics::measure_skews(columns, topo);

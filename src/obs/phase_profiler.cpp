@@ -57,6 +57,7 @@ PhaseProfiler::~PhaseProfiler() {
 void PhaseProfiler::bind_shards(int shards) {
   FTGCS_EXPECTS(shards >= 0);
   slots_.assign(static_cast<std::size_t>(shards), ShardSlot{});
+  commit_total_ns_ = 0;
 }
 
 void PhaseProfiler::phase_begin(int shard, Phase phase) {
@@ -72,6 +73,12 @@ void PhaseProfiler::phase_end(int shard, Phase phase) {
 
 void PhaseProfiler::count_window(int shard) {
   ++slots_[static_cast<std::size_t>(shard)].windows;
+}
+
+void PhaseProfiler::commit_begin() { commit_start_ns_ = now_ns(); }
+
+void PhaseProfiler::commit_end() {
+  commit_total_ns_ += now_ns() - commit_start_ns_;
 }
 
 void PhaseProfiler::span_begin(const char* name) {
@@ -141,6 +148,7 @@ PhaseProfiler::PhaseTotals PhaseProfiler::totals() const {
   PhaseTotals t;
   t.shards = static_cast<double>(slots_.size());
   t.imbalance = imbalance();
+  t.commit_ms = to_ms(commit_total_ns_);
   for (const ShardSlot& slot : slots_) {
     t.merge_ms += to_ms(slot.total_ns[static_cast<int>(Phase::kMerge)]);
     t.run_ms += to_ms(slot.total_ns[static_cast<int>(Phase::kRun)]);

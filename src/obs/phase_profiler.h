@@ -11,7 +11,8 @@
 //     in the file that is byte-compared across shard counts.
 //   * "phase"/"span"/"summary" rows — wall-clock timing: per-shard
 //     accumulated merge ∥ run ∥ collect(wait) phase totals around the
-//     three-barrier windows of par::ShardedFtGcsSystem, top-level
+//     three-barrier windows of par::ShardedFtGcsSystem, the driver's
+//     trace commit overlapped with the run phase, top-level
 //     setup/run/collect spans, and the load-imbalance ratio
 //     (max/mean per-shard run-phase time) the work-stealing ROADMAP
 //     item needs as its baseline.
@@ -26,7 +27,8 @@
 // own shard slot only (the slots are cache-line separated); the driver
 // reads totals after the workers park at a barrier or join, so the
 // barrier's happens-before covers the unsynchronized accumulators —
-// the same discipline the mailbox lanes use.
+// the same discipline the mailbox lanes use. commit_begin/commit_end
+// are driver-only.
 #pragma once
 
 #include <array>
@@ -74,6 +76,11 @@ class PhaseProfiler {
   /// Counts one safe window against the shard (call once per window).
   void count_window(int shard);
 
+  /// Driver-side timer of the trace commit the sharded driver overlaps
+  /// with the workers' run phase (par::ShardedFtGcsSystem::phase).
+  void commit_begin();
+  void commit_end();
+
   /// Driver-side top-level spans ("setup", "run", "collect"); at most
   /// kMaxSpans distinct names, nesting by name.
   void span_begin(const char* name);
@@ -101,6 +108,10 @@ class PhaseProfiler {
     double merge_ms = 0.0;
     double run_ms = 0.0;
     double collect_ms = 0.0;
+    /// Driver time spent committing trace windows while the workers ran:
+    /// commit work moved off the probe boundary, where the workers waited
+    /// for it (collect_ms).
+    double commit_ms = 0.0;
     double imbalance = 0.0;  ///< imbalance()
 
     /// Field table (support/stat_table.h): the `--timing` footer's
@@ -115,6 +126,8 @@ class PhaseProfiler {
           field<&S::run_ms>("run_ms", kSum, kWallClock, "phases", "%.1f"),
           field<&S::collect_ms>("wait_ms", kSum, kWallClock, "phases",
                                 "%.1f"),
+          field<&S::commit_ms>("commit_ms", kSum, kWallClock, "phases",
+                               "%.1f"),
           field<&S::imbalance>("imbalance", kMax, kWallClock, "phases",
                                "%.3f")};
     }
@@ -141,6 +154,8 @@ class PhaseProfiler {
   std::string path_;
   std::FILE* file_ = nullptr;
   std::vector<ShardSlot> slots_;
+  std::uint64_t commit_start_ns_ = 0;
+  std::uint64_t commit_total_ns_ = 0;
   Span spans_[kMaxSpans];
   int num_spans_ = 0;
   std::string line_;  ///< reused row buffer (nondet plane: no alloc pin)

@@ -256,6 +256,17 @@ void render_convergence(const SeriesData& series, std::ostream& os) {
   table.print(os);
 }
 
+namespace {
+
+const JsonLine* summary_row(const SeriesData& profile) {
+  for (const JsonLine& row : profile.rows) {
+    if (row.text("section") == "summary") return &row;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 void render_profile(const SeriesData& profile, std::ostream& os) {
   metrics::Table phases({"shard", "merge_ms", "run_ms", "wait_ms",
                          "windows"});
@@ -288,6 +299,12 @@ void render_profile(const SeriesData& profile, std::ostream& os) {
     os << "imbalance (max/mean run-phase): "
        << metrics::Table::num(summary->number("imbalance")) << " over "
        << static_cast<long long>(summary->number("shards")) << " shards\n";
+    if (summary->find("commit_ms") != nullptr) {
+      os << "driver trace commit overlapped with the run phase: "
+         << metrics::Table::num(summary->number("commit_ms"))
+         << " ms (shards' start-barrier wait: "
+         << metrics::Table::num(summary->number("wait_ms")) << " ms)\n";
+    }
   }
   if (spans.rows() > 0) {
     os << "top-level spans:\n";
@@ -303,6 +320,36 @@ void render_profile(const SeriesData& profile, std::ostream& os) {
     }
     diag.print(os);
   }
+}
+
+void render_profile_diff(const SeriesData& a, const SeriesData& b,
+                         std::ostream& os) {
+  const JsonLine* sa = summary_row(a);
+  const JsonLine* sb = summary_row(b);
+  if (sa == nullptr || sb == nullptr) return;
+  // Numeric fields of either row, A's order first; a field one side lacks
+  // (a sidecar from an older binary) shows as "-".
+  const auto number_of = [](const JsonLine& row, const std::string& key) {
+    const JsonValue* v = row.find(key);
+    return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v : nullptr;
+  };
+  metrics::Table table({"phase_total", "a", "b", "b_minus_a"});
+  for (const JsonLine* row : {sa, sb}) {
+    for (const auto& [key, value] : row->fields) {
+      if (value.kind != JsonValue::Kind::kNumber) continue;
+      if (row == sb && number_of(*sa, key) != nullptr) continue;
+      const JsonValue* va = number_of(*sa, key);
+      const JsonValue* vb = number_of(*sb, key);
+      table.add_row(
+          {key, va != nullptr ? metrics::Table::num(va->number) : "-",
+           vb != nullptr ? metrics::Table::num(vb->number) : "-",
+           va != nullptr && vb != nullptr
+               ? metrics::Table::num(vb->number - va->number)
+               : "-"});
+    }
+  }
+  os << "sidecar phase totals (wall clock, shown, never compared):\n";
+  table.print(os);
 }
 
 int render_diff(const SeriesData& a, const SeriesData& b, std::ostream& os) {

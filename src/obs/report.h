@@ -66,6 +66,13 @@ void render_convergence(const SeriesData& series, std::ostream& os);
 /// and the final queue-tier diag row.
 void render_profile(const SeriesData& profile, std::ostream& os);
 
+/// The summary rows of two sidecars side by side (merge/run/wait and the
+/// driver's overlapped commit_ms, per field A, B and B − A); prints
+/// nothing when either has no summary row (an unsharded run). Wall-clock
+/// numbers: rendered, never part of a diff's verdict.
+void render_profile_diff(const SeriesData& a, const SeriesData& b,
+                         std::ostream& os);
+
 /// A/B diff of two deterministic series: per shared numeric field, the
 /// max |A−B| over aligned probes and the final values. Returns the
 /// number of fields that differ anywhere (0 = identical trajectories).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <barrier>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <utility>
 
@@ -151,6 +152,7 @@ ShardedFtGcsSystem::ShardedFtGcsSystem(net::Graph cluster_graph,
   merge_scratch_.resize(static_cast<std::size_t>(t));
   mailbox_peak_.assign(static_cast<std::size_t>(t), 0);
   routed_in_.assign(static_cast<std::size_t>(t), 0);
+  trace_ = config.trace;
   profiler_ = config.profiler;
   if (profiler_ != nullptr) profiler_->bind_shards(t);
   phases_ = std::make_unique<Phases>(t + 1);
@@ -228,7 +230,24 @@ void ShardedFtGcsSystem::phase(sim::Time bound) {
   bound_ = bound;
   phases_->start.arrive_and_wait();   // publish bound_, release workers
   phases_->merged.arrive_and_wait();
+  // The workers run this window; the driver would only wait. It commits
+  // the previous window's sealed capture meanwhile. A write error must
+  // not skip the finish barrier (the workers would never be released),
+  // so it is held until the workers are parked again.
+  std::exception_ptr commit_error;
+  if (trace_ != nullptr) {
+    if (profiler_ != nullptr) profiler_->commit_begin();
+    try {
+      trace_->commit_sealed();
+    } catch (...) {
+      commit_error = std::current_exception();
+    }
+    if (profiler_ != nullptr) profiler_->commit_end();
+  }
   phases_->finish.arrive_and_wait();  // collect; publishes mailbox writes
+  if (commit_error) std::rethrow_exception(commit_error);
+  // Workers parked: this window's capture becomes the next one's commit.
+  if (trace_ != nullptr) trace_->seal();
 }
 
 void ShardedFtGcsSystem::run_until(sim::Time t) {

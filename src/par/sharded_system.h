@@ -95,8 +95,13 @@ class ShardedFtGcsSystem {
     /// Trace capture: each shard's Network gets collector->shard_sink(s)
     /// installed (deliveries fire exactly once, on the destination's
     /// owner shard, so the merged trace is byte-identical to an unsharded
-    /// run). Owned by the caller, must outlive the system; the caller
-    /// commits at quiesced probe boundaries. nullptr = tracing off.
+    /// run). The driver streams the capture one safe window at a time:
+    /// it seals the shard buffers after each window's finish barrier and
+    /// commits them (TraceCollector::commit_sealed) while the workers run
+    /// the next window, so only the last window is left for the caller's
+    /// commit() at a quiesced probe boundary. A write error is rethrown
+    /// from run_until once the workers are parked. Owned by the caller,
+    /// must outlive the system. nullptr = tracing off.
     trace::TraceCollector* trace = nullptr;
     /// Shared immutable topology (see core::FtGcsSystem::Config): when
     /// set, neither the driver nor any shard builds its own augmented
@@ -204,7 +209,8 @@ class ShardedFtGcsSystem {
   }
 
   /// One lock-step phase: every worker merges its inbound mailboxes into
-  /// its queue, then runs its simulator to `bound` (inclusive).
+  /// its queue, then runs its simulator to `bound` (inclusive), while the
+  /// driver commits the previous phase's sealed trace capture.
   void phase(sim::Time bound);
   void worker_loop(int shard);
 
@@ -230,6 +236,7 @@ class ShardedFtGcsSystem {
   std::vector<std::vector<RemoteEvent>> merge_scratch_;  // per shard
   std::vector<std::size_t> mailbox_peak_;                // per shard
   std::vector<std::uint64_t> routed_in_;  ///< cut arrivals merged, per shard
+  trace::TraceCollector* trace_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
 
   sim::Time now_ = sim::kTimeZero;

@@ -1,7 +1,9 @@
 // The repository's one adaptive sort, for inputs that arrive nearly in
-// order: the trace collector's per-shard capture buffers (fire order, a few
-// cross-shard inversions) and the event queue's drain head (after a
-// time-bin distribution pass, or a single appended or swap-removed entry).
+// order: the trace collector's per-shard capture buffers (fire order, which
+// is already key order on continuously sampled delays, so the sort is one
+// linear check; the bound below covers inputs that are not) and the event
+// queue's drain head (after a time-bin distribution pass, or a single
+// appended or swap-removed entry).
 #pragma once
 
 #include <algorithm>

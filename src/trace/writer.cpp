@@ -4,33 +4,17 @@
 
 namespace ftgcs::trace {
 
-namespace {
-
-void put_u32(std::FILE* file, std::uint32_t v) {
-  const std::uint8_t bytes[4] = {
-      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
-      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
-  if (std::fwrite(bytes, 1, sizeof bytes, file) != sizeof bytes) {
-    throw std::runtime_error("trace: short write");
-  }
-}
-
-void put_u64(std::FILE* file, std::uint64_t v) {
-  put_u32(file, static_cast<std::uint32_t>(v));
-  put_u32(file, static_cast<std::uint32_t>(v >> 32));
-}
-
-}  // namespace
-
-TraceWriter::TraceWriter(const std::string& path) {
+TraceWriter::TraceWriter(const std::string& path) : path_(path) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
     throw std::runtime_error("trace: cannot create '" + path + "'");
   }
-  if (std::fwrite(kMagic, 1, kMagicBytes, file_) != kMagicBytes) {
+  try {
+    write(kMagic, kMagicBytes);
+  } catch (...) {
     std::fclose(file_);
     file_ = nullptr;
-    throw std::runtime_error("trace: short write to '" + path + "'");
+    throw;
   }
   bytes_written_ = kMagicBytes;
   pending_.reserve(kMaxFrameBytes);
@@ -67,14 +51,24 @@ void TraceWriter::append(const Record& record) {
   if (pending_.size() >= kFrameBytes) flush_frame();
 }
 
+void TraceWriter::write(const void* data, std::size_t size) {
+  if (std::fwrite(data, 1, size, file_) != size) {
+    throw std::runtime_error("trace: short write to '" + path_ + "'");
+  }
+}
+
+void TraceWriter::put_u32(std::uint32_t v) {
+  const std::uint8_t bytes[4] = {
+      static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+      static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+  write(bytes, sizeof bytes);
+}
+
 void TraceWriter::flush_frame() {
   if (pending_.empty()) return;
-  put_u32(file_, static_cast<std::uint32_t>(pending_.size()));
-  put_u32(file_, pending_count_);
-  if (std::fwrite(pending_.data(), 1, pending_.size(), file_) !=
-      pending_.size()) {
-    throw std::runtime_error("trace: short write");
-  }
+  put_u32(static_cast<std::uint32_t>(pending_.size()));
+  put_u32(pending_count_);
+  write(pending_.data(), pending_.size());
   framed_bytes_ += kFrameHeaderBytes + pending_.size();
   bytes_written_ += kFrameHeaderBytes + pending_.size();
   pending_.clear();
@@ -84,12 +78,13 @@ void TraceWriter::flush_frame() {
 void TraceWriter::finish() {
   if (finished_ || file_ == nullptr) return;
   flush_frame();
-  put_u32(file_, 0);  // end marker: empty frame
-  put_u32(file_, 0);
-  put_u64(file_, records_);
+  put_u32(0);  // end marker: empty frame
+  put_u32(0);
+  put_u32(static_cast<std::uint32_t>(records_));  // trailer: u64 count
+  put_u32(static_cast<std::uint32_t>(records_ >> 32));
   bytes_written_ += 16;
   if (std::fflush(file_) != 0) {
-    throw std::runtime_error("trace: flush failed");
+    throw std::runtime_error("trace: flush failed for '" + path_ + "'");
   }
   finished_ = true;
 }

@@ -20,7 +20,8 @@ namespace ftgcs::trace {
 class TraceWriter {
  public:
   /// Opens `path` for writing and emits the header. Throws
-  /// std::runtime_error if the file cannot be created.
+  /// std::runtime_error if the file cannot be created. Every later write
+  /// error (append, finish) is a std::runtime_error naming the path too.
   explicit TraceWriter(const std::string& path);
   ~TraceWriter();
 
@@ -49,7 +50,10 @@ class TraceWriter {
   static constexpr std::size_t kFrameHeaderBytes = 8;  // u32 len + u32 count
 
   void flush_frame();
+  void write(const void* data, std::size_t size);
+  void put_u32(std::uint32_t v);
 
+  std::string path_;
   std::FILE* file_ = nullptr;
   std::vector<std::uint8_t> pending_;  ///< current frame payload
   std::uint32_t pending_count_ = 0;    ///< records in the pending frame

@@ -305,6 +305,55 @@ TEST(MetricsSeries, TorusSeriesIdenticalAcrossShards) {
   EXPECT_EQ(obs::render_diff(a, b, table), 0);
 }
 
+// The sharded driver's overlapped trace commit is attributed in the
+// sidecar's summary row (commit_ms), rendered by `ftgcs_report show`, and
+// set side by side with the shards' wait by `ftgcs_report diff`. An
+// untraced run commits nothing.
+TEST(PhaseProfiler, OverlappedCommitTimeReachesSidecarAndReport) {
+  exp::register_builtin_scenarios();
+  ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
+  spec.axes = {{"clusters", {AxisValue::of(64)}}};
+  apply_axis(spec, "clusters", 64.0);
+  spec.shards = 2;
+  spec.metrics_path = temp_path("commit_untraced.jsonl");
+  const exp::RunResult untraced = run_point(spec, 1);
+  EXPECT_EQ(untraced.profile.shards, 2.0);
+  EXPECT_EQ(untraced.profile.commit_ms, 0.0);
+
+  spec.metrics_path = temp_path("commit_traced.jsonl");
+  spec.trace_path = temp_path("commit_traced.ftr");
+  const exp::RunResult traced = run_point(spec, 1);
+  EXPECT_GT(traced.profile.commit_ms, 0.0);
+
+  obs::SeriesData profile;
+  obs::SeriesData untraced_profile;
+  std::string error;
+  ASSERT_TRUE(obs::load_series(spec.metrics_path + ".profile", &profile,
+                               &error))
+      << error;
+  ASSERT_TRUE(obs::load_series(temp_path("commit_untraced.jsonl.profile"),
+                               &untraced_profile, &error))
+      << error;
+  bool summarized = false;
+  for (const obs::JsonLine& row : profile.rows) {
+    if (row.text("section") != "summary") continue;
+    summarized = true;
+    EXPECT_EQ(row.number("commit_ms", -1.0), traced.profile.commit_ms);
+  }
+  EXPECT_TRUE(summarized);
+
+  std::ostringstream shown;
+  obs::render_profile(profile, shown);
+  EXPECT_NE(shown.str().find("driver trace commit overlapped"),
+            std::string::npos)
+      << shown.str();
+  std::ostringstream diffed;
+  obs::render_profile_diff(untraced_profile, profile, diffed);
+  EXPECT_NE(diffed.str().find("commit_ms"), std::string::npos)
+      << diffed.str();
+  EXPECT_NE(diffed.str().find("wait_ms"), std::string::npos) << diffed.str();
+}
+
 // ---- series reader grammar -------------------------------------------------
 
 TEST(SeriesReader, ParsesFlatObjectsAndRejectsNesting) {

@@ -144,7 +144,8 @@ TEST(TimingFooter, ShardedTorusWithCapture) {
             "monitors[on]: probes=8 violations=0 max_local=0.1244 "
             "max_global=0.1309 max_intra=0.01521 local_margin=270.4 "
             "global_margin=83.61 intra_margin=0.6993\n"
-            "trace[on]: files=2 records=825068 bytes=8498919 (<trace>)\n"
+            "trace[on]: files=2 records=825068 bytes=8498919 "
+            "buffer_peak=20480 (<trace>)\n"
             "metrics[on]: files=2 probes=8 bytes=4380 (<metrics>)\n");
 }
 

@@ -1,7 +1,8 @@
 // Trace format pins: round-trip fidelity, exact replay offsets, a
 // byte-exact golden file, shard-count invariance of captured runs,
-// the collector's commit merge against a sort-everything reference, and
-// first-divergence localization under single-bit corruption.
+// the collector's commit merge (per window and streamed) against a
+// sort-everything reference, typed write errors, and first-divergence
+// localization under single-bit corruption.
 //
 // The golden constants pin the on-disk format itself (magic, frame
 // layout, varint/zigzag/XOR-delta encoding, 64 KiB frame threshold).
@@ -9,9 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <future>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -331,16 +336,25 @@ trace::Record captured(const sim::BatchedEvent& event) {
   return record;
 }
 
-/// Captures `windows` through a TraceCollector (one commit per window) and
-/// through the reference, and compares the two files byte for byte.
-void expect_commit_matches_reference(const std::vector<Window>& windows,
-                                     const std::string& name) {
+/// How the collector is driven: one commit() per window (the probe
+/// boundary), or the sharded driver's stream — seal() after each window,
+/// and commit_sealed() of the previous window while the next is captured.
+enum class Drive { kCommitPerWindow, kStreamed };
+
+/// Captures `windows` through a TraceCollector and through the reference,
+/// and compares the two files byte for byte. Returns the collector's
+/// buffer_peak.
+std::uint64_t expect_commit_matches_reference(
+    const std::vector<Window>& windows, const std::string& name,
+    Drive drive = Drive::kCommitPerWindow) {
   const std::string path = temp_path(name + ".ftr");
   const std::string reference_path = temp_path(name + ".ref.ftr");
   std::uint64_t records = 0;
+  std::uint64_t buffer_peak = 0;
   {
     trace::TraceCollector collector(path);
     for (const Window& window : windows) {
+      if (drive == Drive::kStreamed) collector.commit_sealed();
       for (std::size_t s = 0; s < window.size(); ++s) {
         trace::TraceSink* sink = collector.shard_sink(static_cast<int>(s));
         // Mixed capture granularity: batches of up to 5, then singles.
@@ -353,10 +367,15 @@ void expect_commit_matches_reference(const std::vector<Window>& windows,
           sink->on_delivery(events[i].at, events[i].payload);
         }
       }
-      collector.commit();
+      if (drive == Drive::kStreamed) {
+        collector.seal();
+      } else {
+        collector.commit();
+      }
     }
     collector.finish();
     records = collector.records();
+    buffer_peak = collector.stats().buffer_peak;
   }
   {
     trace::TraceWriter writer(reference_path);
@@ -383,6 +402,7 @@ void expect_commit_matches_reference(const std::vector<Window>& windows,
       << name << ": files differ from byte "
       << (diverged.first - bytes.begin()) << " (sizes " << bytes.size()
       << " vs " << reference.size() << ")";
+  return buffer_peak;
 }
 
 /// Three commit windows (the middle one empty, to check that the XOR time
@@ -438,6 +458,96 @@ TEST(TraceCommit, DuplicateRecordsSplitAcrossShardsMatchReference) {
   }
   const Window window = {base, base, every_other, doubled};
   expect_commit_matches_reference({window, window}, "duplicates");
+}
+
+// The sharded driver's stream: windows sealed one at a time and each
+// committed while the next is captured write the same bytes as one commit
+// per window, as long as the windows are disjoint in time (windows_of's
+// are). The buffers then hold at most two windows at once.
+TEST(TraceCommit, SealedWindowStreamMatchesReference) {
+  for (int shards : {1, 2, 3, 8}) {
+    for (Shape shape : {Shape::kNearSorted, Shape::kShuffled}) {
+      const std::string name = "streamed_t" + std::to_string(shards) + "_" +
+                               std::to_string(static_cast<int>(shape));
+      const std::vector<Window> windows =
+          windows_of(shards, shape, 90 + shards);
+      const std::uint64_t per_window = expect_commit_matches_reference(
+          windows, name + "_commit", Drive::kCommitPerWindow);
+      const std::uint64_t streamed = expect_commit_matches_reference(
+          windows, name, Drive::kStreamed);
+      // Windows 0 and 2 hold the records, the middle one none: committed
+      // one window at a time, the peak is one window either way.
+      EXPECT_EQ(streamed, per_window) << name;
+      EXPECT_GT(per_window, 0u) << name;
+    }
+  }
+}
+
+// A sharded run streams its capture one safe window at a time, so with a
+// single probe at the horizon the capture buffers still hold only about
+// two windows' records, where a commit at the probe alone would hold them
+// all (as the unsharded run does). The file is the same either way.
+TEST(TraceCommit, ShardedRunBuffersOnlyAFewWindows) {
+  exp::register_builtin_scenarios();
+  ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
+  spec.axes = {{"clusters", {AxisValue::of(64)}}};
+  apply_axis(spec, "clusters", 64.0);
+  spec.probe_interval_rounds = 1e9;  // one probe, at the horizon
+
+  const auto run_with = [&](int shards, const std::string& path) {
+    ScenarioSpec s = spec;
+    s.shards = shards;
+    s.trace_path = path;
+    return run_point(s, 1);
+  };
+  const exp::RunResult unsharded = run_with(1, temp_path("peak_s1.ftr"));
+  const exp::RunResult sharded = run_with(2, temp_path("peak_s2.ftr"));
+  ASSERT_GT(sharded.trace.records, 0u);
+  EXPECT_EQ(sharded.trace.records, unsharded.trace.records);
+  EXPECT_EQ(unsharded.trace.buffer_peak, unsharded.trace.records);
+  EXPECT_GT(sharded.trace.buffer_peak, 0u);
+  EXPECT_LT(sharded.trace.buffer_peak * 10, sharded.trace.records)
+      << "buffer_peak=" << sharded.trace.buffer_peak
+      << " records=" << sharded.trace.records;
+  EXPECT_EQ(read_file(temp_path("peak_s1.ftr")),
+            read_file(temp_path("peak_s2.ftr")));
+}
+
+// A failed write is a typed error naming the file at every shard count,
+// also when it happens in a commit the sharded driver overlaps with a
+// window (the workers must still be released). /dev/full accepts the
+// open and fails every write that reaches it. A hang aborts the test
+// instead of waiting for the suite's timeout.
+TEST(TraceFormat, FullDiskIsATypedErrorAtEveryShardCount) {
+  if (std::FILE* probe = std::fopen("/dev/full", "wb")) {
+    std::fclose(probe);
+  } else {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  exp::register_builtin_scenarios();
+  ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
+  spec.axes = {{"clusters", {AxisValue::of(64)}}};
+  apply_axis(spec, "clusters", 64.0);
+  spec.trace_path = "/dev/full";
+  for (int shards : {1, 2, 4}) {
+    spec.shards = shards;
+    std::future<std::string> outcome =
+        std::async(std::launch::async, [spec]() -> std::string {
+          try {
+            run_point(spec, 1);
+          } catch (const std::runtime_error& error) {
+            return error.what();
+          }
+          return "no error";
+        });
+    if (outcome.wait_for(std::chrono::seconds(120)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "--trace /dev/full hung at shards=%d\n", shards);
+      std::abort();
+    }
+    EXPECT_EQ(outcome.get(), "trace: short write to '/dev/full'")
+        << "shards=" << shards;
+  }
 }
 
 TEST(TraceFormat, DiffLocalizesSingleBitCorruption) {
