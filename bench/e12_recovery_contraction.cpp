@@ -15,6 +15,26 @@ namespace {
 
 using namespace ftgcs;
 
+/// Records each pulse instant, then hands every hook on to the node.
+class PulseRecorder final : public core::ClusterSyncHooks {
+ public:
+  PulseRecorder(metrics::PulseDiameterTrace& trace, core::ClusterSyncHooks* next)
+      : trace_(trace), next_(next) {}
+
+  void on_round_start(int round) override { next_->on_round_start(round); }
+  void on_pulse_instant(int round, sim::Time now) override {
+    trace_.record_pulse(round, now);
+    next_->on_pulse_instant(round, now);
+  }
+  void on_correction(int round, double delta_corr, bool violated) override {
+    next_->on_correction(round, delta_corr, violated);
+  }
+
+ private:
+  metrics::PulseDiameterTrace& trace_;
+  core::ClusterSyncHooks* next_;
+};
+
 struct Contraction {
   std::vector<double> diameters;  ///< ‖p(r)‖ for rounds after injection
   double empirical_ratio = 0.0;   ///< geometric decay factor
@@ -34,13 +54,11 @@ Contraction run(const core::Params& params, double perturbation,
                                                 perturbation);
 
   metrics::PulseDiameterTrace trace(params.k);
+  std::vector<std::unique_ptr<PulseRecorder>> recorders;
   for (int member : system.topology().members(0)) {
     auto& engine = system.node(member).engine();
-    auto previous = engine.on_pulse;
-    engine.on_pulse = [&trace, previous](int round, sim::Time now) {
-      trace.record_pulse(round, now);
-      if (previous) previous(round, now);
-    };
+    recorders.push_back(std::make_unique<PulseRecorder>(trace, engine.hooks()));
+    engine.set_hooks(recorders.back().get());
   }
   system.start();
   system.run_until((inject_round + 14) * params.T);

@@ -59,35 +59,29 @@ Run run_regime(const core::Params& params, Regime regime,
                        sim::Rng(seed));
   sim::Rng master(seed ^ 0xe3e3ULL);
 
-  core::ClusterSyncConfig cfg;
-  cfg.tau1 = params.tau1;
-  cfg.tau2 = params.tau2;
-  cfg.tau3 = params.tau3;
-  cfg.phi = params.phi;
-  cfg.mu = params.mu;
-  cfg.f = params.f;
-  cfg.k = params.k;
-  cfg.active = true;
-  cfg.d = params.d;
-  cfg.U = params.U;
+  const core::ClusterSyncConfig cfg = core::ClusterSyncConfig::from(params);
 
+  std::vector<std::unique_ptr<core::ClusterSyncCallbacks>> hooks;
   std::vector<std::unique_ptr<core::ClusterSyncEngine>> engines;
   std::vector<std::unique_ptr<core::ClusterMemberSink>> sinks;
   metrics::PulseDiameterTrace trace(params.k);
   for (int i = 0; i < params.k; ++i) {
     auto engine = std::make_unique<core::ClusterSyncEngine>(
-        sim, cfg, 1.0 + params.rho * i / (params.k - 1), master.fork(i));
+        sim, cfg, core::ClusterSyncMode::kActive, 1,
+        1.0 + params.rho * i / (params.k - 1), master.fork(i));
     engine->set_own_index(i);
     auto* raw = engine.get();
     const int id = i;
-    raw->on_pulse = [&network, &trace, raw, id](int round, sim::Time now) {
+    hooks.push_back(std::make_unique<core::ClusterSyncCallbacks>());
+    raw->set_hooks(hooks.back().get());
+    hooks.back()->pulse = [&network, &trace, id](int round, sim::Time now) {
       trace.record_pulse(round, now);
       net::Pulse pulse;
       pulse.sender = id;
       pulse.kind = net::PulseKind::kClusterPulse;
       network.broadcast(id, pulse);
     };
-    raw->on_round_start = [raw, regime, id, &sim](int round) {
+    hooks.back()->round_start = [raw, regime, id, &sim](int round) {
       int gamma = 0;
       switch (regime) {
         case Regime::kGeneral:

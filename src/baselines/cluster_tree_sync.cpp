@@ -55,7 +55,8 @@ void EchoClusterNode::fire_wave(int wave, sim::Time now) {
 
 ClusterTreeSystem::ClusterTreeSystem(net::Graph cluster_graph, Config config)
     : topo_(std::move(cluster_graph), config.params.k),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      root_sync_(core::ClusterSyncConfig::from(config_.params)) {
   const net::Graph& cg = topo_.cluster_graph();
   cluster_parent_ = cg.bfs_tree(config_.root_cluster);
   cluster_depth_ = cg.bfs_distances(config_.root_cluster);
@@ -97,28 +98,14 @@ ClusterTreeSystem::ClusterTreeSystem(net::Graph cluster_graph, Config config)
             ? 1
             : config_.cluster_round_offsets[cluster] + 1;
     if (cluster == config_.root_cluster) {
-      core::ClusterSyncConfig cfg;
-      cfg.tau1 = config_.params.tau1;
-      cfg.tau2 = config_.params.tau2;
-      cfg.tau3 = config_.params.tau3;
-      cfg.phi = config_.params.phi;
-      cfg.mu = config_.params.mu;
-      cfg.f = config_.params.f;
-      cfg.k = config_.params.k;
-      cfg.active = true;
-      cfg.d = config_.params.d;
-      cfg.U = config_.params.U;
-      cfg.start_round = start_round;
       root_members_[id] = std::make_unique<core::ClusterSyncEngine>(
-          sim_, cfg, 1.0, master.fork(2000 + static_cast<std::uint64_t>(id)));
+          sim_, root_sync_, core::ClusterSyncMode::kActive, start_round, 1.0,
+          master.fork(2000 + static_cast<std::uint64_t>(id)));
       auto* engine = root_members_[id].get();
       engine->set_own_index(topo_.index_in_cluster(id));
-      engine->on_pulse = [this, id](int, sim::Time) {
-        net::Pulse pulse;
-        pulse.sender = id;
-        pulse.kind = net::PulseKind::kClusterPulse;
-        network_->broadcast(id, pulse);
-      };
+      root_hooks_.push_back(
+          std::make_unique<core::PulseBroadcaster>(*network_, id));
+      engine->set_hooks(root_hooks_.back().get());
       root_sinks_.push_back(std::make_unique<core::ClusterMemberSink>(
           topo_, config_.root_cluster, *engine));
       network_->register_handler(id, root_sinks_.back().get());

@@ -104,6 +104,7 @@ class ClusterTreeSystem {
  private:
   net::AugmentedTopology topo_;
   Config config_;
+  core::ClusterSyncConfig root_sync_;  ///< borrowed by the root engines
   std::vector<int> cluster_depth_;
   std::vector<int> cluster_parent_;
   sim::Simulator sim_;
@@ -112,6 +113,7 @@ class ClusterTreeSystem {
   /// mutually exclusive; both null for Byzantine ids.
   std::vector<std::unique_ptr<core::ClusterSyncEngine>> root_members_;
   std::vector<std::unique_ptr<core::ClusterMemberSink>> root_sinks_;
+  std::vector<std::unique_ptr<core::PulseBroadcaster>> root_hooks_;
   std::vector<std::unique_ptr<EchoClusterNode>> echo_members_;
   std::vector<std::unique_ptr<byz::ByzantineNode>> byz_nodes_;
   std::unique_ptr<clocks::DriftModel> drift_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -138,24 +139,14 @@ class ClockLiarStrategy final : public Strategy {
 
   void start(AttackContext& ctx) override {
     const core::Params& p = *ctx.params;
-    core::ClusterSyncConfig cfg;
-    cfg.tau1 = p.tau1;
-    cfg.tau2 = p.tau2;
-    cfg.tau3 = p.tau3;
-    cfg.phi = p.phi;
-    cfg.mu = p.mu;
-    cfg.f = p.f;
-    cfg.k = p.k;
-    cfg.active = true;
-    cfg.d = p.d;
-    cfg.U = p.U;
+    sync_ = core::ClusterSyncConfig::from(p);
     const double rate = std::max(0.05, 1.0 + factor_ * p.rho);
     engine_ = std::make_unique<core::ClusterSyncEngine>(
-        *ctx.sim, cfg, rate, ctx.rng.fork(17));
+        *ctx.sim, sync_, core::ClusterSyncMode::kActive, 1, rate,
+        ctx.rng.fork(17));
     engine_->set_own_index(ctx.index_in_cluster);
-    engine_->on_pulse = [&ctx](int, sim::Time) {
-      ctx.net->broadcast(ctx.self, cluster_pulse(ctx.self));
-    };
+    broadcaster_.emplace(*ctx.net, ctx.self);
+    engine_->set_hooks(&*broadcaster_);
     engine_->start();
   }
 
@@ -168,6 +159,8 @@ class ClockLiarStrategy final : public Strategy {
 
  private:
   double factor_;
+  core::ClusterSyncConfig sync_;  ///< borrowed by engine_
+  std::optional<core::PulseBroadcaster> broadcaster_;
   std::unique_ptr<core::ClusterSyncEngine> engine_;
 };
 

@@ -26,7 +26,7 @@ void LogicalClock::advance(sim::Time now) {
 
 void LogicalClock::recompute_rate(sim::Time now) {
   rate_ = (1.0 + phi_ * delta_) * (1.0 + mu_ * gamma_) * hrate_;
-  if (observer_) observer_(now);
+  if (observer_ != nullptr) observer_->on_rate_change(now);
 }
 
 void LogicalClock::set_delta(sim::Time now, double delta) {
@@ -60,7 +60,7 @@ void LogicalClock::jump(sim::Time now, double value) {
   advance(now);
   l0_ = value;
   publish();
-  if (observer_) observer_(now);
+  if (observer_ != nullptr) observer_->on_rate_change(now);
 }
 
 sim::Time LogicalClock::when_reaches(double target, sim::Time now) const {

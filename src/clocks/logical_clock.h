@@ -11,8 +11,6 @@
 // LogicalTimerSet uses this to reschedule pending logical-time timers.
 #pragma once
 
-#include <functional>
-
 #include "sim/time_types.h"
 
 namespace ftgcs::clocks {
@@ -26,6 +24,16 @@ struct ClockMirror {
   double l0 = 0.0;
   sim::Time t0 = 0.0;
   double rate = 0.0;
+};
+
+/// Receiver of a clock's rate changes (see LogicalClock::set_rate_observer).
+class RateObserver {
+ public:
+  /// The rate changed (or the value jumped) at `now`.
+  virtual void on_rate_change(sim::Time now) = 0;
+
+ protected:
+  ~RateObserver() = default;  // never deleted through the interface
 };
 
 class LogicalClock {
@@ -65,10 +73,9 @@ class LogicalClock {
   /// Notifies the rate observer so pending logical timers re-aim.
   void jump(sim::Time now, double value);
 
-  /// Observer invoked after any rate change (with the change time).
-  void set_rate_observer(std::function<void(sim::Time)> obs) {
-    observer_ = std::move(obs);
-  }
+  /// Observer invoked after any rate change (with the change time);
+  /// nullptr unbinds. Non-owning: the observer must outlive the binding.
+  void set_rate_observer(RateObserver* observer) { observer_ = observer; }
 
   /// Binds (or unbinds, with nullptr) the write-through mirror and
   /// publishes the current segment immediately. The mirror must outlive
@@ -100,7 +107,7 @@ class LogicalClock {
   double rate_;
 
   ClockMirror* mirror_ = nullptr;
-  std::function<void(sim::Time)> observer_;
+  RateObserver* observer_ = nullptr;
 };
 
 }  // namespace ftgcs::clocks

@@ -35,7 +35,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <memory>
 
 #include "clocks/logical_clock.h"
 #include "clocks/logical_timer.h"
@@ -47,6 +47,12 @@
 
 namespace ftgcs::core {
 
+struct Params;
+
+/// The constants of Algorithm 1, identical for every engine of a system:
+/// built once (per system, per rig) and held by reference — it must
+/// outlive every engine constructed from it. What differs per engine (the
+/// mode and the first round) is a constructor argument.
 struct ClusterSyncConfig {
   double tau1 = 0.0;
   double tau2 = 0.0;
@@ -55,23 +61,76 @@ struct ClusterSyncConfig {
   double mu = 0.0;
   int f = 0;          ///< trim budget
   int k = 1;          ///< cluster size (number of expected senders)
-  bool active = true; ///< false: passive estimate (Corollary 3.5)
   double d = 0.0;     ///< channel delay bound (passive loopback simulation)
   double U = 0.0;     ///< channel uncertainty (passive loopback simulation)
 
-  /// First round executed at start(). A value m+1 starts the logical clock
-  /// at m·T — used to initialize a cluster with a logical offset that is a
-  /// whole number of rounds (experiments on skew absorption; models the
-  /// paper's "newly inserted edges" initialization variant).
-  int start_round = 1;
+  /// The engine constants of a parameter set.
+  static ClusterSyncConfig from(const Params& params);
+};
+
+enum class ClusterSyncMode : std::uint8_t {
+  kActive,   ///< a cluster member (broadcasts, corrects its clock)
+  kPassive,  ///< the estimate of Corollary 3.5 (listens only)
+};
+
+/// The owner's view of an engine's round structure. Non-owning: the
+/// engine keeps a plain pointer (see set_hooks); an engine without hooks
+/// — every passive replica inside a system — calls nothing.
+class ClusterSyncHooks {
+ public:
+  /// Invoked at each round start, after δ_v ← 1 and before timers are
+  /// armed. The intercluster layer sets γ_v here (Algorithm 2).
+  virtual void on_round_start(int /*round*/) {}
+
+  /// Active mode: invoked at the pulse instant; the owner broadcasts the
+  /// physical pulse here. Passive mode: invoked at the simulated pulse
+  /// instant p̃ (no send).
+  virtual void on_pulse_instant(int /*round*/, sim::Time /*now*/) {}
+
+  /// Invoked after the phase-2 computation with the correction ∆_v(r)
+  /// (pre-clamping) and whether the proper-execution condition |∆| ≤ ϕ·τ3
+  /// was violated.
+  virtual void on_correction(int /*round*/, double /*delta_corr*/,
+                             bool /*violated*/) {}
+
+ protected:
+  ~ClusterSyncHooks() = default;  // never deleted through the interface
+};
+
+/// Closure-backed hooks for rigs that script an engine (tests, experiment
+/// drivers): each unset closure is a no-op. Owned by the rig, which must
+/// keep it alive while the engine runs.
+class ClusterSyncCallbacks final : public ClusterSyncHooks {
+ public:
+  std::function<void(int round)> round_start;
+  std::function<void(int round, sim::Time now)> pulse;
+  std::function<void(int round, double delta_corr, bool violated)>
+      correction;
+
+  void on_round_start(int round) override {
+    if (round_start) round_start(round);
+  }
+  void on_pulse_instant(int round, sim::Time now) override {
+    if (pulse) pulse(round, now);
+  }
+  void on_correction(int round, double delta_corr, bool violated) override {
+    if (correction) correction(round, delta_corr, violated);
+  }
 };
 
 class ClusterSyncEngine final : public clocks::LogicalTimerSet::Client,
                                 public sim::EventSink {
  public:
+  /// `cfg` is borrowed and must outlive the engine. `start_round` is the
+  /// first round executed at start(): a value m+1 starts the logical
+  /// clock at m·T — used to initialize a cluster with a logical offset
+  /// that is a whole number of rounds (experiments on skew absorption;
+  /// models the paper's "newly inserted edges" initialization variant).
   /// `loopback_rng` is used only in passive mode (virtual self-delay).
   ClusterSyncEngine(sim::Simulator& simulator, const ClusterSyncConfig& cfg,
+                    ClusterSyncMode mode, int start_round,
                     double initial_hardware_rate, sim::Rng loopback_rng);
+  ~ClusterSyncEngine();
 
   ClusterSyncEngine(const ClusterSyncEngine&) = delete;
   ClusterSyncEngine& operator=(const ClusterSyncEngine&) = delete;
@@ -99,33 +158,29 @@ class ClusterSyncEngine final : public clocks::LogicalTimerSet::Client,
   int round() const { return round_; }
 
   /// True while in phases 1–2 of the current round (collecting pulses).
-  bool listening() const { return lane_->listening != 0; }
+  bool listening() const { return lane_ != nullptr && lane_->listening != 0; }
 
-  /// Logical time at which the current round began: (r−1)·T (Lemma B.6).
-  double round_start_logical() const { return round_start_logical_; }
+  /// Logical time at which the current round began: (r−1)·T (Lemma B.6);
+  /// 0 before start().
+  double round_start_logical() const {
+    return round_ == 0 ? 0.0 : (round_ - 1) * round_length();
+  }
 
   double round_length() const { return cfg_.tau1 + cfg_.tau2 + cfg_.tau3; }
 
-  // ---- hooks --------------------------------------------------------------
-  /// Invoked at each round start, after δ_v ← 1 and before timers are
-  /// armed. The intercluster layer sets γ_v here (Algorithm 2).
-  std::function<void(int round)> on_round_start;
-
-  /// Active mode: invoked at the pulse instant; the owner broadcasts the
-  /// physical pulse here. Passive mode: invoked at the simulated pulse
-  /// instant p̃ (no send).
-  std::function<void(int round, sim::Time now)> on_pulse;
-
-  /// Invoked after the phase-2 computation with the correction ∆_v(r)
-  /// (pre-clamping) and whether the proper-execution condition |∆| ≤ ϕ·τ3
-  /// was violated.
-  std::function<void(int round, double delta_corr, bool violated)>
-      on_correction;
+  /// Installs the owner's hooks (nullptr: none). Non-owning: `hooks`
+  /// must outlive the engine or be unset first.
+  void set_hooks(ClusterSyncHooks* hooks) { hooks_ = hooks; }
+  ClusterSyncHooks* hooks() const { return hooks_; }
 
   // ---- statistics ----------------------------------------------------------
   std::uint64_t violations() const { return violations_; }
-  std::uint64_t dropped_pulses() const { return lane_->dropped; }
-  std::uint64_t duplicate_pulses() const { return lane_->duplicates; }
+  std::uint64_t dropped_pulses() const {
+    return lane_ != nullptr ? lane_->dropped : 0;
+  }
+  std::uint64_t duplicate_pulses() const {
+    return lane_ != nullptr ? lane_->duplicates : 0;
+  }
   double last_correction() const { return last_correction_; }
 
   /// Armed logical timers (diagnostics; 0 after halt()).
@@ -144,18 +199,21 @@ class ClusterSyncEngine final : public clocks::LogicalTimerSet::Client,
   /// set by the owner before start(). Passive mode ignores it.
   void set_own_index(int index) {
     own_index_ = index;
-    if (cfg_.active) lane_->own_index = index;
+    if (active() && lane_ != nullptr) lane_->own_index = index;
   }
 
-  /// Relocates the engine's hot receive state into externally owned
-  /// storage (the system's columnar NodeTable): current lane contents and
-  /// arrival slots are copied over, and the engine — and its clock mirror
-  /// — operate on the new location from here on. Must be called before
-  /// start(); the storage must outlive the engine.
+  /// Hands the engine its hot receive state in externally owned storage
+  /// (the system's columnar NodeTable): the lane and, for k beyond the
+  /// lane's inline slots, `arrivals` (k slots). The engine — and its clock
+  /// mirror — operate on that location from here on, so it never
+  /// allocates a lane of its own. Must be called before the lane's first
+  /// use (start(), a pulse, lane()); the storage must outlive the
+  /// engine.
   void adopt_lane(ReceiveLane* lane, double* arrivals);
 
-  /// Read-only view of the hot receive state (diagnostics/tests).
-  const ReceiveLane& lane() const { return *lane_; }
+  /// Read-only view of the hot receive state (diagnostics/tests). A
+  /// standalone engine allocates its lane here on first use.
+  const ReceiveLane& lane() { return receive_lane(); }
 
   /// Crash-stop: cancels all pending timers and the passive loopback in
   /// flight and closes the collection window. After halt() the engine
@@ -189,35 +247,74 @@ class ClusterSyncEngine final : public clocks::LogicalTimerSet::Client,
     kRoundEndTimer = 3,
   };
 
+  bool active() const { return mode_ == ClusterSyncMode::kActive; }
+
+  /// A standalone engine's own receive state (tests, the cluster-tree
+  /// baseline, Byzantine strategies): allocated on first use.
+  struct OwnedLane;
+
+  /// The lane, allocating a standalone one on first use.
+  ReceiveLane& receive_lane() {
+    if (lane_ == nullptr) [[unlikely]] allocate_lane();
+    return *lane_;
+  }
+  void allocate_lane();
+  /// Fresh lane state (nothing heard, not listening) at `lane`.
+  void init_lane(ReceiveLane& lane, double* arrivals);
+
   void begin_round(int r);
   void pulse_instant(sim::Time now);
   void end_phase_two(sim::Time now);
   double compute_correction();
 
-  sim::Simulator& sim_;
-  ClusterSyncConfig cfg_;
+  sim::Simulator& sim() const { return timers_.simulator(); }
+
+  const ClusterSyncConfig& cfg_;
   clocks::LogicalClock clock_;
   clocks::LogicalTimerSet timers_;
   sim::Rng loopback_rng_;
   sim::SinkId self_ = sim::kInvalidSink;  ///< passive loopback events
+  std::int32_t own_index_ = 0;
+  std::int32_t round_ = 0;
+  std::int32_t start_round_;
+  ClusterSyncMode mode_;
 
-  int own_index_ = 0;
-  int round_ = 0;
-  double round_start_logical_ = 0.0;
-
-  /// Hot receive state (listening flag, clock mirror, arrival slots).
-  /// Points at local_lane_ until NodeTable adoption moves it into the
-  /// columnar bank; all engine code goes through this pointer.
-  ReceiveLane* lane_ = &local_lane_;
-  ReceiveLane local_lane_;
-  std::vector<double> local_arrivals_;
+  /// Hot receive state (listening flag, clock mirror, arrival slots): a
+  /// NodeTable lane once adopted, else owned_lane_'s; null until either.
+  ReceiveLane* lane_ = nullptr;
+  std::unique_ptr<OwnedLane> owned_lane_;
+  ClusterSyncHooks* hooks_ = nullptr;
 
   sim::EventId pending_loopback_{};  ///< passive simulated self-pulse
-  std::vector<double> offsets_buf_;  ///< reused by compute_correction
 
   std::uint64_t violations_ = 0;
   std::uint64_t starved_rounds_ = 0;
   double last_correction_ = 0.0;
+};
+// Five engines per node on a torus: the receive lane lives in the
+// NodeTable, the constants in the shared config, the hooks behind one
+// pointer.
+static_assert(sizeof(ClusterSyncEngine) == 312);
+
+/// Hooks of a standalone active member: broadcasts its cluster pulse at
+/// each pulse instant, as FtGcsNode does for the nodes of a system. For
+/// the cluster-tree baseline's root members, Byzantine strategies that
+/// run Algorithm 1, and test rigs.
+class PulseBroadcaster final : public ClusterSyncHooks {
+ public:
+  PulseBroadcaster(net::Network& network, int node)
+      : network_(network), node_(node) {}
+
+  void on_pulse_instant(int /*round*/, sim::Time /*now*/) override {
+    net::Pulse pulse;
+    pulse.sender = node_;
+    pulse.kind = net::PulseKind::kClusterPulse;
+    network_.broadcast(node_, pulse);
+  }
+
+ private:
+  net::Network& network_;
+  int node_;
 };
 
 /// Network sink of an engine that listens to one cluster: forwards that

@@ -1,6 +1,7 @@
 #include "core/estimates.h"
 
 #include <algorithm>
+#include <new>
 
 #include "support/assert.h"
 
@@ -14,16 +15,17 @@ EstimateBank::EstimateBank(sim::Simulator& simulator,
     : order_(adjacent_clusters) {
   FTGCS_EXPECTS(start_rounds.empty() ||
                 start_rounds.size() == order_.size());
-  ClusterSyncConfig passive_cfg = cfg;
-  passive_cfg.active = false;
-  replicas_.reserve(order_.size());
+  static_assert(alignof(ClusterSyncEngine) <=
+                __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  replicas_ = static_cast<ClusterSyncEngine*>(
+      ::operator new(order_.size() * sizeof(ClusterSyncEngine)));
   for (std::size_t i = 0; i < order_.size(); ++i) {
     const int cluster = order_[i];
     FTGCS_EXPECTS(std::count(order_.begin(), order_.end(), cluster) == 1);
-    passive_cfg.start_round = start_rounds.empty() ? 1 : start_rounds[i];
-    replicas_.push_back(std::make_unique<ClusterSyncEngine>(
-        simulator, passive_cfg, initial_hardware_rate,
-        rng.fork(static_cast<std::uint64_t>(cluster) + 1)));
+    new (replicas_ + i) ClusterSyncEngine(
+        simulator, cfg, ClusterSyncMode::kPassive,
+        start_rounds.empty() ? 1 : start_rounds[i], initial_hardware_rate,
+        rng.fork(static_cast<std::uint64_t>(cluster) + 1));
   }
   by_cluster_.resize(order_.size());
   for (std::size_t i = 0; i < by_cluster_.size(); ++i) by_cluster_[i] = i;
@@ -31,6 +33,13 @@ EstimateBank::EstimateBank(sim::Simulator& simulator,
             [this](std::size_t a, std::size_t b) {
               return order_[a] < order_[b];
             });
+}
+
+EstimateBank::~EstimateBank() {
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    replicas_[i].~ClusterSyncEngine();
+  }
+  ::operator delete(replicas_);
 }
 
 int EstimateBank::find_index(int cluster) const {
@@ -47,18 +56,18 @@ std::size_t EstimateBank::index_for(int cluster) const {
 }
 
 void EstimateBank::start() {
-  for (std::size_t i : by_cluster_) replicas_[i]->start();
+  for (std::size_t i : by_cluster_) replicas_[i].start();
 }
 
 bool EstimateBank::route_pulse(int cluster, int member_index, sim::Time now) {
   const int i = find_index(cluster);
   if (i < 0) return false;
-  replicas_[static_cast<std::size_t>(i)]->on_member_pulse(member_index, now);
+  replicas_[static_cast<std::size_t>(i)].on_member_pulse(member_index, now);
   return true;
 }
 
 double EstimateBank::estimate(int cluster, sim::Time now) const {
-  return replicas_[index_for(cluster)]->clock().read(now);
+  return replicas_[index_for(cluster)].clock().read(now);
 }
 
 std::vector<double> EstimateBank::all_estimates(sim::Time now) const {
@@ -70,22 +79,24 @@ std::vector<double> EstimateBank::all_estimates(sim::Time now) const {
 
 void EstimateBank::set_hardware_rate(sim::Time now, double rate) {
   for (std::size_t i : by_cluster_) {
-    replicas_[i]->set_hardware_rate(now, rate);
+    replicas_[i].set_hardware_rate(now, rate);
   }
 }
 
 void EstimateBank::halt() {
-  for (auto& replica : replicas_) replica->halt();
+  for (std::size_t i = 0; i < order_.size(); ++i) replicas_[i].halt();
 }
 
 std::uint64_t EstimateBank::violations() const {
   std::uint64_t total = 0;
-  for (const auto& replica : replicas_) total += replica->violations();
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    total += replicas_[i].violations();
+  }
   return total;
 }
 
 ClusterSyncEngine& EstimateBank::replica(int cluster) {
-  return *replicas_[index_for(cluster)];
+  return replicas_[index_for(cluster)];
 }
 
 }  // namespace ftgcs::core

@@ -8,9 +8,14 @@
 // lies in the same [1, ϑ_g] envelope), so |L̃_vB(t) − L_B(t)| ≤ E.
 //
 // EstimateBank owns one replica per adjacent cluster and routes pulses.
+// The replicas are constructed in place, in adjacency order, in one heap
+// block per bank; inside a system their receive lanes live in the
+// NodeTable (adopt_lane) and their constants in the system's shared
+// ClusterSyncConfig, so a replica keeps only its clock, timers, loopback
+// stream and counters.
 #pragma once
 
-#include <memory>
+#include <cstddef>
 #include <vector>
 
 #include "core/cluster_sync.h"
@@ -25,11 +30,16 @@ class EstimateBank {
   /// `start_rounds`, if non-empty, gives each replica's initial round
   /// (parallel to `adjacent_clusters`); used when the observed clusters
   /// start with whole-round logical offsets and the estimates are assumed
-  /// pre-synchronized (paper's flooding-based initialization).
+  /// pre-synchronized (paper's flooding-based initialization). `cfg` is
+  /// borrowed by every replica and must outlive the bank.
   EstimateBank(sim::Simulator& simulator, const ClusterSyncConfig& cfg,
                const std::vector<int>& adjacent_clusters,
                double initial_hardware_rate, sim::Rng& rng,
                const std::vector<int>& start_rounds = {});
+  ~EstimateBank();
+
+  EstimateBank(const EstimateBank&) = delete;
+  EstimateBank& operator=(const EstimateBank&) = delete;
 
   /// Starts all replicas (at the global time-0 initialization).
   void start();
@@ -46,7 +56,7 @@ class EstimateBank {
   /// round-start trigger path, which iterates positions and must not pay
   /// the by-cluster scan per estimate.
   double estimate_at(std::size_t index, sim::Time now) const {
-    return replicas_[index]->clock().read(now);
+    return replicas_[index].clock().read(now);
   }
 
   /// Estimates of all adjacent clusters, in the order given at
@@ -68,7 +78,7 @@ class EstimateBank {
 
   /// Replica at position `index` in clusters() order (NodeTable adoption).
   ClusterSyncEngine& replica_at(std::size_t index) {
-    return *replicas_[index];
+    return replicas_[index];
   }
 
  private:
@@ -76,10 +86,12 @@ class EstimateBank {
   std::size_t index_for(int cluster) const;  ///< aborts if not adjacent
 
   std::vector<int> order_;
-  /// Parallel to order_. Pulse routing is a linear scan over order_ —
-  /// adjacency degrees are small, and the scan beats a map's pointer chase
-  /// on every delivery.
-  std::vector<std::unique_ptr<ClusterSyncEngine>> replicas_;
+  /// Parallel to order_: order_.size() engines constructed in place in
+  /// one block (engines register `this` with the simulator, so they never
+  /// move). Pulse routing is a linear scan over order_ — adjacency degrees
+  /// are small, and the scan beats a map's pointer chase on every
+  /// delivery.
+  ClusterSyncEngine* replicas_ = nullptr;
   /// Indices into replicas_ in ascending-cluster order; start() and rate
   /// changes iterate this to keep the event schedule identical to the
   /// original (map-ordered) implementation.

@@ -8,80 +8,52 @@
 
 namespace ftgcs::core {
 
-namespace {
-
-ClusterSyncConfig engine_config(const Params& p, bool active,
-                                int start_round) {
-  ClusterSyncConfig cfg;
-  cfg.tau1 = p.tau1;
-  cfg.tau2 = p.tau2;
-  cfg.tau3 = p.tau3;
-  cfg.phi = p.phi;
-  cfg.mu = p.mu;
-  cfg.f = p.f;
-  cfg.k = p.k;
-  cfg.active = active;
-  cfg.d = p.d;
-  cfg.U = p.U;
-  cfg.start_round = start_round;
-  return cfg;
+NodeConstants::NodeConstants(const Params& p)
+    : params(p), sync(ClusterSyncConfig::from(p)) {
+  level.d = p.d;
+  level.U = p.U;
+  level.rho = p.rho;
+  level.f = p.f;
 }
 
-}  // namespace
-
 FtGcsNode::FtGcsNode(sim::Simulator& simulator, net::Network& network,
-                     const net::AugmentedTopology& topo, const Params& params,
-                     int node_id, sim::Rng rng, Options options)
+                     const net::AugmentedTopology& topo,
+                     const NodeConstants& constants, int node_id,
+                     sim::Rng rng, const Options& options)
     : sim_(simulator),
       net_(network),
       topo_(topo),
-      params_(params),
+      constants_(constants),
       id_(node_id),
       cluster_(topo.cluster_of(node_id)),
-      options_(options),
       hardware_(simulator.now(), 0.0, 1.0),
-      engine_(simulator,
-              engine_config(params, /*active=*/true, options.start_round),
-              1.0, rng.fork(1)),
-      estimates_(simulator, engine_config(params, /*active=*/false, 1),
-                 topo.cluster_neighbors(cluster_), 1.0, rng,
-                 options.replica_start_rounds),
-      controller_(params.kappa, params.delta_trig, params.c_global,
-                  options.enable_global_module) {
+      engine_(simulator, constants.sync, ClusterSyncMode::kActive,
+              options.start_round, 1.0, rng.fork(1)),
+      estimates_(simulator, constants.sync, topo.cluster_neighbors(cluster_),
+                 1.0, rng, options.replica_start_rounds),
+      controller_(constants.params.kappa, constants.params.delta_trig,
+                  constants.params.c_global, options.enable_global_module) {
   self_ = simulator.register_sink(this);
   engine_.set_own_index(topo.index_in_cluster(node_id));
 
   edge_active_.assign(estimates_.clusters().size(), true);
-  for (int inactive : options_.initially_inactive) {
+  for (int inactive : options.initially_inactive) {
     set_edge_active(inactive, false);
   }
 
-  if (!options_.edge_weights.empty()) {
-    FTGCS_EXPECTS(options_.edge_weights.size() ==
+  if (!options.edge_weights.empty()) {
+    FTGCS_EXPECTS(options.edge_weights.size() ==
                   estimates_.clusters().size());
-    for (double weight : options_.edge_weights) {
-      edge_kappas_.push_back(weight * params_.kappa);
-      edge_slacks_.push_back(weight * params_.delta_trig);
+    for (double weight : options.edge_weights) {
+      edge_kappas_.push_back(weight * params().kappa);
+      edge_slacks_.push_back(weight * params().delta_trig);
     }
   }
 
-  engine_.on_round_start = [this](int round) { handle_round_start(round); };
+  engine_.set_hooks(this);
 
-  engine_.on_pulse = [this](int /*round*/, sim::Time /*now*/) {
-    if (crashed_) return;
-    net::Pulse pulse;
-    pulse.sender = id_;
-    pulse.kind = net::PulseKind::kClusterPulse;
-    net_.broadcast(id_, pulse);
-  };
-
-  if (options_.enable_global_module) {
-    MaxEstimator::Config cfg;
-    cfg.d = params_.d;
-    cfg.U = params_.U;
-    cfg.rho = params_.rho;
-    cfg.f = params_.f;
-    max_estimator_.emplace(simulator, cfg, 1.0);
+  if (options.enable_global_module) {
+    max_estimator_.emplace(simulator, constants.level, 1.0);
     max_estimator_->on_emit = [this](int level) {
       if (crashed_) return;
       net::Pulse pulse;
@@ -91,6 +63,14 @@ FtGcsNode::FtGcsNode(sim::Simulator& simulator, net::Network& network,
       net_.broadcast(id_, pulse);
     };
   }
+}
+
+void FtGcsNode::on_pulse_instant(int /*round*/, sim::Time /*now*/) {
+  if (crashed_) return;
+  net::Pulse pulse;
+  pulse.sender = id_;
+  pulse.kind = net::PulseKind::kClusterPulse;
+  net_.broadcast(id_, pulse);
 }
 
 void FtGcsNode::start() {
@@ -113,7 +93,7 @@ double FtGcsNode::max_estimate(sim::Time now) const {
                         : -std::numeric_limits<double>::infinity();
 }
 
-void FtGcsNode::handle_round_start(int round) {
+void FtGcsNode::on_round_start(int round) {
   const sim::Time now = sim_.now();
   // Algorithm 2: evaluate the triggers on the node's own logical clock
   // (its stand-in for the cluster clock) and its estimates of adjacent
@@ -153,7 +133,7 @@ void FtGcsNode::handle_round_start(int round) {
   if (on_round_observed) {
     const double logical_start = engine_.round_start_logical();
     const sim::Time predicted_pulse =
-        engine_.clock().when_reaches(logical_start + params_.tau1, now);
+        engine_.clock().when_reaches(logical_start + params().tau1, now);
     on_round_observed(round, now, predicted_pulse, logical_start);
   }
 }
@@ -196,7 +176,7 @@ void FtGcsNode::set_hardware_rate(sim::Time now, double rate) {
   // looser) time epsilon this used to borrow. The lower bound is exact:
   // the send-time proof that a level delivery is dead
   // (core/node_table.h) needs M_v to grow at no less than 1/(1+ρ).
-  FTGCS_EXPECTS(rate >= 1.0 && rate <= 1.0 + params_.rho + support::kRateEps);
+  FTGCS_EXPECTS(rate >= 1.0 && rate <= 1.0 + params().rho + support::kRateEps);
   hardware_.set_rate(now, rate);
   engine_.set_hardware_rate(now, rate);
   estimates_.set_hardware_rate(now, rate);

@@ -31,6 +31,19 @@ namespace ftgcs::core {
 
 class NodeTable;
 
+/// What every node of one system shares: the parameters and the engine
+/// and estimator constants derived from them. Built once per system and
+/// held by reference — it must outlive every node built from it.
+struct NodeConstants {
+  explicit NodeConstants(const Params& p);
+  NodeConstants(const NodeConstants&) = delete;
+  NodeConstants& operator=(const NodeConstants&) = delete;
+
+  Params params;
+  ClusterSyncConfig sync;     ///< the own engine's and every replica's
+  MaxEstimator::Config level; ///< App. C estimator
+};
+
 struct FtGcsNodeOptions {
   bool enable_global_module = true;
 
@@ -55,13 +68,18 @@ struct FtGcsNodeOptions {
   std::vector<double> edge_weights;
 };
 
-class FtGcsNode final : public net::PulseSink, public sim::EventSink {
+class FtGcsNode final : public net::PulseSink,
+                        public sim::EventSink,
+                        private ClusterSyncHooks {
  public:
   using Options = FtGcsNodeOptions;
 
+  /// `constants` is borrowed (see NodeConstants); `options` is read only
+  /// here.
   FtGcsNode(sim::Simulator& simulator, net::Network& network,
-            const net::AugmentedTopology& topo, const Params& params,
-            int node_id, sim::Rng rng, Options options = {});
+            const net::AugmentedTopology& topo,
+            const NodeConstants& constants, int node_id, sim::Rng rng,
+            const Options& options = {});
 
   FtGcsNode(const FtGcsNode&) = delete;
   FtGcsNode& operator=(const FtGcsNode&) = delete;
@@ -140,15 +158,19 @@ class FtGcsNode final : public net::PulseSink, public sim::EventSink {
       on_round_observed;
 
  private:
-  void handle_round_start(int round);
+  /// ClusterSyncHooks of the own engine: Algorithm 2 at each round start,
+  /// the physical broadcast at each pulse instant.
+  void on_round_start(int round) override;
+  void on_pulse_instant(int round, sim::Time now) override;
+
+  const Params& params() const { return constants_.params; }
 
   sim::Simulator& sim_;
   net::Network& net_;
   const net::AugmentedTopology& topo_;
-  Params params_;
+  const NodeConstants& constants_;
   int id_;
   int cluster_;
-  Options options_;
   sim::SinkId self_ = sim::kInvalidSink;
   NodeTable* table_ = nullptr;  ///< columnar mirror (null outside a system)
 
@@ -169,11 +191,12 @@ class FtGcsNode final : public net::PulseSink, public sim::EventSink {
   /// Weighted mode (footnote 1): per-edge κ_e / δ_e; empty = uniform.
   std::vector<double> edge_kappas_;
   std::vector<double> edge_slacks_;
-  /// Scratch buffers of handle_round_start (one trigger evaluation per
+  /// Scratch buffers of on_round_start (one trigger evaluation per
   /// round per node — reusing them keeps the round path allocation-free).
   std::vector<double> round_ests_;
   std::vector<double> round_kappas_;
   std::vector<double> round_slacks_;
 };
+static_assert(sizeof(FtGcsNode) == 928);
 
 }  // namespace ftgcs::core

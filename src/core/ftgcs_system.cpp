@@ -14,7 +14,8 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
                             std::move(cluster_graph), config.params.k)),
       topo_(config.shared_topo != nullptr ? *config.shared_topo
                                           : *owned_topo_),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      constants_(config_.params) {
   FTGCS_EXPECTS(config_.params.feasible());
   FTGCS_EXPECTS(config_.fault_plan.max_faults_per_cluster(topo_) <=
                 topo_.cluster_size());
@@ -122,7 +123,7 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
         }
       }
       nodes_[id] = std::make_unique<FtGcsNode>(
-          sim_, *network_, topo_, config_.params, id, node_rng, options);
+          sim_, *network_, topo_, constants_, id, node_rng, options);
       ++num_correct_;
       network_->register_handler(id, nodes_[id].get());
     }

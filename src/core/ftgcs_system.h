@@ -202,6 +202,7 @@ class FtGcsSystem final : public sim::EventSink {
   std::unique_ptr<net::AugmentedTopology> owned_topo_;
   const net::AugmentedTopology& topo_;
   Config config_;
+  NodeConstants constants_;  ///< shared by every node (see NodeConstants)
   sim::Simulator sim_;
   sim::SinkId self_ = sim::kInvalidSink;  ///< edge-toggle events
   std::unique_ptr<net::Network> network_;

@@ -105,6 +105,7 @@ class MaxEstimator final : public sim::EventSink {
     int f = 0;         ///< per-cluster fault budget (quorum size f+1)
   };
 
+  /// `cfg` is borrowed (one per system) and must outlive the estimator.
   MaxEstimator(sim::Simulator& simulator, const Config& cfg,
                double initial_hardware_rate);
 
@@ -186,7 +187,7 @@ class MaxEstimator final : public sim::EventSink {
   }
 
   sim::Simulator& sim_;
-  Config cfg_;
+  const Config& cfg_;
   sim::SinkId self_ = sim::kInvalidSink;
   double spacing_;  ///< d − U
 

@@ -163,6 +163,28 @@ par::ShardedFtGcsSystem::ShardStats system_shard_stats(
   return s.shard_stats();
 }
 
+/// Advances the system to the probe time `t`. A traced single-simulator
+/// run commits its capture every `window` of simulated time on the way,
+/// so its buffers hold about one sharded safe window of records instead
+/// of a whole probe interval; run_until(t) fires everything ≤ t, so the
+/// file's bytes do not change. The sharded driver streams its own
+/// windows.
+void advance_to(core::FtGcsSystem& s, sim::Time t,
+                trace::TraceCollector* collector, double window) {
+  if (collector != nullptr) {
+    for (sim::Time next = s.simulator().now() + window; next < t;
+         next = s.simulator().now() + window) {
+      s.run_until(next);
+      collector->commit();
+    }
+  }
+  s.run_until(t);
+}
+void advance_to(par::ShardedFtGcsSystem& s, sim::Time t,
+                trace::TraceCollector*, double) {
+  s.run_until(t);
+}
+
 /// Sample times: every probe interval, plus the horizon itself.
 std::vector<double> sample_times(double horizon_rounds, double interval_rounds,
                                  double T) {
@@ -238,18 +260,21 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
   const double steady_after = run.steady_after_rounds * params.T;
   core::SystemColumns columns;  // reused across probes (columnar reads)
   std::vector<obs::ShardWindowDiag> diag_scratch;
+  // The minimum message delay d − U: the conservative window width a
+  // sharded run of these params uses.
+  const double commit_window = params.d - params.U;
   for (double t : sample_times(run.horizon_rounds, run.probe_interval_rounds,
                                params.T)) {
     if (profiler != nullptr) profiler->span_begin("run");
-    system.run_until(t);
+    advance_to(system, t, collector, commit_window);
     if (profiler != nullptr) {
       profiler->span_end("run");
       profiler->span_begin("collect");
     }
-    // Probe boundaries are the quiesced commit points of the trace: every
+    // Probe boundaries are quiesced commit points of the trace: every
     // shard has advanced to exactly t and its worker is parked, so the
-    // per-shard capture buffers are safe to merge (a sharded run has
-    // streamed all but its last window already). The monitor's replay
+    // per-shard capture buffers are safe to merge (both drivers have
+    // streamed all but their last window already). The monitor's replay
     // cursor below reads the committed totals.
     if (collector != nullptr) collector->commit();
     system.snapshot_columns(columns);

@@ -98,18 +98,6 @@ void Network::set_shard_router(ShardRouter* router,
   FTGCS_EXPECTS(router != nullptr && remote != nullptr);
   router_ = router;
   remote_ = remote;
-  // Precompute which senders own a cut edge: only those need the
-  // per-delivery divert loop in broadcast(); interior senders keep the
-  // coalesced group path even in sharded runs.
-  boundary_.assign(adj_->size(), 0);
-  for (std::size_t v = 0; v < adj_->size(); ++v) {
-    for (const int nb : (*adj_)[v]) {
-      if (remote[static_cast<std::size_t>(nb)] != 0) {
-        boundary_[v] = 1;
-        break;
-      }
-    }
-  }
 }
 
 bool Network::enable_level_elision() {
@@ -237,66 +225,59 @@ void Network::broadcast(int from, const Pulse& pulse) {
   // once; destinations come from the validated adjacency and delays from
   // the channel's own sampler, so the per-delivery bounds checks of the
   // unicast path are hoisted out of the loop.
-  messages_sent_ += neighbors.size() + 1;
+  const std::size_t count = neighbors.size() + 1;
+  messages_sent_ += count;
   sim::EventPayload payload = encode(pulse, from);
   auto& streams = edge_streams_[static_cast<std::size_t>(from)];
-  if (remote_ == nullptr || boundary_[static_cast<std::size_t>(from)] == 0) {
-    // Coalesced fan-out (unsharded, or a sharded sender with no cut edge):
-    // all delays are sampled first — the exact streams and draw order of
-    // the per-delivery loop below — then the queue takes ONE pre-encoded
-    // group, paying bucket lookup, window check, and the shared payload
-    // write per fan-out instead of per delivery (16 B/delivery; see
-    // EventQueue::schedule_fire_only_group). The destination list is
-    // borrowed straight from the adjacency, which outlives every
-    // in-flight delivery.
-    const std::size_t count = neighbors.size() + 1;
-    if (group_delays_.size() < count) {
-      group_delays_.resize(count);
-      group_dead_.resize(count);
-    }
-    group_delays_[0] = sample_delay(
-        from, from, loopback_streams_[static_cast<std::size_t>(from)]);
-    for (std::size_t j = 0; j < neighbors.size(); ++j) {
-      group_delays_[j + 1] = sample_delay(from, neighbors[j], streams[j]);
-    }
-    // Level fan-outs: with every delay drawn (the draw order above is
-    // untouched), the table marks the deliveries that are dead on arrival
-    // and the simulator keeps them out of the queue.
-    const std::uint8_t* dead = nullptr;
-    if (elide_levels_ && pulse.kind == PulseKind::kMaxLevel) {
-      const std::size_t marked = dispatch_->mark_dead_levels(
-          from, pulse.level, sim_.now(), group_delays_.data(), count,
-          neighbors.data(), group_dead_.data());
-      if (marked != 0) {
-        elided_ += marked;
-        dead = group_dead_.data();
-      }
-    }
-    sim_.post_fire_only_group(group_delays_.data(), count,
-                              sim::EventKind::kPulse, self_, payload, from,
-                              neighbors.data(), dead);
-    return;
+  // Coalesced fan-out: all delays are sampled first — the exact streams
+  // and draw order of one delivery at a time — then the queue takes ONE
+  // pre-encoded group, paying bucket lookup, window check, and the shared
+  // payload write per fan-out instead of per delivery (16 B/delivery;
+  // see EventQueue::schedule_fire_only_group). The destination list is
+  // borrowed straight from the adjacency, which outlives every in-flight
+  // delivery.
+  if (group_delays_.size() < count) {
+    group_delays_.resize(count);
+    group_mask_.resize(count);
   }
-  // Boundary sender of a sharded run: identical draws and encode-once
-  // re-aiming, but deliveries crossing the shard cut divert to the router
-  // with their arrival time. Diverted deliveries consume no local seqs, so
-  // the local remainder's per-delivery posts stay bit-identical to the
-  // unsharded group's slice of the same destinations.
-  payload.c = from;
-  sim_.post_fire_only_after(
-      sample_delay(from, from,
-                   loopback_streams_[static_cast<std::size_t>(from)]),
-      sim::EventKind::kPulse, self_, payload);
+  group_delays_[0] = sample_delay(
+      from, from, loopback_streams_[static_cast<std::size_t>(from)]);
   for (std::size_t j = 0; j < neighbors.size(); ++j) {
-    payload.c = neighbors[j];
-    const sim::Duration delay = sample_delay(from, neighbors[j], streams[j]);
-    if (remote_[static_cast<std::size_t>(neighbors[j])] != 0) {
-      router_->remote_deliver(from, sim_.now() + delay, payload);
-    } else {
-      sim_.post_fire_only_after(delay, sim::EventKind::kPulse, self_,
-                                payload);
-    }
+    group_delays_[j + 1] = sample_delay(from, neighbors[j], streams[j]);
   }
+  std::uint8_t* mask = group_mask_.data();
+  std::size_t masked = 0;
+  // Level fan-outs: with every delay drawn (the draw order above is
+  // untouched), the table marks the deliveries that are dead on arrival
+  // and the simulator keeps them out of the queue.
+  if (elide_levels_ && pulse.kind == PulseKind::kMaxLevel) {
+    masked = dispatch_->mark_dead_levels(from, pulse.level, sim_.now(),
+                                         group_delays_.data(), count,
+                                         neighbors.data(), mask);
+    elided_ += masked;
+  } else if (remote_ != nullptr) {
+    std::fill_n(mask, count, std::uint8_t{0});
+  }
+  // Sharded runs: deliveries crossing the shard cut go to the router with
+  // their arrival time, in adjacency order, and skip the local group; the
+  // skipped entries keep their seqs, so the local remainder fires exactly
+  // as the unsharded group's slice of the same destinations.
+  if (remote_ != nullptr) {
+    for (std::size_t j = 0; j < neighbors.size(); ++j) {
+      if (remote_[static_cast<std::size_t>(neighbors[j])] == 0) continue;
+      // The table never marks an unowned destination dead.
+      FTGCS_ASSERT(mask[j + 1] == 0);
+      mask[j + 1] = sim::Simulator::kSkippedDelivery;
+      ++masked;
+      payload.c = neighbors[j];
+      router_->remote_deliver(from, sim_.now() + group_delays_[j + 1],
+                              payload);
+    }
+    payload.c = from;
+  }
+  sim_.post_fire_only_group(group_delays_.data(), count,
+                            sim::EventKind::kPulse, self_, payload, from,
+                            neighbors.data(), masked != 0 ? mask : nullptr);
 }
 
 void Network::unicast(int from, int to, const Pulse& pulse) {

@@ -30,9 +30,11 @@
 // only effect on arrival is to be counted, so it skips the queue: the
 // simulator's DeadRing fires it once the clock has passed its arrival and
 // hands the network the count, keeping the fired and delivered counts
-// exact. Only the coalesced path elides: a sharded boundary sender's
-// deliveries, and every unicast, keep their ordinary posts. A traced run
-// elides nothing, since its trace records every delivery.
+// exact. Every broadcast takes the coalesced path; in a sharded run the
+// deliveries that cross the shard cut go to the router and are skipped in
+// the local group, whose local deliveries the table may still mark dead.
+// A unicast keeps its ordinary post, and a traced run elides nothing,
+// since its trace records every delivery.
 #pragma once
 
 #include <array>
@@ -215,7 +217,8 @@ class Network final : public sim::EventSink {
     std::uint64_t share = 0;    ///< kShare deliveries fired
     std::uint64_t propose = 0;  ///< kPropose deliveries fired
     /// Level deliveries sent past the queue (DeadRing). Engine plane: a
-    /// sharded boundary sender elides nothing, so it moves with --shards.
+    /// delivery routed to another shard is never elided, so it moves with
+    /// --shards.
     std::uint64_t elided = 0;
 
     std::uint64_t total() const { return cluster + level + share + propose; }
@@ -296,14 +299,10 @@ class Network final : public sim::EventSink {
   std::vector<sim::Rng> loopback_streams_;
   /// Broadcast scratch: all of one fan-out's delays sampled here before the
   /// queue sees the group (loopback at [0], neighbor j at [j + 1]), and
-  /// the dead mask of a level fan-out, indexed alike.
+  /// the group's mask (dead / routed off-shard deliveries), indexed alike.
   std::vector<sim::Duration> group_delays_;
-  std::vector<std::uint8_t> group_dead_;
+  std::vector<std::uint8_t> group_mask_;
   bool elide_levels_ = false;  ///< see enable_level_elision
-  /// Sharded runs: 1 for senders with at least one cut (remote) neighbor —
-  /// those keep the per-delivery divert loop; everyone else broadcasts
-  /// through the coalesced group path. Empty until set_shard_router.
-  std::vector<std::uint8_t> boundary_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_delivered_ = 0;
   /// Fired deliveries indexed by PulseKind (payload.d).

@@ -207,10 +207,10 @@ void EventQueue::insert_ladder_group(Time base, const Duration* delays,
                                      SinkId sink, const EventPayload& proto,
                                      std::int32_t first_dest,
                                      const std::int32_t* rest_dests,
-                                     const std::uint8_t* dead) {
+                                     const std::uint8_t* skip) {
   std::size_t live = count;
-  if (dead != nullptr) {
-    for (std::size_t i = 0; i < count; ++i) live -= dead[i] != 0 ? 1 : 0;
+  if (skip != nullptr) {
+    for (std::size_t i = 0; i < count; ++i) live -= skip[i] != 0 ? 1 : 0;
     if (live == 0) {
       // Every delivery lives elsewhere: only their seqs are taken.
       for (std::size_t i = 0; i < count; ++i) {
@@ -250,7 +250,7 @@ void EventQueue::insert_ladder_group(Time base, const Duration* delays,
   NarrowEntry e;
   for (std::size_t i = 0; i < count; ++i) {
     FTGCS_EXPECTS(delays[i] >= 0.0);
-    if (dead != nullptr && dead[i] != 0) continue;
+    if (skip != nullptr && skip[i] != 0) continue;
     e.at = base + delays[i];
     e.key = (g.base_seq + i) << kSlotBits | gid;
     insert_ladder(e);
@@ -572,23 +572,28 @@ void EventQueue::schedule_fire_only_group(Time base, const Duration* delays,
                                           const EventPayload& proto,
                                           std::int32_t first_dest,
                                           const std::int32_t* rest_dests,
-                                          const std::uint8_t* dead) {
+                                          const std::uint8_t* skip) {
   FTGCS_EXPECTS(sink < (1u << 24));
   if (count == 0) return;
   if (proto.x != 0.0) {
-    FTGCS_EXPECTS(dead == nullptr);
     // x ≠ 0 has no home in the group record. The per-delivery fallback
-    // consumes sequence numbers in exactly the same order, so the pop
-    // sequence is unchanged.
+    // consumes sequence numbers in exactly the same order, a skipped
+    // delivery's included, so the pop sequence is unchanged.
     EventPayload pl = proto;
     for (std::size_t i = 0; i < count; ++i) {
+      if (skip != nullptr && skip[i] != 0) {
+        FTGCS_EXPECTS(delays[i] >= 0.0);
+        ++next_seq_;
+        continue;
+      }
       pl.c = i == 0 ? first_dest : rest_dests[i - 1];
       schedule_fire_only(base + delays[i], kind, sink, pl);
     }
+    FTGCS_ASSERT(next_seq_ < (std::uint64_t{1} << kSeqBits));
     return;
   }
   insert_ladder_group(base, delays, count, kind, sink, proto, first_dest,
-                      rest_dests, dead);
+                      rest_dests, skip);
 }
 
 bool EventQueue::cancel(EventId id) {

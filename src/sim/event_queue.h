@@ -125,16 +125,17 @@ class EventQueue {
   /// the run). x ≠ 0 payloads fall back to per-delivery scheduling with
   /// identical (time, seq) semantics.
   ///
-  /// `dead` (optional; x == 0 only): deliveries with dead[i] != 0 are not
-  /// inserted — the caller keeps them elsewhere — but still consume their
-  /// sequence numbers, so every survivor keeps the seq, and the tie order,
-  /// it has without the mask. A group with no survivor takes no record.
+  /// `skip` (optional): deliveries with skip[i] != 0 are not inserted —
+  /// the caller keeps them elsewhere (an elided dead delivery, one routed
+  /// to another shard) — but still consume their sequence numbers, so
+  /// every survivor keeps the seq, and the tie order, it has without the
+  /// mask. A group with no survivor takes no record.
   void schedule_fire_only_group(Time base, const Duration* delays,
                                 std::size_t count, EventKind kind,
                                 SinkId sink, const EventPayload& proto,
                                 std::int32_t first_dest,
                                 const std::int32_t* rest_dests,
-                                const std::uint8_t* dead = nullptr);
+                                const std::uint8_t* skip = nullptr);
 
   /// Cancels a pending event. Cancelling an already-fired or already-
   /// cancelled event is a no-op (returns false). Stamp bump + targeted
@@ -573,7 +574,7 @@ class EventQueue {
                            std::size_t count, EventKind kind, SinkId sink,
                            const EventPayload& proto, std::int32_t first_dest,
                            const std::int32_t* rest_dests,
-                           const std::uint8_t* dead);
+                           const std::uint8_t* skip);
   /// Appends to `bucket` (the head vectors if it is the drain head).
   template <typename T>
   void lane_insert(Bucket& bucket, std::uint64_t tag, const T& entry);

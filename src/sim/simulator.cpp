@@ -69,17 +69,19 @@ void Simulator::post_fire_only_group(const Duration* delays, std::size_t count,
                                      const EventPayload& proto,
                                      std::int32_t first_dest,
                                      const std::int32_t* rest_dests,
-                                     const std::uint8_t* dead) {
+                                     const std::uint8_t* mask) {
   FTGCS_EXPECTS(sink < sinks_.size());
-  if (dead != nullptr) {
-    FTGCS_EXPECTS(dead_.enabled());
+  if (mask != nullptr) {
     for (std::size_t i = 0; i < count; ++i) {
+      FTGCS_EXPECTS(mask[i] <= kSkippedDelivery);
+      if (mask[i] != kDeadDelivery) continue;
+      FTGCS_EXPECTS(dead_.enabled());
       // The arithmetic of the queue's own arrival time (base + delay).
-      if (dead[i] != 0) dead_.push(now_, now_ + delays[i]);
+      dead_.push(now_, now_ + delays[i]);
     }
   }
   queue_.schedule_fire_only_group(now_, delays, count, kind, sink, proto,
-                                  first_dest, rest_dests, dead);
+                                  first_dest, rest_dests, mask);
 }
 
 void Simulator::run_until(Time t_end) {

@@ -13,7 +13,8 @@
 // whole path is allocation-free. A coalesced broadcast may mark some of
 // its deliveries dead (proven pure drops, see post_fire_only_group): those
 // skip the queue for the DeadRing, which only counts them as fired once
-// the clock has passed their arrival.
+// the clock has passed their arrival. It may also mark deliveries skipped
+// (routed to another shard): those take only their seq.
 #pragma once
 
 #include <cstdint>
@@ -96,16 +97,23 @@ class Simulator {
   /// must stay valid until the last delivery fires (see
   /// EventQueue::schedule_fire_only_group).
   ///
-  /// `dead` (optional; requires enable_dead_ring and proto.x == 0):
-  /// dead[i] != 0 marks delivery i as a pure drop on arrival. It takes no
-  /// queue entry: the DeadRing counts it as fired after its arrival, and
-  /// before run_until returns from any t_end ≥ it, so fired_events()
-  /// reads the same as without the mask.
+  /// `mask` (optional) takes deliveries out of the queue; each still
+  /// consumes its seq, so the survivors fire exactly as without the mask:
+  ///  * kDeadDelivery (requires enable_dead_ring): a pure drop on arrival.
+  ///    The DeadRing counts it as fired after its arrival, and before
+  ///    run_until returns from any t_end ≥ it, so fired_events() reads
+  ///    the same as without the mask;
+  ///  * kSkippedDelivery: delivered elsewhere (routed to another shard by
+  ///    the caller); this simulator never fires it.
   void post_fire_only_group(const Duration* delays, std::size_t count,
                             EventKind kind, SinkId sink,
                             const EventPayload& proto, std::int32_t first_dest,
                             const std::int32_t* rest_dests,
-                            const std::uint8_t* dead = nullptr);
+                            const std::uint8_t* mask = nullptr);
+
+  /// Mask values of post_fire_only_group (0: an ordinary delivery).
+  static constexpr std::uint8_t kDeadDelivery = 1;
+  static constexpr std::uint8_t kSkippedDelivery = 2;
 
   /// Cancels a pending event; no-op if already fired/cancelled.
   bool cancel(EventId id) { return queue_.cancel(id); }

@@ -15,8 +15,9 @@
 //     common time t, no worker inside run_until — the state after
 //     FtGcsSystem::run_until(t) or par::ShardedFtGcsSystem::run_until(t)
 //     returns): commits whatever is sealed, then seals and commits the
-//     active buffers. The unsharded driver only ever uses this, so its
-//     buffers hold one probe interval.
+//     active buffers. The unsharded driver only ever uses this, also
+//     between probes: it commits every minimum delay d − U of simulated
+//     time, so its buffers hold about one window, as a sharded run's do.
 //   * seal() / commit_sealed() — the sharded driver's stream, one safe
 //     window at a time: after each window's finish barrier (workers
 //     parked) seal() swaps every active buffer into its (empty) sealed
@@ -89,8 +90,8 @@ class TraceCollector {
     std::uint64_t records = 0;
     std::uint64_t bytes = 0;
     /// Most records the capture buffers held awaiting commit at one time.
-    /// It moves with the shard count (a sharded run commits one window at
-    /// a time, an unsharded one a probe interval), so it is engine-plane.
+    /// It moves with the shard count (a sharded run holds about two
+    /// windows, an unsharded one about one), so it is engine-plane.
     std::uint64_t buffer_peak = 0;
 
     /// Field table (support/stat_table.h): the `--timing` footer's trace

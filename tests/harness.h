@@ -44,36 +44,27 @@ class ClusterHarness {
     sim::Rng master(options.seed ^ 0xabcdULL);
     const int active = options.active > 0 ? options.active : params.k;
 
-    core::ClusterSyncConfig cfg;
-    cfg.tau1 = params.tau1;
-    cfg.tau2 = params.tau2;
-    cfg.tau3 = params.tau3;
-    cfg.phi = params.phi;
-    cfg.mu = params.mu;
-    cfg.f = params.f;
-    cfg.k = params.k;
-    cfg.d = params.d;
-    cfg.U = params.U;
-
     for (int i = 0; i < params.k; ++i) {
       if (i >= active) {
+        hooks_.push_back(nullptr);
         engines_.push_back(nullptr);  // silent (crashed from start)
         network_.register_null_handler(i);
         continue;
       }
-      cfg.active = true;
       auto engine = std::make_unique<core::ClusterSyncEngine>(
-          sim_, cfg, 1.0, master.fork(10 + i));
+          sim_, sync_, core::ClusterSyncMode::kActive, 1, 1.0,
+          master.fork(10 + i));
       engine->set_own_index(i);
-      auto* raw = engine.get();
-      const int id = i;
-      raw->on_pulse = [this, id](int, sim::Time) {
+      auto hooks = std::make_unique<core::ClusterSyncCallbacks>();
+      hooks->pulse = [this, i](int, sim::Time) {
         net::Pulse pulse;
-        pulse.sender = id;
+        pulse.sender = i;
         pulse.kind = net::PulseKind::kClusterPulse;
-        network_.broadcast(id, pulse);
+        network_.broadcast(i, pulse);
       };
-      attach(i, *raw);
+      engine->set_hooks(hooks.get());
+      attach(i, *engine);
+      hooks_.push_back(std::move(hooks));
       engines_.push_back(std::move(engine));
     }
 
@@ -85,9 +76,9 @@ class ClusterHarness {
     }
 
     for (int j = 0; j < options.observers; ++j) {
-      cfg.active = false;
       auto replica = std::make_unique<core::ClusterSyncEngine>(
-          sim_, cfg, 1.0, master.fork(100 + j));
+          sim_, sync_, core::ClusterSyncMode::kPassive, 1, 1.0,
+          master.fork(100 + j));
       attach(topo_.node(1, j), *replica);
       observers_.push_back(std::move(replica));
     }
@@ -107,6 +98,9 @@ class ClusterHarness {
   const net::AugmentedTopology& topo() const { return topo_; }
 
   core::ClusterSyncEngine& engine(int i) { return *engines_[i]; }
+  /// Member i's hooks; `pulse` broadcasts its cluster pulse unless a test
+  /// replaces it.
+  core::ClusterSyncCallbacks& hooks(int i) { return *hooks_[i]; }
   bool has_engine(int i) const { return engines_[i] != nullptr; }
   core::ClusterSyncEngine& observer(int j) { return *observers_[j]; }
 
@@ -139,9 +133,11 @@ class ClusterHarness {
   }
 
   core::Params params_;
+  core::ClusterSyncConfig sync_ = core::ClusterSyncConfig::from(params_);
   sim::Simulator sim_;
   net::AugmentedTopology topo_;
   net::Network network_;
+  std::vector<std::unique_ptr<core::ClusterSyncCallbacks>> hooks_;
   std::vector<std::unique_ptr<core::ClusterSyncEngine>> engines_;
   std::vector<std::unique_ptr<core::ClusterSyncEngine>> observers_;
   std::vector<std::unique_ptr<core::ClusterMemberSink>> sinks_;

@@ -146,6 +146,31 @@ TEST(AllocGuard, SteadyStateByzantineRunIsAllocationFree) {
   }
 }
 
+// Construction allocates a handful of blocks per node: the node itself,
+// one block for all its replicas, and its small per-edge vectors. The
+// engines inside take nothing of their own — no receive lane (the
+// NodeTable's lanes are adopted before first use), no sort buffer, no
+// hook closures — and the node, table and network arrays amortize over
+// the system. The system is large_torus at clusters=64 (8 × 8 torus, 256
+// nodes); its topology is built outside the guard. It reads 6 per node
+// (15 while every engine owned its lane, sort buffer and replica block).
+TEST(AllocGuard, SystemConstructionAllocationsPerNode) {
+  const core::Params params = test_params();
+  net::Graph graph = net::Graph::torus(8, 8);
+  const net::AugmentedTopology topo(graph, params.k);
+  core::FtGcsSystem::Config config;
+  config.params = params;
+  config.seed = 1;
+  config.shared_topo = &topo;
+
+  const support::ScopedAllocGuard guard;
+  const core::FtGcsSystem system(std::move(graph), std::move(config));
+  const std::uint64_t per_node =
+      guard.allocations() / static_cast<std::uint64_t>(topo.num_nodes());
+  EXPECT_LE(per_node, 8u) << guard.allocations() << " allocations for "
+                           << topo.num_nodes() << " nodes";
+}
+
 // Trace capture buffers must grow geometrically: an exact per-batch
 // reserve(size + n) would reallocate — and copy the whole buffer — on
 // every batch, making long traced runs quadratic. 20k batches of 4

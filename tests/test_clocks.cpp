@@ -63,10 +63,17 @@ TEST(LogicalClock, WhenReachesHandlesPastAndFuture) {
   EXPECT_DOUBLE_EQ(clock.when_reaches(-1.0, 3.0), 3.0);
 }
 
+/// Counts rate-change notifications.
+struct CountingObserver final : RateObserver {
+  int notifications = 0;
+  void on_rate_change(sim::Time) override { ++notifications; }
+};
+
 TEST(LogicalClock, ObserverFiresOnEveryRateChange) {
   LogicalClock clock(0.1, 0.1, 1.0);
-  int notifications = 0;
-  clock.set_rate_observer([&](sim::Time) { ++notifications; });
+  CountingObserver observer;
+  int& notifications = observer.notifications;
+  clock.set_rate_observer(&observer);
   clock.set_gamma(1.0, 1);
   clock.set_delta(2.0, 0.5);
   clock.set_hardware_rate(3.0, 1.05);
@@ -78,8 +85,9 @@ TEST(LogicalClock, ObserverFiresOnEveryRateChange) {
 
 TEST(LogicalClock, JumpStepsValueAndNotifies) {
   LogicalClock clock(0.0, 0.0, 1.0);
-  int notifications = 0;
-  clock.set_rate_observer([&](sim::Time) { ++notifications; });
+  CountingObserver observer;
+  int& notifications = observer.notifications;
+  clock.set_rate_observer(&observer);
   EXPECT_DOUBLE_EQ(clock.read(5.0), 5.0);
   clock.jump(5.0, 2.0);
   EXPECT_EQ(notifications, 1);

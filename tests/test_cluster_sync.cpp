@@ -27,7 +27,7 @@ TEST(ClusterSync, RoundStartsAtExactLogicalBoundaries) {
   std::map<int, std::vector<double>> starts;  // engine -> logical at start
   for (int i = 0; i < harness.k(); ++i) {
     auto& engine = harness.engine(i);
-    engine.on_round_start = [&starts, &engine, &harness, i](int) {
+    harness.hooks(i).round_start = [&starts, &engine, &harness, i](int) {
       starts[i].push_back(engine.clock().read(harness.sim().now()));
     };
   }
@@ -46,7 +46,7 @@ TEST(ClusterSync, PulsesAtLogicalTau1) {
   ClusterHarness harness(params, {});
   std::vector<double> pulse_logical;
   auto& engine = harness.engine(0);
-  engine.on_pulse = [&](int round, sim::Time now) {
+  harness.hooks(0).pulse = [&](int round, sim::Time now) {
     pulse_logical.push_back(engine.clock().read(now) -
                             (round - 1) * params.T);
     // The harness's broadcast hook was replaced; re-broadcast manually.
@@ -78,11 +78,9 @@ TEST(ClusterSync, NominalRoundLengthIsTPlusDelta) {
     bool have_correction = false;
   };
   std::map<int, PerRound> rounds;
-  auto& engine = harness.engine(1);
-  engine.on_round_start = [&](int r) {
-    rounds[r].start = harness.sim().now();
-  };
-  engine.on_correction = [&](int r, double delta_corr, bool) {
+  ClusterSyncCallbacks& hooks = harness.hooks(1);
+  hooks.round_start = [&](int r) { rounds[r].start = harness.sim().now(); };
+  hooks.correction = [&](int r, double delta_corr, bool) {
     rounds[r].correction = delta_corr;
     rounds[r].have_correction = true;
   };
@@ -149,13 +147,13 @@ TEST(ClusterSync, PulseDiametersStayBelowE) {
   ClusterHarness harness(params, {});
   metrics::PulseDiameterTrace trace(params.k);
   for (int i = 0; i < harness.k(); ++i) {
-    auto& engine = harness.engine(i);
-    auto previous = engine.on_pulse;  // keep the broadcast hook
-    engine.on_pulse = [&trace, previous](int round, sim::Time now) {
+    ClusterSyncCallbacks& hooks = harness.hooks(i);
+    auto previous = hooks.pulse;  // keep the broadcast hook
+    hooks.pulse = [&trace, previous](int round, sim::Time now) {
       trace.record_pulse(round, now);
       if (previous) previous(round, now);
     };
-    engine.set_hardware_rate(0.0, 1.0 + params.rho * (i % 2));
+    harness.engine(i).set_hardware_rate(0.0, 1.0 + params.rho * (i % 2));
   }
   harness.start();
   harness.run_rounds(40.0);
@@ -175,14 +173,13 @@ TEST(ClusterSync, PulsesArriveWithinCollectionWindows) {
   ClusterHarness harness(params, {});
   double max_abs_correction = 0.0;
   for (int i = 0; i < harness.k(); ++i) {
-    auto& engine = harness.engine(i);
-    engine.on_correction = [&max_abs_correction](int, double delta_corr,
-                                                 bool) {
+    harness.hooks(i).correction = [&max_abs_correction](
+                                      int, double delta_corr, bool) {
       max_abs_correction =
           std::max(max_abs_correction, std::abs(delta_corr));
     };
-    engine.set_hardware_rate(0.0,
-                             1.0 + params.rho * i / (harness.k() - 1));
+    harness.engine(i).set_hardware_rate(
+        0.0, 1.0 + params.rho * i / (harness.k() - 1));
   }
   harness.start();
   harness.run_rounds(30.0);
@@ -248,19 +245,9 @@ TEST(ClusterSync, LatePulsesDroppedAndCounted) {
 TEST(ClusterSync, StartRoundOffsetsLogicalClock) {
   const Params params = test_params();
   sim::Simulator sim;
-  ClusterSyncConfig cfg;
-  cfg.tau1 = params.tau1;
-  cfg.tau2 = params.tau2;
-  cfg.tau3 = params.tau3;
-  cfg.phi = params.phi;
-  cfg.mu = params.mu;
-  cfg.f = params.f;
-  cfg.k = params.k;
-  cfg.active = true;
-  cfg.d = params.d;
-  cfg.U = params.U;
-  cfg.start_round = 4;
-  ClusterSyncEngine engine(sim, cfg, 1.0, sim::Rng(3));
+  const ClusterSyncConfig cfg = ClusterSyncConfig::from(params);
+  ClusterSyncEngine engine(sim, cfg, ClusterSyncMode::kActive, 4, 1.0,
+                           sim::Rng(3));
   EXPECT_NEAR(engine.clock().read(0.0), 3.0 * params.T, 1e-12);
   engine.start();
   EXPECT_EQ(engine.round(), 4);
@@ -271,20 +258,16 @@ TEST(ClusterSync, CorrectionClampViolationAccounting) {
   // pulse set (only possible with > f colluders; here we forge directly).
   const Params params = test_params(0);  // f=0: no trimming at all, k=1
   sim::Simulator sim;
-  ClusterSyncConfig cfg;
-  cfg.tau1 = params.tau1;
-  cfg.tau2 = params.tau2;
-  cfg.tau3 = params.tau3;
-  cfg.phi = params.phi;
-  cfg.mu = params.mu;
+  ClusterSyncConfig cfg = ClusterSyncConfig::from(params);
   cfg.f = 0;
   cfg.k = 2;
-  cfg.active = false;  // passive: simulated loopback, no broadcast needed
-  cfg.d = params.d;
-  cfg.U = params.U;
-  ClusterSyncEngine engine(sim, cfg, 1.0, sim::Rng(3));
+  // Passive: simulated loopback, no broadcast needed.
+  ClusterSyncEngine engine(sim, cfg, ClusterSyncMode::kPassive, 1, 1.0,
+                           sim::Rng(3));
   bool violated = false;
-  engine.on_correction = [&](int, double, bool v) { violated = violated || v; };
+  ClusterSyncCallbacks hooks;
+  hooks.correction = [&](int, double, bool v) { violated = violated || v; };
+  engine.set_hooks(&hooks);
   engine.start();
   // Feed absurdly early pulses (deep in phase 1): the correction the
   // algorithm would compute exceeds ϕ·τ3 and must be clamped + counted.
@@ -297,6 +280,50 @@ TEST(ClusterSync, CorrectionClampViolationAccounting) {
   // δ_v still within the Lemma B.4 envelope thanks to the clamp.
   EXPECT_GE(engine.clock().delta(), 0.0);
   EXPECT_LE(engine.clock().delta(), 2.0 / (1.0 - params.phi));
+}
+
+TEST(ClusterSync, StandaloneEngineOwnsItsLaneLazily) {
+  // An engine never adopted by a NodeTable allocates its own receive lane
+  // on first use; before start() it reads as a fresh, deaf lane.
+  const Params params = test_params();
+  sim::Simulator sim;
+  const ClusterSyncConfig cfg = ClusterSyncConfig::from(params);
+  ClusterSyncEngine engine(sim, cfg, ClusterSyncMode::kActive, 1, 1.0,
+                           sim::Rng(3));
+  engine.set_own_index(2);
+  EXPECT_FALSE(engine.listening());
+  EXPECT_EQ(engine.dropped_pulses(), 0u);
+  EXPECT_EQ(engine.duplicate_pulses(), 0u);
+  const ReceiveLane& lane = engine.lane();
+  EXPECT_EQ(lane.own_index, 2);
+  EXPECT_EQ(lane.listening, 0);
+  for (int i = 0; i < params.k; ++i) {
+    EXPECT_NE(lane.arrivals[i], lane.arrivals[i]) << i;  // unheard (NaN)
+  }
+  engine.on_member_pulse(1, 0.0);  // before start(): dropped
+  EXPECT_EQ(engine.dropped_pulses(), 1u);
+
+  engine.start();
+  EXPECT_TRUE(engine.listening());
+  EXPECT_EQ(&engine.lane(), &lane);  // the same lane, now listening
+  engine.on_member_pulse(1, 0.0);
+  engine.on_member_pulse(1, 0.0);
+  EXPECT_EQ(engine.duplicate_pulses(), 1u);
+  EXPECT_EQ(engine.lane().arrivals[1], engine.clock().read(0.0));
+  while (engine.round() <= 1 && engine.listening()) {
+    sim.run_until(sim.now() + 1e-3 * params.T);
+  }
+  EXPECT_EQ(engine.round(), 1);
+  EXPECT_FALSE(engine.listening());  // phase 3 of round 1
+  engine.on_member_pulse(0, sim.now());
+  EXPECT_EQ(engine.dropped_pulses(), 2u);
+
+  // A passive engine with no traffic at all reads the same way.
+  ClusterSyncEngine passive(sim, cfg, ClusterSyncMode::kPassive, 1, 1.0,
+                            sim::Rng(4));
+  EXPECT_FALSE(passive.listening());
+  EXPECT_EQ(passive.dropped_pulses(), 0u);
+  EXPECT_EQ(passive.lane().own_index, -1);
 }
 
 }  // namespace

@@ -90,17 +90,7 @@ TEST(EstimateBank, RoutesAndReadsPerCluster) {
   // observes both ends.
   const Params params = test_params();
   sim::Simulator sim;
-  ClusterSyncConfig cfg;
-  cfg.tau1 = params.tau1;
-  cfg.tau2 = params.tau2;
-  cfg.tau3 = params.tau3;
-  cfg.phi = params.phi;
-  cfg.mu = params.mu;
-  cfg.f = params.f;
-  cfg.k = params.k;
-  cfg.active = false;
-  cfg.d = params.d;
-  cfg.U = params.U;
+  const ClusterSyncConfig cfg = ClusterSyncConfig::from(params);
   sim::Rng rng(5);
   EstimateBank bank(sim, cfg, {0, 2}, 1.0, rng);
   bank.start();
@@ -117,17 +107,7 @@ TEST(EstimateBank, RoutesAndReadsPerCluster) {
 TEST(EstimateBank, HardwareRateForwarding) {
   const Params params = test_params();
   sim::Simulator sim;
-  ClusterSyncConfig cfg;
-  cfg.tau1 = params.tau1;
-  cfg.tau2 = params.tau2;
-  cfg.tau3 = params.tau3;
-  cfg.phi = params.phi;
-  cfg.mu = params.mu;
-  cfg.f = params.f;
-  cfg.k = params.k;
-  cfg.active = false;
-  cfg.d = params.d;
-  cfg.U = params.U;
+  const ClusterSyncConfig cfg = ClusterSyncConfig::from(params);
   sim::Rng rng(6);
   EstimateBank bank(sim, cfg, {0}, 1.0, rng);
   bank.set_hardware_rate(0.0, 1.0 + params.rho);

@@ -13,12 +13,16 @@
 namespace ftgcs::core {
 namespace {
 
-MaxEstimator::Config unit_config() {
-  MaxEstimator::Config cfg;
-  cfg.d = 1.0;
-  cfg.U = 0.2;  // spacing d−U = 0.8
-  cfg.rho = 1e-3;
-  cfg.f = 1;
+/// Estimators borrow their config, so the shared one outlives them all.
+const MaxEstimator::Config& unit_config() {
+  static const MaxEstimator::Config cfg = [] {
+    MaxEstimator::Config c;
+    c.d = 1.0;
+    c.U = 0.2;  // spacing d−U = 0.8
+    c.rho = 1e-3;
+    c.f = 1;
+    return c;
+  }();
   return cfg;
 }
 

@@ -193,19 +193,28 @@ TEST(Network, WorksOnAugmentedTopology) {
 
 // ---- level elision ----------------------------------------------------------
 
-/// Cluster-pulse table that proves every level delivery dead.
+/// Cluster-pulse table that proves every level delivery to an owned
+/// destination dead (`remote`, if set, flags the unowned ones — a shard's
+/// table never marks those).
 struct MarkAllTable final : ClusterPulseTable {
+  const std::uint8_t* remote = nullptr;
   int mark_calls = 0;
   std::vector<sim::BatchedEvent> received;
   void on_pulse_run(const sim::BatchedEvent* events, std::size_t n) override {
     received.insert(received.end(), events, events + n);
   }
-  std::size_t mark_dead_levels(int, int, sim::Time, const sim::Duration*,
-                               std::size_t count, const std::int32_t*,
+  std::size_t mark_dead_levels(int sender, int, sim::Time,
+                               const sim::Duration*, std::size_t count,
+                               const std::int32_t* rest_dests,
                                std::uint8_t* dead) override {
     ++mark_calls;
-    std::fill(dead, dead + count, std::uint8_t{1});
-    return count;
+    std::size_t marked = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const int dest = i == 0 ? sender : rest_dests[i - 1];
+      dead[i] = remote == nullptr || remote[dest] == 0 ? 1 : 0;
+      marked += dead[i];
+    }
+    return marked;
   }
 };
 
@@ -219,26 +228,32 @@ struct RemoteLog final : ShardRouter {
 
 bool accept_all(const sim::EventPayload&, const void*) { return true; }
 
-TEST(Network, LevelElisionSkipsTheQueueButNotBoundarySenders) {
+TEST(Network, LevelElisionRoutesRemoteAndElidesLocal) {
   // Line 0 - 1 - 2 with node 2 on another shard: sender 0 is interior,
-  // sender 1 owns the cut edge.
+  // sender 1 owns the cut edge. Both broadcast through one coalesced
+  // group; the boundary sender's delivery to 2 goes to the router and is
+  // skipped in the group, and its local level deliveries are elided.
   sim::Simulator sim;
   Network network(sim, Graph::line(3).adjacency(),
                   std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(5));
+  const std::vector<std::uint8_t> remote = {0, 0, 1};
   MarkAllTable table;
+  table.remote = remote.data();
   const std::vector<std::uint8_t> fast(3, 1);
   network.set_cluster_dispatch(&table, fast.data());
   sim.set_batch_channel(network.sink_id(), sim::EventKind::kPulse,
                         &accept_all, nullptr);
   ASSERT_TRUE(network.enable_level_elision());
   RemoteLog router;
-  const std::vector<std::uint8_t> remote = {0, 0, 1};
   network.set_shard_router(&router, remote.data());
 
   Pulse cluster;
   cluster.sender = 0;
   network.broadcast(0, cluster);  // cluster pulses are never marked
+  cluster.sender = 1;
+  network.broadcast(1, cluster);  // boundary: 2 routed, 2 in the group
   EXPECT_EQ(table.mark_calls, 0);
+  EXPECT_EQ(router.dests, (std::vector<int>{2}));
   Pulse level;
   level.kind = PulseKind::kMaxLevel;
   level.level = 3;
@@ -246,24 +261,68 @@ TEST(Network, LevelElisionSkipsTheQueueButNotBoundarySenders) {
   network.broadcast(0, level);  // interior: both deliveries elided
   EXPECT_EQ(table.mark_calls, 1);
   level.sender = 1;
-  network.broadcast(1, level);  // boundary: the per-delivery posts
-  EXPECT_EQ(table.mark_calls, 1);
-  EXPECT_EQ(router.dests, (std::vector<int>{2}));
+  network.broadcast(1, level);  // boundary: 1 routed, 2 elided
+  EXPECT_EQ(table.mark_calls, 2);
+  EXPECT_EQ(router.dests, (std::vector<int>{2, 2}));
 
   const sim::EventQueue::TierStats queue = sim.queue_stats();
-  EXPECT_EQ(queue.narrow_events, 2u);  // the cluster pulse's group
-  EXPECT_EQ(queue.wide_events, 2u);    // sender 1's local posts
-  EXPECT_EQ(network.messages_sent(), 7u);
-  EXPECT_EQ(network.delivery_stats().elided, 2u);
+  EXPECT_EQ(queue.narrow_events, 4u);  // the two cluster pulses' groups
+  EXPECT_EQ(queue.wide_events, 0u);
+  EXPECT_EQ(queue.group_inserts, 2u);  // all-elided groups take no record
+  EXPECT_EQ(network.messages_sent(), 10u);
+  EXPECT_EQ(network.delivery_stats().elided, 4u);
 
   sim.run_until(2.0);
   EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.fired_events(), 6u);  // all but the routed one
-  EXPECT_EQ(network.messages_delivered(), 6u);
+  EXPECT_EQ(sim.fired_events(), 8u);  // all but the two routed ones
+  EXPECT_EQ(network.messages_delivered(), 8u);
   const Network::DeliveryStats stats = network.delivery_stats();
-  EXPECT_EQ(stats.cluster, 2u);
+  EXPECT_EQ(stats.cluster, 4u);
   EXPECT_EQ(stats.level, 4u);
-  EXPECT_EQ(table.received.size(), 4u);  // the elided two are only counted
+  EXPECT_EQ(table.received.size(), 4u);  // the elided four are only counted
+}
+
+TEST(Network, SkippedDeliveriesKeepTheirSeqs) {
+  // A boundary sender's group skips the routed delivery but keeps its seq:
+  // the local deliveries fire in the same (time, seq) order, with the same
+  // arrival times, as the unsharded group's slice of those destinations.
+  struct Recorder final : PulseSink {
+    int node = 0;
+    std::vector<std::pair<sim::Time, int>>* log = nullptr;
+    void on_pulse(const Pulse&, sim::Time now) override {
+      log->emplace_back(now, node);
+    }
+  };
+  const auto fire_order = [](const std::uint8_t* remote) {
+    sim::Simulator sim;
+    Network network(sim, Graph::ring(4).adjacency(),
+                    std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(7));
+    std::vector<std::pair<sim::Time, int>> order;
+    std::vector<Recorder> sinks(4);
+    for (int v = 0; v < 4; ++v) {
+      sinks[v].node = v;
+      sinks[v].log = &order;
+      network.register_handler(v, &sinks[v]);
+    }
+    RemoteLog router;
+    if (remote != nullptr) network.set_shard_router(&router, remote);
+    Pulse pulse;
+    for (int sender : {0, 1, 2, 0}) {
+      pulse.sender = sender;
+      network.broadcast(sender, pulse);
+    }
+    sim.run_until(2.0);
+    return order;
+  };
+  const std::vector<std::uint8_t> remote = {0, 0, 0, 1};
+  std::vector<std::pair<sim::Time, int>> local;
+  for (const auto& entry : fire_order(nullptr)) {
+    if (remote[static_cast<std::size_t>(entry.second)] == 0) {
+      local.push_back(entry);
+    }
+  }
+  EXPECT_EQ(fire_order(remote.data()), local);
+  EXPECT_EQ(local.size(), 9u);
 }
 
 }  // namespace

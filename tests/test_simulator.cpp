@@ -284,5 +284,34 @@ TEST(DeadRing, SurvivorsKeepTheirSequenceNumbers) {
   EXPECT_EQ(f.dead_fired, 2u);
 }
 
+TEST(DeadRing, SkippedDeliveriesTakeOnlyTheirSeqs) {
+  // A delivery routed to another shard never fires here and is not
+  // counted as dead, yet keeps its seq like a dead one — on the narrow
+  // group path and on the x ≠ 0 per-delivery fallback alike.
+  for (const double x : {0.0, 1.5}) {
+    SCOPED_TRACE(x);
+    DeadFixture f;
+    const Duration delays[] = {0.6, 0.6, 0.6, 0.6};
+    static const std::int32_t rest[] = {11, 12, 13};
+    const std::uint8_t mask[] = {Simulator::kSkippedDelivery, 0,
+                                 Simulator::kDeadDelivery, 0};
+    EventPayload proto;
+    proto.d = 1;
+    proto.x = x;
+    f.sim.post_fire_only_group(delays, 4, EventKind::kPulse, f.sink, proto,
+                               10, rest, mask);
+    static const std::int32_t rest2[] = {21, 22, 23};
+    proto.x = 0.0;
+    f.sim.post_fire_only_group(delays, 4, EventKind::kPulse, f.sink, proto,
+                               20, rest2);
+    f.sim.run_until(1.0);
+    EXPECT_EQ(f.rec.dests,
+              (std::vector<std::int32_t>{11, 13, 20, 21, 22, 23}));
+    EXPECT_EQ(f.dead_fired, 1u);
+    EXPECT_EQ(f.sim.fired_events(), 7u);
+    EXPECT_TRUE(f.sim.idle());
+  }
+}
+
 }  // namespace
 }  // namespace ftgcs::sim

@@ -131,11 +131,11 @@ TEST(TimingFooter, ShardedTorusWithCapture) {
   EXPECT_EQ(masked_footer(c, "torus"),
             "queue[ladder]: buckets=9344 rung_spawns=0 overflow_peak=9344 "
             "reseeds=103\n"
-            "runs[ladder]: run_events=789421 sorted_elements=1067226 "
-            "sort_fallbacks=61\n"
-            "bytes[queue]: entry_bytes=27478688 narrow=332800 wide=671509 "
-            "groups=16640 mean_group=20.0 bytes_per_event=27.4 "
-            "lane_peak_bytes=1372160 lane_peak_lanes=2518 "
+            "runs[ladder]: run_events=789421 sorted_elements=1015694 "
+            "sort_fallbacks=65\n"
+            "bytes[queue]: entry_bytes=22087328 narrow=732160 wide=272149 "
+            "groups=41600 mean_group=17.6 bytes_per_event=22.0 "
+            "lane_peak_bytes=1313280 lane_peak_lanes=2371 "
             "lane_peak_live=6656\n"
             "deliveries: total=825068 cluster=166400 level=658668 share=0 "
             "propose=0 elided=0 elided_share=0.000\n"
@@ -208,15 +208,15 @@ TEST(TimingFooter, MixedShardedAndFallbackTasks) {
   c.shards = 2;
   c.metrics = true;
   EXPECT_EQ(masked_footer(c, "mixed"),
-            "queue[ladder]: buckets=172 rung_spawns=0 overflow_peak=172 "
+            "queue[ladder]: buckets=158 rung_spawns=0 overflow_peak=158 "
             "reseeds=655\n"
-            "runs[ladder]: run_events=61355 sorted_elements=173422 "
-            "sort_fallbacks=374\n"
-            "bytes[queue]: entry_bytes=4095360 narrow=20838 wide=108786 "
-            "groups=7020 mean_group=3.0 bytes_per_event=31.6 "
-            "lane_peak_bytes=28672 lane_peak_lanes=36 lane_peak_live=282\n"
+            "runs[ladder]: run_events=47578 sorted_elements=131946 "
+            "sort_fallbacks=560\n"
+            "bytes[queue]: entry_bytes=3481024 narrow=49132 wide=66666 "
+            "groups=14040 mean_group=3.5 bytes_per_event=30.1 "
+            "lane_peak_bytes=27648 lane_peak_lanes=41 lane_peak_live=240\n"
             "deliveries: total=118500 cluster=28644 level=89856 share=0 "
-            "propose=0 elided=21282 elided_share=0.180\n"
+            "propose=0 elided=35108 elided_share=0.296\n"
             "shards[2]: cut_edges=32 min_cut_delay=0.99 windows=1440 "
             "mailbox_peak=40\n"
             "monitors[on]: probes=1440 violations=0 max_local=0.1652 "

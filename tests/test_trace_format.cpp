@@ -483,10 +483,10 @@ TEST(TraceCommit, SealedWindowStreamMatchesReference) {
   }
 }
 
-// A sharded run streams its capture one safe window at a time, so with a
-// single probe at the horizon the capture buffers still hold only about
-// two windows' records, where a commit at the probe alone would hold them
-// all (as the unsharded run does). The file is the same either way.
+// Both drivers stream their capture about one safe window at a time, so
+// with a single probe at the horizon the capture buffers still hold only
+// a few windows' records, where a commit at the probe alone would hold
+// them all. The file is the same either way.
 TEST(TraceCommit, ShardedRunBuffersOnlyAFewWindows) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
@@ -504,7 +504,10 @@ TEST(TraceCommit, ShardedRunBuffersOnlyAFewWindows) {
   const exp::RunResult sharded = run_with(2, temp_path("peak_s2.ftr"));
   ASSERT_GT(sharded.trace.records, 0u);
   EXPECT_EQ(sharded.trace.records, unsharded.trace.records);
-  EXPECT_EQ(unsharded.trace.buffer_peak, unsharded.trace.records);
+  EXPECT_GT(unsharded.trace.buffer_peak, 0u);
+  EXPECT_LT(unsharded.trace.buffer_peak * 10, unsharded.trace.records)
+      << "buffer_peak=" << unsharded.trace.buffer_peak
+      << " records=" << unsharded.trace.records;
   EXPECT_GT(sharded.trace.buffer_peak, 0u);
   EXPECT_LT(sharded.trace.buffer_peak * 10, sharded.trace.records)
       << "buffer_peak=" << sharded.trace.buffer_peak
