@@ -72,8 +72,8 @@ void BM_EventEngineTypedScheduleFireLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_EventEngineTypedScheduleFireLadder);
 
-// The fire-only path carries all network deliveries: payload inline in the
-// queue, no slot pool at all.
+// A lone fire-only event (a Byzantine or baseline send) is a group of one:
+// one 16 B entry plus a 40 B group record, no slot pool at all.
 void BM_EventEngineFireOnlyLadder(benchmark::State& state) {
   sim::Rng rng(9);
   sim::EventQueue queue;
@@ -174,10 +174,10 @@ BENCHMARK(BM_EventEngineDeepPopulationLadder)
     ->Arg(65536)
     ->Arg(400000);
 
-// Narrow-entry group insert kernel: one coalesced fan-out call per
-// broadcast (torus degree 4 + loopback) against a standing population.
-// The deliveries ride the 16 B narrow lane + 40 B shared group record.
-// Items are deliveries popped per second.
+// Group insert kernel: one coalesced fan-out call per broadcast (torus
+// degree 4 + loopback) against a standing population. Each delivery is one
+// 16 B entry in its bucket's lane; the fan-out shares one 40 B group
+// record. Items are deliveries popped per second.
 void BM_QueueNarrowInsertLadder(benchmark::State& state) {
   constexpr int kFanout = 5;  // torus degree 4 + loopback
   static const std::int32_t kRest[kFanout - 1] = {1, 2, 3, 4};
@@ -220,7 +220,7 @@ BENCHMARK(BM_QueueNarrowInsertLadder);
 // delivery offset and spread, so each of the 24 rounds per iteration
 // reseeds the window over a differently placed band. Items are events
 // popped per second; `lane_bytes` is the ladder's retained lane storage
-// (pool blocks + head vectors) at the end of an iteration.
+// (pool blocks + head vector) at the end of an iteration.
 void BM_QueueRoundBandLadder(benchmark::State& state) {
   constexpr int kSenders = 1000;
   constexpr int kFanout = 20;
@@ -282,7 +282,6 @@ void BM_BroadcastCoalescedFanoutLadder(benchmark::State& state) {
   net::AugmentedTopology topo(net::Graph::torus(8, 8), 1);
   const int n = topo.num_nodes();
   sim::Simulator sim;
-  sim.reserve_events(1024);
   net::Network network(sim, &topo.adjacency(),
                        std::make_unique<net::UniformDelay>(1.0, 0.01),
                        sim::Rng(51));

@@ -5,7 +5,7 @@ Reads `ftgcs_bench sweep ... --timing` outputs and takes the `bytes[queue]:`
 footer's lane_peak_bytes (pool high-water plus head-vector capacity),
 lane_peak_live and lane_peak_lanes (live events and non-empty lanes when
 the pool peaked). Fails when a run keeps more than the live set accounts
-for: 32 B per live event in the blocks and again in the head vectors, plus
+for: 16 B per live event in the blocks and again in the head vector, plus
 one partial 512 B block per non-empty lane. Storage retained for lanes
 that have drained, as per-bucket capacity that only ratchets up, exceeds
 that. The counters are deterministic, so the check has no noise.
@@ -19,7 +19,7 @@ missing footer field.
 import re
 import sys
 
-ENTRY_BYTES = 32
+ENTRY_BYTES = 16
 BLOCK_BYTES = 512
 FOOTER = re.compile(
     r"^bytes\[queue\]:.*\blane_peak_bytes=(\d+) lane_peak_lanes=(\d+) "

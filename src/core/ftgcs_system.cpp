@@ -27,23 +27,6 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
 
   sim::Rng master(config_.seed);
 
-  // Pre-warm the event pool: every in-flight message and timer gets a slot
-  // without growing the pool mid-run. Degree+loopback bounds the messages
-  // a node can have in flight per delay window; timers add a handful. A
-  // shard only ever queues its owned nodes' deliveries and timers, so its
-  // pool scales with the owned slice (the pool grows on demand if a
-  // lopsided cut ever exceeds the estimate — sizing is not load-bearing
-  // for determinism, unlike the RNG fork order below).
-  std::size_t max_degree = 0;
-  for (const auto& neighbors : topo_.adjacency()) {
-    max_degree = std::max(max_degree, neighbors.size());
-  }
-  std::size_t owned_nodes = 0;
-  for (int id = 0; id < topo_.num_nodes(); ++id) {
-    if (owns(id)) ++owned_nodes;
-  }
-  sim_.reserve_events(owned_nodes * (max_degree + 9));
-
   auto delays = config_.delay_model
                     ? std::move(config_.delay_model)
                     : std::make_unique<net::UniformDelay>(config_.params.d,

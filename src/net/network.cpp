@@ -158,8 +158,8 @@ void Network::post_delivery(int from, sim::EventPayload& payload, int to,
     router_->remote_deliver(from, sim_.now() + delay, payload);
     return;
   }
-  // Deliveries are never cancelled: the fire-only path keeps the payload
-  // inline in the queue — no slot pool traffic on the dominant path.
+  // Deliveries are never cancelled: fire-only, one group of one in the
+  // queue (the Byzantine strategies' and the GCS baseline's sends).
   sim_.post_fire_only_after(delay, sim::EventKind::kPulse, self_, payload);
 }
 
@@ -176,8 +176,8 @@ void Network::on_event(sim::EventKind kind, const sim::EventPayload& payload,
   ++messages_delivered_;
   ++delivered_by_kind_[payload.d];
   if (trace_ != nullptr) trace_->on_delivery(now, payload);
-  // Columnar fast path (single-event form — Simulator::step and deliveries
-  // not drained as part of a run): same receive as the batch hook below.
+  // Columnar fast path (single-event form — deliveries not drained as part
+  // of a run): same receive as the batch hook below.
   if (dispatch_ != nullptr &&
       payload.d == static_cast<std::uint32_t>(PulseKind::kClusterPulse) &&
       dispatch_fast_[static_cast<std::size_t>(payload.c)] != 0) {

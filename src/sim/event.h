@@ -22,9 +22,8 @@ namespace ftgcs::sim {
 /// exists so one sink can multiplex several event families (and so traces
 /// and debuggers can tell events apart without knowing the receiver).
 ///
-/// 0 is deliberately not a kind: cancellable queue entries carry a zero
-/// (sink << 8 | kind) word, which therefore never matches a batch channel
-/// (see EventQueue::pop_run).
+/// Kinds start at 1, so a zero (sink << 8 | kind) word names no event;
+/// EventQueue::pop_run matches only group deliveries against a channel.
 enum class EventKind : std::uint8_t {
   kPulse = 1,  ///< network message delivery (net/Network)
   kTimer,      ///< timer fire (clocks/LogicalTimerSet, one-shot timers)

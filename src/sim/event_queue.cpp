@@ -12,22 +12,23 @@ void EventQueue::reserve(std::size_t capacity) {
   slots_.reserve(capacity);
   positions_.reserve(capacity);
   free_.reserve(capacity);
-  // Blocks for `capacity` dense wide entries; sparse tails come on demand.
-  reserve_pool(capacity / kPerBlock<Entry> + 2);
+  // Blocks for `capacity` dense entries; sparse tails come on demand.
+  reserve_pool(capacity / kPerBlock + 2);
   wheel_.reserve(std::min(capacity, kMaxBuckets));
 }
 
 void EventQueue::prewarm() {
   // ×2: window drift can pile the live set above the warmup high-water.
+  slots_.reserve(2 * slots_.size());
+  positions_.reserve(slots_.capacity());
+  free_.reserve(slots_.capacity());
   reserve_pool(2 * links_.size());
-  head_wide_.reserve(2 * head_wide_.capacity());
-  head_narrow_.reserve(2 * head_narrow_.capacity());
+  drain_.reserve(2 * drain_.capacity());
   // The same margin for the window tiers, which a reseed or rung spawn
-  // over a larger live set widens, and for the fan-out group records;
-  // free_gids_ can hold every group id, so retiring one never regrows it.
-  // The drain head lives in the tier being drained: re-aim it after the
-  // move.
-  const auto drain_bucket = [this]() -> Bucket& {
+  // over a larger live set widens, and for the group records; free_gids_
+  // can hold every group id, so retiring one never regrows it. The drain
+  // head lives in the tier being drained: re-aim it after the move.
+  const auto drain_bucket = [this]() -> Lane& {
     return rung_active_ ? rung_[rung_cur_] : wheel_[wheel_cur_];
   };
   const bool has_head = head_ != nullptr;
@@ -37,7 +38,10 @@ void EventQueue::prewarm() {
   if (has_head) head_ = &drain_bucket();
   groups_.reserve(2 * groups_.size());
   free_gids_.reserve(groups_.capacity());
-  sort_bins_.reserve(kMaxSortBins);
+  for (std::vector<std::uint32_t>& bins : sort_bins_) {
+    bins.reserve(kMaxSortBins);
+  }
+  scratch_.reserve(drain_.capacity());
 }
 
 std::uint32_t EventQueue::acquire_slot() {
@@ -53,7 +57,7 @@ std::uint32_t EventQueue::acquire_slot() {
   }
   slots_.emplace_back();
   positions_.push_back(0);
-  FTGCS_ASSERT(slots_.size() < kInlineBase);  // inline range stays unused
+  FTGCS_ASSERT(slots_.size() <= kGroupBase);  // slots stay below the groups
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -80,16 +84,15 @@ void EventQueue::grow_pool() {
     links_.emplace_back();
     free_blocks_.push_back(0);
   } while (links_.size() < 2);
-  // Pool indices of wide entries (block · 16 + offset) fill 32 bits.
-  FTGCS_ASSERT(links_.size() <= (std::size_t{1} << 28));
+  // Pool indices (block · 32 + offset) fill 32 bits.
+  FTGCS_ASSERT(links_.size() <= (std::size_t{1} << 27));
   release(static_cast<std::uint32_t>(links_.size() - 1));
   stats_.lane_peak_lanes = lanes_live_ + 1;  // + the lane taking the block
   stats_.lane_peak_live = size() + 1;
 }
 
-template <typename T>
-inline std::uint32_t EventQueue::lane_append(Lane& lane, const T& entry) {
-  const std::uint32_t off = lane.count % kPerBlock<T>;
+inline std::uint32_t EventQueue::lane_append(Lane& lane, Entry entry) {
+  const std::uint32_t off = lane.count % kPerBlock;
   if (off == 0) {
     // The tail block is full (or the lane is empty): link in the free
     // stack's top block, the one most recently drained.
@@ -105,48 +108,55 @@ inline std::uint32_t EventQueue::lane_append(Lane& lane, const T& entry) {
     lane.last = b;
   }
   ++lane.count;
-  block<T>(lane.last)[off] = entry;
-  return lane.last * kPerBlock<T> + off;
+  block(lane.last)[off] = entry;
+  return lane.last * kPerBlock + off;
 }
 
-template <typename T>
-std::uint32_t EventQueue::head_append(const T& entry) {
-  // The next pop re-sorts this head lane (the other keeps its flag).
-  std::vector<T>& head = head_vec<T>();
-  head.push_back(entry);
-  (kWide<T> ? head_sorted_wide_ : head_sorted_narrow_) = false;
-  return static_cast<std::uint32_t>(head.size() - 1);
-}
-
-template <typename T>
-inline void EventQueue::lane_insert(Bucket& bucket, std::uint64_t tag,
-                                    const T& entry) {
-  const std::uint32_t idx = &bucket == head_
-                                ? head_append(entry)
-                                : lane_append(lane_of<T>(bucket), entry);
+inline void EventQueue::lane_insert(Lane& bucket, std::uint64_t tag,
+                                    Entry entry) {
+  std::uint32_t idx;
+  if (&bucket == head_) {
+    // Ordered insert: the head stays sorted, so pops never re-sort it.
+    const auto at = std::upper_bound(drain_.begin(), drain_.end(), entry, Later{});
+    idx = static_cast<std::uint32_t>(drain_.insert(at, entry) - drain_.begin());
+  } else {
+    idx = lane_append(bucket, entry);
+  }
   set_position(entry, tag | idx);
   count_live(tag, 1);
 }
 
-template <typename T, typename F>
+template <typename F>
 void EventQueue::visit(const Lane& lane, F&& f) {
   std::uint32_t left = lane.count;
   for (std::uint32_t b = lane.first; b != kNil; b = links_[b].next) {
-    const std::uint32_t n = std::min(left, kPerBlock<T>);
-    f(static_cast<const T*>(block<T>(b)), std::size_t{n});
+    const std::uint32_t n = std::min(left, kPerBlock);
+    f(static_cast<const Entry*>(block(b)), std::size_t{n});
     left -= n;
   }
 }
 
-template <typename T, typename F>
+std::pair<Time, Time> EventQueue::time_span(const Lane& lane) {
+  Time tmin = kTimeInfinity;
+  Time tmax = -kTimeInfinity;
+  visit(lane, [&](const Entry* d, std::size_t m) {
+    for (std::size_t i = 0; i < m; ++i) {
+      tmin = std::min(tmin, d[i].at);
+      tmax = std::max(tmax, d[i].at);
+    }
+  });
+  return {tmin, tmax};
+}
+
+template <typename F>
 void EventQueue::drain_chain(Lane& lane, F&& f) {
   // A block is released only once read: f may take it straight back.
   const Lane src = lane;
   lane = Lane{};
   std::uint32_t left = src.count;
   for (std::uint32_t b = src.first; b != kNil;) {
-    const std::uint32_t n = std::min(left, kPerBlock<T>);
-    for (std::uint32_t i = 0; i < n; ++i) f(T(block<T>(b)[i]));
+    const std::uint32_t n = std::min(left, kPerBlock);
+    for (std::uint32_t i = 0; i < n; ++i) f(Entry(block(b)[i]));
     left -= n;
     const std::uint32_t next = links_[b].next;
     release(b);
@@ -168,27 +178,37 @@ std::size_t clamp_bucket_index(double off, std::size_t lo, std::size_t hi) {
   return static_cast<std::size_t>(off);
 }
 
+/// Yields d[m − 1] down to d[0] (one type for every second-level pass).
+template <typename T>
+struct Reversed {
+  const T* d;
+  std::size_t m;
+  template <typename F>
+  void operator()(F f) const {
+    for (std::size_t i = m; i-- > 0;) f(d[i]);
+  }
+};
+
 }  // namespace
 
-template <typename T>
-void EventQueue::insert_ladder(const T& entry) {
+void EventQueue::insert_ladder(Entry entry) {
   // An empty window accepts nothing: pushes accumulate in the overflow
   // lane and the next pop reseeds a fresh window around them. This keeps
   // the one invariant everything rests on — every overflow entry is
-  // (time, seq)-after every window entry. Wide and narrow entries share
-  // the routing, so a narrow delivery lands in exactly the bucket (and
-  // fires in exactly the order) its 32-byte twin would have.
+  // (time, seq)-after every window entry.
   if (entry.at >= win_end_ || wheel_live_ + rung_live_ == 0) {
     // Unsorted: a push is one append, a removal one swap-remove, a
     // far-future re-aim an in-place overwrite.
     lane_insert(overflow_, 0, entry);
     ++stats_.overflow_pushes;
-    stats_.overflow_peak = std::max(stats_.overflow_peak, overflow_size());
+    stats_.overflow_peak = std::max<std::size_t>(stats_.overflow_peak,
+                                                 overflow_.count);
     return;
   }
   // Clamping low to the drain bucket (including times below the window
   // origin, which are legal at queue level) preserves exact pop order:
-  // the drain bucket re-sorts, and everything earlier has already fired.
+  // the entry is inserted into the sorted head in order, and everything
+  // earlier has already fired.
   const std::size_t index =
       clamp_bucket_index((entry.at - win_start_) / bucket_width_, wheel_cur_,
                          wheel_nb_ - 1);
@@ -202,89 +222,31 @@ void EventQueue::insert_ladder(const T& entry) {
   lane_insert(wheel_[index], bucket_tag(/*rung=*/false, index), entry);
 }
 
-void EventQueue::insert_ladder_group(Time base, const Duration* delays,
-                                     std::size_t count, EventKind kind,
-                                     SinkId sink, const EventPayload& proto,
-                                     std::int32_t first_dest,
-                                     const std::int32_t* rest_dests,
-                                     const std::uint8_t* skip) {
-  std::size_t live = count;
-  if (skip != nullptr) {
-    for (std::size_t i = 0; i < count; ++i) live -= skip[i] != 0 ? 1 : 0;
-    if (live == 0) {
-      // Every delivery lives elsewhere: only their seqs are taken.
-      for (std::size_t i = 0; i < count; ++i) {
-        FTGCS_EXPECTS(delays[i] >= 0.0);
-      }
-      next_seq_ += count;
-      FTGCS_ASSERT(next_seq_ < (std::uint64_t{1} << kSeqBits));
-      return;
-    }
-  }
-  std::uint32_t gid;
-  if (!free_gids_.empty()) {
-    gid = free_gids_.back();
-    free_gids_.pop_back();
-  } else {
-    gid = static_cast<std::uint32_t>(groups_.size());
-    groups_.emplace_back();
-    // gids ride in the entry key's slot field; keep them out of the
-    // inline-sentinel range so a narrow key can never read as inline.
-    FTGCS_ASSERT(groups_.size() < kInlineBase);
-  }
-  GroupRec& g = groups_[gid];
-  g.base_seq = next_seq_;
-  g.rest = rest_dests;
-  g.first_dest = first_dest;
-  g.a = proto.a;
-  g.b = proto.b;
-  g.d = proto.d;
-  g.sink_kind = sink << 8 | static_cast<std::uint32_t>(kind);
-  g.live = static_cast<std::uint32_t>(live);
-  // One bump of `count`: delivery i gets base_seq + i, exactly the seqs
-  // `count` sequential schedule_fire_only calls would have consumed.
-  next_seq_ += count;
-  FTGCS_ASSERT(next_seq_ < (std::uint64_t{1} << kSeqBits));
-  ++stats_.group_inserts;
-  stats_.narrow_events += live;
-  NarrowEntry e;
-  for (std::size_t i = 0; i < count; ++i) {
-    FTGCS_EXPECTS(delays[i] >= 0.0);
-    if (skip != nullptr && skip[i] != 0) continue;
-    e.at = base + delays[i];
-    e.key = (g.base_seq + i) << kSlotBits | gid;
-    insert_ladder(e);
-  }
-}
-
 void EventQueue::remove_resident(std::uint32_t slot) {
   const std::uint64_t pos = positions_[slot];
   const std::uint64_t tag = pos & ~std::uint64_t{0xffffffff};
   std::uint32_t idx = static_cast<std::uint32_t>(pos);
-  Bucket& bucket = bucket_at(tag);
-  if (&bucket == head_) {
-    if (idx >= head_wide_.size() || head_wide_[idx].slot() != slot) {
-      // The recorded index went stale when the bucket moved into the head
-      // (or the head was sorted); locate the entry by its unique slot.
-      idx = 0;
-      while (head_wide_[idx].slot() != slot) ++idx;
+  Lane& lane = bucket_at(tag);
+  if (&lane == head_) {
+    if (idx >= drain_.size() || drain_[idx].ref() != slot) {
+      // The recorded index is a chain index from before the bucket became
+      // the head, or was shifted by a later head insert or erase; locate
+      // the entry by its unique slot.
+      idx = static_cast<std::uint32_t>(
+          std::find_if(drain_.begin(), drain_.end(),
+                       [slot](const Entry& e) { return e.ref() == slot; }) -
+          drain_.begin());
+      FTGCS_ASSERT(idx < drain_.size());
     }
-    const Entry moved = head_wide_.back();
-    head_wide_.pop_back();
-    if (idx < head_wide_.size()) {
-      head_wide_[idx] = moved;
-      set_position(moved, tag | idx);
-    }
-    head_sorted_wide_ = false;  // a swap-remove breaks the wide drain order
+    drain_.erase(drain_.begin() + idx);  // keeps the drain order
   } else {
-    Lane& lane = bucket.wide;
-    const std::uint32_t back = lane.last * kPerBlock<Entry> +
-                               (lane.count - 1) % kPerBlock<Entry>;
+    const std::uint32_t back =
+        lane.last * kPerBlock + (lane.count - 1) % kPerBlock;
     if (idx != back) {
-      const Entry& moved = wide_at(idx) = wide_at(back);
+      const Entry& moved = entry_at(idx) = entry_at(back);
       set_position(moved, tag | idx);
     }
-    if (--lane.count % kPerBlock<Entry> == 0) {  // the tail block emptied
+    if (--lane.count % kPerBlock == 0) {  // the tail block emptied
       const std::uint32_t tail = lane.last;
       release(tail);
       if (lane.count == 0) {
@@ -299,11 +261,57 @@ void EventQueue::remove_resident(std::uint32_t slot) {
   count_live(tag, -1);
 }
 
-template <typename T>
-void EventQueue::materialize_lane(Lane& lane, bool binned) {
-  std::vector<T>& head = head_vec<T>();
-  const std::size_t n = lane.count;
-  if (n == 0) return;
+template <typename Each>
+bool EventQueue::distribute(Each each, Entry* dst, std::size_t n,
+                            bool refine) {
+  Time tmin = kTimeInfinity;
+  Time tmax = -kTimeInfinity;
+  each([&](const Entry& e) {
+    tmin = std::min(tmin, e.at);
+    tmax = std::max(tmax, e.at);
+  });
+  // Bin k of nb covers [tmin + k·span/nb, tmin + (k+1)·span/nb): the
+  // index is monotone in `at`, so every inversion left is inside one bin.
+  const std::size_t nb = std::min(n, kMaxSortBins);
+  const double span = tmax - tmin;
+  const double scale = static_cast<double>(nb) / span;
+  // A zero span (one timestamp), an infinite one (an event at
+  // kTimeInfinity) or a subnormal one (infinite scale) has no usable bins;
+  // `!(span > 0)` also rejects NaN.
+  if (!(span > 0.0) || !std::isfinite(span) || !std::isfinite(scale)) {
+    return false;
+  }
+  const auto bin = [&](const Entry& e) {
+    return std::min(static_cast<std::size_t>((e.at - tmin) * scale), nb - 1);
+  };
+  std::vector<std::uint32_t>& bins = sort_bins_[refine ? 0 : 1];
+  bins.assign(nb, 0);
+  each([&](const Entry& e) { ++bins[bin(e)]; });
+  std::uint32_t below = 0;  // entries in earlier bins
+  for (std::uint32_t& count : bins) below += std::exchange(count, below);
+  // Ascending bins from the back, each filled back to front, so `dst` is
+  // descending by bin and the yield order reverses within a bin.
+  each([&](const Entry& e) { dst[n - 1 - bins[bin(e)]++] = e; });
+  if (!refine) return true;
+  // A tight band next to a far outlier falls into the few bins of the span
+  // the outlier stretched: each crowded bin gets a pass of its own, fed in
+  // its original order (the reverse of how it now sits in `dst`).
+  below = 0;
+  for (const std::uint32_t end : bins) {
+    const std::size_t m = end - below;
+    if (m > kCrowdedBin) {
+      Entry* crowd = dst + (n - end);
+      scratch_.assign(crowd, crowd + m);
+      distribute(Reversed<Entry>{scratch_.data(), m}, crowd, m, false);
+    }
+    below = end;
+  }
+  return true;
+}
+
+void EventQueue::materialize(Lane& bucket) {
+  std::vector<Entry>& head = drain_;
+  const std::size_t n = bucket.count;
   // Grow exactly as n push_backs would: lane_peak_bytes reports this
   // capacity.
   if (head.capacity() < n) {
@@ -312,103 +320,41 @@ void EventQueue::materialize_lane(Lane& lane, bool binned) {
     head.reserve(capacity);
   }
   head.resize(n);
-  Time tmin = block<T>(lane.first)[0].at;
-  Time tmax = tmin;
-  if (binned) {
-    visit<T>(lane, [&](const T* d, std::size_t m) {
-      for (std::size_t i = 0; i < m; ++i) {
-        tmin = std::min(tmin, d[i].at);
-        tmax = std::max(tmax, d[i].at);
-      }
+  head_ = &bucket;
+  const auto each = [&](auto f) {
+    visit(bucket, [&](const Entry* d, std::size_t m) {
+      for (std::size_t i = 0; i < m; ++i) f(d[i]);
     });
-  }
-  // Bin k of nb covers [tmin + k·span/nb, tmin + (k+1)·span/nb): the
-  // index is monotone in `at`, so every inversion left is inside one bin.
-  const std::size_t nb = std::min(n, kMaxSortBins);
-  const double span = tmax - tmin;
-  const double scale = static_cast<double>(nb) / span;
-  // A zero span (one timestamp, or a lane left unbinned), an infinite
-  // one (an event at kTimeInfinity) or a subnormal one (infinite scale)
-  // has no usable bins; `!(span > 0)` also rejects NaN.
-  if (!(span > 0.0) || !std::isfinite(span) || !std::isfinite(scale)) {
+  };
+  if (!distribute(each, head.data(), n, /*refine=*/true)) {
     // One bin: chain order is mostly ascending seq, so the reversed copy
     // leaves equal-time entries in descending order already.
     std::size_t pos = n;
-    drain_chain<T>(lane, [&](const T& e) { head[--pos] = e; });
-    return;
+    each([&](const Entry& e) { head[--pos] = e; });
   }
-  const auto bin = [&](const T& e) {
-    return std::min(static_cast<std::size_t>((e.at - tmin) * scale), nb - 1);
-  };
-  sort_bins_.assign(nb, 0);
-  visit<T>(lane, [&](const T* d, std::size_t m) {
-    for (std::size_t i = 0; i < m; ++i) ++sort_bins_[bin(d[i])];
-  });
-  std::uint32_t below = 0;  // entries in earlier bins
-  for (std::uint32_t& count : sort_bins_) {
-    below += std::exchange(count, below);
-  }
-  // Ascending bins from the back, each filled back to front, so the
-  // vector is descending by bin and chain order reverses within a bin.
-  drain_chain<T>(lane, [&](const T& e) {
-    head[n - 1 - sort_bins_[bin(e)]++] = e;
-  });
-}
-
-void EventQueue::materialize(Bucket& bucket) {
-  // A bucket about to split into a rung is copied, not ordered.
-  const bool binned =
-      rung_active_ || bucket.wide.count + bucket.narrow.count <=
-                          kRungSpawnThreshold;
-  materialize_lane<Entry>(bucket.wide, binned);
-  materialize_lane<NarrowEntry>(bucket.narrow, binned);
-  head_ = &bucket;
-  head_sorted_wide_ = false;
-  head_sorted_narrow_ = false;
-}
-
-template <typename T>
-void EventQueue::sort_head(std::vector<T>& head) {
-  // Descending (time, seq), so pops are pop_back and cancel stays a
-  // swap-remove. Positions are NOT rewritten (a random write per event
+  drain_chain(bucket, [](const Entry&) {});  // recycles the blocks
+  // The exact pass. Positions are NOT rewritten (a random write per event
   // into the multi-MB positions_); removal verifies the slot instead.
-  stats_.sorted_elements += head.size();
-  stats_.sort_fallbacks += support::sort_nearly_sorted(
-      head, [](const T& a, const T& b) { return earlier(b, a); });
+  stats_.sorted_elements += n;
+  stats_.sort_fallbacks += support::sort_nearly_sorted(head, Later{});
 }
 
-void EventQueue::spawn_rung() {
-  // Splits the (wheel) drain head into the rung's sub-bucket lanes.
-  const std::size_t n = head_size();
+void EventQueue::spawn_rung(Lane& bucket) {
+  const std::size_t n = bucket.count;
   rung_nb_ = std::clamp(n / kRungFanout, kMinBuckets, kRungMaxBuckets);
   if (rung_.size() < rung_nb_) rung_.resize(rung_nb_);
-  Time tmin = head_wide_.empty() ? head_narrow_.front().at
-                                 : head_wide_.front().at;
-  Time tmax = tmin;
-  const auto span = [&](const auto& lane) {
-    for (const auto& e : lane) {
-      tmin = std::min(tmin, e.at);
-      tmax = std::max(tmax, e.at);
-    }
-  };
-  span(head_wide_);
-  span(head_narrow_);
+  auto [tmin, tmax] = time_span(bucket);
   if (!std::isfinite(tmin)) tmin = 0.0;  // see reseed(): avoid NaN offsets
   rung_start_ = tmin;
   rung_width_ = std::max((tmax - tmin) / static_cast<double>(rung_nb_),
                          std::max(std::abs(tmin), 1.0) * 1e-15);
-  head_ = nullptr;  // the entries go to rung chains, not back to the head
-  const auto split = [&](const auto& lane) {
-    for (const auto& e : lane) {
-      const std::size_t sub = clamp_bucket_index(
-          (e.at - rung_start_) / rung_width_, 0, rung_nb_ - 1);
-      lane_insert(rung_[sub], bucket_tag(/*rung=*/true, sub), e);
-    }
-  };
-  split(head_wide_);
-  split(head_narrow_);
-  head_wide_.clear();
-  head_narrow_.clear();
+  // Chain order is kept within each sub-bucket, so the drain's distribution
+  // pass still reverses it into descending seq.
+  drain_chain(bucket, [&](const Entry& e) {
+    const std::size_t sub = clamp_bucket_index(
+        (e.at - rung_start_) / rung_width_, 0, rung_nb_ - 1);
+    lane_insert(rung_[sub], bucket_tag(/*rung=*/true, sub), e);
+  });
   wheel_live_ -= n;  // lane_insert counted them into rung_live_
   rung_cur_ = 0;
   rung_active_ = true;
@@ -416,22 +362,11 @@ void EventQueue::spawn_rung() {
 }
 
 void EventQueue::reseed() {
-  FTGCS_ASSERT(wheel_live_ == 0 && rung_live_ == 0 && overflow_size() != 0);
+  FTGCS_ASSERT(wheel_live_ == 0 && rung_live_ == 0 && overflow_.count != 0);
   head_ = nullptr;
   rung_active_ = false;
-  const std::size_t n = overflow_size();
-  Time tmin = overflow_.wide.count == 0
-                  ? block<NarrowEntry>(overflow_.narrow.first)[0].at
-                  : block<Entry>(overflow_.wide.first)[0].at;
-  Time tmax = tmin;
-  const auto span = [&](const auto* d, std::size_t m) {
-    for (std::size_t i = 0; i < m; ++i) {
-      tmin = std::min(tmin, d[i].at);
-      tmax = std::max(tmax, d[i].at);
-    }
-  };
-  visit<Entry>(overflow_.wide, span);
-  visit<NarrowEntry>(overflow_.narrow, span);
+  const std::size_t n = overflow_.count;
+  auto [tmin, tmax] = time_span(overflow_);
   wheel_nb_ = std::clamp(n, kMinBuckets, kMaxBuckets);
   if (wheel_.size() < wheel_nb_) wheel_.resize(wheel_nb_);
   // Events at kTimeInfinity (legal, if unusual) would make every offset
@@ -451,42 +386,26 @@ void EventQueue::reseed() {
   win_end_ = win_start_ + bucket_width_ * static_cast<double>(wheel_nb_);
   wheel_cur_ = 0;
   // One linear pass, recycling each overflow block once its entries have
-  // landed: the transfer peaks at about the live set, not twice it.
-  const auto place = [&](const auto& e) {
-    using T = std::remove_cv_t<std::remove_reference_t<decltype(e)>>;
+  // landed: the transfer peaks at about the live set, not twice it. The
+  // lane is taken out first, so size() reads n throughout the scatter.
+  Lane lane = std::exchange(overflow_, Lane{});
+  wheel_live_ = n;
+  drain_chain(lane, [&](const Entry& e) {
     const std::size_t index = clamp_bucket_index(
         (e.at - win_start_) / bucket_width_, 0, wheel_nb_ - 1);
     set_position(e, bucket_tag(/*rung=*/false, index) |
-                        lane_append(lane_of<T>(wheel_[index]), e));
-  };
-  // Taken out first, so size() reads n throughout the scatter.
-  Lane wide = std::exchange(overflow_.wide, Lane{});
-  Lane narrow = std::exchange(overflow_.narrow, Lane{});
-  wheel_live_ = n;
-  drain_chain<Entry>(wide, place);
-  drain_chain<NarrowEntry>(narrow, place);
+                        lane_append(wheel_[index], e));
+  });
   ++stats_.reseeds;
   stats_.bucket_count = std::max(stats_.bucket_count, wheel_nb_);
 }
 
 bool EventQueue::prepare_head() {
   for (;;) {
-    if (head_ != nullptr && head_size() != 0) {
-      if (head_sorted()) return true;
-      if (!rung_active_ && head_size() > kRungSpawnThreshold) {
-        spawn_rung();
-        continue;
-      }
-      // A clean lane keeps its order.
-      if (!head_sorted_wide_) sort_head(head_wide_);
-      if (!head_sorted_narrow_) sort_head(head_narrow_);
-      head_sorted_wide_ = true;
-      head_sorted_narrow_ = true;
-      return true;
-    }
+    if (!drain_.empty()) return true;
     head_ = nullptr;
     if (rung_active_) {
-      while (rung_cur_ < rung_nb_ && bucket_empty(rung_[rung_cur_])) {
+      while (rung_cur_ < rung_nb_ && rung_[rung_cur_].count == 0) {
         ++rung_cur_;
       }
       if (rung_cur_ < rung_nb_) {
@@ -496,40 +415,29 @@ bool EventQueue::prepare_head() {
       rung_active_ = false;
       ++wheel_cur_;
     }
-    while (wheel_cur_ < wheel_nb_ && bucket_empty(wheel_[wheel_cur_])) {
+    while (wheel_cur_ < wheel_nb_ && wheel_[wheel_cur_].count == 0) {
       ++wheel_cur_;
     }
     if (wheel_cur_ < wheel_nb_) {
-      materialize(wheel_[wheel_cur_]);
+      Lane& bucket = wheel_[wheel_cur_];
+      if (bucket.count > kRungSpawnThreshold) {
+        spawn_rung(bucket);
+      } else {
+        materialize(bucket);
+      }
       continue;
     }
-    if (overflow_size() == 0) return false;
+    if (overflow_.count == 0) return false;
     reseed();
   }
 }
 
 Time EventQueue::next_time() const {
-  // Sorting the drain bucket is logically const: the live event set and
+  // Ordering the next bucket is logically const: the live event set and
   // the pop order are unchanged.
   EventQueue& self = const_cast<EventQueue&>(*this);
   if (!self.prepare_head()) return kTimeInfinity;
-  if (!head_narrow_.empty() &&
-      (head_wide_.empty() || earlier(head_narrow_.back(), head_wide_.back()))) {
-    return head_narrow_.back().at;
-  }
-  return head_wide_.back().at;
-}
-
-EventId EventQueue::push_entry(Time t, std::uint32_t slot) {
-  const std::uint64_t seq = next_seq_++;
-  FTGCS_ASSERT(seq < (std::uint64_t{1} << kSeqBits));
-  ++stats_.wide_events;
-  Entry entry;
-  entry.at = t;
-  entry.key = seq << kSlotBits | slot;
-  insert_ladder(entry);
-  return EventId{(static_cast<std::uint64_t>(slot) + 1) << 32 |
-                 slots_[slot].gen};
+  return drain_.back().at;
 }
 
 EventId EventQueue::schedule_typed(Time t, EventKind kind, SinkId sink,
@@ -539,31 +447,16 @@ EventId EventQueue::schedule_typed(Time t, EventKind kind, SinkId sink,
   Slot& s = slots_[slot];
   s.set(kind, sink);
   s.payload = payload;
-  return push_entry(t, slot);
+  ++stats_.wide_events;
+  insert_ladder(Entry{t, take_seqs(1) << kRefBits | slot});
+  return EventId{(static_cast<std::uint64_t>(slot) + 1) << 32 | s.gen};
 }
 
 void EventQueue::schedule_fire_only(Time t, EventKind kind, SinkId sink,
                                     const EventPayload& payload) {
-  FTGCS_EXPECTS(sink < (1u << 24));
-  if (payload.x != 0.0 || payload.d >= 256) {
-    // The 32-byte inline entry has no room for payload.x (or a d tag
-    // beyond the inline range): those events take the slotted path with
-    // identical (time, seq) semantics (the returned id is simply dropped
-    // — fire-only ids are unobservable).
-    schedule_typed(t, kind, sink, payload);
-    return;
-  }
-  const std::uint64_t seq = next_seq_++;
-  FTGCS_ASSERT(seq < (std::uint64_t{1} << kSeqBits));
-  ++stats_.wide_events;
-  Entry entry;
-  entry.at = t;
-  entry.key = seq << kSlotBits | (kInlineBase + payload.d);
-  entry.a = payload.a;
-  entry.b = payload.b;
-  entry.c = payload.c;
-  entry.sink_kind = sink << 8 | static_cast<std::uint32_t>(kind);
-  insert_ladder(entry);
+  static constexpr Duration kNoDelay = 0.0;
+  schedule_fire_only_group(t, &kNoDelay, 1, kind, sink, payload, payload.c,
+                           nullptr);
 }
 
 void EventQueue::schedule_fire_only_group(Time base, const Duration* delays,
@@ -574,26 +467,54 @@ void EventQueue::schedule_fire_only_group(Time base, const Duration* delays,
                                           const std::int32_t* rest_dests,
                                           const std::uint8_t* skip) {
   FTGCS_EXPECTS(sink < (1u << 24));
-  if (count == 0) return;
+  std::size_t live = count;
+  for (std::size_t i = 0; i < count; ++i) {
+    FTGCS_EXPECTS(delays[i] >= 0.0);
+    if (skip != nullptr && skip[i] != 0) --live;
+  }
   if (proto.x != 0.0) {
-    // x ≠ 0 has no home in the group record. The per-delivery fallback
-    // consumes sequence numbers in exactly the same order, a skipped
-    // delivery's included, so the pop sequence is unchanged.
+    // x ≠ 0 has no home in the group record: each delivery takes a slot,
+    // in exactly the same seq order, a skipped delivery's seq included.
     EventPayload pl = proto;
     for (std::size_t i = 0; i < count; ++i) {
       if (skip != nullptr && skip[i] != 0) {
-        FTGCS_EXPECTS(delays[i] >= 0.0);
-        ++next_seq_;
+        take_seqs(1);
         continue;
       }
       pl.c = i == 0 ? first_dest : rest_dests[i - 1];
-      schedule_fire_only(base + delays[i], kind, sink, pl);
+      schedule_typed(base + delays[i], kind, sink, pl);
     }
-    FTGCS_ASSERT(next_seq_ < (std::uint64_t{1} << kSeqBits));
     return;
   }
-  insert_ladder_group(base, delays, count, kind, sink, proto, first_dest,
-                      rest_dests, skip);
+  // One bump of `count`: delivery i gets base_seq + i, exactly the seqs
+  // `count` sequential schedule_fire_only calls would have consumed.
+  const std::uint64_t base_seq = take_seqs(count);
+  if (live == 0) return;  // every delivery lives elsewhere
+  std::uint32_t gid;
+  if (!free_gids_.empty()) {
+    gid = free_gids_.back();
+    free_gids_.pop_back();
+  } else {
+    gid = static_cast<std::uint32_t>(groups_.size());
+    groups_.emplace_back();
+    FTGCS_ASSERT(groups_.size() <= kGroupBase);  // gid + kGroupBase fits a ref
+  }
+  GroupRec& g = groups_[gid];
+  g.base_seq = base_seq;
+  g.rest = rest_dests;
+  g.first_dest = first_dest;
+  g.a = proto.a;
+  g.b = proto.b;
+  g.d = proto.d;
+  g.sink_kind = sink << 8 | static_cast<std::uint32_t>(kind);
+  g.live = static_cast<std::uint32_t>(live);
+  ++stats_.group_inserts;
+  stats_.narrow_events += live;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (skip != nullptr && skip[i] != 0) continue;
+    insert_ladder(Entry{base + delays[i],
+                        (base_seq + i) << kRefBits | (kGroupBase + gid)});
+  }
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -610,42 +531,33 @@ bool EventQueue::reschedule(EventId id, Time t) {
   if (!decode_live(id, slot)) return false;
   // Fresh sequence number: ties at the new time fire after everything
   // already scheduled there, exactly as a cancel + schedule would.
-  const std::uint64_t seq = next_seq_++;
-  FTGCS_ASSERT(seq < (std::uint64_t{1} << kSeqBits));
-  const std::uint64_t key = seq << kSlotBits | slot;
+  const Entry moved{t, take_seqs(1) << kRefBits | slot};
   const std::uint64_t pos = positions_[slot];
   const std::uint64_t tag = pos & ~std::uint64_t{0xffffffff};
   const std::uint32_t idx = static_cast<std::uint32_t>(pos);
   if (tag == 0 && (t >= win_end_ || wheel_live_ + rung_live_ == 0)) {
     // Overflow entry staying in the overflow lane: the lane is unsorted,
     // so a far-future timer re-aim is one in-place overwrite.
-    Entry& entry = wide_at(idx);
-    entry.at = t;
-    entry.key = key;
+    entry_at(idx) = moved;
     return true;
   }
   if (tag != 0 && (tag & kRungBit) == 0 && t < win_end_) {
     // Timer re-aims move fire times by O(rho) — almost always within the
-    // same bucket. Overwriting in place (the drain sort orders it) skips
-    // the swap-remove + reinsert round trip. Buckets past the drain head
-    // are chains, whose positions are exact.
+    // same bucket. Overwriting in place (the drain orders it) skips the
+    // swap-remove + reinsert round trip. Buckets past the drain head are
+    // chains, whose positions are exact.
     const std::size_t bucket_index = static_cast<std::size_t>(tag >> 32) - 1;
     const double off = (t - win_start_) / bucket_width_;
     if (bucket_index > wheel_cur_ &&
         off >= static_cast<double>(bucket_index) &&
         off < static_cast<double>(bucket_index + 1)) {
-      Entry& entry = wide_at(idx);
-      FTGCS_ASSERT(entry.slot() == slot);
-      entry.at = t;
-      entry.key = key;
+      FTGCS_ASSERT(entry_at(idx).ref() == slot);
+      entry_at(idx) = moved;
       return true;
     }
   }
   remove_resident(slot);
-  Entry entry;
-  entry.at = t;
-  entry.key = key;
-  insert_ladder(entry);
+  insert_ladder(moved);
   return true;
 }
 

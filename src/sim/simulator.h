@@ -75,9 +75,9 @@ class Simulator {
                      const EventPayload& payload);
 
   /// Schedules a typed event after a non-negative delay that can never be
-  /// cancelled or rescheduled. The dominant traffic — pulse deliveries —
-  /// is fire-only; this path carries the payload inline in the queue (no
-  /// slot pool, no handle bookkeeping).
+  /// cancelled or rescheduled: a group of one in the queue (no slot, no
+  /// handle bookkeeping) unless payload.x ≠ 0, which takes a slot (see
+  /// EventQueue::schedule_fire_only).
   void post_fire_only_after(Duration dt, EventKind kind, SinkId sink,
                             const EventPayload& payload);
 
@@ -134,9 +134,6 @@ class Simulator {
 
   /// True if no pending events remain.
   bool idle() const { return queue_.empty() && dead_.empty(); }
-
-  /// Pre-sizes the event pool (see EventQueue::reserve).
-  void reserve_events(std::size_t capacity) { queue_.reserve(capacity); }
 
   /// Pins the queue's warmed-up capacity profile so steady-state windows
   /// allocate nothing (see EventQueue::prewarm).

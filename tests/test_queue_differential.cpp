@@ -70,29 +70,32 @@ class Differ {
     return pair;
   }
 
-  /// Fire-only events (inline payload in the ladder, or slotted when
+  /// Fire-only events (a group of one in the ladder, or slotted when
   /// x ≠ 0) interleave with cancellable ones in the same (time, seq)
   /// order space. `slotted` carries x = t (slotted unless t = 0).
-  void schedule_fire_only(Time t, std::int32_t tag, bool slotted = true) {
+  void schedule_fire_only(Time t, std::int32_t tag, bool slotted = true,
+                          std::uint32_t kind_tag = 0) {
     EventPayload payload;
     payload.a = tag;
+    payload.d = kind_tag;
     payload.x = slotted ? t : 0.0;
     reference_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
     ladder_.schedule_fire_only(t, EventKind::kPulse, 0, payload);
     check_sizes();
   }
 
-  /// Coalesced fan-out group: narrow 16 B entries in the ladder, expanded
-  /// per delivery in the reference — both must consume the same seq range
-  /// and pop the same (time, payload) sequence. The dest arrays live in a
-  /// deque so the pointers the ladder borrows stay stable for the queue's
-  /// whole lifetime.
+  /// Coalesced fan-out group: one group record in the ladder (slotted
+  /// entries when x ≠ 0), expanded per delivery in the reference — both
+  /// must consume the same seq range and pop the same (time, payload)
+  /// sequence. The dest arrays live in a deque so the pointers the ladder
+  /// borrows stay stable for the queue's whole lifetime.
   void schedule_group(Time base, const std::vector<Duration>& delays,
-                      std::int32_t tag) {
+                      std::int32_t tag, double x = 0.0) {
     EventPayload proto;
     proto.a = tag;
     proto.b = tag ^ 0x5a5a;
     proto.d = static_cast<std::uint32_t>(delays.size());
+    proto.x = x;
     dests_.emplace_back();
     std::vector<std::int32_t>& rest = dests_.back();
     for (std::size_t i = 1; i < delays.size(); ++i) {
@@ -246,9 +249,8 @@ Time draw_time(Rng& rng, Time now) {
 }
 
 /// The batch-channel op stream: channel pulses of either tag parity (a
-/// slice on the slotted path), fan-out groups of either parity on the
-/// narrow lane, timers, cancels and re-aims — so admitted and rejected
-/// traffic share buckets in both lanes.
+/// slice on the slotted path), fan-out groups of either parity, timers,
+/// cancels and re-aims — so admitted and rejected traffic share buckets.
 void random_batch_ops(Rng& rng, Differ& d, Time now, int count) {
   for (int op = 0; op < count; ++op) {
     const double pick = rng.next_double();
@@ -351,9 +353,9 @@ TEST(QueueDifferential, RandomOpStreamPopsIdentically) {
 }
 
 // Block-lane edge cases, in lockstep with the reference. Ladder lanes are
-// chains of 512 B blocks (16 wide or 32 narrow entries), so every count
-// around a block edge, every removal position (overflow lane, interior
-// block, tail block, head vectors before and after the head sort), a rung
+// chains of 512 B blocks (32 entries), so every count around a block
+// edge, every removal position (overflow lane, interior block, tail
+// block, the sorted head vector), a rung
 // spawn from a many-block bucket and a reseed from a many-block overflow
 // lane must all pop exactly in (time, seq) order.
 TEST(QueueDifferential, BlockLaneEdgeCasesPopIdentically) {
@@ -404,10 +406,10 @@ TEST(QueueDifferential, BlockLaneEdgeCasesPopIdentically) {
   d.reschedule_pair(far[20], 6e5);
   d.reschedule_pair(far[21], 140.5);
 
-  // Head vectors: pop into the 15-entry burst's bucket so it becomes the
-  // sorted head, cancel one of its (stale-indexed) entries, insert fresh
-  // entries into the head (appended, unsorted), cancel and re-aim some of
-  // those before the next pop re-sorts, then cancel after the re-sort.
+  // The head vector: pop into the 15-entry burst's bucket so it becomes
+  // the sorted head, cancel one of its (stale-indexed) entries, insert
+  // fresh entries into the head in order, cancel and re-aim some of those
+  // around a next_time() read, then cancel an original entry.
   Time now = 0.0;
   while (now < 100.0) now = d.pop();
   d.cancel_pair(bursts[0][9]);
@@ -572,8 +574,9 @@ TEST(QueueDifferential, TieHeavyBucketsPopIdentically) {
     d.reschedule_pair(timer.pair, timer.at + 1e-3 * instant);
   }
 
-  // Drain to the first instant, then insert into and cancel out of the
-  // drain head before draining everything, pops and runs interleaved.
+  // Drain to the first instant, then insert into the drain head between
+  // pops and cancel out of it before draining everything, pops and runs
+  // interleaved.
   Time now = 0.0;
   while (now < ties[0]) now = d.pop();
   for (int i = 0; i < 40; ++i) {
@@ -585,6 +588,7 @@ TEST(QueueDifferential, TieHeavyBucketsPopIdentically) {
     } else {
       zero_spread(t, 1 + rng.below(8), 2 * (7000 + i));
     }
+    now = d.pop();
   }
   for (int i = 0; i < 40; ++i) {
     d.cancel_pair(timers[rng.below(timers.size())].pair);
@@ -601,13 +605,19 @@ TEST(QueueDifferential, TieHeavyBucketsPopIdentically) {
   const EventQueue::TierStats stats = d.ladder().tier_stats();
   EXPECT_GT(stats.rung_spawns, 0u);
   EXPECT_GT(stats.sort_fallbacks, 0u);  // the shuffled instants
-  EXPECT_GT(stats.sorted_elements, 5000u);
+  // Each entry passes the exact pass at most once: when its bucket
+  // becomes the drain head. Inserts into and cancels out of the head keep
+  // it sorted instead of re-sorting it.
+  EXPECT_LE(stats.sorted_elements, d.ladder().scheduled_count());
 }
 
 // What a delivery band looks like is ordered by the distribution pass
 // alone, leaving the exact pass well inside its move budget: a zero-spread
 // fan-out (one instant, seqs in chain order), a fan-out over distinct
-// shuffled times, and inline deliveries over ascending times.
+// shuffled times, and lone deliveries over ascending times. Each band
+// shares its bucket with two of the background deliveries, one time unit
+// apart: they stretch the bins' span 1000× past the band's, so the
+// shuffled band lands in two crowded bins that need their own pass.
 TEST(QueueDifferential, DeliveryBandsSortWithoutFallback) {
   Differ d;
   d.schedule(0.0, -1);
@@ -626,6 +636,65 @@ TEST(QueueDifferential, DeliveryBandsSortWithoutFallback) {
   const EventQueue::TierStats stats = d.ladder().tier_stats();
   EXPECT_EQ(stats.sort_fallbacks, 0u);
   EXPECT_GE(stats.sorted_elements, 4500u);
+}
+
+// One entry shape: groups of one (a lone fire-only event, whatever its d
+// tag — d ≥ 256 used to take a slot), slotted x ≠ 0 sends (lone and fanned
+// out), fan-outs and timers share one lane per bucket. The drain head
+// stays sorted: timers inserted into it (some below the last popped time,
+// so clamped into it), cancelled and re-aimed out of it, while the head is
+// a rung sub-bucket of a pile that spawned a rung, must pop exactly in the
+// reference's order.
+TEST(QueueDifferential, OneEntryShapeKeepsTheHeadSorted) {
+  Rng rng(77);
+  Differ d;
+  d.schedule(0.0, -1);
+  for (int i = 0; i < 1000; ++i) {
+    d.schedule_fire_only(1.0 + i, -2 - i, /*slotted=*/false, 256 + i);
+  }
+  EXPECT_EQ(d.pop(), 0.0);
+  // A pile past the rung-spawn threshold in one bucket, every entry kind.
+  const Time pile = 100.5;
+  std::vector<Pair> timers;
+  for (int i = 0; i < 3000; ++i) {
+    const Time t = pile + 1e-3 * rng.next_double();
+    if (i % 4 == 0) {
+      timers.push_back(d.schedule(t, i));
+    } else if (i % 4 == 1) {
+      d.schedule_fire_only(t, i, /*slotted=*/false, 300 + i);
+    } else if (i % 4 == 2) {
+      d.schedule_fire_only(t, i, /*slotted=*/true);
+    } else {
+      const std::vector<Duration> delays = {t, t + 1e-5 * rng.next_double()};
+      d.schedule_group(0.0, delays, i, i % 8 == 3 ? t : 0.0);
+    }
+  }
+  Time now = 0.0;
+  while (now < pile) now = d.pop();
+  for (int round = 0; round < 600 && !d.empty(); ++round) {
+    for (int i = 0; i < 3; ++i) {
+      const Time t = now + 1e-5 * (rng.next_double() - 0.1);
+      timers.push_back(d.schedule(t, 10000 + 3 * round + i));
+    }
+    if (rng.next_double() < 0.5) {
+      d.schedule_fire_only(now + 1e-5 * rng.next_double(), 2 * round,
+                           /*slotted=*/false, 1000);
+    }
+    d.cancel_pair(timers[rng.below(timers.size())]);
+    d.reschedule_pair(timers[rng.below(timers.size())],
+                      now + 1e-5 * rng.next_double());
+    if (rng.next_double() < 0.3) {
+      d.pop_run(kTimeInfinity, 1 + rng.below(8), now);
+    }
+    if (!d.pop_if_at_most(kTimeInfinity, now)) break;
+    ASSERT_FALSE(HasFailure()) << "round " << round;
+  }
+  while (!d.empty()) now = d.pop();
+  const EventQueue::TierStats stats = d.ladder().tier_stats();
+  EXPECT_GT(stats.rung_spawns, 0u);
+  EXPECT_GT(stats.wide_events, 1500u);    // timers and x ≠ 0 sends
+  EXPECT_GT(stats.group_inserts, 2000u);  // mostly groups of one
+  EXPECT_LE(stats.sorted_elements, d.ladder().scheduled_count());
 }
 
 }  // namespace

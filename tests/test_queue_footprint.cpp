@@ -23,10 +23,10 @@ namespace {
 
 /// Bytes the pooled lanes may keep at their high-water, from the live
 /// events and the non-empty lanes at that moment: the blocks hold the
-/// entries (≤ 32 B each) plus at most one partial 512 B block per lane;
-/// the head vectors' capacity is allowed one more copy of the entries.
+/// entries (16 B each) plus at most one partial 512 B block per lane;
+/// the head vector's capacity is allowed one more copy of the entries.
 std::size_t lane_bound(const sim::EventQueue::TierStats& stats) {
-  return 2 * 32 * stats.lane_peak_live + 512 * stats.lane_peak_lanes;
+  return 2 * 16 * stats.lane_peak_live + 512 * stats.lane_peak_lanes;
 }
 
 /// A stationary round-synchronized stream straight on the ladder queue:
@@ -90,13 +90,12 @@ sim::EventQueue::TierStats run_torus(int rounds) {
   return system.simulator().queue_stats();
 }
 
-// The real workload: an 8×8-cluster torus. Its lane count is not
-// stationary over these horizons — as the clocks' skew grows the delivery
-// bands spread over more buckets — so the pooled footprint still grows
-// (0.89 MB at 10 rounds, 1.18 MB at 40: 1.33×, above 1.1×), but every
-// block is accounted for by the live set and its non-empty lanes: the
-// bound reads 1.23 MB and 2.24 MB. Per-bucket vectors kept 8.8 MB and
-// 16.2 MB here, about 7× the bound.
+// The real workload: an 8×8-cluster torus. Its live set is not
+// stationary over these horizons, so the pooled footprint still grows
+// (0.52 MB at 10 rounds, 0.57 MB at 40), but every block is accounted for
+// by the live set and its non-empty lanes: the bound reads 0.58 MB and
+// 0.89 MB. Per-bucket vectors kept 8.8 MB and 16.2 MB here (with 32 B
+// entries), about 7× the bound of the time.
 TEST(QueueFootprint, TorusLanePeakFollowsTheLiveSet) {
   for (const int rounds : {10, 40}) {
     const auto stats = run_torus(rounds);

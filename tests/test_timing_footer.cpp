@@ -102,11 +102,11 @@ TEST(TimingFooter, FaultBoundaryViolations) {
   EXPECT_EQ(masked_footer(c, "e4"),
             "queue[ladder]: buckets=265 rung_spawns=0 overflow_peak=265 "
             "reseeds=1981\n"
-            "runs[ladder]: run_events=246638 sorted_elements=892509 "
-            "sort_fallbacks=214\n"
-            "bytes[queue]: entry_bytes=21954544 narrow=563577 wide=291591 "
-            "groups=90160 mean_group=6.3 bytes_per_event=25.7 "
-            "lane_peak_bytes=38400 lane_peak_lanes=70 lane_peak_live=226\n"
+            "runs[ladder]: run_events=246638 sorted_elements=842551 "
+            "sort_fallbacks=13\n"
+            "bytes[queue]: entry_bytes=19389128 narrow=616078 wide=239090 "
+            "groups=142661 mean_group=4.3 bytes_per_event=22.7 "
+            "lane_peak_bytes=29696 lane_peak_lanes=52 lane_peak_live=227\n"
             "deliveries: total=891336 cluster=234378 level=656958 share=0 "
             "propose=0 elided=277923 elided_share=0.312\n"
             "monitors[on]: probes=7200 violations=705 max_local=33.41 "
@@ -131,11 +131,11 @@ TEST(TimingFooter, ShardedTorusWithCapture) {
   EXPECT_EQ(masked_footer(c, "torus"),
             "queue[ladder]: buckets=9344 rung_spawns=0 overflow_peak=9344 "
             "reseeds=103\n"
-            "runs[ladder]: run_events=789421 sorted_elements=1015694 "
-            "sort_fallbacks=65\n"
-            "bytes[queue]: entry_bytes=22087328 narrow=732160 wide=272149 "
-            "groups=41600 mean_group=17.6 bytes_per_event=22.0 "
-            "lane_peak_bytes=1313280 lane_peak_lanes=2371 "
+            "runs[ladder]: run_events=789421 sorted_elements=993025 "
+            "sort_fallbacks=0\n"
+            "bytes[queue]: entry_bytes=21726544 narrow=832000 wide=172309 "
+            "groups=141440 mean_group=5.9 bytes_per_event=21.6 "
+            "lane_peak_bytes=974336 lane_peak_lanes=1837 "
             "lane_peak_live=6656\n"
             "deliveries: total=825068 cluster=166400 level=658668 share=0 "
             "propose=0 elided=0 elided_share=0.000\n"
@@ -157,11 +157,11 @@ TEST(TimingFooter, MonitorsOff) {
   EXPECT_EQ(masked_footer(c, "nomon"),
             "queue[ladder]: buckets=265 rung_spawns=0 overflow_peak=265 "
             "reseeds=1981\n"
-            "runs[ladder]: run_events=246638 sorted_elements=892509 "
-            "sort_fallbacks=214\n"
-            "bytes[queue]: entry_bytes=21954544 narrow=563577 wide=291591 "
-            "groups=90160 mean_group=6.3 bytes_per_event=25.7 "
-            "lane_peak_bytes=38400 lane_peak_lanes=70 lane_peak_live=226\n"
+            "runs[ladder]: run_events=246638 sorted_elements=842551 "
+            "sort_fallbacks=13\n"
+            "bytes[queue]: entry_bytes=19389128 narrow=616078 wide=239090 "
+            "groups=142661 mean_group=4.3 bytes_per_event=22.7 "
+            "lane_peak_bytes=29696 lane_peak_lanes=52 lane_peak_live=227\n"
             "deliveries: total=891336 cluster=234378 level=656958 share=0 "
             "propose=0 elided=277923 elided_share=0.312\n"
             "monitors=off\n"
@@ -180,11 +180,11 @@ TEST(TimingFooter, DegenerateShardFallback) {
   EXPECT_EQ(masked_footer(c, "fallback"),
             "queue[ladder]: buckets=39 rung_spawns=0 overflow_peak=39 "
             "reseeds=2196\n"
-            "runs[ladder]: run_events=28425 sorted_elements=123763 "
+            "runs[ladder]: run_events=28425 sorted_elements=119007 "
             "sort_fallbacks=0\n"
-            "bytes[queue]: entry_bytes=3951720 narrow=70539 wide=50703 "
-            "groups=30015 mean_group=2.4 bytes_per_event=32.6 "
-            "lane_peak_bytes=9216 lane_peak_lanes=16 lane_peak_live=25\n"
+            "bytes[queue]: entry_bytes=3393112 narrow=76855 wide=44387 "
+            "groups=36331 mean_group=2.1 bytes_per_event=28.0 "
+            "lane_peak_bytes=7168 lane_peak_lanes=11 lane_peak_live=36\n"
             "deliveries: total=126007 cluster=32316 level=93691 share=0 "
             "propose=0 elided=49521 elided_share=0.393\n"
             "shards: requested 4, partition degenerate — ran the "
@@ -210,11 +210,11 @@ TEST(TimingFooter, MixedShardedAndFallbackTasks) {
   EXPECT_EQ(masked_footer(c, "mixed"),
             "queue[ladder]: buckets=158 rung_spawns=0 overflow_peak=158 "
             "reseeds=655\n"
-            "runs[ladder]: run_events=47578 sorted_elements=131946 "
-            "sort_fallbacks=560\n"
-            "bytes[queue]: entry_bytes=3481024 narrow=49132 wide=66666 "
-            "groups=14040 mean_group=3.5 bytes_per_event=30.1 "
-            "lane_peak_bytes=27648 lane_peak_lanes=41 lane_peak_live=240\n"
+            "runs[ladder]: run_events=47578 sorted_elements=105619 "
+            "sort_fallbacks=0\n"
+            "bytes[queue]: entry_bytes=3796288 narrow=83680 wide=32118 "
+            "groups=48588 mean_group=1.7 bytes_per_event=32.8 "
+            "lane_peak_bytes=20480 lane_peak_lanes=31 lane_peak_live=198\n"
             "deliveries: total=118500 cluster=28644 level=89856 share=0 "
             "propose=0 elided=35108 elided_share=0.296\n"
             "shards[2]: cut_edges=32 min_cut_delay=0.99 windows=1440 "

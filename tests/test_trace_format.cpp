@@ -240,11 +240,11 @@ TEST(TraceFormat, EveryStrategyTorusTracePinned) {
   }
 }
 
-// The bytes-per-event pin: broadcast fan-outs ride the ladder's 16 B
-// narrow lane via coalesced group inserts, and the captured trace must
-// stay byte-identical at shard counts 1 and 2. The narrow/group counter
-// assertions prove the lane actually carried traffic — without them this
-// would silently re-pin the wide path.
+// The bytes-per-event pin: broadcast fan-outs enter the ladder as
+// coalesced groups, and the captured trace must stay byte-identical at
+// shard counts 1 and 2. The narrow (group delivery) and group counter
+// assertions prove the groups actually carried traffic — without them
+// this would silently re-pin a per-delivery path.
 TEST(TraceFormat, TorusNarrowCoalescedLaneIdenticalAcrossShards) {
   exp::register_builtin_scenarios();
   ScenarioSpec spec = *exp::Registry::instance().find("large_torus");
