@@ -42,28 +42,14 @@ EstimateBank::~EstimateBank() {
   ::operator delete(replicas_);
 }
 
-int EstimateBank::find_index(int cluster) const {
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    if (order_[i] == cluster) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 std::size_t EstimateBank::index_for(int cluster) const {
-  const int i = find_index(cluster);
-  FTGCS_EXPECTS(i >= 0 && "cluster not adjacent");
-  return static_cast<std::size_t>(i);
+  const auto it = std::find(order_.begin(), order_.end(), cluster);
+  FTGCS_EXPECTS(it != order_.end() && "cluster not adjacent");
+  return static_cast<std::size_t>(it - order_.begin());
 }
 
 void EstimateBank::start() {
   for (std::size_t i : by_cluster_) replicas_[i].start();
-}
-
-bool EstimateBank::route_pulse(int cluster, int member_index, sim::Time now) {
-  const int i = find_index(cluster);
-  if (i < 0) return false;
-  replicas_[static_cast<std::size_t>(i)].on_member_pulse(member_index, now);
-  return true;
 }
 
 double EstimateBank::estimate(int cluster, sim::Time now) const {

@@ -7,10 +7,10 @@
 // Lynch–Welch analysis applies unchanged to the replica (its nominal rate
 // lies in the same [1, ϑ_g] envelope), so |L̃_vB(t) − L_B(t)| ≤ E.
 //
-// EstimateBank owns one replica per adjacent cluster and routes pulses.
-// The replicas are constructed in place, in adjacency order, in one heap
-// block per bank; inside a system their receive lanes live in the
-// NodeTable (adopt_lane) and their constants in the system's shared
+// EstimateBank owns one replica per adjacent cluster. The replicas are
+// constructed in place, in adjacency order, in one heap block per bank;
+// inside a system their receive lanes live in the NodeTable (adopt_lane),
+// which routes every pulse, and their constants in the system's shared
 // ClusterSyncConfig, so a replica keeps only its clock, timers, loopback
 // stream and counters.
 #pragma once
@@ -43,11 +43,6 @@ class EstimateBank {
 
   /// Starts all replicas (at the global time-0 initialization).
   void start();
-
-  /// Routes a pulse iff `cluster` has a replica here; returns whether it
-  /// was routed. One scan replaces the caller's adjacency check + the
-  /// routing lookup on the per-pulse hot path.
-  bool route_pulse(int cluster, int member_index, sim::Time now);
 
   /// L̃_vB(now) for adjacent cluster B = `cluster`.
   double estimate(int cluster, sim::Time now) const;
@@ -82,15 +77,13 @@ class EstimateBank {
   }
 
  private:
-  int find_index(int cluster) const;      ///< −1 if not adjacent
   std::size_t index_for(int cluster) const;  ///< aborts if not adjacent
 
   std::vector<int> order_;
   /// Parallel to order_: order_.size() engines constructed in place in
   /// one block (engines register `this` with the simulator, so they never
-  /// move). Pulse routing is a linear scan over order_ — adjacency degrees
-  /// are small, and the scan beats a map's pointer chase on every
-  /// delivery.
+  /// move). Lookup by cluster is a linear scan over order_ — adjacency
+  /// degrees are small.
   ClusterSyncEngine* replicas_ = nullptr;
   /// Indices into replicas_ in ascending-cluster order; start() and rate
   /// changes iterate this to keep the event schedule identical to the

@@ -1,6 +1,8 @@
 #include "core/ftgcs_node.h"
 
+#include <algorithm>
 #include <limits>
+#include <span>
 
 #include "core/node_table.h"
 #include "support/assert.h"
@@ -8,12 +10,18 @@
 
 namespace ftgcs::core {
 
-NodeConstants::NodeConstants(const Params& p)
+NodeConstants::NodeConstants(const Params& p,
+                             const net::AugmentedTopology& topo)
     : params(p), sync(ClusterSyncConfig::from(p)) {
   level.d = p.d;
   level.U = p.U;
   level.rho = p.rho;
   level.f = p.f;
+  std::size_t max_degree = 0;
+  for (int c = 0; c < topo.num_clusters(); ++c) {
+    max_degree = std::max(max_degree, topo.cluster_neighbors(c).size());
+  }
+  unit_weights.assign(max_degree, 1.0);
 }
 
 FtGcsNode::FtGcsNode(sim::Simulator& simulator, net::Network& network,
@@ -22,11 +30,9 @@ FtGcsNode::FtGcsNode(sim::Simulator& simulator, net::Network& network,
                      sim::Rng rng, const Options& options)
     : sim_(simulator),
       net_(network),
-      topo_(topo),
       constants_(constants),
       id_(node_id),
       cluster_(topo.cluster_of(node_id)),
-      hardware_(simulator.now(), 0.0, 1.0),
       engine_(simulator, constants.sync, ClusterSyncMode::kActive,
               options.start_round, 1.0, rng.fork(1)),
       estimates_(simulator, constants.sync, topo.cluster_neighbors(cluster_),
@@ -44,10 +50,7 @@ FtGcsNode::FtGcsNode(sim::Simulator& simulator, net::Network& network,
   if (!options.edge_weights.empty()) {
     FTGCS_EXPECTS(options.edge_weights.size() ==
                   estimates_.clusters().size());
-    for (double weight : options.edge_weights) {
-      edge_kappas_.push_back(weight * params().kappa);
-      edge_slacks_.push_back(weight * params().delta_trig);
-    }
+    edge_weights_ = options.edge_weights;
   }
 
   engine_.set_hooks(this);
@@ -55,21 +58,17 @@ FtGcsNode::FtGcsNode(sim::Simulator& simulator, net::Network& network,
   if (options.enable_global_module) {
     max_estimator_.emplace(simulator, constants.level, 1.0);
     max_estimator_->on_emit = [this](int level) {
-      if (crashed_) return;
-      net::Pulse pulse;
-      pulse.sender = id_;
-      pulse.kind = net::PulseKind::kMaxLevel;
-      pulse.level = level;
-      net_.broadcast(id_, pulse);
+      broadcast(net::PulseKind::kMaxLevel, level);
     };
   }
 }
 
-void FtGcsNode::on_pulse_instant(int /*round*/, sim::Time /*now*/) {
+void FtGcsNode::broadcast(net::PulseKind kind, int level) {
   if (crashed_) return;
   net::Pulse pulse;
   pulse.sender = id_;
-  pulse.kind = net::PulseKind::kClusterPulse;
+  pulse.kind = kind;
+  pulse.level = level;
   net_.broadcast(id_, pulse);
 }
 
@@ -102,13 +101,11 @@ void FtGcsNode::on_round_start(int round) {
   if (max_estimator_) max_estimator_->observe_own_clock(self, now);
   // Only estimates of currently-active edges are considered by the
   // triggers (all edges active unless the dynamic-topology API is used).
+  // Without edge weights every weight is 1, and any prefix of the shared
+  // all-ones span is parallel to the active estimates.
   std::vector<double>& ests = round_ests_;
-  std::vector<double>& kappas = round_kappas_;
-  std::vector<double>& slacks = round_slacks_;
   ests.clear();
-  kappas.clear();
-  slacks.clear();
-  const bool weighted = !edge_kappas_.empty();
+  round_weights_.clear();
   const auto& adjacent = estimates_.clusters();
   ests.reserve(adjacent.size());
   // Estimates are read by replica position (one clock read per active
@@ -116,18 +113,17 @@ void FtGcsNode::on_round_start(int round) {
   for (std::size_t i = 0; i < adjacent.size(); ++i) {
     if (!edge_active_[i]) continue;
     ests.push_back(estimates_.estimate_at(i, now));
-    if (weighted) {
-      kappas.push_back(edge_kappas_[i]);
-      slacks.push_back(edge_slacks_[i]);
-    }
+    if (!edge_weights_.empty()) round_weights_.push_back(edge_weights_[i]);
   }
+  const std::span<const double> weights =
+      edge_weights_.empty()
+          ? std::span<const double>(constants_.unit_weights)
+                .first(ests.size())
+          : std::span<const double>(round_weights_);
   const ModeDecision decision =
-      weighted ? controller_.decide_weighted(self, ests, kappas, slacks,
-                                             max_estimate(now))
-               : controller_.decide(self, ests, max_estimate(now));
+      controller_.decide(self, ests, weights, max_estimate(now));
   engine_.clock().set_gamma(now, decision.gamma);
   if (table_ != nullptr) table_->set_gamma(id_, decision.gamma);
-  last_reason_ = decision.reason;
   ++mode_counts_[static_cast<std::size_t>(decision.reason)];
 
   if (on_round_observed) {
@@ -138,38 +134,6 @@ void FtGcsNode::on_round_start(int round) {
   }
 }
 
-void FtGcsNode::on_pulse(const net::Pulse& pulse, sim::Time now) {
-  switch (pulse.kind) {
-    case net::PulseKind::kClusterPulse: {
-      const int sender_cluster = topo_.cluster_of(pulse.sender);
-      const int index = topo_.index_in_cluster(pulse.sender);
-      if (sender_cluster == cluster_) {
-        engine_.on_member_pulse(index, now);
-      } else {
-        // route_pulse drops pulses from non-adjacent clusters (the
-        // physical network only connects adjacent ones).
-        estimates_.route_pulse(sender_cluster, index, now);
-      }
-      break;
-    }
-    case net::PulseKind::kMaxLevel: {
-      // Cheap rejects (self-loopback, below the flooding floor) before
-      // the topology lookups: most level pulses in a synchronized system
-      // are stale, and this is the highest-traffic path there is.
-      if (max_estimator_ && pulse.sender != id_ &&
-          !max_estimator_->is_stale_level(pulse.level)) {
-        max_estimator_->on_level_pulse(topo_.cluster_of(pulse.sender),
-                                       topo_.index_in_cluster(pulse.sender),
-                                       /*from_self=*/false, pulse.level, now);
-      }
-      break;
-    }
-    case net::PulseKind::kShare:
-    case net::PulseKind::kPropose:
-      break;  // baseline traffic; not part of this protocol
-  }
-}
-
 void FtGcsNode::set_hardware_rate(sim::Time now, double rate) {
   // Paper §2's model, h ∈ [1, 1+ρ]. The envelope check is on a
   // dimensionless rate; its slack is the rate epsilon, not the (much
@@ -177,7 +141,6 @@ void FtGcsNode::set_hardware_rate(sim::Time now, double rate) {
   // the send-time proof that a level delivery is dead
   // (core/node_table.h) needs M_v to grow at no less than 1/(1+ρ).
   FTGCS_EXPECTS(rate >= 1.0 && rate <= 1.0 + params().rho + support::kRateEps);
-  hardware_.set_rate(now, rate);
   engine_.set_hardware_rate(now, rate);
   estimates_.set_hardware_rate(now, rate);
   if (max_estimator_) max_estimator_->set_hardware_rate(now, rate);
@@ -207,12 +170,11 @@ void FtGcsNode::on_event(sim::EventKind kind,
   FTGCS_ASSERT(kind == sim::EventKind::kTimer);
   switch (payload.a) {
     case kCrashAction:
-      // Crash-stop: swap the receive path to the null sink, cancel every
-      // pending engine/replica/estimator timer, and mark the columnar
-      // state. From here on the node schedules nothing, processes
-      // nothing, and sends nothing — its event and timer counts freeze.
+      // Crash-stop: cancel every pending engine/replica/estimator timer
+      // and mark the columnar state, which drops every later delivery.
+      // From here on the node schedules nothing, processes nothing, and
+      // sends nothing — its event and timer counts freeze.
       crashed_ = true;
-      net_.register_null_handler(id_);
       engine_.halt();
       estimates_.halt();
       if (max_estimator_) max_estimator_->halt();

@@ -6,8 +6,8 @@
 //     round start,
 //   * optionally the global-skew module (Appendix C).
 //
-// All clocks of one node are driven by its single hardware clock; drift
-// models push rate changes through set_hardware_rate().
+// All clocks of one node run at its one hardware rate; drift models push
+// rate changes through set_hardware_rate().
 #pragma once
 
 #include <array>
@@ -17,7 +17,6 @@
 #include <optional>
 #include <vector>
 
-#include "clocks/hardware_clock.h"
 #include "core/cluster_sync.h"
 #include "core/estimates.h"
 #include "core/global_skew.h"
@@ -35,13 +34,17 @@ class NodeTable;
 /// and estimator constants derived from them. Built once per system and
 /// held by reference — it must outlive every node built from it.
 struct NodeConstants {
-  explicit NodeConstants(const Params& p);
+  /// `topo` sizes unit_weights (its largest cluster degree).
+  NodeConstants(const Params& p, const net::AugmentedTopology& topo);
   NodeConstants(const NodeConstants&) = delete;
   NodeConstants& operator=(const NodeConstants&) = delete;
 
   Params params;
   ClusterSyncConfig sync;     ///< the own engine's and every replica's
   MaxEstimator::Config level; ///< App. C estimator
+  /// All-ones edge weights, one per adjacent cluster of the best-connected
+  /// cluster: the trigger weights of every node without edge weights.
+  std::vector<double> unit_weights;
 };
 
 struct FtGcsNodeOptions {
@@ -68,9 +71,10 @@ struct FtGcsNodeOptions {
   std::vector<double> edge_weights;
 };
 
-class FtGcsNode final : public net::PulseSink,
-                        public sim::EventSink,
-                        private ClusterSyncHooks {
+/// Receives nothing itself: every delivery to a correct node goes to the
+/// system's NodeTable (core/node_table.h), which writes the node's receive
+/// lanes and calls its MaxEstimator.
+class FtGcsNode final : public sim::EventSink, private ClusterSyncHooks {
  public:
   using Options = FtGcsNodeOptions;
 
@@ -88,10 +92,6 @@ class FtGcsNode final : public net::PulseSink,
   /// global time-0 initialization.
   void start();
 
-  /// Network receive entry point (the node registers itself as the typed
-  /// sink for its id).
-  void on_pulse(const net::Pulse& pulse, sim::Time now) override;
-
   /// Typed simulator events: scheduled crash / transient-fault injection.
   void on_event(sim::EventKind kind, const sim::EventPayload& payload,
                 sim::Time now) override;
@@ -99,18 +99,18 @@ class FtGcsNode final : public net::PulseSink,
   /// Drift-model sink.
   void set_hardware_rate(sim::Time now, double rate);
 
-  /// Benign crash: from time t on the node is STOPPED — its network sink
-  /// is swapped to the null sink, its engine, replica, and max-estimator
-  /// timers are cancelled, and it neither sends nor processes anything
-  /// again (equivalent, for the rest of the system, to removing its links
-  /// — see the paper's discussion of crash faults).
+  /// Benign crash: from time t on the node is STOPPED — the table drops
+  /// its deliveries, its engine, replica, and max-estimator timers are
+  /// cancelled, and it neither sends nor processes anything again
+  /// (equivalent, for the rest of the system, to removing its links — see
+  /// the paper's discussion of crash faults).
   void crash_at(sim::Time t);
   bool crashed() const { return crashed_; }
 
   /// Binds the node to the system's columnar table (after the table
   /// adopted the node's lanes): γ decisions and the kMaxLevel staleness
-  /// floor write through so the flat dispatch path classifies and snapshots
-  /// without touching the node.
+  /// floor write through so the table classifies and snapshots without
+  /// touching the node.
   void attach_table(NodeTable* table);
 
   /// Fault injection (tests/experiments): transiently corrupts the
@@ -131,11 +131,13 @@ class FtGcsNode final : public net::PulseSink,
   int id() const { return id_; }
   int cluster() const { return cluster_; }
   double logical(sim::Time now) const { return engine_.clock().read(now); }
-  double hardware(sim::Time now) const { return hardware_.read(now); }
   int gamma() const { return engine_.clock().gamma(); }
   int round() const { return engine_.round(); }
-  ModeReason last_mode_reason() const { return last_reason_; }
   double max_estimate(sim::Time now) const;
+  /// The App. C estimator; null without the global module.
+  MaxEstimator* max_estimator() {
+    return max_estimator_ ? &*max_estimator_ : nullptr;
+  }
 
   const ClusterSyncEngine& engine() const { return engine_; }
   ClusterSyncEngine& engine() { return engine_; }
@@ -161,20 +163,23 @@ class FtGcsNode final : public net::PulseSink,
   /// ClusterSyncHooks of the own engine: Algorithm 2 at each round start,
   /// the physical broadcast at each pulse instant.
   void on_round_start(int round) override;
-  void on_pulse_instant(int round, sim::Time now) override;
+  void on_pulse_instant(int /*round*/, sim::Time /*now*/) override {
+    broadcast(net::PulseKind::kClusterPulse, 0);
+  }
+
+  /// Broadcasts the node's own pulse of `kind` (nothing once crashed).
+  void broadcast(net::PulseKind kind, int level);
 
   const Params& params() const { return constants_.params; }
 
   sim::Simulator& sim_;
   net::Network& net_;
-  const net::AugmentedTopology& topo_;
   const NodeConstants& constants_;
   int id_;
   int cluster_;
   sim::SinkId self_ = sim::kInvalidSink;
   NodeTable* table_ = nullptr;  ///< columnar mirror (null outside a system)
 
-  clocks::HardwareClock hardware_;
   ClusterSyncEngine engine_;
   EstimateBank estimates_;
   InterclusterController controller_;
@@ -184,19 +189,18 @@ class FtGcsNode final : public net::PulseSink,
   std::optional<MaxEstimator> max_estimator_;
 
   bool crashed_ = false;
-  ModeReason last_reason_ = ModeReason::kDefaultSlow;
   std::array<std::uint64_t, 4> mode_counts_{};
   /// Parallel to estimates_.clusters(): edge considered by the triggers?
   std::vector<bool> edge_active_;
-  /// Weighted mode (footnote 1): per-edge κ_e / δ_e; empty = uniform.
-  std::vector<double> edge_kappas_;
-  std::vector<double> edge_slacks_;
+  /// Per-edge weights (footnote 1), parallel to estimates_.clusters();
+  /// empty = all 1, read from NodeConstants::unit_weights.
+  std::vector<double> edge_weights_;
   /// Scratch buffers of on_round_start (one trigger evaluation per
-  /// round per node — reusing them keeps the round path allocation-free).
+  /// round per node — reusing them keeps the round path allocation-free):
+  /// the active edges' estimates and, with edge weights, their weights.
   std::vector<double> round_ests_;
-  std::vector<double> round_kappas_;
-  std::vector<double> round_slacks_;
+  std::vector<double> round_weights_;
 };
-static_assert(sizeof(FtGcsNode) == 928);
+static_assert(sizeof(FtGcsNode) == 816);
 
 }  // namespace ftgcs::core

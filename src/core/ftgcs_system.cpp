@@ -15,7 +15,7 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
       topo_(config.shared_topo != nullptr ? *config.shared_topo
                                           : *owned_topo_),
       config_(std::move(config)),
-      constants_(config_.params) {
+      constants_(config_.params, topo_) {
   FTGCS_EXPECTS(config_.params.feasible());
   FTGCS_EXPECTS(config_.fault_plan.max_faults_per_cluster(topo_) <=
                 topo_.cluster_size());
@@ -108,18 +108,17 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
       nodes_[id] = std::make_unique<FtGcsNode>(
           sim_, *network_, topo_, constants_, id, node_rng, options);
       ++num_correct_;
-      network_->register_handler(id, nodes_[id].get());
     }
   }
 
   // Columnar dispatch: the table adopts every correct node's receive
-  // lanes, the network routes fast kClusterPulse deliveries through it,
-  // and the simulator drains pure-receive pulse runs in batches.
+  // lanes and estimator, the network hands it every delivery to a correct
+  // node, and the simulator drains pure-receive pulse runs in batches.
   table_.build(topo_, nodes_, sim_.batch_scratch());
   for (auto& node : nodes_) {
     if (node) node->attach_table(&table_);
   }
-  network_->set_cluster_dispatch(&table_, table_.fast_flags());
+  network_->set_cluster_dispatch(&table_, table_.managed_flags());
   sim_.set_batch_channel(network_->sink_id(), sim::EventKind::kPulse,
                          &NodeTable::pure_pulse, &table_);
   // Level deliveries proven dead at send time skip the queue (see

@@ -92,19 +92,11 @@ void MaxEstimator::observe_own_clock(double logical, sim::Time now) {
 }
 
 QuorumWindow& MaxEstimator::heard_window(int cluster) {
-  // Adopted span first: pre-labelled with every cluster that can
-  // physically reach this node, contiguous in the table's flat bank.
-  for (int i = 0; i < quorum_count_; ++i) {
-    if (quorum_[i].cluster == cluster) return quorum_[i];
-  }
-  // Fallback — standalone estimators (no table) and forged sender ids
-  // mapping to clusters no physical neighbor belongs to.
-  for (auto& window : heard_) {
-    if (window.cluster == cluster) return window;
-  }
-  heard_.push_back(QuorumWindow{});
-  heard_.back().cluster = cluster;
-  return heard_.back();
+  QuorumWindow* window = quorum_;
+  QuorumWindow* const end = quorum_ + quorum_count_;
+  while (window != end && window->cluster != cluster) ++window;
+  FTGCS_EXPECTS(window != end);  // a cluster with no bound window
+  return *window;
 }
 
 void MaxEstimator::on_level_pulse(int cluster, int member_index,

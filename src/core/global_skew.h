@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <vector>
 
 #include "core/quorum_window.h"
 #include "sim/simulator.h"
@@ -119,8 +118,10 @@ class MaxEstimator final : public sim::EventSink {
   void set_hardware_rate(sim::Time now, double rate);
 
   /// Handles a received level pulse from member `member_index` of
-  /// `cluster`. Own loopback pulses must be filtered by the caller
-  /// (`from_self`): a node's own pulse carries no new information.
+  /// `cluster`, which must have a bound quorum window (links identify
+  /// their sender, so only a physically adjacent cluster can send). Own
+  /// loopback pulses must be filtered by the caller (`from_self`): a
+  /// node's own pulse carries no new information.
   void on_level_pulse(int cluster, int member_index, bool from_self,
                       int level, sim::Time now);
 
@@ -153,15 +154,13 @@ class MaxEstimator final : public sim::EventSink {
     publish(sim_.now());
   }
 
-  /// Adopts the node's quorum windows from the system's columnar table
-  /// (see core/quorum_window.h): `windows[0..count)` is a flat span, one
-  /// pre-labelled window per cluster that can physically reach this node.
-  /// Must be bound before any level pulse is processed. Without a table
-  /// (standalone estimators in unit tests) the private fallback vector is
-  /// used — same records, same insert, bit-identical counts.
+  /// Binds the node's quorum windows (see core/quorum_window.h):
+  /// `windows[0..count)` is a flat span, one pre-labelled window per
+  /// cluster that can physically reach this node — inside a system, the
+  /// node's span of the NodeTable's bank. Must be bound before any level
+  /// pulse is processed.
   void bind_quorum(QuorumWindow* windows, int count) {
     FTGCS_EXPECTS(windows != nullptr && count >= 0);
-    FTGCS_EXPECTS(heard_.empty());  // bind before traffic
     quorum_ = windows;
     quorum_count_ = count;
   }
@@ -200,20 +199,13 @@ class MaxEstimator final : public sim::EventSink {
   sim::EventId pending_emit_{};
   bool halted_ = false;
 
-  /// Distinct member indices heard per (cluster, level): one QuorumWindow
-  /// per sending cluster (linear scan — degrees are small). The record
-  /// layout and the insert primitive live in core/quorum_window.h, shared
-  /// with NodeTable: inside a system the windows are a span of the table's
-  /// flat columnar bank (quorum_ / quorum_count_, pre-labelled with every
-  /// cluster that can physically reach the node); standalone estimators
-  /// fall back to the private heard_ vector (lazily grown, as before).
-  /// A window for a cluster outside the adopted span — reachable only via
-  /// a forged sender id — falls back to heard_ as well.
+  /// Distinct member indices heard per (cluster, level): the bound
+  /// window of `cluster` (linear scan — degrees are small). The record
+  /// layout and the insert primitive live in core/quorum_window.h.
   QuorumWindow& heard_window(int cluster);
 
-  QuorumWindow* quorum_ = nullptr;  ///< adopted span (see bind_quorum)
+  QuorumWindow* quorum_ = nullptr;  ///< bound span (see bind_quorum)
   int quorum_count_ = 0;
-  std::vector<QuorumWindow> heard_;  ///< fallback: standalone / forged ids
   std::uint64_t jumps_ = 0;
   bool started_ = false;
 };

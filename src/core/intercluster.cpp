@@ -17,49 +17,22 @@ InterclusterController::InterclusterController(double kappa, double slack,
   FTGCS_EXPECTS(slack < 2.0 * kappa);
 }
 
-ModeDecision InterclusterController::decide_weighted(
-    double self, std::span<const double> estimates,
-    std::span<const double> kappas, std::span<const double> slacks,
-    double max_estimate) const {
-  if (estimates.empty()) {
-    if (use_global_module_ && self <= max_estimate - c_global_ * slack_) {
-      return {1, ModeReason::kMaxCatchUp};
+ModeDecision InterclusterController::decide(double self,
+                                            std::span<const double> estimates,
+                                            std::span<const double> weights,
+                                            double max_estimate) const {
+  FTGCS_EXPECTS(weights.size() == estimates.size());
+  if (!estimates.empty()) {
+    const WeightedTriggerView view{self, estimates, weights};
+    if (weighted_fast_trigger(view, kappa_, slack_)) {
+      return {1, ModeReason::kFastTrigger};
     }
-    return {0, ModeReason::kDefaultSlow};
-  }
-  const WeightedTriggerView view{self, estimates, kappas, slacks};
-  if (weighted_fast_trigger(view)) {
-    return {1, ModeReason::kFastTrigger};
-  }
-  if (weighted_slow_trigger(view)) {
-    return {0, ModeReason::kSlowTrigger};
-  }
-  if (use_global_module_ && self <= max_estimate - c_global_ * slack_) {
-    return {1, ModeReason::kMaxCatchUp};
-  }
-  return {0, ModeReason::kDefaultSlow};
-}
-
-ModeDecision InterclusterController::decide(
-    double self, std::span<const double> estimates,
-    double max_estimate) const {
-  if (estimates.empty()) {
-    // Isolated cluster: no gradient constraints; stay slow unless the
-    // global module demands catch-up.
-    if (use_global_module_ &&
-        self <= max_estimate - c_global_ * slack_) {
-      return {1, ModeReason::kMaxCatchUp};
+    if (weighted_slow_trigger(view, kappa_, slack_)) {
+      return {0, ModeReason::kSlowTrigger};
     }
-    return {0, ModeReason::kDefaultSlow};
   }
-
-  const TriggerView view{self, estimates};
-  if (fast_trigger(view, kappa_, slack_)) {
-    return {1, ModeReason::kFastTrigger};
-  }
-  if (slow_trigger(view, kappa_, slack_)) {
-    return {0, ModeReason::kSlowTrigger};
-  }
+  // No trigger (or an isolated cluster, with no gradient constraints):
+  // catch up if the global module demands it, else stay slow.
   if (use_global_module_ && self <= max_estimate - c_global_ * slack_) {
     return {1, ModeReason::kMaxCatchUp};
   }

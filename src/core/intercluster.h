@@ -39,17 +39,13 @@ class InterclusterController {
                          bool use_global_module);
 
   /// Decides γ_v from the node's own logical clock value, its estimates of
-  /// adjacent cluster clocks, and (if enabled) its max-estimate M_v.
+  /// adjacent cluster clocks, their edge weights (paper footnote 1: κ_e =
+  /// w_e·κ and δ_e = w_e·δ; all 1 on a uniform network), and (if enabled)
+  /// its max-estimate M_v. `weights` is parallel to `estimates`; the
+  /// catch-up rule keeps using the base δ.
   ModeDecision decide(double self, std::span<const double> estimates,
+                      std::span<const double> weights,
                       double max_estimate) const;
-
-  /// Weighted variant (paper footnote 1): per-edge κ_e and δ_e, parallel
-  /// to `estimates`. The catch-up rule keeps using the base δ.
-  ModeDecision decide_weighted(double self,
-                               std::span<const double> estimates,
-                               std::span<const double> kappas,
-                               std::span<const double> slacks,
-                               double max_estimate) const;
 
   double kappa() const { return kappa_; }
   double slack() const { return slack_; }

@@ -21,12 +21,12 @@ void NodeTable::build(const net::AugmentedTopology& topo,
   index_in_cluster_.resize(static_cast<std::size_t>(n));
   managed_.assign(static_cast<std::size_t>(n), 0);
   crashed_.assign(static_cast<std::size_t>(n), 0);
-  fast_.assign(static_cast<std::size_t>(n), 0);
-  // Default floor: drop every level pulse. Correct for null/Byzantine-free
-  // destinations without an estimator (their on_pulse ignores kMaxLevel);
-  // a destination with its own sink semantics — a Byzantine node — must
-  // never be batch-dropped, so its floor goes to INT32_MIN below. Managed
-  // nodes with an estimator overwrite the mirror through the binding.
+  estimator_.assign(static_cast<std::size_t>(n), nullptr);
+  // Default floor: drop every level pulse. Correct for managed nodes
+  // without an estimator (no global module); a destination with its own
+  // sink semantics — a Byzantine node — must never be batch-dropped, so
+  // its floor goes to INT32_MIN below. Managed nodes with an estimator
+  // overwrite the mirror through the binding.
   level_.assign(static_cast<std::size_t>(n), LevelMirror{});
   gamma_.assign(static_cast<std::size_t>(n), 0);
   lane_offset_.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -69,7 +69,7 @@ void NodeTable::build(const net::AugmentedTopology& topo,
     FtGcsNode* node = nodes[static_cast<std::size_t>(id)].get();
     if (node == nullptr) continue;
     managed_[static_cast<std::size_t>(id)] = 1;
-    fast_[static_cast<std::size_t>(id)] = 1;
+    estimator_[static_cast<std::size_t>(id)] = node->max_estimator();
     std::size_t lane =
         static_cast<std::size_t>(lane_offset_[static_cast<std::size_t>(id)]);
     const auto adopt = [&](ClusterSyncEngine& engine, int observed) {
@@ -108,8 +108,8 @@ void NodeTable::on_pulse_run(const sim::BatchedEvent* events, std::size_t n) {
   double* const value_col = s.value.data();
 
   // Pass 1 — decode + filter: resolve each event to a receive lane. Drops
-  // (stale/self kMaxLevel, crashed destinations, non-adjacent senders)
-  // vanish here; the later passes see only committed receives.
+  // (stale/self kMaxLevel, crashed destinations) vanish here; the later
+  // passes see only committed receives.
   std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const sim::EventPayload& p = events[i].payload;
@@ -118,23 +118,18 @@ void NodeTable::on_pulse_run(const sim::BatchedEvent* events, std::size_t n) {
     }
     const auto sender = static_cast<std::size_t>(p.a);
     const auto dest = static_cast<std::size_t>(p.c);
-    if (fast_[dest] == 0) {
-      // Crashed destination (the predicate admits every managed dest): a
-      // pure drop, exactly what the null sink it would otherwise reach
-      // does.
-      continue;
-    }
+    if (crashed_[dest] != 0) continue;  // crash-stop: a pure drop
     const std::int32_t sender_cluster = cluster_[sender];
     std::int32_t lane = lane_offset_[dest];
     const std::int32_t end = lane_offset_[dest + 1];
     FTGCS_ASSERT(lane != end);  // the predicate admits managed nodes only
     if (sender_cluster != lane_cluster_[lane]) {
-      // Adjacent-cluster pulse: find the replica lane (degrees are small;
-      // the scan mirrors EstimateBank::route_pulse). A pulse from a
-      // non-adjacent cluster is dropped, as route_pulse drops it.
+      // Adjacent-cluster pulse: find the replica lane (degrees are
+      // small). Links identify their sender (net::Network::unicast), so
+      // the sender is a neighbor and its cluster has a lane here.
       ++lane;
       while (lane != end && lane_cluster_[lane] != sender_cluster) ++lane;
-      if (lane == end) continue;
+      FTGCS_ASSERT(lane != end);
     }
     lane_col[m] = lane;
     member_col[m] = index_in_cluster_[sender];
@@ -158,6 +153,25 @@ void NodeTable::on_pulse_run(const sim::BatchedEvent* events, std::size_t n) {
     lane_commit(lanes_[static_cast<std::size_t>(lane_col[i])], member_col[i],
                 value_col[i]);
   }
+}
+
+void NodeTable::on_delivery(const sim::EventPayload& payload, sim::Time now) {
+  // Every kClusterPulse to a managed node is a pure receive, and pure
+  // receives fire only in batched runs; the baselines' kinds never reach
+  // a correct FT-GCS node.
+  FTGCS_ASSERT(payload.d ==
+               static_cast<std::uint32_t>(net::PulseKind::kMaxLevel));
+  const auto sender = static_cast<std::size_t>(payload.a);
+  const auto dest = static_cast<std::size_t>(payload.c);
+  // Self-loopbacks and levels below the flooding floor carry no news
+  // (the predicate batch-drops most of them before they get here).
+  MaxEstimator* estimator = estimator_[dest];
+  if (estimator == nullptr || crashed_[dest] != 0 || sender == dest ||
+      estimator->is_stale_level(payload.b)) {
+    return;
+  }
+  estimator->on_level_pulse(cluster_[sender], index_in_cluster_[sender],
+                            /*from_self=*/false, payload.b, now);
 }
 
 bool NodeTable::pure_pulse(const sim::EventPayload& payload, const void* ctx) {
@@ -232,7 +246,6 @@ void NodeTable::mark_crashed(int node, sim::Time now) {
   const auto id = static_cast<std::size_t>(node);
   FTGCS_EXPECTS(managed_[id] != 0);
   crashed_[id] = 1;
-  fast_[id] = 0;
   level_[id].set_floor(INT32_MAX, now);
 }
 

@@ -1,26 +1,28 @@
-// Columnar hot-path state of every node in one FT-GCS system.
+// Columnar hot-path state of every node in one FT-GCS system, and the only
+// receive path of its correct nodes.
 //
-// The 40k-node profile after the ladder-queue engine is dominated by the
-// protocol receive path itself: Network → virtual PulseSink::on_pulse →
-// FtGcsNode topology lookups → EstimateBank scan → scattered
-// ClusterSyncEngine/LogicalClock objects. The per-node state that path
-// actually needs is a few words (TRIX-style: cluster id, member index,
-// crashed flag, a (l0, t0, rate) clock segment, the current γ, and the
-// arrival slots of each observed cluster), so NodeTable stores it as
-// parallel arrays indexed by node id and lane:
+// A correct node's receive step is small (Algorithm 1 line 10 records the
+// first pulse of each member per round; App. C counts f+1 distinct
+// members per cluster and level), and so is the per-node state it needs
+// (TRIX-style: cluster id, member index, crashed flag, a (l0, t0, rate)
+// clock segment, the current γ, and the arrival slots of each observed
+// cluster). NodeTable stores it as parallel arrays indexed by node id and
+// lane:
 //
-//   * per node id — cluster, index-in-cluster, crashed/fast flags, γ, the
-//     App. C estimator mirror (segment + kMaxLevel staleness floor), and
-//     the node's lane range;
+//   * per node id — cluster, index-in-cluster, managed/crashed flags, γ,
+//     the App. C estimator and its mirror (segment + kMaxLevel staleness
+//     floor), and the node's lane range;
 //   * per lane (one per engine: the own ClusterSync engine first, then one
 //     passive replica per adjacent cluster, in estimates order) — a
-//     ReceiveLane whose arrival slots live in one flat bank.
+//     ReceiveLane whose arrival slots live in one flat bank, and a
+//     kMaxLevel quorum window for the same cluster.
 //
 // The engines relocate their hot state INTO the table (adopt_lane) and
 // keep the cold path — construction, timers, round transitions, fault
-// injection, dynamic edges — so a pulse receive through the table and one
-// through FtGcsNode::on_pulse execute the same lane_receive on the same
-// words: the two paths are bit-identical by construction.
+// injection, dynamic edges. The network hands the table every delivery to
+// a correct node: kClusterPulse receives and stale level drops in batched
+// runs (on_pulse_run), a non-stale level pulse one at a time (on_delivery,
+// straight to the destination's MaxEstimator).
 //
 // NodeTable is also the sim-layer batch predicate: it classifies a pulse
 // delivery as a pure receive (batchable kClusterPulse, or a droppable
@@ -109,11 +111,11 @@ class NodeTable final : public net::ClusterPulseTable {
   NodeTable(const NodeTable&) = delete;
   NodeTable& operator=(const NodeTable&) = delete;
 
-  /// Builds the arrays over `topo` and adopts the receive lanes of every
-  /// correct node (`nodes[id]` null for faulty ids). on_pulse_run decodes
-  /// into `scratch`, the simulator-owned arena (see sim/scratch_arena.h),
-  /// which must outlive the table. Called once by FtGcsSystem after node
-  /// construction, before start().
+  /// Builds the arrays over `topo` and adopts the receive lanes and the
+  /// max estimator of every correct node (`nodes[id]` null for faulty
+  /// ids). on_pulse_run decodes into `scratch`, the simulator-owned arena
+  /// (see sim/scratch_arena.h), which must outlive the table. Called once
+  /// by FtGcsSystem after node construction, before start().
   void build(const net::AugmentedTopology& topo,
              const std::vector<std::unique_ptr<FtGcsNode>>& nodes,
              sim::BatchScratch& scratch);
@@ -121,6 +123,11 @@ class NodeTable final : public net::ClusterPulseTable {
   /// net::ClusterPulseTable — the batched pulse receive: kClusterPulse
   /// events route to a lane, stale/self kMaxLevel events drop in place.
   void on_pulse_run(const sim::BatchedEvent* events, std::size_t n) override;
+
+  /// net::ClusterPulseTable — one delivery to a managed node outside a
+  /// batched run, always a kMaxLevel: one that is not stale goes to the
+  /// destination's MaxEstimator (which may jump M and send).
+  void on_delivery(const sim::EventPayload& payload, sim::Time now) override;
 
   /// Sets the App. C constants the send-time proof needs (level spacing
   /// d − U, minimum M rate 1/(1+ρ)). Without it only loopbacks and
@@ -142,10 +149,9 @@ class NodeTable final : public net::ClusterPulseTable {
   /// sim::BatchPredicate (ctx = the NodeTable): pure-receive
   /// classification of one pulse payload. kClusterPulse to a MANAGED
   /// destination is a table receive (on_pulse_run itself drops the
-  /// crashed ones — same observable outcome as the null sink); a
-  /// kMaxLevel that is self-addressed or below the destination's
-  /// staleness floor is a pure drop. Everything else (Byzantine sinks,
-  /// non-stale levels) takes the ordinary per-event path.
+  /// crashed ones); a kMaxLevel that is self-addressed or below the
+  /// destination's staleness floor is a pure drop. Everything else
+  /// (Byzantine sinks, non-stale levels) takes the per-event path.
   static bool pure_pulse(const sim::EventPayload& payload, const void* ctx);
 
   /// Always-on check at a run_until boundary `now`: aborts if a claim of
@@ -153,16 +159,17 @@ class NodeTable final : public net::ClusterPulseTable {
   /// or above the destination's floor.
   void check_claims(sim::Time now) const;
 
-  /// Crash-stop at `now`: marks `node` crashed — the fast flag drops to 0
-  /// (its deliveries fall through to the per-node sink, by then the null
-  /// sink) and the level floor saturates (level pulses to it batch-drop).
+  /// Crash-stop at `now`: marks `node` crashed — every later delivery to
+  /// it is dropped, and the level floor saturates (level pulses to it
+  /// batch-drop).
   void mark_crashed(int node, sim::Time now);
   bool crashed(int node) const {
     return crashed_[static_cast<std::size_t>(node)] != 0;
   }
 
-  /// Per-dest batchable flags for Network::set_cluster_dispatch.
-  const std::uint8_t* fast_flags() const { return fast_.data(); }
+  /// Per-dest managed flags (correct nodes) for
+  /// Network::set_cluster_dispatch.
+  const std::uint8_t* managed_flags() const { return managed_.data(); }
 
   /// Write-through estimator mirror of `node` (bound to its MaxEstimator;
   /// the floor stays INT32_MAX — drop everything — without one).
@@ -180,11 +187,8 @@ class NodeTable final : public net::ClusterPulseTable {
   /// the mirror column, correctness from the managed/crashed flags.
   void snapshot_columns(sim::Time at, SystemColumns& out) const;
 
-  /// Lane span of a managed node: lanes(node)[0] is the own engine,
-  /// followed by one replica lane per adjacent cluster in estimates order.
-  const ReceiveLane* lanes(int node) const {
-    return lanes_.data() + lane_offset_[static_cast<std::size_t>(node)];
-  }
+  /// Lane count of a managed node: the own engine's lane, followed by one
+  /// replica lane per adjacent cluster in estimates order.
   int lane_count(int node) const {
     return lane_offset_[static_cast<std::size_t>(node) + 1] -
            lane_offset_[static_cast<std::size_t>(node)];
@@ -226,7 +230,7 @@ class NodeTable final : public net::ClusterPulseTable {
   std::vector<std::int32_t> index_in_cluster_;
   std::vector<std::uint8_t> managed_;  ///< has adopted lanes (correct node)
   std::vector<std::uint8_t> crashed_;
-  std::vector<std::uint8_t> fast_;     ///< managed && !crashed
+  std::vector<MaxEstimator*> estimator_;  ///< null: no global module
   std::vector<LevelMirror> level_;  ///< App. C estimator mirrors
   std::vector<std::int32_t> gamma_;
   std::vector<std::int32_t> lane_offset_;  ///< size num_nodes + 1

@@ -1,4 +1,4 @@
-// The kMaxLevel heard-window quorum state, shared by hot and cold paths.
+// The kMaxLevel heard-window quorum state of one node.
 //
 // A node's MaxEstimator counts, per (sending cluster, level), the distinct
 // member indices it has heard a level-ℓ pulse from; f+1 distinct members
@@ -9,17 +9,12 @@
 // appears, and far-future levels (forged, or extreme ramps) live in a
 // sparse overflow list.
 //
-// Like core/receive_lane.h for the cluster-pulse path, this header owns
-// the *storage layout and the insert primitive* so two owners can share
-// them bit-identically:
-//   * NodeTable keeps every managed node's windows in one flat array
-//     (quorum_windows_ + per-node offsets — the columnar layout a shard
-//     slice carries without per-node pointer chasing), pre-sized with one
-//     window per cluster that can physically reach the node;
-//   * MaxEstimator adopts its span of that array (bind_quorum) and runs
-//     the same quorum_insert against it; standalone estimators (unit
-//     tests, no system) fall back to a private vector of the same
-//     records.
+// This header owns the storage layout and the insert primitive. NodeTable
+// keeps every managed node's windows in one flat array (quorum_windows_ +
+// per-node offsets — the columnar layout a shard slice carries without
+// per-node pointer chasing), pre-sized with one window per cluster that
+// can physically reach the node; the node's MaxEstimator binds its span
+// of that array (bind_quorum) and runs quorum_insert against it.
 #pragma once
 
 #include <bit>

@@ -4,8 +4,8 @@
 // Every pulse delivery needs exactly this much of an engine: am I
 // listening, has this member already been heard, what does my logical
 // clock read right now, and where do arrivals go. A ReceiveLane packs
-// those words into one cache line; the engine owns one inline by default,
-// and core::NodeTable relocates the lanes of all system nodes into one
+// those words into one cache line; a standalone engine allocates its own,
+// and core::NodeTable holds the lanes of all correct system nodes in one
 // contiguous bank (with the arrival slots in a parallel flat array) so the
 // dominant kClusterPulse traffic is handled entirely with array loads —
 // no virtual dispatch, no engine-object walk.
@@ -82,8 +82,7 @@ inline void lane_commit(ReceiveLane& lane, int member_index, double at) {
 }
 
 /// One pulse receive — the body of ClusterSyncEngine::on_member_pulse,
-/// operating on the lane alone so the columnar dispatch path and the
-/// engine-object path share one definition (and stay bit-identical).
+/// operating on the lane alone.
 inline void lane_receive(ReceiveLane& lane, int member_index, sim::Time now) {
   lane_commit(lane, member_index, lane_arrival_value(lane, now));
 }

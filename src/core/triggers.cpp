@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "support/assert.h"
 
@@ -57,59 +58,49 @@ bool slow_trigger(const TriggerView& view, double kappa, double slack) {
 
 namespace {
 
-struct WeightedGaps {
-  double max_ahead_norm;   // max_A (est_A − self + δ_A) / κ_A
-  double max_behind_norm;  // max_B (self − est_B − δ_B) / κ_B
-};
-
-/// Per-edge normalization: dividing each condition by its κ_e turns the
-/// weighted existential into the same interval check as the uniform case.
-WeightedGaps weighted_gaps(const WeightedTriggerView& view) {
+/// Per-edge normalization: dividing edge i's conditions by its κ_e = w_i·κ
+/// (with δ_e = w_i·δ) turns the weighted existential into the same
+/// interval check as the uniform case. Returns max_A (est_A − self +
+/// δ_A)/κ_A and max_B (self − est_B − δ_B)/κ_B for the signed slack δ
+/// (ST passes −δ; x + (−y) is x − y exactly).
+std::pair<double, double> weighted_gaps(const WeightedTriggerView& view,
+                                        double kappa, double slack) {
   FTGCS_EXPECTS(!view.neighbors.empty());
-  FTGCS_EXPECTS(view.kappas.size() == view.neighbors.size());
-  FTGCS_EXPECTS(view.slacks.size() == view.neighbors.size());
+  FTGCS_EXPECTS(view.weights.size() == view.neighbors.size());
+  FTGCS_EXPECTS(kappa > 0.0);
   double ahead = -std::numeric_limits<double>::infinity();
   double behind = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < view.neighbors.size(); ++i) {
-    FTGCS_EXPECTS(view.kappas[i] > 0.0);
-    FTGCS_EXPECTS(view.slacks[i] >= 0.0);
+    const double weight = view.weights[i];
+    FTGCS_EXPECTS(weight > 0.0);
+    const double kappa_e = weight * kappa;
+    const double slack_e = weight * slack;
     const double est = view.neighbors[i];
-    ahead = std::max(ahead,
-                     (est - view.self + view.slacks[i]) / view.kappas[i]);
-    behind = std::max(behind,
-                      (view.self - est - view.slacks[i]) / view.kappas[i]);
+    ahead = std::max(ahead, (est - view.self + slack_e) / kappa_e);
+    behind = std::max(behind, (view.self - est - slack_e) / kappa_e);
   }
   return {ahead, behind};
 }
 
 }  // namespace
 
-bool weighted_fast_trigger(const WeightedTriggerView& view) {
-  const WeightedGaps g = weighted_gaps(view);
-  // FT-1: ∃A: (est_A − self + δ_A)/κ_A ≥ 2s   ⟺ s ≤ ahead_norm / 2
-  // FT-2: ∀B: (self − est_B − δ_B)/κ_B ≤ 2s   ⟺ s ≥ behind_norm / 2
-  const double s_hi = std::floor(g.max_ahead_norm / 2.0);
-  const double s_lo = std::max(1.0, std::ceil(g.max_behind_norm / 2.0));
+bool weighted_fast_trigger(const WeightedTriggerView& view, double kappa,
+                           double slack) {
+  FTGCS_EXPECTS(slack >= 0.0);
+  const auto [ahead, behind] = weighted_gaps(view, kappa, slack);
+  // FT-1: ∃A: (est_A − self + δ_A)/κ_A ≥ 2s   ⟺ s ≤ ahead / 2
+  // FT-2: ∀B: (self − est_B − δ_B)/κ_B ≤ 2s   ⟺ s ≥ behind / 2
+  const double s_hi = std::floor(ahead / 2.0);
+  const double s_lo = std::max(1.0, std::ceil(behind / 2.0));
   return s_hi >= s_lo;
 }
 
-bool weighted_slow_trigger(const WeightedTriggerView& view) {
-  // ST-1: ∃A: (self − est_A + δ_A)/κ_A ≥ 2s−1
-  // ST-2: ∀B: (est_B − self − δ_B)/κ_B ≤ 2s−1
-  FTGCS_EXPECTS(!view.neighbors.empty());
-  FTGCS_EXPECTS(view.kappas.size() == view.neighbors.size());
-  FTGCS_EXPECTS(view.slacks.size() == view.neighbors.size());
-  double lead = -std::numeric_limits<double>::infinity();
-  double chased = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < view.neighbors.size(); ++i) {
-    FTGCS_EXPECTS(view.kappas[i] > 0.0);
-    FTGCS_EXPECTS(view.slacks[i] >= 0.0);
-    const double est = view.neighbors[i];
-    lead = std::max(lead,
-                    (view.self - est + view.slacks[i]) / view.kappas[i]);
-    chased = std::max(chased,
-                      (est - view.self - view.slacks[i]) / view.kappas[i]);
-  }
+bool weighted_slow_trigger(const WeightedTriggerView& view, double kappa,
+                           double slack) {
+  FTGCS_EXPECTS(slack >= 0.0);
+  // ST-1: ∃A: (self − est_A + δ_A)/κ_A ≥ 2s−1   (lead)
+  // ST-2: ∀B: (est_B − self − δ_B)/κ_B ≤ 2s−1   (chased)
+  const auto [chased, lead] = weighted_gaps(view, kappa, -slack);
   const double s_hi = std::floor((lead + 1.0) / 2.0);
   const double s_lo = std::max(1.0, std::ceil((chased + 1.0) / 2.0));
   return s_hi >= s_lo;

@@ -37,22 +37,27 @@ bool slow_trigger(const TriggerView& view, double kappa, double slack);
 
 /// Weighted variant (paper footnote 1 / App. A: "the algorithm
 /// generalizes to networks in which edges e = {v,w} have weight ε_e ...
-/// by doing nothing more than choosing κ proportional to ε_e"): each
-/// neighbor estimate comes with its own κ_e and slack δ_e. The level
-/// conditions become, per neighbor A/B,
+/// by doing nothing more than choosing κ proportional to ε_e"): the edge
+/// to each neighbor has a weight w_e, and its constants scale with it,
+/// κ_e = w_e·κ and δ_e = w_e·δ. The level conditions become, per
+/// neighbor A/B,
 ///   FT: ∃s∈ℕ:  est_A − self ≥ 2s·κ_A − δ_A  ∧  self − est_B ≤ 2s·κ_B + δ_B
 ///   ST: ∃s∈ℕ:  self − est_A ≥ (2s−1)κ_A − δ_A ∧ est_B − self ≤ (2s−1)κ_B + δ_B
 /// and the existential reduces to an interval check after per-edge
-/// normalization. `kappas`/`slacks` are parallel to view.neighbors.
+/// normalization. `weights` is parallel to view.neighbors. At unit
+/// weights the result is fast_trigger/slow_trigger's, bit for bit: the
+/// per-edge terms are monotone in the gap, so the max over edges commutes
+/// with them, and halving is exact.
 struct WeightedTriggerView {
   double self = 0.0;
   std::span<const double> neighbors;
-  std::span<const double> kappas;
-  std::span<const double> slacks;
+  std::span<const double> weights;
 };
 
-bool weighted_fast_trigger(const WeightedTriggerView& view);
-bool weighted_slow_trigger(const WeightedTriggerView& view);
+bool weighted_fast_trigger(const WeightedTriggerView& view, double kappa,
+                           double slack);
+bool weighted_slow_trigger(const WeightedTriggerView& view, double kappa,
+                           double slack);
 
 /// Ground-truth conditions: triggers with zero slack on true cluster
 /// clocks (Definitions 4.1 / 4.2).

@@ -15,8 +15,8 @@ class NullSink final : public PulseSink {
   void on_pulse(const Pulse&, sim::Time) override {}
 };
 
-// Shared across shard worker threads by design: every crashed node's sink
-// points here, and on_pulse is a no-op on a type with no data members.
+// Shared by design: every silent baseline node's sink points here, and
+// on_pulse is a no-op on a type with no data members.
 // ftgcs-lint: allow(no-mutable-global) stateless singleton, safe to share
 NullSink null_sink;
 
@@ -87,10 +87,10 @@ void Network::register_null_handler(int node) {
 }
 
 void Network::set_cluster_dispatch(ClusterPulseTable* table,
-                                   const std::uint8_t* fast) {
-  FTGCS_EXPECTS(table != nullptr && fast != nullptr);
+                                   const std::uint8_t* managed) {
+  FTGCS_EXPECTS(table != nullptr && managed != nullptr);
   dispatch_ = table;
-  dispatch_fast_ = fast;
+  managed_ = managed;
 }
 
 void Network::set_shard_router(ShardRouter* router,
@@ -147,13 +147,12 @@ sim::Rng& Network::edge_rng(int from, int to) {
                       [static_cast<std::size_t>(it - nb.begin())];
 }
 
-void Network::post_delivery(int from, sim::EventPayload& payload, int to,
-                            sim::Duration delay) {
-  FTGCS_EXPECTS(to >= 0 && to < num_nodes());
+void Network::deliver(int from, int to, const Pulse& pulse,
+                      sim::Duration delay) {
   FTGCS_EXPECTS(delay >= delays_->min_delay() - sim::kTimeEps &&
                 delay <= delays_->max_delay() + sim::kTimeEps);
   ++messages_sent_;
-  payload.c = to;  // re-aim the shared payload; everything else is fixed
+  const sim::EventPayload payload = encode(pulse, to);
   if (remote_ != nullptr && remote_[static_cast<std::size_t>(to)] != 0) {
     router_->remote_deliver(from, sim_.now() + delay, payload);
     return;
@@ -163,12 +162,6 @@ void Network::post_delivery(int from, sim::EventPayload& payload, int to,
   sim_.post_fire_only_after(delay, sim::EventKind::kPulse, self_, payload);
 }
 
-void Network::deliver(int from, int to, const Pulse& pulse,
-                      sim::Duration delay) {
-  sim::EventPayload payload = encode(pulse, to);
-  post_delivery(from, payload, to, delay);
-}
-
 void Network::on_event(sim::EventKind kind, const sim::EventPayload& payload,
                        sim::Time now) {
   FTGCS_ASSERT(kind == sim::EventKind::kPulse);
@@ -176,13 +169,9 @@ void Network::on_event(sim::EventKind kind, const sim::EventPayload& payload,
   ++messages_delivered_;
   ++delivered_by_kind_[payload.d];
   if (trace_ != nullptr) trace_->on_delivery(now, payload);
-  // Columnar fast path (single-event form — deliveries not drained as part
-  // of a run): same receive as the batch hook below.
   if (dispatch_ != nullptr &&
-      payload.d == static_cast<std::uint32_t>(PulseKind::kClusterPulse) &&
-      dispatch_fast_[static_cast<std::size_t>(payload.c)] != 0) {
-    const sim::BatchedEvent event{now, payload};
-    dispatch_->on_pulse_run(&event, 1);
+      managed_[static_cast<std::size_t>(payload.c)] != 0) {
+    dispatch_->on_delivery(payload, now);
     return;
   }
   Pulse pulse;
@@ -283,6 +272,7 @@ void Network::broadcast(int from, const Pulse& pulse) {
 void Network::unicast(int from, int to, const Pulse& pulse) {
   FTGCS_EXPECTS(from >= 0 && from < num_nodes());
   FTGCS_EXPECTS(to >= 0 && to < num_nodes());
+  FTGCS_EXPECTS(pulse.sender == from);
   FTGCS_EXPECTS(from == to || are_neighbors(from, to));
   deliver(from, to, pulse, sample_delay(from, to, edge_rng(from, to)));
 }
@@ -291,6 +281,7 @@ void Network::unicast_with_delay(int from, int to, const Pulse& pulse,
                                  sim::Duration delay) {
   FTGCS_EXPECTS(from >= 0 && from < num_nodes());
   FTGCS_EXPECTS(to >= 0 && to < num_nodes());
+  FTGCS_EXPECTS(pulse.sender == from);
   FTGCS_EXPECTS(from == to || are_neighbors(from, to));
   deliver(from, to, pulse, delay);
 }

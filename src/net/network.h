@@ -71,28 +71,34 @@ struct Pulse {
   double value = 0.0;  ///< kShare payload
 };
 
-/// Typed receive interface of one node. Protocol node classes implement
-/// this directly; the network dispatches deliveries through a stable
-/// per-node pointer — no per-registration closure.
+/// Typed receive interface of one node that the cluster-pulse table does
+/// not manage: Byzantine nodes, the comparison baselines' nodes and test
+/// rigs implement this directly; the network dispatches deliveries through
+/// a stable per-node pointer — no per-registration closure.
 class PulseSink {
  public:
   virtual ~PulseSink() = default;
   virtual void on_pulse(const Pulse& pulse, sim::Time now) = 0;
 };
 
-/// Flat fast-path receiver for the dominant pulse traffic, implemented by
-/// the system layer's columnar node table. The network forwards a drained
-/// run of pure-receive pulse events in one call — replacing one virtual
-/// on_pulse per message; the table consumes the encoded payloads directly
-/// (kPulse schema: a = sender, c = dest; kClusterPulse receives, stale
-/// kMaxLevel drops). The receiver must treat every event as a pure receive
-/// (no scheduling, no sends): that is what makes the batch drain
-/// order-safe (see sim::Simulator::set_batch_channel).
+/// The receive path of every correct FT-GCS node, implemented by the
+/// system layer's columnar node table: the table consumes the encoded
+/// payloads directly (kPulse schema: a = sender, c = dest). Two entries:
+///   * on_pulse_run — a drained run of pure-receive pulse events
+///     (kClusterPulse receives, stale kMaxLevel drops) in one call. The
+///     receiver must treat every event as a pure receive (no scheduling,
+///     no sends): that is what makes the batch drain order-safe (see
+///     sim::Simulator::set_batch_channel);
+///   * on_delivery — any other delivery to a managed destination (a
+///     non-stale kMaxLevel, which may complete a quorum and send), one at
+///     a time.
 class ClusterPulseTable {
  public:
   virtual ~ClusterPulseTable() = default;
   virtual void on_pulse_run(const sim::BatchedEvent* events,
                             std::size_t n) = 0;
+  virtual void on_delivery(const sim::EventPayload& payload,
+                           sim::Time now) = 0;
 
   /// One call per level broadcast of `sender` at `now`: sets dead[i] = 1
   /// for each delivery i (dest `sender` for i = 0, rest_dests[i − 1]
@@ -116,8 +122,7 @@ class ClusterPulseTable {
 class ShardRouter {
  public:
   virtual ~ShardRouter() = default;
-  /// `from` is the physical sender (routing/ordering key — Byzantine
-  /// senders may forge payload.a, but not the edge they send on),
+  /// `from` is the sender (routing/ordering key; payload.a == from),
   /// `at` the absolute arrival time, `payload` the encoded kPulse event
   /// (payload.c = destination node).
   virtual void remote_deliver(int from, sim::Time at,
@@ -145,19 +150,19 @@ class Network final : public sim::EventSink {
   int num_nodes() const { return static_cast<int>(adj_->size()); }
 
   /// Installs the receive sink for `node`. Must be set before any message
-  /// can be delivered to it. The sink must outlive the network.
+  /// can be delivered to it, unless the cluster-pulse table manages it
+  /// (then the sink is never called). The sink must outlive the network.
   void register_handler(int node, PulseSink* sink);
 
-  /// Installs a sink that discards deliveries (crashed/faulty-silent ids).
+  /// Installs a sink that discards deliveries (silent faulty ids).
   void register_null_handler(int node);
 
-  /// Installs the columnar fast path: kClusterPulse deliveries whose
-  /// destination has `fast[dest] != 0` are decoded in batch and handed to
-  /// `table` instead of the per-node sink. `fast` is owned by the caller
-  /// (the system layer flips a node's flag off when it crashes) and must
-  /// outlive the network, as must `table`.
+  /// Installs the cluster-pulse table: every delivery whose destination
+  /// has `managed[dest] != 0` goes to `table` (batched runs to
+  /// on_pulse_run, the rest to on_delivery), never to a per-node sink.
+  /// Both are owned by the caller and must outlive the network.
   void set_cluster_dispatch(ClusterPulseTable* table,
-                            const std::uint8_t* fast);
+                            const std::uint8_t* managed);
 
   /// This network's typed-event sink id (for Simulator::set_batch_channel).
   sim::SinkId sink_id() const { return self_; }
@@ -193,11 +198,13 @@ class Network final : public sim::EventSink {
   void broadcast(int from, const Pulse& pulse);
 
   /// Point-to-point send with channel-sampled delay. `to` must be a
-  /// neighbor of `from` (or `from` itself).
+  /// neighbor of `from` (or `from` itself). Links identify their sender
+  /// (paper §2), so pulse.sender must be `from`.
   void unicast(int from, int to, const Pulse& pulse);
 
   /// Byzantine-only: point-to-point send with caller-chosen delay. The
-  /// delay must still respect the physical channel: [d − U, d].
+  /// delay must still respect the physical channel: [d − U, d]; the
+  /// sender is `from`, as for unicast.
   void unicast_with_delay(int from, int to, const Pulse& pulse,
                           sim::Duration delay);
 
@@ -253,18 +260,15 @@ class Network final : public sim::EventSink {
                 sim::Time now) override;
 
   /// EventSink batch hook: a drained run of pure-receive pulse events —
-  /// kClusterPulse deliveries to fast destinations (decoded and forwarded
-  /// to the cluster-pulse table in one call) interleaved with stale
-  /// kMaxLevel deliveries (dropped; only the delivered counts see them).
+  /// kClusterPulse deliveries to managed destinations interleaved with
+  /// stale kMaxLevel deliveries — forwarded to the cluster-pulse table in
+  /// one call.
   void on_event_batch(sim::EventKind kind, const sim::BatchedEvent* events,
                       std::size_t n) override;
 
  private:
-  /// Bounds-checks and schedules one delivery of `payload` re-aimed at
-  /// `to` (shared by a whole broadcast group — encode once, aim N times).
-  /// `from` is the physical sender, used only for cut-edge routing.
-  void post_delivery(int from, sim::EventPayload& payload, int to,
-                     sim::Duration delay);
+  /// Bounds-checks and schedules one unicast delivery (or routes it off
+  /// the shard).
   void deliver(int from, int to, const Pulse& pulse, sim::Duration delay);
   sim::Rng& edge_rng(int from, int to);
   void init_streams(sim::Rng rng);
@@ -288,8 +292,8 @@ class Network final : public sim::EventSink {
   std::unique_ptr<DelayModel> delays_;
   bool uniform_channel_ = false;
   std::vector<PulseSink*> sinks_;
-  ClusterPulseTable* dispatch_ = nullptr;   ///< columnar fast path (optional)
-  const std::uint8_t* dispatch_fast_ = nullptr;  ///< per-dest fast flags
+  ClusterPulseTable* dispatch_ = nullptr;   ///< correct nodes' receive path
+  const std::uint8_t* managed_ = nullptr;   ///< per-dest table-managed flags
   ShardRouter* router_ = nullptr;           ///< cut-edge diversion (optional)
   const std::uint8_t* remote_ = nullptr;    ///< per-dest off-shard flags
   trace::TraceSink* trace_ = nullptr;       ///< delivery tap (optional)

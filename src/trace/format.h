@@ -11,7 +11,7 @@
 // One record is one fired pulse delivery:
 //
 //   u8      kind            net::PulseKind tag
-//   varint  zigzag(sender)  payload.a (Byzantine senders may forge it)
+//   varint  zigzag(sender)  payload.a
 //   varint  zigzag(dest)    payload.c
 //   varint  time delta      bit pattern of `at` XORed with the previous
 //                           record's (chained across frames; the first

@@ -26,9 +26,24 @@ const MaxEstimator::Config& unit_config() {
   return cfg;
 }
 
+/// Binds `m` to quorum windows of its own, pre-labelled as the NodeTable
+/// labels a node's span: one window per cluster that can reach it (here,
+/// the clusters these tests send from). The returned windows must outlive
+/// `m`'s traffic.
+std::vector<QuorumWindow> bind_windows(MaxEstimator& m) {
+  std::vector<QuorumWindow> windows(4);
+  const int clusters[] = {3, 4, 7, 8};
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    windows[i].cluster = clusters[i];
+  }
+  m.bind_quorum(windows.data(), static_cast<int>(windows.size()));
+  return windows;
+}
+
 TEST(MaxEstimator, GrowsAtDampedHardwareRate) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0 + 1e-3);
+  const auto windows = bind_windows(m);
   // rate = h/(1+ρ) = 1 exactly when h = 1+ρ.
   EXPECT_NEAR(m.read(10.0), 10.0, 1e-12);
 }
@@ -36,6 +51,7 @@ TEST(MaxEstimator, GrowsAtDampedHardwareRate) {
 TEST(MaxEstimator, EmitsLevelsAtSpacingMultiples) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   std::vector<std::pair<int, sim::Time>> emitted;
   m.on_emit = [&](int level) { emitted.emplace_back(level, sim.now()); };
   m.start();
@@ -51,6 +67,7 @@ TEST(MaxEstimator, EmitsLevelsAtSpacingMultiples) {
 TEST(MaxEstimator, QuorumJumpRequiresFPlusOne) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   m.on_emit = [](int) {};
   m.start();
   // One member of cluster 7 reports level 5: no jump (f = 1 needs 2).
@@ -68,6 +85,7 @@ TEST(MaxEstimator, QuorumJumpRequiresFPlusOne) {
 TEST(MaxEstimator, QuorumMustBeWithinOneCluster) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   m.on_emit = [](int) {};
   m.start();
   // One member each from two different clusters: no quorum.
@@ -79,6 +97,7 @@ TEST(MaxEstimator, QuorumMustBeWithinOneCluster) {
 TEST(MaxEstimator, SelfPulsesIgnored) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   m.on_emit = [](int) {};
   m.start();
   m.on_level_pulse(7, 0, true, 5, 0.0);
@@ -89,6 +108,7 @@ TEST(MaxEstimator, SelfPulsesIgnored) {
 TEST(MaxEstimator, JumpEmitsSkippedLevels) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   std::vector<int> emitted;
   m.on_emit = [&](int level) { emitted.push_back(level); };
   m.start();
@@ -104,6 +124,7 @@ TEST(MaxEstimator, ForgedHugeLevelsAreCheapAndQuorumStillWorks) {
   // and an (impossible-for-correct-nodes) singleton never forms a quorum.
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   m.on_emit = [](int) {};
   m.start();
   m.on_level_pulse(7, 0, false, 1000000000, 0.0);
@@ -126,6 +147,7 @@ TEST(MaxEstimator, QuorumAcrossManyMembersBeyondSixtyFour) {
   MaxEstimator::Config cfg = unit_config();
   cfg.f = 22;  // quorum 23, k = 67
   MaxEstimator m(sim, cfg, 1.0);
+  const auto windows = bind_windows(m);
   m.on_emit = [](int) {};
   m.start();
   for (int member = 44; member < 66; ++member) {
@@ -144,50 +166,92 @@ TEST(MaxEstimator, OverflowMigrationSurvivesBaseSlidePlusRegrowInOneCall) {
   // level gets pulled into dense range and must be OR-migrated at the NEW
   // width. A width mismatch anywhere loses or fabricates member bits,
   // which shows up here as a quorum that fires too early or not at all.
-  sim::Simulator sim;
   MaxEstimator::Config cfg;
   cfg.d = 1.0;
   cfg.U = 0.0;  // spacing 1: level ℓ ⇔ value ℓ exactly
   cfg.rho = 1e-3;
   cfg.f = 2;  // quorum 3
-  MaxEstimator m(sim, cfg, 1.0);
+  // Leaves members {0 (migrated), 140} heard at level 5000.
+  const auto migrate = [](MaxEstimator& m) {
+    m.on_emit = [](int) {};
+    m.start();
+    // Far-future level 5000 (> base 1 + window 4096): sparse overflow
+    // entry, 1-word mask, member 0.
+    m.on_level_pulse(7, 0, false, 5000, 0.0);
+    // Member 70 forces the first regrow (2 words); the overflow mask of
+    // level 5000 must widen with it.
+    m.on_level_pulse(7, 70, false, 2, 0.0);
+    EXPECT_EQ(m.jumps(), 0u);
+    // Own clock at 4999.25 emits levels 1..4999: the staleness floor is
+    // now 4999, so the next insert must slide the base past the entire
+    // dense window while level 5000 becomes in-range.
+    m.observe_own_clock(4999.25, 0.0);
+    EXPECT_EQ(m.highest_level_sent(), 4999);
+    // One call: base 1 → 4999, regrow 2 → 3 words (member 140), and the
+    // overflow entry for level 5000 migrates into the dense window.
+    m.on_level_pulse(7, 140, false, 5000, 0.0);
+    EXPECT_EQ(m.jumps(), 0u);
+  };
+  {
+    // A new third member completes the quorum only if the migrated
+    // member's bit survived: M ← (5000+1)·spacing.
+    sim::Simulator sim;
+    MaxEstimator m(sim, cfg, 1.0);
+    const auto windows = bind_windows(m);
+    migrate(m);
+    m.on_level_pulse(7, 141, false, 5000, 0.0);
+    EXPECT_EQ(m.jumps(), 1u);
+    EXPECT_NEAR(m.read(0.0), 5001.0, 1e-12);
+    EXPECT_EQ(m.highest_level_sent(), 5001);
+  }
+  {
+    // A duplicate of the migrated member must not mint a third bit.
+    sim::Simulator sim;
+    MaxEstimator m(sim, cfg, 1.0);
+    const auto windows = bind_windows(m);
+    migrate(m);
+    m.on_level_pulse(7, 0, false, 5000, 0.0);
+    EXPECT_EQ(m.jumps(), 0u);
+    EXPECT_NEAR(m.read(0.0), 4999.25, 1e-12);
+  }
+}
+
+TEST(MaxEstimator, MembersOfAPassedLevelDoNotCountTowardTheNext) {
+  // Once the staleness floor passes level ℓ, the window base slides past
+  // ℓ's masks: a member heard only at ℓ must not count toward ℓ+1.
+  sim::Simulator sim;
+  MaxEstimator m(sim, unit_config(), 1.0);  // f = 1: quorum 2
+  const auto windows = bind_windows(m);
   m.on_emit = [](int) {};
   m.start();
-
-  // Far-future level 5000 (> base 1 + window 4096): sparse overflow entry,
-  // 1-word mask, member 0.
-  m.on_level_pulse(7, 0, false, 5000, 0.0);
-  // Member 70 forces the first regrow (2 words); the overflow mask of
-  // level 5000 must widen with it.
-  m.on_level_pulse(7, 70, false, 2, 0.0);
+  m.on_level_pulse(7, 0, false, 2, 0.0);
+  // Own clock at 2.5 emits levels 1..3 (0.8, 1.6, 2.4): the floor is 3.
+  m.observe_own_clock(2.5, 0.0);
+  EXPECT_EQ(m.highest_level_sent(), 3);
+  m.on_level_pulse(7, 1, false, 3, 0.0);  // the only member heard at 3
   EXPECT_EQ(m.jumps(), 0u);
-
-  // Own clock at 4999.25 emits levels 1..4999: the staleness floor is now
-  // 4999, so the next insert must slide the base past the entire dense
-  // window while level 5000 becomes in-range.
-  m.observe_own_clock(4999.25, 0.0);
-  EXPECT_EQ(m.highest_level_sent(), 4999);
-
-  // One call: base 1 → 4999, regrow 2 → 3 words (member 140), and the
-  // overflow entry for level 5000 migrates into the dense window. Members
-  // heard at level 5000: {0 (migrated), 140} — still below quorum.
-  m.on_level_pulse(7, 140, false, 5000, 0.0);
-  EXPECT_EQ(m.jumps(), 0u);
-  // A duplicate of the migrated member must not mint a third bit.
-  m.on_level_pulse(7, 0, false, 5000, 0.0);
-  EXPECT_EQ(m.jumps(), 0u);
-  EXPECT_NEAR(m.read(0.0), 4999.25, 1e-12);
-
-  // The genuine third member completes the quorum: M ← (5000+1)·spacing.
-  m.on_level_pulse(7, 70, false, 5000, 0.0);
+  EXPECT_NEAR(m.read(0.0), 2.5, 1e-12);
+  m.on_level_pulse(7, 0, false, 3, 0.0);  // second member at 3: quorum
   EXPECT_EQ(m.jumps(), 1u);
-  EXPECT_NEAR(m.read(0.0), 5001.0, 1e-12);
-  EXPECT_EQ(m.highest_level_sent(), 5001);
+  EXPECT_NEAR(m.read(0.0), 4.0 * 0.8, 1e-12);
+}
+
+TEST(MaxEstimator, LevelPulseFromAClusterWithoutWindowIsAContractFailure) {
+  // Links identify their sender, so only a cluster that can physically
+  // reach the node sends it level pulses; the bound span is the only
+  // store.
+  sim::Simulator sim;
+  MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
+  m.on_emit = [](int) {};
+  m.start();
+  EXPECT_DEATH(m.on_level_pulse(9, 0, false, 5, 0.0), "precondition");
 }
 
 TEST(MaxEstimator, JumpsAreMonotone) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   m.on_emit = [](int) {};
   m.start();
   m.on_level_pulse(3, 0, false, 9, 0.0);
@@ -202,6 +266,7 @@ TEST(MaxEstimator, JumpsAreMonotone) {
 TEST(MaxEstimator, ObserveOwnClockLiftsM) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   std::vector<int> emitted;
   m.on_emit = [&](int level) { emitted.push_back(level); };
   m.start();
@@ -217,6 +282,7 @@ TEST(MaxEstimator, ObserveOwnClockLiftsM) {
 TEST(MaxEstimator, RateChangeReschedulesEmission) {
   sim::Simulator sim;
   MaxEstimator m(sim, unit_config(), 1.0);
+  const auto windows = bind_windows(m);
   std::vector<sim::Time> times;
   m.on_emit = [&](int) { times.push_back(sim.now()); };
   m.start();

@@ -112,6 +112,19 @@ TEST(Network, ByzantineDelayControlWithinBounds) {
   EXPECT_DOUBLE_EQ(fx.received[1][0].second, 0.8);
 }
 
+TEST(Network, UnicastSenderCannotBeForged) {
+  // Links identify their sender (paper §2): a pulse naming another node
+  // as its sender is a contract failure on both unicast paths, as on
+  // broadcast.
+  Fixture fx(Graph::clique(3));
+  Pulse forged;
+  forged.sender = 1;
+  EXPECT_DEATH(fx.network.unicast(0, 2, forged), "pulse.sender == from");
+  EXPECT_DEATH(fx.network.unicast_with_delay(0, 2, forged, 0.9),
+               "pulse.sender == from");
+  EXPECT_DEATH(fx.network.broadcast(0, forged), "pulse.sender == from");
+}
+
 TEST(Network, MessageCountersTrack) {
   Fixture fx(Graph::clique(3));
   Pulse pulse;
@@ -202,6 +215,9 @@ struct MarkAllTable final : ClusterPulseTable {
   std::vector<sim::BatchedEvent> received;
   void on_pulse_run(const sim::BatchedEvent* events, std::size_t n) override {
     received.insert(received.end(), events, events + n);
+  }
+  void on_delivery(const sim::EventPayload& payload, sim::Time now) override {
+    received.push_back({now, payload});
   }
   std::size_t mark_dead_levels(int sender, int, sim::Time,
                                const sim::Duration*, std::size_t count,

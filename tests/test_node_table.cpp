@@ -69,8 +69,8 @@ TEST(CrashStop, CrashedNodeProcessesNothingFurther) {
   const NodeActivity later = NodeActivity::of(system.node(victim));
 
   // The crashed node's protocol state is frozen: no round transitions, no
-  // re-armed timers, no pulse processing (deliveries hit the null sink),
-  // no further mode decisions.
+  // re-armed timers, no pulse processing (the table drops its
+  // deliveries), no further mode decisions.
   EXPECT_EQ(later.round, at_crash.round);
   EXPECT_EQ(later.armed, 0u);
   EXPECT_EQ(later.replica_rounds, at_crash.replica_rounds);
@@ -111,6 +111,45 @@ TEST(CrashStop, EmissionTimerDoesNotResurrectOnRateChange) {
   system.run_until(8.0 * params.T);
   EXPECT_EQ(system.node(victim).engine().armed_timers(), 0u);
   EXPECT_EQ(system.node(victim).engine().round(), round_at_crash);
+}
+
+TEST(NodeTable, IsTheOnlyReceivePathOfCorrectNodes) {
+  // Every delivery to a correct node goes to the table: a per-node sink
+  // registered for a correct id never sees one — cluster pulses, stale
+  // and non-stale level pulses, Byzantine unicasts — while the
+  // estimators still complete level quorums through the table.
+  struct CountingSink final : net::PulseSink {
+    std::uint64_t count = 0;
+    void on_pulse(const net::Pulse&, sim::Time) override { ++count; }
+  };
+  const Params params = practical();
+  net::AugmentedTopology topo(net::Graph::line(3), params.k);
+  FtGcsSystem::Config config;
+  config.params = params;
+  config.seed = 25;
+  config.cluster_round_offsets = {0, 3, 6};  // a ramp: flooding engages
+  config.fault_plan = byz::FaultPlan::in_cluster(
+      topo, 1, 1, byz::StrategyKind::kTwoFaced, params.U, 25);
+  FtGcsSystem system(net::Graph::line(3), std::move(config));
+  std::vector<CountingSink> sinks(
+      static_cast<std::size_t>(system.topology().num_nodes()));
+  std::vector<int> correct;
+  for (int id = 0; id < system.topology().num_nodes(); ++id) {
+    if (system.node_table().managed_flags()[id] == 0) continue;
+    correct.push_back(id);
+    system.network().register_handler(id, &sinks[static_cast<std::size_t>(id)]);
+  }
+  ASSERT_EQ(correct.size(), 11u);
+  system.start();
+  system.run_until(30.0 * params.T);
+
+  std::uint64_t jumps = 0;
+  for (int id : correct) {
+    EXPECT_EQ(sinks[static_cast<std::size_t>(id)].count, 0u) << "node " << id;
+    jumps += system.node(id).max_estimator()->jumps();
+  }
+  EXPECT_GT(jumps, 0u);
+  EXPECT_GT(system.network().delivery_stats().level, 0u);
 }
 
 TEST(NodeTable, ColumnarSnapshotMatchesPerNodeState) {

@@ -210,17 +210,16 @@ TEST(WeightedTriggers, ReduceToUniformWhenWeightsEqual) {
     const double slack = rng.uniform(0.0, 0.49) * kappa;
     const int n = 1 + static_cast<int>(rng.below(4));
     std::vector<double> neighbors;
-    std::vector<double> kappas(n, kappa);
-    std::vector<double> slacks(n, slack);
+    const std::vector<double> ones(n, 1.0);
     for (int i = 0; i < n; ++i) {
       neighbors.push_back(rng.uniform(-30.0, 30.0));
     }
     const TriggerView uniform{0.0, neighbors};
-    const WeightedTriggerView weighted{0.0, neighbors, kappas, slacks};
-    EXPECT_EQ(weighted_fast_trigger(weighted),
+    const WeightedTriggerView weighted{0.0, neighbors, ones};
+    EXPECT_EQ(weighted_fast_trigger(weighted, kappa, slack),
               fast_trigger(uniform, kappa, slack))
         << "trial " << trial;
-    EXPECT_EQ(weighted_slow_trigger(weighted),
+    EXPECT_EQ(weighted_slow_trigger(weighted, kappa, slack),
               slow_trigger(uniform, kappa, slack))
         << "trial " << trial;
   }
@@ -254,15 +253,13 @@ TEST(WeightedTriggers, WeightOneBoundaryValuesAgreeWithPlain) {
       const double offset = rng.below(2) == 0 ? level - slack : level + slack;
       neighbors.push_back(self + (rng.below(2) == 0 ? offset : -offset));
     }
-    const std::vector<double> unit_kappas(n, kappa);
-    const std::vector<double> unit_slacks(n, slack);
+    const std::vector<double> ones(n, 1.0);
     const TriggerView plain{self, neighbors};
-    const WeightedTriggerView weighted{self, neighbors, unit_kappas,
-                                       unit_slacks};
-    EXPECT_EQ(weighted_fast_trigger(weighted),
+    const WeightedTriggerView weighted{self, neighbors, ones};
+    EXPECT_EQ(weighted_fast_trigger(weighted, kappa, slack),
               fast_trigger(plain, kappa, slack))
         << "fast trial " << trial;
-    EXPECT_EQ(weighted_slow_trigger(weighted),
+    EXPECT_EQ(weighted_slow_trigger(weighted, kappa, slack),
               slow_trigger(plain, kappa, slack))
         << "slow trial " << trial;
     // Both must also match the definitional brute force at the boundary.
@@ -278,20 +275,24 @@ TEST(WeightedTriggers, WeightOneBoundaryValuesAgreeWithPlain) {
 TEST(WeightedTriggers, ClosedFormMatchesBruteForceProperty) {
   sim::Rng rng(505);
   for (int trial = 0; trial < 10000; ++trial) {
+    const double kappa = rng.uniform(0.5, 2.0);
+    const double slack = rng.uniform(0.0, 0.49) * kappa;
     const int n = 1 + static_cast<int>(rng.below(4));
     std::vector<double> neighbors;
-    std::vector<double> kappas;
+    std::vector<double> weights;
+    std::vector<double> kappas;  // κ_e = w_e·κ, δ_e = w_e·δ
     std::vector<double> slacks;
     for (int i = 0; i < n; ++i) {
       neighbors.push_back(rng.uniform(-30.0, 30.0));
-      kappas.push_back(rng.uniform(0.5, 5.0));
-      slacks.push_back(rng.uniform(0.0, 0.49) * kappas.back());
+      weights.push_back(rng.uniform(0.5, 3.0));
+      kappas.push_back(weights.back() * kappa);
+      slacks.push_back(weights.back() * slack);
     }
-    const WeightedTriggerView view{0.0, neighbors, kappas, slacks};
-    EXPECT_EQ(weighted_fast_trigger(view),
+    const WeightedTriggerView view{0.0, neighbors, weights};
+    EXPECT_EQ(weighted_fast_trigger(view, kappa, slack),
               weighted_fast_brute(0.0, neighbors, kappas, slacks))
         << "trial " << trial;
-    EXPECT_EQ(weighted_slow_trigger(view),
+    EXPECT_EQ(weighted_slow_trigger(view, kappa, slack),
               weighted_slow_brute(0.0, neighbors, kappas, slacks))
         << "trial " << trial;
   }
@@ -301,20 +302,14 @@ TEST(WeightedTriggers, HeavyEdgeToleratesProportionallyMoreSkew) {
   // A neighbor behind by 1.5κ on a weight-1 edge blocks FT (needs s with
   // behind ≤ 2sκ+δ... s≥1 works — use a clearer case): a neighbor ahead
   // by 3κ on a weight-1 edge fast-triggers at s=1, but the same gap on a
-  // weight-3 edge (κ_e = 3κ) does not.
+  // weight-3 edge (κ_e = 3κ, δ_e = 3δ) does not.
   const double kappa = 2.0;
   const double slack = 0.5;
   const std::vector<double> neighbors{6.0};  // 3κ ahead
-  {
-    const std::vector<double> kappas{kappa};
-    const std::vector<double> slacks{slack};
-    EXPECT_TRUE(weighted_fast_trigger({0.0, neighbors, kappas, slacks}));
-  }
-  {
-    const std::vector<double> kappas{3.0 * kappa};
-    const std::vector<double> slacks{slack};
-    EXPECT_FALSE(weighted_fast_trigger({0.0, neighbors, kappas, slacks}));
-  }
+  const std::vector<double> unit{1.0};
+  const std::vector<double> heavy{3.0};
+  EXPECT_TRUE(weighted_fast_trigger({0.0, neighbors, unit}, kappa, slack));
+  EXPECT_FALSE(weighted_fast_trigger({0.0, neighbors, heavy}, kappa, slack));
 }
 
 TEST(Triggers, SelfOffsetInvariance) {
