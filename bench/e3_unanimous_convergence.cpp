@@ -53,7 +53,7 @@ Run run_regime(const core::Params& params, Regime regime,
                std::uint64_t seed) {
   sim::Simulator sim;
   net::AugmentedTopology topo(net::Graph::line(1), params.k);
-  net::Network network(sim, topo.adjacency(),
+  net::Network network(sim, &topo.adjacency(),
                        std::make_unique<net::TwoPointDelay>(params.d,
                                                             params.U),
                        sim::Rng(seed));

@@ -66,7 +66,7 @@ ClusterTreeSystem::ClusterTreeSystem(net::Graph cluster_graph, Config config)
                     ? std::move(config_.delay_model)
                     : std::make_unique<net::UniformDelay>(config_.params.d,
                                                           config_.params.U);
-  network_ = std::make_unique<net::Network>(sim_, topo_.adjacency(),
+  network_ = std::make_unique<net::Network>(sim_, &topo_.adjacency(),
                                             std::move(delays), master.fork(1));
 
   root_members_.resize(topo_.num_nodes());

@@ -86,7 +86,7 @@ void SrikanthTouegNode::set_hardware_rate(sim::Time now, double rate) {
 }
 
 SrikanthTouegSystem::SrikanthTouegSystem(Config config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), clique_(net::Graph::clique(config_.n)) {
   FTGCS_EXPECTS(config_.n > 3 * config_.f);
   FTGCS_EXPECTS(config_.silent_faults <= config_.f);
 
@@ -95,8 +95,7 @@ SrikanthTouegSystem::SrikanthTouegSystem(Config config)
                     ? std::move(config_.delay_model)
                     : std::make_unique<net::UniformDelay>(config_.d,
                                                           config_.U);
-  net::Graph clique = net::Graph::clique(config_.n);
-  network_ = std::make_unique<net::Network>(sim_, clique.adjacency(),
+  network_ = std::make_unique<net::Network>(sim_, &clique_.adjacency(),
                                             std::move(delays), master.fork(1));
 
   SrikanthTouegNode::Config node_cfg;

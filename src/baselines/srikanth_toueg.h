@@ -27,6 +27,7 @@
 #include "clocks/hardware_clock.h"
 #include "clocks/logical_clock.h"
 #include "net/channel.h"
+#include "net/graph.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -113,6 +114,7 @@ class SrikanthTouegSystem {
  private:
   Config config_;
   sim::Simulator sim_;
+  net::Graph clique_;  ///< n-clique; network_ borrows its adjacency
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<SrikanthTouegNode>> nodes_;
   std::unique_ptr<clocks::DriftModel> drift_;

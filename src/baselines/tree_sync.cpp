@@ -24,7 +24,7 @@ TreeSyncSystem::TreeSyncSystem(net::Graph graph, Config config)
                     ? std::move(config_.delay_model)
                     : std::make_unique<net::UniformDelay>(config_.d,
                                                           config_.U);
-  network_ = std::make_unique<net::Network>(sim_, graph_.adjacency(),
+  network_ = std::make_unique<net::Network>(sim_, &graph_.adjacency(),
                                             std::move(delays), master.fork(1));
   self_ = sim_.register_sink(this);
 

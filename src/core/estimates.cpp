@@ -42,25 +42,8 @@ EstimateBank::~EstimateBank() {
   ::operator delete(replicas_);
 }
 
-std::size_t EstimateBank::index_for(int cluster) const {
-  const auto it = std::find(order_.begin(), order_.end(), cluster);
-  FTGCS_EXPECTS(it != order_.end() && "cluster not adjacent");
-  return static_cast<std::size_t>(it - order_.begin());
-}
-
 void EstimateBank::start() {
   for (std::size_t i : by_cluster_) replicas_[i].start();
-}
-
-double EstimateBank::estimate(int cluster, sim::Time now) const {
-  return replicas_[index_for(cluster)].clock().read(now);
-}
-
-std::vector<double> EstimateBank::all_estimates(sim::Time now) const {
-  std::vector<double> values;
-  values.reserve(order_.size());
-  for (int cluster : order_) values.push_back(estimate(cluster, now));
-  return values;
 }
 
 void EstimateBank::set_hardware_rate(sim::Time now, double rate) {
@@ -79,10 +62,6 @@ std::uint64_t EstimateBank::violations() const {
     total += replicas_[i].violations();
   }
   return total;
-}
-
-ClusterSyncEngine& EstimateBank::replica(int cluster) {
-  return replicas_[index_for(cluster)];
 }
 
 }  // namespace ftgcs::core

@@ -44,19 +44,11 @@ class EstimateBank {
   /// Starts all replicas (at the global time-0 initialization).
   void start();
 
-  /// L̃_vB(now) for adjacent cluster B = `cluster`.
-  double estimate(int cluster, sim::Time now) const;
-
-  /// L̃ of the replica at position `index` in clusters() order — the
-  /// round-start trigger path, which iterates positions and must not pay
-  /// the by-cluster scan per estimate.
+  /// L̃_vB(now) of the replica at position `index` in clusters() order
+  /// (B = clusters()[index]).
   double estimate_at(std::size_t index, sim::Time now) const {
     return replicas_[index].clock().read(now);
   }
-
-  /// Estimates of all adjacent clusters, in the order given at
-  /// construction (matching `clusters()`).
-  std::vector<double> all_estimates(sim::Time now) const;
 
   const std::vector<int>& clusters() const { return order_; }
 
@@ -69,21 +61,16 @@ class EstimateBank {
   /// Crash-stop: halts every replica (see ClusterSyncEngine::halt).
   void halt();
 
-  ClusterSyncEngine& replica(int cluster);
-
   /// Replica at position `index` in clusters() order (NodeTable adoption).
   ClusterSyncEngine& replica_at(std::size_t index) {
     return replicas_[index];
   }
 
  private:
-  std::size_t index_for(int cluster) const;  ///< aborts if not adjacent
-
   std::vector<int> order_;
   /// Parallel to order_: order_.size() engines constructed in place in
   /// one block (engines register `this` with the simulator, so they never
-  /// move). Lookup by cluster is a linear scan over order_ — adjacency
-  /// degrees are small.
+  /// move).
   ClusterSyncEngine* replicas_ = nullptr;
   /// Indices into replicas_ in ascending-cluster order; start() and rate
   /// changes iterate this to keep the event schedule identical to the

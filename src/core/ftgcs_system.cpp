@@ -31,19 +31,24 @@ FtGcsSystem::FtGcsSystem(net::Graph cluster_graph, Config config)
                     ? std::move(config_.delay_model)
                     : std::make_unique<net::UniformDelay>(config_.params.d,
                                                           config_.params.U);
-  // Borrowed adjacency: the topology outlives the network (member order),
-  // so no per-system copy of the O(E) neighbor lists.
-  network_ = std::make_unique<net::Network>(sim_, &topo_.adjacency(),
-                                            std::move(delays), master.fork(1));
-  network_->set_trace(config_.trace_sink);
-  self_ = sim_.register_sink(this);
+  // A shard's network keeps delay streams only for the senders it owns
+  // and routes deliveries to the rest through the shard router.
+  net::ShardView net_shard;
   if (shard.active()) {
     remote_flags_.assign(static_cast<std::size_t>(topo_.num_nodes()), 0);
     for (int id = 0; id < topo_.num_nodes(); ++id) {
       remote_flags_[static_cast<std::size_t>(id)] = owns(id) ? 0 : 1;
     }
-    network_->set_shard_router(shard.router, remote_flags_.data());
+    net_shard.router = shard.router;
+    net_shard.remote = remote_flags_.data();
   }
+  // Borrowed adjacency: the topology outlives the network (member order),
+  // so no per-system copy of the O(E) neighbor lists.
+  network_ = std::make_unique<net::Network>(sim_, &topo_.adjacency(),
+                                            std::move(delays), master.fork(1),
+                                            net_shard);
+  network_->set_trace(config_.trace_sink);
+  self_ = sim_.register_sink(this);
 
   nodes_.resize(topo_.num_nodes());
   byz_nodes_.reserve(config_.fault_plan.size());

@@ -49,10 +49,13 @@ class FtGcsSystem final : public sim::EventSink {
   /// split — intra-cluster traffic, the Byzantine reference-round wiring
   /// and the quorum lanes all stay shard-local; only inter-cluster (cut)
   /// edges cross. All other construction (topology, RNG forks per node
-  /// id, drift draws per node index) is performed identically to an
-  /// unsharded system, which is what makes per-node executions
-  /// partition-invariant. `cluster_owner` and `router` are owned by the
-  /// sharded driver and must outlive the system.
+  /// id and per directed link, drift draws per node index) is performed
+  /// identically to an unsharded system, which is what makes per-node
+  /// executions partition-invariant. The forks are taken for every id,
+  /// but only the owned nodes' streams are stored: the network keeps the
+  /// delay streams of the senders this shard owns (net::ShardView).
+  /// `cluster_owner` and `router` are owned by the sharded driver and
+  /// must outlive the system.
   struct ShardView {
     int shard = 0;
     int num_shards = 1;
@@ -205,12 +208,14 @@ class FtGcsSystem final : public sim::EventSink {
   NodeConstants constants_;  ///< shared by every node (see NodeConstants)
   sim::Simulator sim_;
   sim::SinkId self_ = sim::kInvalidSink;  ///< edge-toggle events
+  /// Per node, 1 = owned by another shard; sharded mode only. Borrowed by
+  /// network_, so declared before it.
+  std::vector<std::uint8_t> remote_flags_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<FtGcsNode>> nodes_;  // null for faulty ids
   std::vector<std::unique_ptr<byz::ByzantineNode>> byz_nodes_;
   NodeTable table_;  ///< columnar hot state; adopts the nodes' lanes
   std::unique_ptr<clocks::DriftModel> drift_;
-  std::vector<std::uint8_t> remote_flags_;  ///< per node; sharded mode only
   int num_correct_ = 0;
   bool started_ = false;
 };

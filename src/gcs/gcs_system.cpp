@@ -18,7 +18,7 @@ GcsSystem::GcsSystem(net::Graph graph, Config config)
                     ? std::move(config_.delay_model)
                     : std::make_unique<net::UniformDelay>(config_.params.d,
                                                           config_.params.U);
-  network_ = std::make_unique<net::Network>(sim_, graph_.adjacency(),
+  network_ = std::make_unique<net::Network>(sim_, &graph_.adjacency(),
                                             std::move(delays), master.fork(1));
 
   nodes_.resize(graph_.num_vertices());

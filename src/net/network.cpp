@@ -33,46 +33,43 @@ sim::EventPayload encode(const Pulse& pulse, int dest) {
 }  // namespace
 
 Network::Network(sim::Simulator& simulator,
-                 std::vector<std::vector<int>> adjacency,
-                 std::unique_ptr<DelayModel> delays, sim::Rng rng)
-    : sim_(simulator),
-      adjacency_storage_(std::move(adjacency)),
-      adj_(&adjacency_storage_),
-      delays_(std::move(delays)),
-      sinks_(adj_->size(), nullptr) {
-  init_streams(std::move(rng));
-}
-
-Network::Network(sim::Simulator& simulator,
                  const std::vector<std::vector<int>>* adjacency,
-                 std::unique_ptr<DelayModel> delays, sim::Rng rng)
+                 std::unique_ptr<DelayModel> delays, sim::Rng rng,
+                 ShardView shard)
     : sim_(simulator),
       adj_(adjacency),
       delays_(std::move(delays)),
-      sinks_(adjacency == nullptr ? 0 : adj_->size(), nullptr) {
+      router_(shard.router),
+      remote_(shard.remote) {
   FTGCS_EXPECTS(adjacency != nullptr);
-  init_streams(std::move(rng));
-}
-
-void Network::init_streams(sim::Rng rng) {
   FTGCS_EXPECTS(delays_ != nullptr);
+  FTGCS_EXPECTS((router_ == nullptr) == (remote_ == nullptr));
   uniform_channel_ = dynamic_cast<const UniformDelay*>(delays_.get()) != nullptr;
   self_ = sim_.register_sink(this);
-  edge_streams_.reserve(adj_->size());
-  loopback_streams_.reserve(adj_->size());
+  const std::size_t n = adj_->size();
+  sinks_.assign(n, nullptr);
+  stream_begin_.assign(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const bool owned = remote_ == nullptr || remote_[v] == 0;
+    stream_begin_[v + 1] =
+        stream_begin_[v] + (owned ? (*adj_)[v].size() + 1 : 0);
+  }
+  streams_.reserve(stream_begin_[n]);
+  // Every node's streams are forked in the unsharded order (neighbors,
+  // then the loopback), owned or not: each fork advances `rng`.
   std::uint64_t salt = 0;
-  for (const auto& neighbors : *adj_) {
-    std::vector<sim::Rng> streams;
-    streams.reserve(neighbors.size());
-    for (std::size_t j = 0; j < neighbors.size(); ++j) {
+  for (std::size_t v = 0; v < n; ++v) {
+    const bool owned = stream_begin_[v + 1] != stream_begin_[v];
+    if (owned) streams_.emplace_back(0);  // the loopback, forked last
+    for (const int to : (*adj_)[v]) {
       // Validated once here so broadcast() can schedule deliveries
-      // without a per-message bounds check (destinations come only from
-      // this adjacency).
-      FTGCS_EXPECTS(neighbors[j] >= 0 && neighbors[j] < num_nodes());
-      streams.push_back(rng.fork(++salt));
+      // without a per-message bounds check.
+      FTGCS_EXPECTS(to >= 0 && to < num_nodes());
+      const sim::Rng stream = rng.fork(++salt);
+      if (owned) streams_.push_back(stream);
     }
-    edge_streams_.push_back(std::move(streams));
-    loopback_streams_.push_back(rng.fork(++salt));
+    const sim::Rng loopback = rng.fork(++salt);
+    if (owned) streams_[stream_begin_[v]] = loopback;
   }
 }
 
@@ -91,13 +88,6 @@ void Network::set_cluster_dispatch(ClusterPulseTable* table,
   FTGCS_EXPECTS(table != nullptr && managed != nullptr);
   dispatch_ = table;
   managed_ = managed;
-}
-
-void Network::set_shard_router(ShardRouter* router,
-                               const std::uint8_t* remote) {
-  FTGCS_EXPECTS(router != nullptr && remote != nullptr);
-  router_ = router;
-  remote_ = remote;
 }
 
 bool Network::enable_level_elision() {
@@ -139,12 +129,13 @@ bool Network::are_neighbors(int a, int b) const {
 }
 
 sim::Rng& Network::edge_rng(int from, int to) {
-  if (from == to) return loopback_streams_[static_cast<std::size_t>(from)];
+  FTGCS_EXPECTS(owns(from));
+  const std::size_t first = stream_begin_[static_cast<std::size_t>(from)];
+  if (from == to) return streams_[first];
   const auto& nb = (*adj_)[static_cast<std::size_t>(from)];
   const auto it = std::find(nb.begin(), nb.end(), to);
   FTGCS_EXPECTS(it != nb.end());
-  return edge_streams_[static_cast<std::size_t>(from)]
-                      [static_cast<std::size_t>(it - nb.begin())];
+  return streams_[first + 1 + static_cast<std::size_t>(it - nb.begin())];
 }
 
 void Network::deliver(int from, int to, const Pulse& pulse,
@@ -207,17 +198,20 @@ void Network::broadcast(int from, const Pulse& pulse) {
   FTGCS_EXPECTS(from >= 0 && from < num_nodes());
   FTGCS_EXPECTS(pulse.sender == from);
   const auto& neighbors = (*adj_)[static_cast<std::size_t>(from)];
-  // One delivery group: loopback first, then neighbors in adjacency order
-  // (streams are indexed by position — no per-edge find(); edge_rng(),
-  // which searches, stays for the unicast paths only), so the draw order
-  // each per-edge stream observes is unchanged. The payload is encoded
-  // once; destinations come from the validated adjacency and delays from
-  // the channel's own sampler, so the per-delivery bounds checks of the
-  // unicast path are hoisted out of the loop.
+  // One delivery group: loopback first, then neighbors in adjacency order,
+  // drawn from the sender's stream run in the same order (no per-edge
+  // find(); edge_rng(), which searches, stays for the unicast paths only),
+  // so the draw order each per-edge stream observes is unchanged. The
+  // payload is encoded once; destinations come from the validated
+  // adjacency and delays from the channel's own sampler, so the
+  // per-delivery bounds checks of the unicast path are hoisted out of the
+  // loop.
   const std::size_t count = neighbors.size() + 1;
+  FTGCS_EXPECTS(owns(from));  // an owned run is exactly this fan-out
   messages_sent_ += count;
   sim::EventPayload payload = encode(pulse, from);
-  auto& streams = edge_streams_[static_cast<std::size_t>(from)];
+  sim::Rng* streams =
+      streams_.data() + stream_begin_[static_cast<std::size_t>(from)];
   // Coalesced fan-out: all delays are sampled first — the exact streams
   // and draw order of one delivery at a time — then the queue takes ONE
   // pre-encoded group, paying bucket lookup, window check, and the shared
@@ -229,10 +223,9 @@ void Network::broadcast(int from, const Pulse& pulse) {
     group_delays_.resize(count);
     group_mask_.resize(count);
   }
-  group_delays_[0] = sample_delay(
-      from, from, loopback_streams_[static_cast<std::size_t>(from)]);
+  group_delays_[0] = sample_delay(from, from, streams[0]);
   for (std::size_t j = 0; j < neighbors.size(); ++j) {
-    group_delays_[j + 1] = sample_delay(from, neighbors[j], streams[j]);
+    group_delays_[j + 1] = sample_delay(from, neighbors[j], streams[j + 1]);
   }
   std::uint8_t* mask = group_mask_.data();
   std::size_t masked = 0;
@@ -283,6 +276,7 @@ void Network::unicast_with_delay(int from, int to, const Pulse& pulse,
   FTGCS_EXPECTS(to >= 0 && to < num_nodes());
   FTGCS_EXPECTS(pulse.sender == from);
   FTGCS_EXPECTS(from == to || are_neighbors(from, to));
+  FTGCS_EXPECTS(owns(from));
   deliver(from, to, pulse, delay);
 }
 

@@ -35,6 +35,12 @@
 // the local group, whose local deliveries the table may still mark dead.
 // A unicast keeps its ordinary post, and a traced run elides nothing,
 // since its trace records every delivery.
+//
+// Delay streams live in one flat table; sender v's run is [loopback,
+// neighbor 0 … deg−1], the broadcast's delay-buffer layout. A shard keeps
+// runs only for the senders it owns (a send from another is a contract
+// failure), but forks every stream in the unsharded order, so each kept
+// stream is the one an unsharded network holds.
 #pragma once
 
 #include <array>
@@ -129,23 +135,26 @@ class ShardRouter {
                               const sim::EventPayload& payload) = 0;
 };
 
+/// A shard's view of the network: it owns the nodes v with remote[v] == 0
+/// and routes deliveries to the others through `router`. The default view
+/// owns every node. Both are owned by the caller and outlive the network.
+struct ShardView {
+  ShardRouter* router = nullptr;
+  const std::uint8_t* remote = nullptr;  ///< per node; 1 = another shard's
+};
+
 class Network final : public sim::EventSink {
  public:
-  /// `adjacency[v]` lists v's neighbors (no self-loops). The network adds
-  /// loopback delivery on broadcast. One RNG stream per directed edge is
-  /// forked from `rng`.
-  Network(sim::Simulator& simulator, std::vector<std::vector<int>> adjacency,
-          std::unique_ptr<DelayModel> delays, sim::Rng rng);
-
-  /// Borrowed-adjacency overload: shares an immutable adjacency owned by
-  /// the caller instead of copying it — one topology can feed every shard
-  /// of a sharded run (and the single-run path) with zero duplication.
-  /// `adjacency` must stay valid, unchanged, for the network's lifetime
-  /// (broadcast delivery groups additionally borrow the neighbor lists
-  /// until the last delivery fires; an outliving topology satisfies both).
+  /// `adjacency[v]` lists v's neighbors (no self-loops); the network adds
+  /// loopback delivery on broadcast. The adjacency is borrowed (one
+  /// topology feeds every shard) and must stay valid, unchanged, for the
+  /// network's lifetime: broadcast groups borrow its neighbor lists until
+  /// their last delivery fires. Each directed edge and loopback gets a
+  /// stream forked from `rng`; `shard` selects the senders keeping theirs.
   Network(sim::Simulator& simulator,
           const std::vector<std::vector<int>>* adjacency,
-          std::unique_ptr<DelayModel> delays, sim::Rng rng);
+          std::unique_ptr<DelayModel> delays, sim::Rng rng,
+          ShardView shard = {});
 
   int num_nodes() const { return static_cast<int>(adj_->size()); }
 
@@ -173,13 +182,6 @@ class Network final : public sim::EventSink {
   /// tap. Returns false, eliding nothing, if the ring cannot cover the
   /// window.
   bool enable_level_elision();
-
-  /// Sharded mode: deliveries whose destination has `remote[dest] != 0`
-  /// are diverted to `router` (with their sampled arrival time) instead of
-  /// being scheduled locally. Delay sampling is unchanged either way, so
-  /// per-edge RNG draw order is identical to an unsharded run. Both
-  /// pointers are owned by the caller and must outlive the network.
-  void set_shard_router(ShardRouter* router, const std::uint8_t* remote);
 
   /// Observability tap: mirrors every FIRED delivery (single and batched)
   /// to `sink` before dispatch. nullptr disables; with no sink the whole
@@ -271,7 +273,10 @@ class Network final : public sim::EventSink {
   /// the shard).
   void deliver(int from, int to, const Pulse& pulse, sim::Duration delay);
   sim::Rng& edge_rng(int from, int to);
-  void init_streams(sim::Rng rng);
+  bool owns(int node) const {
+    return stream_begin_[static_cast<std::size_t>(node) + 1] !=
+           stream_begin_[static_cast<std::size_t>(node)];
+  }
 
   /// sim::Simulator::DeadFired: n elided level deliveries fired.
   static void elided_fired(std::size_t n, void* self);
@@ -287,8 +292,7 @@ class Network final : public sim::EventSink {
 
   sim::Simulator& sim_;
   sim::SinkId self_ = sim::kInvalidSink;
-  std::vector<std::vector<int>> adjacency_storage_;  ///< owned-adjacency mode
-  const std::vector<std::vector<int>>* adj_ = nullptr;  ///< always valid
+  const std::vector<std::vector<int>>* adj_ = nullptr;  ///< borrowed
   std::unique_ptr<DelayModel> delays_;
   bool uniform_channel_ = false;
   std::vector<PulseSink*> sinks_;
@@ -297,10 +301,10 @@ class Network final : public sim::EventSink {
   ShardRouter* router_ = nullptr;           ///< cut-edge diversion (optional)
   const std::uint8_t* remote_ = nullptr;    ///< per-dest off-shard flags
   trace::TraceSink* trace_ = nullptr;       ///< delivery tap (optional)
-  // One stream per directed edge, keyed densely: edge_streams_[from] maps
-  // position-in-adjacency-list -> Rng; loopback stream is separate.
-  std::vector<std::vector<sim::Rng>> edge_streams_;
-  std::vector<sim::Rng> loopback_streams_;
+  /// Owned senders' delay streams: v's run is streams_[stream_begin_[v],
+  /// stream_begin_[v + 1]) (see the file comment); empty if not owned.
+  std::vector<sim::Rng> streams_;
+  std::vector<std::size_t> stream_begin_;  ///< num_nodes() + 1 offsets
   /// Broadcast scratch: all of one fan-out's delays sampled here before the
   /// queue sees the group (loopback at [0], neighbor j at [j + 1]), and
   /// the group's mask (dead / routed off-shard deliveries), indexed alike.

@@ -35,7 +35,7 @@ class ClusterHarness {
         topo_(options.observers > 0 ? net::Graph::line(2)
                                     : net::Graph::line(1),
               params.k),
-        network_(sim_, topo_.adjacency(),
+        network_(sim_, &topo_.adjacency(),
                  options.delay_model
                      ? std::move(options.delay_model)
                      : std::make_unique<net::UniformDelay>(params.d,

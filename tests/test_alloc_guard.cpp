@@ -25,8 +25,11 @@
 #include "byz/strategies.h"
 #include "core/ftgcs_system.h"
 #include "core/params.h"
+#include "exp/topology_graph.h"
 #include "net/augmented.h"
+#include "net/channel.h"
 #include "net/graph.h"
+#include "par/partition.h"
 #include "par/sharded_system.h"
 #include "sim/event.h"
 #include "support/alloc_guard.h"
@@ -151,9 +154,13 @@ TEST(AllocGuard, SteadyStateByzantineRunIsAllocationFree) {
 // engines inside take nothing of their own — no receive lane (the
 // NodeTable's lanes are adopted before first use), no sort buffer, no
 // hook closures — and the node, table and network arrays amortize over
-// the system. The system is large_torus at clusters=64 (8 × 8 torus, 256
-// nodes); its topology is built outside the guard. It reads 6 per node
-// (15 while every engine owned its lane, sort buffer and replica block).
+// the system, as does the network's flat delay-stream table. The system is
+// large_torus at clusters=64 (8 × 8 torus, 256 nodes); its topology is
+// built outside the guard. It reads 5 per node (15 while every engine
+// owned its lane, sort buffer and replica block; 6 while the network kept
+// one stream vector per node).
+constexpr std::uint64_t kConstructionAllocationsPerNode = 5;
+
 TEST(AllocGuard, SystemConstructionAllocationsPerNode) {
   const core::Params params = test_params();
   net::Graph graph = net::Graph::torus(8, 8);
@@ -167,8 +174,39 @@ TEST(AllocGuard, SystemConstructionAllocationsPerNode) {
   const core::FtGcsSystem system(std::move(graph), std::move(config));
   const std::uint64_t per_node =
       guard.allocations() / static_cast<std::uint64_t>(topo.num_nodes());
-  EXPECT_LE(per_node, 8u) << guard.allocations() << " allocations for "
-                           << topo.num_nodes() << " nodes";
+  EXPECT_LE(per_node, kConstructionAllocationsPerNode)
+      << guard.allocations() << " allocations for " << topo.num_nodes()
+      << " nodes";
+}
+
+// Sharding must not multiply the per-node construction cost: each shard
+// builds only its own nodes, and its network keeps delay streams only for
+// the senders it owns, so four shards together stay within the unsharded
+// bound (the mailboxes and worker threads amortize). Topology and shard
+// plan are built outside the guard, as exp::run_ftgcs builds them before
+// it constructs the system.
+TEST(AllocGuard, ShardedConstructionAllocationsPerNode) {
+  const core::Params params = test_params();
+  net::Graph graph = net::Graph::torus(8, 8);
+  const net::AugmentedTopology topo(graph, params.k);
+  par::ShardedFtGcsSystem::Config config;
+  config.params = params;
+  config.seed = 1;
+  config.shards = 4;
+  config.shared_topo = &topo;
+  config.plan = par::make_shard_plan(
+      exp::build_topology_graph(
+          topo, net::UniformDelay(params.d, params.U)),
+      config.shards);
+
+  const support::ScopedAllocGuard guard;
+  const par::ShardedFtGcsSystem system(std::move(graph), std::move(config));
+  ASSERT_EQ(system.num_shards(), 4);
+  const std::uint64_t per_node =
+      guard.allocations() / static_cast<std::uint64_t>(topo.num_nodes());
+  EXPECT_LE(per_node, kConstructionAllocationsPerNode)
+      << guard.allocations() << " allocations for " << topo.num_nodes()
+      << " nodes on " << system.num_shards() << " shards";
 }
 
 // Trace capture buffers must grow geometrically: an exact per-batch

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/estimates.h"
 #include "harness.h"
@@ -85,23 +86,23 @@ TEST(Estimates, TwoObserversAgreeWithEachOther) {
   EXPECT_LE(worst, 2.0 * params.theta_g * params.E);
 }
 
-TEST(EstimateBank, RoutesAndReadsPerCluster) {
+TEST(EstimateBank, ReadsPerPositionInClusterOrder) {
   // Bank-level unit test on a 3-cluster line: node in middle cluster
-  // observes both ends.
+  // observes both ends, in the order given at construction.
   const Params params = test_params();
   sim::Simulator sim;
   const ClusterSyncConfig cfg = ClusterSyncConfig::from(params);
   sim::Rng rng(5);
-  EstimateBank bank(sim, cfg, {0, 2}, 1.0, rng);
+  EstimateBank bank(sim, cfg, {2, 0}, 1.0, rng);
   bank.start();
   sim.run_until(0.5 * params.T);
-  EXPECT_EQ(bank.clusters().size(), 2u);
-  const auto values = bank.all_estimates(sim.now());
-  EXPECT_EQ(values.size(), 2u);
-  EXPECT_NEAR(values[0], bank.estimate(0, sim.now()), 1e-12);
-  EXPECT_NEAR(values[1], bank.estimate(2, sim.now()), 1e-12);
-  // Replicas progress on their own even without pulses (clamped).
-  EXPECT_GT(values[0], 0.0);
+  EXPECT_EQ(bank.clusters(), (std::vector<int>{2, 0}));
+  for (std::size_t i = 0; i < bank.clusters().size(); ++i) {
+    EXPECT_EQ(bank.estimate_at(i, sim.now()),
+              bank.replica_at(i).clock().read(sim.now()));
+    // Replicas progress on their own even without pulses (clamped).
+    EXPECT_GT(bank.estimate_at(i, sim.now()), 0.0);
+  }
 }
 
 TEST(EstimateBank, HardwareRateForwarding) {
@@ -111,7 +112,7 @@ TEST(EstimateBank, HardwareRateForwarding) {
   sim::Rng rng(6);
   EstimateBank bank(sim, cfg, {0}, 1.0, rng);
   bank.set_hardware_rate(0.0, 1.0 + params.rho);
-  EXPECT_DOUBLE_EQ(bank.replica(0).clock().hardware_rate(),
+  EXPECT_DOUBLE_EQ(bank.replica_at(0).clock().hardware_rate(),
                    1.0 + params.rho);
 }
 

@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "net/augmented.h"
 #include "net/channel.h"
@@ -29,19 +32,20 @@ struct Counter final : PulseSink {
 };
 
 struct Fixture {
+  Graph graph;
   sim::Simulator sim;
   Network network;
   std::map<int, std::vector<std::pair<int, sim::Time>>> received;
   std::vector<Inbox> inboxes;
 
-  explicit Fixture(const Graph& g, std::unique_ptr<DelayModel> delays =
-                                       nullptr)
-      : network(sim, g.adjacency(),
+  explicit Fixture(Graph g, std::unique_ptr<DelayModel> delays = nullptr)
+      : graph(std::move(g)),
+        network(sim, &graph.adjacency(),
                 delays ? std::move(delays)
                        : std::make_unique<UniformDelay>(1.0, 0.2),
                 sim::Rng(5)) {
-    inboxes.resize(static_cast<std::size_t>(g.num_vertices()));
-    for (int v = 0; v < g.num_vertices(); ++v) {
+    inboxes.resize(static_cast<std::size_t>(graph.num_vertices()));
+    for (int v = 0; v < graph.num_vertices(); ++v) {
       inboxes[v].log = &received[v];
       network.register_handler(v, &inboxes[v]);
     }
@@ -184,9 +188,8 @@ TEST(DelayModels, DirectionalBias) {
 
 TEST(Network, WorksOnAugmentedTopology) {
   const AugmentedTopology topo(Graph::line(2), 4);
-  Fixture fx(Graph::line(1));  // placeholder; build real one below
   sim::Simulator sim;
-  Network network(sim, topo.adjacency(),
+  Network network(sim, &topo.adjacency(),
                   std::make_unique<UniformDelay>(1.0, 0.1), sim::Rng(9));
   std::vector<Counter> sinks(static_cast<std::size_t>(topo.num_nodes()));
   for (int v = 0; v < topo.num_nodes(); ++v) {
@@ -249,10 +252,13 @@ TEST(Network, LevelElisionRoutesRemoteAndElidesLocal) {
   // sender 1 owns the cut edge. Both broadcast through one coalesced
   // group; the boundary sender's delivery to 2 goes to the router and is
   // skipped in the group, and its local level deliveries are elided.
+  const Graph line = Graph::line(3);
   sim::Simulator sim;
-  Network network(sim, Graph::line(3).adjacency(),
-                  std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(5));
   const std::vector<std::uint8_t> remote = {0, 0, 1};
+  RemoteLog router;
+  Network network(sim, &line.adjacency(),
+                  std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(5),
+                  ShardView{&router, remote.data()});
   MarkAllTable table;
   table.remote = remote.data();
   const std::vector<std::uint8_t> fast(3, 1);
@@ -260,8 +266,6 @@ TEST(Network, LevelElisionRoutesRemoteAndElidesLocal) {
   sim.set_batch_channel(network.sink_id(), sim::EventKind::kPulse,
                         &accept_all, nullptr);
   ASSERT_TRUE(network.enable_level_elision());
-  RemoteLog router;
-  network.set_shard_router(&router, remote.data());
 
   Pulse cluster;
   cluster.sender = 0;
@@ -310,9 +314,13 @@ TEST(Network, SkippedDeliveriesKeepTheirSeqs) {
     }
   };
   const auto fire_order = [](const std::uint8_t* remote) {
+    const Graph ring = Graph::ring(4);
     sim::Simulator sim;
-    Network network(sim, Graph::ring(4).adjacency(),
-                    std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(7));
+    RemoteLog router;
+    Network network(sim, &ring.adjacency(),
+                    std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(7),
+                    remote != nullptr ? ShardView{&router, remote}
+                                      : ShardView{});
     std::vector<std::pair<sim::Time, int>> order;
     std::vector<Recorder> sinks(4);
     for (int v = 0; v < 4; ++v) {
@@ -320,8 +328,6 @@ TEST(Network, SkippedDeliveriesKeepTheirSeqs) {
       sinks[v].log = &order;
       network.register_handler(v, &sinks[v]);
     }
-    RemoteLog router;
-    if (remote != nullptr) network.set_shard_router(&router, remote);
     Pulse pulse;
     for (int sender : {0, 1, 2, 0}) {
       pulse.sender = sender;
@@ -339,6 +345,89 @@ TEST(Network, SkippedDeliveriesKeepTheirSeqs) {
   }
   EXPECT_EQ(fire_order(remote.data()), local);
   EXPECT_EQ(local.size(), 9u);
+}
+
+// ---- shard-local delay streams --------------------------------------------
+
+/// One delivery as (sender, dest, arrival): fired locally or handed to the
+/// shard router, whose arrival time is the one the delivery would fire at.
+using Arrival = std::tuple<int, int, sim::Time>;
+
+struct ArrivalLog final : ShardRouter {
+  std::vector<Arrival> arrivals;
+  void remote_deliver(int from, sim::Time at,
+                      const sim::EventPayload& payload) override {
+    arrivals.emplace_back(from, static_cast<int>(payload.c), at);
+  }
+};
+
+struct ArrivalSink final : PulseSink {
+  int node = 0;
+  std::vector<Arrival>* log = nullptr;
+  void on_pulse(const Pulse& pulse, sim::Time now) override {
+    log->emplace_back(pulse.sender, node, now);
+  }
+};
+
+TEST(Network, ShardViewDrawsTheUnshardedDelays) {
+  // A shard's network stores only its own senders' streams, but each one
+  // must be the stream an unsharded network with the same seed holds:
+  // broadcasts (loopback included) and unicasts (edge_rng) from every
+  // owned sender arrive at bit-identical times.
+  const AugmentedTopology topo(Graph::line(3), 4);  // 12 nodes
+  const int n = topo.num_nodes();
+  std::vector<std::uint8_t> remote(static_cast<std::size_t>(n), 0);
+  for (int v = 4; v < 8; ++v) remote[static_cast<std::size_t>(v)] = 1;
+  const auto arrivals = [&](const std::uint8_t* view) {
+    sim::Simulator sim;
+    ArrivalLog router;
+    Network network(sim, &topo.adjacency(),
+                    std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(13),
+                    view != nullptr ? ShardView{&router, view} : ShardView{});
+    std::vector<ArrivalSink> sinks(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) {
+      sinks[static_cast<std::size_t>(v)].node = v;
+      sinks[static_cast<std::size_t>(v)].log = &router.arrivals;
+      network.register_handler(v, &sinks[static_cast<std::size_t>(v)]);
+    }
+    for (int round = 0; round < 3; ++round) {
+      for (int from = 0; from < n; ++from) {
+        if (remote[static_cast<std::size_t>(from)] != 0) continue;
+        Pulse pulse;
+        pulse.sender = from;
+        network.broadcast(from, pulse);
+        network.unicast(from, from, pulse);
+        for (int to : network.neighbors(from)) network.unicast(from, to, pulse);
+      }
+    }
+    sim.run_until(2.0);
+    std::sort(router.arrivals.begin(), router.arrivals.end());
+    return router.arrivals;
+  };
+  const std::vector<Arrival> unsharded = arrivals(nullptr);
+  // 3 rounds × 8 owned senders (degree 7) × (broadcast + unicasts).
+  EXPECT_EQ(unsharded.size(), 3u * 8u * ((1u + 7u) + (1u + 7u)));
+  EXPECT_EQ(arrivals(remote.data()), unsharded);
+}
+
+TEST(Network, SendFromAnUnownedSenderIsAContractFailure) {
+  // The shard stores no streams for another shard's senders.
+  const Graph line = Graph::line(3);
+  const std::vector<std::uint8_t> remote = {0, 0, 1};
+  RemoteLog router;
+  sim::Simulator sim;
+  Network network(sim, &line.adjacency(),
+                  std::make_unique<UniformDelay>(1.0, 0.2), sim::Rng(5),
+                  ShardView{&router, remote.data()});
+  Pulse pulse;
+  pulse.sender = 2;
+  EXPECT_DEATH(network.broadcast(2, pulse), "precondition");
+  EXPECT_DEATH(network.unicast(2, 1, pulse), "owns\\(from\\)");
+  EXPECT_DEATH(network.unicast_with_delay(2, 1, pulse, 0.9),
+               "owns\\(from\\)");
+  pulse.sender = 1;
+  network.unicast(1, 2, pulse);  // an owned sender reaches across the cut
+  EXPECT_EQ(router.dests, (std::vector<int>{2}));
 }
 
 }  // namespace
