@@ -53,7 +53,6 @@ class EchoClusterNode final : public net::PulseSink {
   }
 
   double logical(sim::Time now) const { return clock_.read(now); }
-  int waves_fired() const { return wave_fired_; }
 
  private:
   void fire_wave(int wave, sim::Time now);

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "clocks/logical_clock.h"
@@ -95,27 +94,6 @@ class ClusterSyncHooks {
 
  protected:
   ~ClusterSyncHooks() = default;  // never deleted through the interface
-};
-
-/// Closure-backed hooks for rigs that script an engine (tests, experiment
-/// drivers): each unset closure is a no-op. Owned by the rig, which must
-/// keep it alive while the engine runs.
-class ClusterSyncCallbacks final : public ClusterSyncHooks {
- public:
-  std::function<void(int round)> round_start;
-  std::function<void(int round, sim::Time now)> pulse;
-  std::function<void(int round, double delta_corr, bool violated)>
-      correction;
-
-  void on_round_start(int round) override {
-    if (round_start) round_start(round);
-  }
-  void on_pulse_instant(int round, sim::Time now) override {
-    if (pulse) pulse(round, now);
-  }
-  void on_correction(int round, double delta_corr, bool violated) override {
-    if (correction) correction(round, delta_corr, violated);
-  }
 };
 
 class ClusterSyncEngine final : public clocks::LogicalTimerSet::Client,

@@ -282,6 +282,7 @@ void FtGcsSystem::on_event(sim::EventKind kind,
                            const sim::EventPayload& payload,
                            sim::Time /*now*/) {
   FTGCS_ASSERT(kind == sim::EventKind::kTimer);
+  ++toggles_fired_;
   set_edge_active(payload.a, payload.b, payload.d != 0);
 }
 

@@ -155,11 +155,12 @@ class FtGcsSystem final : public sim::EventSink {
            view.cluster_owner[topo_.cluster_of(id)] == view.shard;
   }
 
-  /// Drift events fired by this system's (per-shard) drift-model copy —
-  /// the sharded driver subtracts the duplicate copies' fires so the
+  /// Events every shard of a sharded run replays on its own simulator:
+  /// the ticks of its drift-model copy and the scheduled edge toggles.
+  /// The sharded driver subtracts the duplicate copies' fires so the
   /// reported event total matches the single-simulator engine.
-  std::uint64_t drift_ticks_fired() const {
-    return drift_ ? drift_->ticks_fired() : 0;
+  std::uint64_t replicated_events_fired() const {
+    return (drift_ ? drift_->ticks_fired() : 0) + toggles_fired_;
   }
 
   /// The columnar per-node state bank backing the flat dispatch path.
@@ -189,7 +190,9 @@ class FtGcsSystem final : public sim::EventSink {
   /// consensus the paper prescribes for consistent edge activation.
   void set_edge_active(int b, int c, bool active);
 
-  /// Schedules set_edge_active(b, c, active) at absolute time `at`.
+  /// Schedules set_edge_active(b, c, active) at absolute time `at`. A
+  /// shard touches only the members it owns, so a sharded run schedules
+  /// every toggle on every shard.
   void schedule_edge_toggle(int b, int c, bool active, sim::Time at);
 
   /// sim::EventSink: a scheduled edge toggle fires (kTimer; a = b, b = c,
@@ -217,6 +220,7 @@ class FtGcsSystem final : public sim::EventSink {
   NodeTable table_;  ///< columnar hot state; adopts the nodes' lanes
   std::unique_ptr<clocks::DriftModel> drift_;
   int num_correct_ = 0;
+  std::uint64_t toggles_fired_ = 0;
   bool started_ = false;
 };
 

@@ -3,8 +3,9 @@
 // Scenarios register by value under their `name`; the CLI,
 // benchmark/ftgcs_e2e.cpp and the tests all look experiments up here
 // instead of hand-rolling setup code. register_builtin_scenarios() installs
-// the paper-reproduction scenarios (E1, E2, E4, E5, E6, E8, E9 and E13
-// families) and the large-grid workloads, and is idempotent.
+// the paper-reproduction scenarios (every experiment E1-E13; there are no
+// per-experiment binaries) and the large-grid workloads, and is
+// idempotent.
 #pragma once
 
 #include <string>

@@ -3,22 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/cluster_tree_sync.h"
 #include "baselines/srikanth_toueg.h"
 #include "baselines/tree_sync.h"
 #include "clocks/drift_model.h"
 #include "core/ftgcs_system.h"
+#include "core/triggers.h"
 #include "exp/topology_graph.h"
 #include "gcs/gcs_system.h"
 #include "metrics/skew_tracker.h"
 #include "net/augmented.h"
 #include "net/channel.h"
 #include "obs/phase_profiler.h"
+#include "obs/pulse_diameters.h"
 #include "obs/sampler.h"
+#include "obs/settle_time.h"
 #include "par/partition.h"
 #include "par/sharded_system.h"
 #include "support/assert.h"
@@ -102,6 +109,325 @@ byz::FaultPlan build_fault_plan(const FaultPlanSpec& spec,
   FTGCS_ASSERT(false);
   return byz::FaultPlan::none();
 }
+
+std::unique_ptr<net::DelayModel> build_delay(DelayKind kind,
+                                             const core::Params& params) {
+  switch (kind) {
+    case DelayKind::kUniform:
+      return std::make_unique<net::UniformDelay>(params.d, params.U);
+    case DelayKind::kTwoPoint:
+      return std::make_unique<net::TwoPointDelay>(params.d, params.U);
+    case DelayKind::kDirectional:
+      return std::make_unique<net::DirectionalDelay>(params.d, params.U);
+  }
+  FTGCS_ASSERT(false);
+  return nullptr;
+}
+
+/// The shard system that owns node `id` (the system itself unsharded).
+core::FtGcsSystem& owner_of(core::FtGcsSystem& s, int) { return s; }
+core::FtGcsSystem& owner_of(par::ShardedFtGcsSystem& s, int id) {
+  return s.owner(id);
+}
+
+/// One node's hooks under an externally driven γ regime (E3): Algorithm 2
+/// decides first, with all its bookkeeping, then the regime overrides γ
+/// for the round, in the engine's clock and in the table's γ column.
+class GammaOverride final : public core::ClusterSyncHooks {
+ public:
+  GammaOverride(GammaRegime regime, core::FtGcsSystem& owner, int id)
+      : regime_(regime),
+        owner_(owner),
+        id_(id),
+        next_(owner.node(id).engine().hooks()) {}
+
+  void on_round_start(int round) override {
+    next_->on_round_start(round);
+    const int gamma = regime_ == GammaRegime::kFast   ? 1
+                      : regime_ == GammaRegime::kSlow ? 0
+                                                      : (round + id_) % 2;
+    owner_.node(id_).engine().clock().set_gamma(owner_.simulator().now(),
+                                                gamma);
+    owner_.node_table().set_gamma(id_, gamma);
+  }
+  void on_pulse_instant(int round, sim::Time now) override {
+    next_->on_pulse_instant(round, now);
+  }
+  void on_correction(int round, double delta_corr, bool violated) override {
+    next_->on_correction(round, delta_corr, violated);
+  }
+
+ private:
+  GammaRegime regime_;
+  core::FtGcsSystem& owner_;
+  int id_;
+  core::ClusterSyncHooks* next_;
+};
+
+/// Per-cluster clocks L_C = (L⁺ + L⁻)/2 over the correct members of a
+/// probe's columns (Def. 3.3); NaN for a cluster without one.
+void cluster_clocks(const core::SystemColumns& columns,
+                    const net::AugmentedTopology& topo,
+                    std::vector<double>& out) {
+  out.assign(static_cast<std::size_t>(topo.num_clusters()),
+             std::numeric_limits<double>::quiet_NaN());
+  for (int c = 0; c < topo.num_clusters(); ++c) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    for (int member : topo.members(c)) {
+      const auto i = static_cast<std::size_t>(member);
+      if (!columns.correct[i]) continue;
+      lo = std::min(lo, columns.logical[i]);
+      hi = std::max(hi, columns.logical[i]);
+    }
+    if (hi >= lo) out[static_cast<std::size_t>(c)] = (lo + hi) / 2.0;
+  }
+}
+
+/// The optional metric groups of an FT-GCS run, each computed only when
+/// the scenario's table shows one of its metrics (ClaimProbes documents
+/// each). ResolvedRun::metric_groups holds bit 1 << group.
+enum MetricGroup : unsigned {
+  kPulseDiameterMetrics,  ///< E3, E12
+  kRateMetrics,           ///< E3
+  kFaithfulnessMetrics,   ///< E10
+  kDrainMetrics,          ///< E10
+  kEdgeMetrics,           ///< E11
+};
+
+/// Each group's metric names, in the order ClaimProbes emits them: the one
+/// list that both turns a group on and names its values.
+const std::vector<const char*> kMetricGroupNames[] = {
+    {"steady_diameter", "predicted_diameter", "spike_diameter", "spike_next",
+     "contraction", "alpha", "in_contraction_bound"},
+    {"rate_min_mu", "rate_max_mu", "rate_lo_mu", "rate_hi_mu",
+     "in_rate_band"},
+    {"trigger_samples", "faithfulness_misses"},
+    {"in_drained"},
+    {"edge_gap", "edge_excess", "expected_delay", "stabilization_delay",
+     "delay_ratio"},
+};
+
+/// The metric_groups bit of optional metric `name`; 0 for any other name.
+unsigned metric_group_bit(const std::string& name) {
+  for (unsigned group = 0; group < std::size(kMetricGroupNames); ++group) {
+    for (const char* metric : kMetricGroupNames[group]) {
+      if (name == metric) return 1u << group;
+    }
+  }
+  return 0;
+}
+
+/// Appends `values` under the names of `group`, in order.
+void append_group(std::vector<std::pair<std::string, double>>& m,
+                  MetricGroup group, std::initializer_list<double> values) {
+  const std::vector<const char*>& names = kMetricGroupNames[group];
+  FTGCS_ASSERT(names.size() == values.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    m.emplace_back(names[i], values.begin()[i]);
+  }
+}
+
+/// The optional metric groups of one FT-GCS run: pulse diameters from a
+/// PulseRecorder in front of every correct node's hooks, the rest from
+/// each probe's columns. A group that is off costs nothing.
+class ClaimProbes {
+ public:
+  ClaimProbes(const ResolvedRun& run, const net::AugmentedTopology& topo)
+      : run_(run),
+        topo_(topo),
+        settle_(2.0 * run.params.kappa) {}
+
+  bool on(MetricGroup group) const {
+    return (run_.metric_groups >> group & 1u) != 0;
+  }
+
+  /// Puts a pulse recorder in front of every correct node's hooks. Call
+  /// before system.start().
+  template <class System>
+  void install(System& system) {
+    if (!on(kPulseDiameterMetrics)) return;
+    std::vector<int> members(static_cast<std::size_t>(topo_.num_clusters()),
+                             0);
+    for (int id = 0; id < topo_.num_nodes(); ++id) {
+      if (system.is_correct(id)) ++members[topo_.cluster_of(id)];
+    }
+    diameters_ = std::make_unique<obs::PulseDiameters>(std::move(members));
+    recorders_.reserve(static_cast<std::size_t>(topo_.num_nodes()));
+    for (int id = 0; id < topo_.num_nodes(); ++id) {
+      if (!system.is_correct(id)) continue;
+      core::ClusterSyncEngine& engine = system.node(id).engine();
+      recorders_.emplace_back(*diameters_, topo_.cluster_of(id),
+                              engine.hooks());
+      engine.set_hooks(&recorders_.back());
+    }
+  }
+
+  void probe(sim::Time t, const core::SystemColumns& columns) {
+    if (on(kRateMetrics) && rate_t0_ < 0.0 &&
+        t >= run_.steady_after_rounds * run_.params.T) {
+      rate_t0_ = t;
+      rate_l0_ = columns.logical;
+    }
+    if (on(kFaithfulnessMetrics)) count_faithfulness(columns);
+    if (on(kEdgeMetrics) && run_.activate_rounds >= 0.0) {
+      cluster_clocks(columns, topo_, clocks_);
+      settle_.add(t, std::abs(clocks_.back() - clocks_.front()));
+    }
+  }
+
+  /// Appends the metrics of every group that is on. `columns` is the
+  /// last probe's (at time `t`).
+  void emit(std::vector<std::pair<std::string, double>>& m, sim::Time t,
+            const core::SystemColumns& columns, double s_init,
+            double final_global) const {
+    const core::Params& params = run_.params;
+    if (on(kPulseDiameterMetrics)) emit_diameters(m);
+    if (on(kRateMetrics)) emit_rates(m, t, columns);
+    if (on(kFaithfulnessMetrics)) {
+      append_group(m, kFaithfulnessMetrics,
+                   {static_cast<double>(samples_),
+                    static_cast<double>(misses_)});
+    }
+    if (on(kDrainMetrics)) {
+      append_group(m, kDrainMetrics,
+                   {final_global < 0.5 * s_init ? 1.0 : 0.0});
+    }
+    if (on(kEdgeMetrics)) {
+      // The skew across the new edge at insertion, its excess over the 2κ
+      // band, and the time to drain that at the catch-up rate (1+ϕ)µ.
+      const double gap = (topo_.num_clusters() - 1) * run_.gap_rounds *
+                         params.T;
+      const double excess = std::max(0.0, gap - 2.0 * params.kappa);
+      const double expected = excess / ((1.0 + params.phi) * params.mu);
+      const auto settled = settle_.settled_at();
+      const double delay =
+          run_.activate_rounds >= 0.0 && settled
+              ? *settled - run_.activate_rounds * params.T
+              : -1.0;
+      append_group(m, kEdgeMetrics,
+                   {gap, excess, expected, delay,
+                    expected > 0.0 && delay >= 0.0 ? delay / expected : 0.0});
+    }
+  }
+
+ private:
+  /// Definition 4.6's purpose: whenever a cluster satisfies the fast or
+  /// slow condition on the true cluster clocks, every correct member
+  /// should be in that mode. One sample per such cluster and probe; a miss
+  /// when some member is not.
+  void count_faithfulness(const core::SystemColumns& columns) {
+    cluster_clocks(columns, topo_, clocks_);
+    for (double clock : clocks_) {
+      if (std::isnan(clock)) return;  // a cluster without correct members
+    }
+    for (int c = 0; c < topo_.num_clusters(); ++c) {
+      neighbors_.clear();
+      for (int b : topo_.cluster_neighbors(c)) {
+        neighbors_.push_back(clocks_[static_cast<std::size_t>(b)]);
+      }
+      const core::TriggerView view{clocks_[static_cast<std::size_t>(c)],
+                                   neighbors_};
+      const bool fast = core::fast_condition(view, run_.params.kappa);
+      const bool slow = core::slow_condition(view, run_.params.kappa);
+      if (!fast && !slow) continue;
+      ++samples_;
+      for (int member : topo_.members(c)) {
+        const auto i = static_cast<std::size_t>(member);
+        if (!columns.correct[i]) continue;
+        if ((fast && columns.gamma[i] != 1) || (slow && columns.gamma[i] != 0)) {
+          ++misses_;
+          break;
+        }
+      }
+    }
+  }
+
+  /// steady_diameter: mean ‖p(r)‖ over the complete rounds r after the
+  /// steady window opens (r > steady_after_rounds). predicted_diameter:
+  /// the fixed point of the Claim B.15 recurrence of the γ regime
+  /// (e_f^∞, e_s^∞, or e_g^∞). spike_*: the largest diameter and the next
+  /// round's; contraction = spike_next / spike_diameter, the one-round
+  /// factor Cor. B.13 bounds by alpha (the general recurrence's α).
+  void emit_diameters(std::vector<std::pair<std::string, double>>& m) const {
+    const core::Params& params = run_.params;
+    const auto complete = diameters_->complete_rounds();
+    double steady = 0.0;
+    int counted = 0;
+    for (const auto& [round, diameter] : complete) {
+      if (round > run_.steady_after_rounds) {
+        steady += diameter;
+        ++counted;
+      }
+    }
+    std::size_t spike = 0;
+    for (std::size_t i = 1; i < complete.size(); ++i) {
+      if (complete[i].second > complete[spike].second) spike = i;
+    }
+    const double spike_diameter =
+        complete.empty() ? 0.0 : complete[spike].second;
+    const double next =
+        spike + 1 < complete.size() ? complete[spike + 1].second : 0.0;
+    const double contraction =
+        spike_diameter > 0.0 ? next / spike_diameter : 0.0;
+    const core::RoundRecurrence& rec =
+        run_.gamma_regime == GammaRegime::kFast   ? params.rec_fast
+        : run_.gamma_regime == GammaRegime::kSlow ? params.rec_slow
+                                                  : params.rec_general;
+    append_group(m, kPulseDiameterMetrics,
+                 {counted > 0 ? steady / counted : 0.0, rec.fixed_point(),
+                  spike_diameter, next, contraction, params.rec_general.alpha,
+                  contraction <= params.rec_general.alpha ? 1.0 : 0.0});
+  }
+
+  /// Amortized logical rates of the correct nodes from the steady window's
+  /// first probe to the last, as (rate/(1+ϕ) − 1)/µ so that Lemma 3.6's
+  /// bands read in units of µ: a unanimously fast cluster at ≥ 7/8, a
+  /// slow one within ±1/8. Other regimes get Lemma B.4's per-node
+  /// envelope [1, ϑ_max].
+  void emit_rates(std::vector<std::pair<std::string, double>>& m, sim::Time t,
+                  const core::SystemColumns& columns) const {
+    const core::Params& params = run_.params;
+    const auto in_mu = [&params](double rate) {
+      return (rate / (1.0 + params.phi) - 1.0) / params.mu;
+    };
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -lo;
+    if (rate_t0_ >= 0.0 && t > rate_t0_) {
+      for (std::size_t i = 0; i < rate_l0_.size(); ++i) {
+        if (!columns.correct[i]) continue;
+        const double rate = (columns.logical[i] - rate_l0_[i]) / (t - rate_t0_);
+        lo = std::min(lo, rate);
+        hi = std::max(hi, rate);
+      }
+    }
+    double band_lo = 1.0;
+    double band_hi = params.max_logical_rate();
+    if (run_.gamma_regime == GammaRegime::kFast) {
+      band_lo = params.fast_cluster_rate_lower_bound();
+    } else if (run_.gamma_regime == GammaRegime::kSlow) {
+      band_lo = params.slow_cluster_rate_lower_bound();
+      band_hi = params.slow_cluster_rate_upper_bound();
+    }
+    const bool measured = hi >= lo;
+    append_group(m, kRateMetrics,
+                 {measured ? in_mu(lo) : 0.0, measured ? in_mu(hi) : 0.0,
+                  in_mu(band_lo), in_mu(band_hi),
+                  measured && lo >= band_lo && hi <= band_hi ? 1.0 : 0.0});
+  }
+
+  const ResolvedRun& run_;
+  const net::AugmentedTopology& topo_;
+  std::unique_ptr<obs::PulseDiameters> diameters_;
+  std::vector<obs::PulseRecorder> recorders_;
+  sim::Time rate_t0_ = -1.0;
+  std::vector<double> rate_l0_;
+  std::uint64_t samples_ = 0;
+  std::uint64_t misses_ = 0;
+  std::vector<double> clocks_;     ///< probe scratch
+  std::vector<double> neighbors_;  ///< probe scratch
+  obs::SettleTime settle_;
+};
 
 struct SampleMaxima {
   double max_local = 0.0;       // cluster-local
@@ -202,10 +528,11 @@ std::vector<double> sample_times(double horizon_rounds, double interval_rounds,
 /// bit-identical across backends and shard counts.
 template <class System>
 RunResult measure_ftgcs(System& system, const ResolvedRun& run,
-                        const net::AugmentedTopology& topo,
+                        const TopologyGraph& graph, ClaimProbes& claims,
                         trace::TraceCollector* collector,
                         obs::PhaseProfiler* profiler) {
   const core::Params& params = run.params;
+  const net::AugmentedTopology& topo = *graph.topo;
   const int clusters = topo.num_clusters();
   const int diameter = run.diameter;
 
@@ -232,9 +559,7 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
       bounds.global_skew = s_env + intra_bound;
       if (run.measure_m_lag) bounds.m_lag = s_env + intra_bound;
     }
-    const net::UniformDelay delays(params.d, params.U);
-    monitor = std::make_unique<trace::InvariantMonitor>(
-        build_topology_graph(topo, delays), bounds);
+    monitor = std::make_unique<trace::InvariantMonitor>(graph, bounds);
   }
 
   // Deterministic metrics series: registered against the SAME bounds the
@@ -250,9 +575,8 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
     sampler_config.measure_m_lag = run.measure_m_lag;
     const double scale = std::max(intra_bound, std::max(s_init, band));
     sampler_config.hist_scale = scale > 0.0 ? scale : 1.0;
-    const net::UniformDelay delays(params.d, params.U);
-    sampler = std::make_unique<obs::ProbeSampler>(
-        std::move(sampler_config), build_topology_graph(topo, delays));
+    sampler = std::make_unique<obs::ProbeSampler>(std::move(sampler_config),
+                                                  graph);
     sampler->prewarm();
   }
 
@@ -316,6 +640,7 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
       monitor->observe(columns, cursor);
       if (run.measure_m_lag) monitor->observe_m_lag(probe_m_lag, cursor);
     }
+    claims.probe(t, columns);
     if (sampler != nullptr) {
       obs::SampleContext ctx;
       ctx.at = t;
@@ -413,6 +738,7 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
                  messages / (run.horizon_rounds * topo.num_nodes()));
   m.emplace_back("events", static_cast<double>(system_events(system)));
   if (run.measure_m_lag) m.emplace_back("max_m_lag", agg.max_m_lag);
+  claims.emit(m, system_now(system), columns, s_init, agg.final_global);
   result.queue = system_tier_stats(system);
   result.deliveries = system_delivery_stats(system);
   result.shard = system_shard_stats(system);
@@ -424,14 +750,47 @@ RunResult measure_ftgcs(System& system, const ResolvedRun& run,
   return result;
 }
 
-/// measure_ftgcs plus trace finalization: seals the file (end marker +
-/// trailer) and stamps the capture summary into the result.
+/// When the transient fault of ScenarioSpec::perturbation (E12) strikes,
+/// in rounds.
+constexpr double kTransientRounds = 10.0;
+
+/// Installs the run's scheduled interventions and hooks on a built
+/// system, starts it, and measures it: edge activation (App. A),
+/// transient fault (E12), γ regime (E3) and the claim probes. Then seals
+/// the trace (end marker + trailer) and stamps the capture summary into
+/// the result.
 template <class System>
-RunResult measure_and_seal(System& system, const ResolvedRun& run,
-                           const net::AugmentedTopology& topo,
-                           trace::TraceCollector* collector,
-                           obs::PhaseProfiler* profiler = nullptr) {
-  RunResult result = measure_ftgcs(system, run, topo, collector, profiler);
+RunResult start_and_measure(System& system, const ResolvedRun& run,
+                            const TopologyGraph& graph, ClaimProbes& claims,
+                            std::vector<GammaOverride>& gamma_hooks,
+                            trace::TraceCollector* collector,
+                            obs::PhaseProfiler* profiler) {
+  const core::Params& params = run.params;
+  const net::AugmentedTopology& topo = *graph.topo;
+  if (run.activate_rounds >= 0.0) {
+    system.schedule_edge_toggle(0, topo.num_clusters() - 1, true,
+                                run.activate_rounds * params.T);
+  }
+  if (run.perturbation > 0.0) {
+    system.node(topo.node(0, 0))
+        .inject_transient_fault_at(
+            kTransientRounds * params.T,
+            run.perturbation * params.phi * params.tau3);
+  }
+  if (run.gamma_regime != GammaRegime::kProtocol) {
+    gamma_hooks.reserve(static_cast<std::size_t>(topo.num_nodes()));
+    for (int id = 0; id < topo.num_nodes(); ++id) {
+      if (!system.is_correct(id)) continue;
+      gamma_hooks.emplace_back(run.gamma_regime, owner_of(system, id), id);
+      system.node(id).engine().set_hooks(&gamma_hooks.back());
+    }
+  }
+  claims.install(system);
+  system.start();
+  if (profiler != nullptr) profiler->span_end("setup");
+
+  RunResult result =
+      measure_ftgcs(system, run, graph, claims, collector, profiler);
   if (collector != nullptr) {
     collector->finish();
     result.trace = collector->stats();
@@ -461,6 +820,9 @@ RunResult run_ftgcs(const ResolvedRun& run) {
 
   net::AugmentedTopology topo(run.graph, params.k);
   const int clusters = topo.num_clusters();
+  // The one graph of the run (monitor, sampler and shard plan borrow it).
+  const TopologyGraph graph =
+      build_topology_graph(topo, net::UniformDelay(params.d, params.U));
 
   // Created before either backend so its shard sinks outlive the system;
   // the resulting file is byte-identical at every shard count.
@@ -468,6 +830,10 @@ RunResult run_ftgcs(const ResolvedRun& run) {
   if (!run.trace_path.empty()) {
     collector = std::make_unique<trace::TraceCollector>(run.trace_path);
   }
+  // Hooks the engines call into: declared before the system, so they
+  // outlive it.
+  ClaimProbes claims(run, topo);
+  std::vector<GammaOverride> gamma_hooks;
 
   std::vector<int> offsets;
   if (run.gap_rounds > 0) {
@@ -475,21 +841,23 @@ RunResult run_ftgcs(const ResolvedRun& run) {
       offsets.push_back(c * run.gap_rounds);
     }
   }
+  std::vector<std::pair<int, int>> inactive_edges;
+  if (run.activate_rounds >= 0.0) inactive_edges.push_back({0, clusters - 1});
 
   if (run.shards > 1) {
     // The sharded backend needs a non-degenerate partition (≥ 2 effective
     // shards and a positive conservative lookahead); otherwise fall
     // through to the single-simulator engine below.
-    const net::UniformDelay delays(params.d, params.U);
-    par::ShardPlan plan = par::make_shard_plan(
-        build_topology_graph(topo, delays), run.shards);
+    par::ShardPlan plan = par::make_shard_plan(graph, run.shards);
     if (!plan.degenerate()) {
       par::ShardedFtGcsSystem::Config config;
       config.params = params;
       config.seed = run.seed;
+      config.enable_global_module = run.global_module;
       config.replicas_know_offsets = run.replicas_know_offsets;
       config.fault_plan = run.fault_plan;
       config.cluster_round_offsets = offsets;
+      config.initially_inactive_edges = inactive_edges;
       config.shards = plan.num_shards;
       config.plan = std::move(plan);  // probed above; skip the re-census
       config.shared_topo = &topo;  // one topology for driver + every shard
@@ -501,32 +869,89 @@ RunResult run_ftgcs(const ResolvedRun& run) {
                              run.seed);
         };
       }
+      if (run.delay != DelayKind::kUniform) {
+        config.delay_factory = [&run, &params] {
+          return build_delay(run.delay, params);
+        };
+      }
       config.trace = collector.get();
       config.profiler = profiler.get();
       par::ShardedFtGcsSystem system(run.graph, std::move(config));
-      system.start();
-      if (profiler != nullptr) profiler->span_end("setup");
-      return measure_and_seal(system, run, topo, collector.get(),
-                              profiler.get());
+      return start_and_measure(system, run, graph, claims, gamma_hooks,
+                               collector.get(), profiler.get());
     }
   }
 
   core::FtGcsSystem::Config config;
   config.params = params;
   config.seed = run.seed;
+  config.enable_global_module = run.global_module;
   config.replicas_know_offsets = run.replicas_know_offsets;
+  if (run.delay != DelayKind::kUniform) {
+    config.delay_model = build_delay(run.delay, params);
+  }
   config.drift_model =
       build_drift(run.drift, params, clusters, params.k, run.seed);
   config.fault_plan = run.fault_plan;
   config.cluster_round_offsets = offsets;
+  config.initially_inactive_edges = inactive_edges;
   config.shared_topo = &topo;  // already built above for metrics
   if (collector != nullptr) config.trace_sink = collector->shard_sink(0);
 
   core::FtGcsSystem system(run.graph, std::move(config));
-  system.start();
-  if (profiler != nullptr) profiler->span_end("setup");
-  return measure_and_seal(system, run, topo, collector.get(),
-                          profiler.get());
+  return start_and_measure(system, run, graph, claims, gamma_hooks,
+                           collector.get(), profiler.get());
+}
+
+/// Inequality (1) by Monte-Carlo, no simulation: kFaultSamplingTrials
+/// placements of i.i.d. faults (probability p per node) over the graph's
+/// clusters of k = 3f+1 members. p_fail is the share of clusters over
+/// their budget f (against the binomial tail and the (3ep)^(f+1) bound),
+/// survival the share of placements with no cluster over budget (against
+/// (1 − P1)^clusters).
+constexpr int kFaultSamplingTrials = 200000;
+
+RunResult run_fault_sampling(const ResolvedRun& run) {
+  const int clusters = run.graph.num_vertices();
+  const int k = run.params.k;
+  const int f = run.params.f;
+  const double p = run.fault_probability;
+  sim::Rng rng(run.seed);
+  std::uint64_t over_budget = 0;
+  std::uint64_t survived = 0;
+  for (int trial = 0; trial < kFaultSamplingTrials; ++trial) {
+    bool all_within = true;
+    for (int c = 0; c < clusters; ++c) {
+      int faulty = 0;
+      for (int node = 0; node < k; ++node) {
+        if (rng.chance(p)) ++faulty;
+      }
+      if (faulty > f) {
+        ++over_budget;
+        all_within = false;
+      }
+    }
+    if (all_within) ++survived;
+  }
+  const double binomial = core::cluster_failure_probability(f, p);
+  const double bound = core::cluster_failure_bound(f, p);
+  RunResult result;
+  result.seed = run.seed;
+  auto& m = result.metrics;
+  m.emplace_back("clusters", clusters);
+  m.emplace_back("k", k);
+  m.emplace_back("f", f);
+  m.emplace_back("p", p);
+  m.emplace_back("p_fail", static_cast<double>(over_budget) /
+                               (static_cast<double>(kFaultSamplingTrials) *
+                                clusters));
+  m.emplace_back("p_fail_binomial", binomial);
+  m.emplace_back("p_fail_bound", bound);
+  m.emplace_back("in_failure_bound", binomial <= bound ? 1.0 : 0.0);
+  m.emplace_back("survival",
+                 static_cast<double>(survived) / kFaultSamplingTrials);
+  m.emplace_back("survival_analytic", std::pow(1.0 - binomial, clusters));
+  return result;
 }
 
 /// The one probe loop of the comparison systems: starts `system`, probes
@@ -656,10 +1081,37 @@ RunResult run_baseline(const ResolvedRun& run) {
           });
     }
     case ProtocolKind::kFtGcs:
+    case ProtocolKind::kFaultSampling:
       break;
   }
   FTGCS_ASSERT(false);
   return {};
+}
+
+/// Typed errors for the FT-GCS run variations a spec asks for where they
+/// cannot apply.
+void check_variations(const ScenarioSpec& spec, const ResolvedRun& run) {
+  if (spec.protocol != ProtocolKind::kFtGcs &&
+      (spec.delay != DelayKind::kUniform ||
+       spec.gamma_regime != GammaRegime::kProtocol ||
+       spec.activate_rounds >= 0.0 || spec.perturbation > 0.0 ||
+       !spec.global_module)) {
+    throw std::invalid_argument(
+        std::string("delay, gamma_regime, activate_rounds, perturbation and "
+                    "global_module are FT-GCS variations; ") +
+        protocol_name(spec.protocol) + " has none of them");
+  }
+  const int last = run.graph.num_vertices() - 1;
+  if (spec.activate_rounds >= 0.0 &&
+      (last == 0 || !run.graph.has_edge(0, last))) {
+    throw std::invalid_argument("activate_rounds: clusters 0 and " +
+                                std::to_string(last) +
+                                " share no edge to insert");
+  }
+  if (spec.perturbation > 0.0 && run.fault_plan.contains(0)) {
+    throw std::invalid_argument(
+        "perturbation: node 0 (member 0 of cluster 0) is faulty");
+  }
 }
 
 }  // namespace
@@ -687,16 +1139,6 @@ double RunResult::metric(const std::string& name) const {
   return 0.0;
 }
 
-void RunResult::set_metric(const std::string& name, double value) {
-  for (auto& [key, existing] : metrics) {
-    if (key == name) {
-      existing = value;
-      return;
-    }
-  }
-  metrics.emplace_back(name, value);
-}
-
 ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
   ResolvedRun run;
   run.params = spec.params.build();
@@ -710,6 +1152,16 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
   run.steady_after_rounds = spec.steady_after_rounds;
   run.measure_m_lag = spec.measure_m_lag;
   run.replicas_know_offsets = spec.replicas_know_offsets;
+  run.global_module = spec.global_module;
+  run.delay = spec.delay;
+  run.gamma_regime = spec.gamma_regime;
+  run.activate_rounds = spec.activate_rounds;
+  run.perturbation = spec.perturbation;
+  if (spec.protocol == ProtocolKind::kFtGcs) {
+    for (const std::string& column : spec.columns) {
+      run.metric_groups |= metric_group_bit(column);
+    }
+  }
   run.trace_path = spec.trace_path;
   run.metrics_path = spec.metrics_path;
   run.monitors = spec.monitors;
@@ -735,8 +1187,16 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
       (run.graph.num_vertices() - 1) * run.gap_rounds * run.params.T;
   run.horizon_rounds = spec.horizon.resolve(run.params, run.diameter, s_init);
 
-  if (spec.protocol == ProtocolKind::kFtGcs ||
-      spec.protocol == ProtocolKind::kClusterTree) {
+  if (spec.protocol == ProtocolKind::kFaultSampling) {
+    if (!spec.faults.active() || spec.faults.mode != FaultMode::kIid ||
+        run.params.k != 3 * run.params.f + 1) {
+      throw std::invalid_argument(
+          "fault-sampling draws i.i.d. faults (fault_mode=3) over clusters "
+          "of k = 3f+1");
+    }
+    run.fault_probability = spec.faults.probability;
+  } else if (spec.protocol == ProtocolKind::kFtGcs ||
+             spec.protocol == ProtocolKind::kClusterTree) {
     net::AugmentedTopology topo(run.graph, run.params.k);
     run.fault_plan =
         build_fault_plan(spec.faults, topo, run.params, seed);
@@ -763,12 +1223,19 @@ ResolvedRun resolve(const ScenarioSpec& spec, std::uint64_t seed) {
       run.fault_plan.add(fault);
     }
   }
+  check_variations(spec, run);
   return run;
 }
 
 RunResult run_resolved(const ResolvedRun& run) {
-  return run.protocol == ProtocolKind::kFtGcs ? run_ftgcs(run)
-                                               : run_baseline(run);
+  switch (run.protocol) {
+    case ProtocolKind::kFtGcs:
+      return run_ftgcs(run);
+    case ProtocolKind::kFaultSampling:
+      return run_fault_sampling(run);
+    default:
+      return run_baseline(run);
+  }
 }
 
 RunResult run_point(const ScenarioSpec& spec, std::uint64_t seed) {

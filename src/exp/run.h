@@ -51,6 +51,16 @@ struct ResolvedRun {
   double steady_after_rounds = 0.0;
   bool measure_m_lag = false;
   bool replicas_know_offsets = true;
+  bool global_module = true;
+  DelayKind delay = DelayKind::kUniform;
+  GammaRegime gamma_regime = GammaRegime::kProtocol;
+  double activate_rounds = -1.0;
+  double perturbation = 0.0;
+  /// kFaultSampling: the i.i.d. per-node fault probability.
+  double fault_probability = 0.0;
+  /// Optional FT-GCS metric groups to compute (a run.cpp MetricGroup mask, from
+  /// the scenario's columns); 0 computes none and costs nothing.
+  unsigned metric_groups = 0;
   std::uint64_t seed = 1;
   /// Streaming trace capture: path of the .ftr file to write (empty =
   /// tracing off). FT-GCS runs only; the baselines ignore it.
@@ -107,7 +117,6 @@ struct RunResult : Diagnostics {
 
   bool has_metric(const std::string& name) const;
   double metric(const std::string& name) const;  ///< aborts if missing
-  void set_metric(const std::string& name, double value);
 };
 
 /// Resolves spec (with axes already applied) + seed. The initial global skew

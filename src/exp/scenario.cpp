@@ -123,6 +123,7 @@ core::Params ParamsSpec::build() const {
     throw std::invalid_argument(buf + why);
   };
   if (!(rho > 0.0)) reject("expected rho > 0");
+  if (!(delta_scale > 0.0)) reject("expected delta_scale > 0");
   if (!(d > 0.0 && U >= 0.0 && U < d)) reject("expected 0 <= U < d");
   if (preset == Preset::kPractical && core::Params::practical_phi(rho) <= 0.0) {
     reject("rho too large for the practical preset (no phi contracts)");
@@ -147,6 +148,10 @@ core::Params ParamsSpec::build() const {
       break;
   }
   if (cluster_size > 0) result = result.with_cluster_size(cluster_size);
+  if (delta_scale != 1.0) {
+    result.delta_trig *= delta_scale;
+    result.kappa = 3.0 * result.delta_trig;
+  }
   return result;
 }
 
@@ -259,6 +264,24 @@ void apply_axis(ScenarioSpec& spec, const std::string& name, double value) {
     if (spec.faults.param_abs == 0.0 && spec.faults.param_times_E == 0.0) {
       spec.faults.default_param_for_strategy = true;
     }
+  } else if (name == "delta_scale") {
+    spec.params.delta_scale = real(true);
+  } else if (name == "global_module") {
+    spec.global_module = integer(0, 1, "a flag") != 0;
+  } else if (name == "replicas_know_offsets") {
+    spec.replicas_know_offsets = integer(0, 1, "a flag") != 0;
+  } else if (name == "delay") {
+    spec.delay = static_cast<DelayKind>(
+        integer(0, static_cast<int>(DelayKind::kDirectional),
+                "a delay name or an ordinal"));
+  } else if (name == "gamma_regime") {
+    spec.gamma_regime = static_cast<GammaRegime>(
+        integer(0, static_cast<int>(GammaRegime::kSlow),
+                "a gamma regime name or an ordinal"));
+  } else if (name == "activate_rounds") {
+    spec.activate_rounds = real(false);
+  } else if (name == "perturbation") {
+    spec.perturbation = real(false);
   } else {
     throw std::invalid_argument("unknown sweep axis '" + name + "'");
   }
@@ -270,18 +293,47 @@ SweepAxis parse_axis(const std::string& text) {
     throw std::invalid_argument("--axis expects name=v1,v2,... got '" +
                                 text + "'");
   }
-  const auto strategy_ordinal = [](const std::string& token) {
-    for (int s = 0; s <= static_cast<int>(byz::StrategyKind::kDelayJitter);
-         ++s) {
-      if (token == byz::strategy_name(static_cast<byz::StrategyKind>(s))) {
-        return s;
-      }
+  // The ordinal of `token` among the names of enum E's values [0, last].
+  const auto ordinal = [](const std::string& token, int last,
+                          auto name_of) {
+    for (int v = 0; v <= last; ++v) {
+      if (token == name_of(v)) return v;
     }
     return -1;
   };
-  const auto preset_ordinal = [](const std::string& token) {
-    for (int p = 0; p <= static_cast<int>(ParamsSpec::Preset::kCustom); ++p) {
-      if (token == preset_name(static_cast<ParamsSpec::Preset>(p))) return p;
+  const auto named_ordinal = [&](const std::string& axis,
+                                 const std::string& token) {
+    if (axis == "strategy") {
+      return ordinal(token, static_cast<int>(byz::StrategyKind::kDelayJitter),
+                     [](int v) {
+                       return byz::strategy_name(
+                           static_cast<byz::StrategyKind>(v));
+                     });
+    }
+    if (axis == "preset") {
+      return ordinal(token, static_cast<int>(ParamsSpec::Preset::kCustom),
+                     [](int v) {
+                       return preset_name(static_cast<ParamsSpec::Preset>(v));
+                     });
+    }
+    if (axis == "delay") {
+      return ordinal(token, static_cast<int>(DelayKind::kDirectional),
+                     [](int v) {
+                       return delay_name(static_cast<DelayKind>(v));
+                     });
+    }
+    if (axis == "gamma_regime") {
+      return ordinal(token, static_cast<int>(GammaRegime::kSlow), [](int v) {
+        return gamma_regime_name(static_cast<GammaRegime>(v));
+      });
+    }
+    if (axis == "global_module") {
+      return ordinal(token, 1, [](int v) { return v != 0 ? "on" : "off"; });
+    }
+    if (axis == "replicas_know_offsets") {
+      return ordinal(token, 1, [](int v) {
+        return v != 0 ? "pre-aligned" : "from-zero";
+      });
     }
     return -1;
   };
@@ -290,9 +342,7 @@ SweepAxis parse_axis(const std::string& text) {
   std::istringstream list(text.substr(eq + 1));
   for (std::string token; std::getline(list, token, ',');) {
     if (token.empty()) continue;
-    const int named = axis.name == "strategy" ? strategy_ordinal(token)
-                      : axis.name == "preset" ? preset_ordinal(token)
-                                              : -1;
+    const int named = named_ordinal(axis.name, token);
     if (named >= 0) {
       axis.values.push_back(AxisValue::named(named, token));
       continue;
@@ -386,6 +436,25 @@ const char* preset_name(ParamsSpec::Preset preset) {
   return "?";
 }
 
+const char* delay_name(DelayKind kind) {
+  switch (kind) {
+    case DelayKind::kUniform: return "uniform";
+    case DelayKind::kTwoPoint: return "two-point";
+    case DelayKind::kDirectional: return "directional";
+  }
+  return "?";
+}
+
+const char* gamma_regime_name(GammaRegime regime) {
+  switch (regime) {
+    case GammaRegime::kProtocol: return "protocol";
+    case GammaRegime::kMixed: return "mixed";
+    case GammaRegime::kFast: return "fast";
+    case GammaRegime::kSlow: return "slow";
+  }
+  return "?";
+}
+
 const char* protocol_name(ProtocolKind kind) {
   switch (kind) {
     case ProtocolKind::kFtGcs: return "ftgcs";
@@ -393,6 +462,7 @@ const char* protocol_name(ProtocolKind kind) {
     case ProtocolKind::kSrikanthToueg: return "srikanth-toueg";
     case ProtocolKind::kTreeSync: return "tree-sync";
     case ProtocolKind::kClusterTree: return "cluster-tree";
+    case ProtocolKind::kFaultSampling: return "fault-sampling";
   }
   return "?";
 }

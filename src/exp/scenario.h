@@ -113,15 +113,19 @@ struct FaultPlanSpec {
 
 // ---- protocol & parameters --------------------------------------------------
 
-/// Every kind but kFtGcs is a comparison baseline run by one probe loop.
-/// kSrikanthToueg and kTreeSync model no faults (an active plan throws
-/// std::invalid_argument); kClusterTree takes the FT-GCS fault plan.
+/// kGcsBaseline to kClusterTree are comparison baselines run by one probe
+/// loop. kSrikanthToueg and kTreeSync model no faults (an active plan
+/// throws std::invalid_argument); kClusterTree takes the FT-GCS fault
+/// plan. kFaultSampling simulates nothing: it draws i.i.d. fault
+/// placements (FaultMode::kIid) over the clusters of k = 3f+1 and tallies
+/// clusters over budget against Inequality (1).
 enum class ProtocolKind {
   kFtGcs,          ///< the full PODC'19 construction (core::FtGcsSystem)
   kGcsBaseline,    ///< plain non-fault-tolerant GCS (gcs::GcsSystem)
   kSrikanthToueg,  ///< Srikanth–Toueg on a clique of the graph's n vertices
   kTreeSync,       ///< node-level master/slave pulse echo (§1)
   kClusterTree,    ///< fault-tolerant cluster master/slave tree (§1)
+  kFaultSampling,  ///< Monte-Carlo over fault placements, no simulation
 };
 
 /// Parameter preset selection (resolved via core::Params at run time).
@@ -139,8 +143,30 @@ struct ParamsSpec {
   double mu = 0.0;       ///< kCustom; also the kGcsBaseline speedup
   double phi = 0.0;      ///< kCustom
   int cluster_size = 0;  ///< 0 → k = 3f+1
+  /// Multiplies the trigger slack δ of Lemma 4.8 (κ = 3δ follows); the
+  /// E10 ablation. 1 = the derived value.
+  double delta_scale = 1.0;
 
   core::Params build() const;
+};
+
+// ---- FT-GCS run variations --------------------------------------------------
+
+/// The message-delay adversary (net/channel.h); every choice keeps delays
+/// in [d − U, d].
+enum class DelayKind {
+  kUniform,      ///< uniform over [d − U, d] (the default)
+  kTwoPoint,     ///< each message at d − U or d
+  kDirectional,  ///< low → high id at d, high → low at d − U
+};
+
+/// Who sets γ_v at each round start. kProtocol is Algorithm 2; the other
+/// regimes override its decision for every node and round (E3).
+enum class GammaRegime {
+  kProtocol,  ///< Algorithm 2 (triggers and the global module)
+  kMixed,     ///< γ alternates per node and round: (round + id) mod 2
+  kFast,      ///< unanimously fast, γ ≡ 1
+  kSlow,      ///< unanimously slow, γ ≡ 0
 };
 
 // ---- initial conditions & horizon ------------------------------------------
@@ -223,6 +249,19 @@ struct ScenarioSpec {
   double steady_after_rounds = 0.0;     ///< steady-state window start
   bool measure_m_lag = false;  ///< track max_v (maxᵤ L_u − M_v) (Lemma C.2)
   bool replicas_know_offsets = true;
+  /// App. C's global-skew module (the catch-up rule); off is the E10
+  /// ablation.
+  bool global_module = true;
+  DelayKind delay = DelayKind::kUniform;
+  GammaRegime gamma_regime = GammaRegime::kProtocol;
+  /// App. A edge insertion (E11): the cluster edge between cluster 0 and
+  /// the last starts inactive and is activated at activate_rounds·T. The
+  /// edge must exist. Negative = every edge active throughout.
+  double activate_rounds = -1.0;
+  /// Transient fault (E12): member 0 of cluster 0 has its logical clock
+  /// moved by perturbation·ϕ·τ3 (ϕ·τ3 is the largest correction a proper
+  /// execution applies) at 10T. 0 = none.
+  double perturbation = 0.0;
 
   /// Streaming trace capture: write every fired pulse delivery to this
   /// .ftr file (`ftgcs_bench --trace PATH`; empty = off). Multi-task
@@ -241,7 +280,11 @@ struct ScenarioSpec {
   bool monitors = true;
 
   std::vector<SweepAxis> axes;       ///< the parameter grid
-  std::vector<std::string> columns;  ///< metric names the table sink prints
+  /// Metric names the table sink prints. An FT-GCS run computes an
+  /// optional metric group (pulse diameters, amortized rates, trigger
+  /// faithfulness, the drain check, edge stabilization; exp/run.cpp) only
+  /// when one of the group's metrics is listed here.
+  std::vector<std::string> columns;
 
   /// Grid size (product of axis lengths; 1 if no axes) × seed count.
   std::size_t num_points() const;
@@ -251,9 +294,12 @@ struct ScenarioSpec {
 /// Writes one axis assignment into the spec. Supported axis names:
 ///   diameter, clusters, gap_rounds, gap_kappa, f, cluster_size,
 ///   faults_per_cluster, strategy, attacked, rho, d, U, preset, mu, phi,
-///   horizon_rounds, flip_rounds, probability, shards, fault_mode
+///   horizon_rounds, flip_rounds, probability, shards, fault_mode,
+///   delta_scale, global_module, replicas_know_offsets, delay,
+///   gamma_regime, activate_rounds, perturbation
 /// (preset = the ParamsSpec::Preset ordinal: 0 practical, 1 paper_strict,
-/// 2 custom, which reads mu and phi;
+/// 2 custom, which reads mu and phi; delay and gamma_regime = the
+/// DelayKind and GammaRegime ordinals;
 /// fault_mode = the FaultMode enum ordinal: 0 none, 1 uniform,
 /// 2 in-cluster, 3 iid — the knob that turns a fault-free throughput
 /// scenario like large_torus into a fault-heavy one from the CLI;
@@ -265,9 +311,12 @@ struct ScenarioSpec {
 /// its count/enum range).
 void apply_axis(ScenarioSpec& spec, const std::string& name, double value);
 
-/// Parses one `--axis name=v1,v2,...` argument. The strategy and preset
-/// axes also accept names (strategy_name, preset_name). Throws std::invalid_argument on a malformed
-/// argument or a non-numeric value; apply_axis checks the domain.
+/// Parses one `--axis name=v1,v2,...` argument. The strategy, preset,
+/// delay and gamma_regime axes also accept names (strategy_name,
+/// preset_name, delay_name, gamma_regime_name), global_module on/off and
+/// replicas_know_offsets pre-aligned/from-zero. Throws
+/// std::invalid_argument on a malformed argument or a non-numeric value;
+/// apply_axis checks the domain.
 SweepAxis parse_axis(const std::string& text);
 
 /// Replaces the spec's axis of the same name, or appends `axis`.
@@ -294,5 +343,9 @@ const char* topology_kind_name(TopologyKind kind);
 const char* protocol_name(ProtocolKind kind);
 /// "practical", "paper_strict" or "custom" (the preset axis's names).
 const char* preset_name(ParamsSpec::Preset preset);
+/// "uniform", "two-point" or "directional" (the delay axis's names).
+const char* delay_name(DelayKind kind);
+/// "protocol", "mixed", "fast" or "slow" (the gamma_regime axis's names).
+const char* gamma_regime_name(GammaRegime regime);
 
 }  // namespace ftgcs::exp

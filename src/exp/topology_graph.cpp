@@ -5,18 +5,9 @@ namespace ftgcs::exp {
 TopologyGraph build_topology_graph(const net::AugmentedTopology& topo,
                                    const net::DelayModel& delays) {
   TopologyGraph graph;
-  graph.num_clusters = topo.num_clusters();
-  graph.cluster_size = topo.cluster_size();
-  graph.adjacency = topo.adjacency();
-  graph.cluster_of.reserve(static_cast<std::size_t>(topo.num_nodes()));
-  for (int id = 0; id < topo.num_nodes(); ++id) {
-    graph.cluster_of.push_back(topo.cluster_of(id));
-  }
+  graph.topo = &topo;
   graph.min_delay = delays.min_delay();
   graph.max_delay = delays.max_delay();
-  // All in-tree DelayModels are uniform envelopes today; a heterogeneous
-  // model would fill edge_min_delay here (one vector per source, parallel
-  // to adjacency positions).
   return graph;
 }
 

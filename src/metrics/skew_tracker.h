@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/ftgcs_system.h"
-#include "metrics/stats.h"
 #include "net/augmented.h"
 #include "sim/simulator.h"
 

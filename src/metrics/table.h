@@ -1,5 +1,5 @@
-// Fixed-width table printer for experiment output (paper-style rows) with
-// optional CSV emission for downstream plotting.
+// Fixed-width table printer for experiment output (paper-style rows);
+// exp::CsvSink renders the machine-readable form.
 #pragma once
 
 #include <iosfwd>
@@ -21,9 +21,6 @@ class Table {
 
   /// Pretty fixed-width rendering.
   void print(std::ostream& os) const;
-
-  /// CSV rendering (RFC-ish: plain cells, comma-separated).
-  void print_csv(std::ostream& os) const;
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -70,7 +70,6 @@ class MetricsRegistry {
   /// names + 26 bytes per %.17g number + punctuation).
   std::size_t line_reserve_hint() const;
 
-  std::size_t num_entries() const { return entries_.size(); }
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -75,14 +75,16 @@ void ProbeSampler::write_header(const Config& config) {
   // Writing it in the constructor also forces stdio to allocate the
   // stream buffer now, before the allocation guard engages.
   std::size_t undirected_edges = 0;
-  for (const auto& row : graph_.adjacency) undirected_edges += row.size();
+  for (int v = 0; v < graph_.num_nodes(); ++v) {
+    undirected_edges += graph_.neighbors(v).size();
+  }
   undirected_edges /= 2;
 
   line_.clear();
   line_ += "{\"schema\":\"ftgcs-metrics-v1\",\"nodes\":";
   append_json_u64(line_, static_cast<std::uint64_t>(graph_.num_nodes()));
   line_ += ",\"clusters\":";
-  append_json_u64(line_, static_cast<std::uint64_t>(graph_.num_clusters));
+  append_json_u64(line_, static_cast<std::uint64_t>(graph_.num_clusters()));
   line_ += ",\"edges\":";
   append_json_u64(line_, undirected_edges);
   line_ += ",\"hist_scale\":";
@@ -122,7 +124,7 @@ void ProbeSampler::sample(const SampleContext& ctx) {
     const auto sv = static_cast<std::size_t>(v);
     if (!cols.correct[sv]) continue;
     const double lv = cols.logical[sv];
-    for (const int w : graph_.adjacency[sv]) {
+    for (const int w : graph_.neighbors(v)) {
       if (w <= v) continue;
       const auto sw = static_cast<std::size_t>(w);
       if (!cols.correct[sw]) continue;

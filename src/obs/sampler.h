@@ -71,8 +71,7 @@ class ProbeSampler {
   /// growth up to 64·scale.
   static LogLinearHistogram::Spec scaled_spec(double scale);
 
-  /// Copies the resolved topology (same ownership rule as
-  /// trace::InvariantMonitor: the sampler outlives resolution scratch).
+  /// `graph` borrows the run's topology, which must outlive the sampler.
   /// Opens `config.path` and writes the header row. Throws
   /// std::runtime_error naming the path if it cannot be created.
   ProbeSampler(Config config, exp::TopologyGraph graph);

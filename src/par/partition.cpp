@@ -8,9 +8,9 @@
 namespace ftgcs::par {
 
 ShardPlan make_shard_plan(const exp::TopologyGraph& graph, int shards) {
-  FTGCS_EXPECTS(graph.num_clusters > 0);
+  FTGCS_EXPECTS(graph.num_clusters() > 0);
   ShardPlan plan;
-  plan.num_shards = std::max(1, std::min(shards, graph.num_clusters));
+  plan.num_shards = std::max(1, std::min(shards, graph.num_clusters()));
   if (plan.num_shards <= 1) {
     plan.num_shards = 1;
     return plan;
@@ -18,37 +18,31 @@ ShardPlan make_shard_plan(const exp::TopologyGraph& graph, int shards) {
 
   // Balanced contiguous stripes over cluster ids: cluster c goes to shard
   // ⌊c·T/C⌋ (every shard owns ⌈C/T⌉ or ⌊C/T⌋ consecutive clusters).
-  const int clusters = graph.num_clusters;
+  const int clusters = graph.num_clusters();
   const int t = plan.num_shards;
   plan.cluster_owner.resize(static_cast<std::size_t>(clusters));
   for (int c = 0; c < clusters; ++c) {
     plan.cluster_owner[static_cast<std::size_t>(c)] = static_cast<std::int32_t>(
         (static_cast<long long>(c) * t) / clusters);
   }
-  plan.node_owner.resize(graph.cluster_of.size());
-  for (std::size_t id = 0; id < graph.cluster_of.size(); ++id) {
-    plan.node_owner[id] =
-        plan.cluster_owner[static_cast<std::size_t>(graph.cluster_of[id])];
+  plan.node_owner.resize(static_cast<std::size_t>(graph.num_nodes()));
+  for (int id = 0; id < graph.num_nodes(); ++id) {
+    plan.node_owner[static_cast<std::size_t>(id)] =
+        plan.cluster_owner[static_cast<std::size_t>(graph.cluster_of(id))];
   }
 
-  // Cut census over directed node-level edges, tracking the conservative
-  // lookahead (minimum delay over everything that crosses).
-  double min_cut = graph.max_delay;
+  // Cut census over directed node-level edges. Every edge has the same
+  // minimum delay, so any cut edge sets the conservative lookahead.
   bool any_cut = false;
   for (int from = 0; from < graph.num_nodes(); ++from) {
-    const auto& neighbors = graph.adjacency[static_cast<std::size_t>(from)];
     const std::int32_t owner = plan.node_owner[static_cast<std::size_t>(from)];
-    for (std::size_t j = 0; j < neighbors.size(); ++j) {
-      if (plan.node_owner[static_cast<std::size_t>(neighbors[j])] == owner) {
-        continue;
-      }
+    for (const int to : graph.neighbors(from)) {
+      if (plan.node_owner[static_cast<std::size_t>(to)] == owner) continue;
       plan.cut_edges += 1;
-      min_cut = any_cut ? std::min(min_cut, graph.edge_min(from, j))
-                        : graph.edge_min(from, j);
       any_cut = true;
     }
   }
-  plan.min_cut_delay = any_cut ? min_cut : 0.0;
+  plan.min_cut_delay = any_cut ? graph.min_delay : 0.0;
 
   // The window the backend actually uses is min_cut_delay − kTimeEps (the
   // delivery path admits that much slack below the channel minimum), so a

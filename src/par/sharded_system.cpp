@@ -115,9 +115,16 @@ ShardedFtGcsSystem::ShardedFtGcsSystem(net::Graph cluster_graph,
     shard_config.replicas_know_offsets = config.replicas_know_offsets;
     shard_config.fault_plan = config.fault_plan;
     shard_config.cluster_round_offsets = config.cluster_round_offsets;
+    shard_config.initially_inactive_edges = config.initially_inactive_edges;
     if (config.drift_factory) {
       shard_config.drift_model = config.drift_factory();
       FTGCS_EXPECTS(shard_config.drift_model != nullptr);
+    }
+    if (config.delay_factory) {
+      shard_config.delay_model = config.delay_factory();
+      FTGCS_EXPECTS(shard_config.delay_model != nullptr &&
+                    shard_config.delay_model->min_delay() ==
+                        config.params.d - config.params.U);
     }
     shard_config.shard = {s, t, plan_.cluster_owner.data(),
                           routers_.back().get()};
@@ -295,11 +302,11 @@ void ShardedFtGcsSystem::snapshot_columns(core::SystemColumns& out) const {
 std::uint64_t ShardedFtGcsSystem::fired_events() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->simulator().fired_events();
-  // Every shard installs an identically-seeded drift-model copy; at any
-  // barrier they have fired the same tick schedule, so the duplicates are
-  // exactly the copies' counts beyond the first.
+  // Every shard installs an identically-seeded drift-model copy and the
+  // same edge toggles; at any barrier they have fired the same schedule,
+  // so the duplicates are exactly the copies' counts beyond the first.
   for (std::size_t s = 1; s < shards_.size(); ++s) {
-    total -= shards_[s]->drift_ticks_fired();
+    total -= shards_[s]->replicated_events_fired();
   }
   return total;
 }

@@ -39,6 +39,7 @@
 #include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "byz/fault_plan.h"
@@ -46,6 +47,7 @@
 #include "core/ftgcs_system.h"
 #include "core/node_table.h"
 #include "core/params.h"
+#include "net/channel.h"
 #include "net/graph.h"
 #include "par/mailbox.h"
 #include "par/partition.h"
@@ -92,6 +94,15 @@ class ShardedFtGcsSystem {
     /// draws; each shard applies only its own nodes' rates). nullptr →
     /// the system default (deterministically spread constant drift).
     std::function<std::unique_ptr<clocks::DriftModel>()> drift_factory;
+    /// Builds one delay model per shard (the adversary of
+    /// core::FtGcsSystem::Config::delay_model). Every model samples only
+    /// from the per-link streams, so the copies draw identical delays.
+    /// nullptr → UniformDelay(d, U). Every model's delays lie in
+    /// [d − U, d], the window width the plan assumes.
+    std::function<std::unique_ptr<net::DelayModel>()> delay_factory;
+    /// Cluster edges that start inactive (see core::FtGcsSystem::Config);
+    /// every shard applies them to the members it owns.
+    std::vector<std::pair<int, int>> initially_inactive_edges;
     /// Trace capture: each shard's Network gets collector->shard_sink(s)
     /// installed (deliveries fire exactly once, on the destination's
     /// owner shard, so the merged trace is byte-identical to an unsharded
@@ -155,6 +166,13 @@ class ShardedFtGcsSystem {
   /// Starts every shard at the global time-0 initialization.
   void start();
 
+  /// Schedules an edge (de)activation on every shard, each of which
+  /// switches the members it owns (core::FtGcsSystem::schedule_edge_toggle).
+  /// Call before the first run_until.
+  void schedule_edge_toggle(int b, int c, bool active, sim::Time at) {
+    for (auto& shard : shards_) shard->schedule_edge_toggle(b, c, active, at);
+  }
+
   /// Advances every shard to exactly `t` through lock-step safe windows.
   void run_until(sim::Time t);
 
@@ -174,14 +192,24 @@ class ShardedFtGcsSystem {
   /// Merged ground-truth snapshot (each node read from its owner shard).
   void snapshot_columns(core::SystemColumns& out) const;
 
+  /// The shard system that owns node `id`.
+  core::FtGcsSystem& owner(int id) {
+    return *shards_[static_cast<std::size_t>(
+        plan_.node_owner[static_cast<std::size_t>(id)])];
+  }
+  const core::FtGcsSystem& owner(int id) const {
+    return *shards_[static_cast<std::size_t>(
+        plan_.node_owner[static_cast<std::size_t>(id)])];
+  }
+
   bool is_correct(int id) const { return owner(id).is_correct(id); }
   core::FtGcsNode& node(int id) { return owner(id).node(id); }
   const core::FtGcsNode& node(int id) const { return owner(id).node(id); }
 
   // ---- aggregated counters (single-simulator-equivalent totals) -------------
   /// Events the single-simulator engine would have fired: the sum over
-  /// shards, minus the duplicate drift ticks of the per-shard model
-  /// copies (every shard replays the same tick schedule).
+  /// shards, minus the duplicates of the events every shard replays
+  /// (drift ticks of the per-shard model copies, edge toggles).
   std::uint64_t fired_events() const;
   std::uint64_t messages_sent() const;
   std::uint64_t total_violations() const;
@@ -198,15 +226,6 @@ class ShardedFtGcsSystem {
 
  private:
   class Router;
-
-  core::FtGcsSystem& owner(int id) {
-    return *shards_[static_cast<std::size_t>(
-        plan_.node_owner[static_cast<std::size_t>(id)])];
-  }
-  const core::FtGcsSystem& owner(int id) const {
-    return *shards_[static_cast<std::size_t>(
-        plan_.node_owner[static_cast<std::size_t>(id)])];
-  }
 
   /// One lock-step phase: every worker merges its inbound mailboxes into
   /// its queue, then runs its simulator to `bound` (inclusive), while the

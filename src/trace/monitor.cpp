@@ -36,7 +36,7 @@ void InvariantMonitor::observe(const core::SystemColumns& columns,
   // Pass 1 — per-cluster and global extremes over correct (non-crashed)
   // nodes. columns.correct is 0 for Byzantine ids AND for crash-stopped
   // nodes, so crashed clocks never enter an aggregate.
-  const auto clusters = static_cast<std::size_t>(graph_.num_clusters);
+  const auto clusters = static_cast<std::size_t>(graph_.num_clusters());
   cluster_lo_.assign(clusters, kInf);
   cluster_hi_.assign(clusters, -kInf);
   double global_lo = kInf;
@@ -45,7 +45,7 @@ void InvariantMonitor::observe(const core::SystemColumns& columns,
     const auto i = static_cast<std::size_t>(id);
     if (!columns.correct[i]) continue;
     const double logical = columns.logical[i];
-    const auto c = static_cast<std::size_t>(graph_.cluster_of[i]);
+    const auto c = static_cast<std::size_t>(graph_.cluster_of(id));
     cluster_lo_[c] = std::min(cluster_lo_[c], logical);
     cluster_hi_[c] = std::max(cluster_hi_[c], logical);
     global_lo = std::min(global_lo, logical);
@@ -69,7 +69,7 @@ void InvariantMonitor::observe(const core::SystemColumns& columns,
     const auto vi = static_cast<std::size_t>(v);
     if (!columns.correct[vi]) continue;
     const double lv = columns.logical[vi];
-    for (int w : graph_.adjacency[vi]) {
+    for (int w : graph_.neighbors(v)) {
       if (w <= v) continue;
       const auto wi = static_cast<std::size_t>(w);
       if (!columns.correct[wi]) continue;

@@ -101,8 +101,7 @@ class InvariantMonitor {
     }
   };
 
-  /// Copies the resolved topology (the monitor outlives probe scratch and
-  /// must not dangle into the run's resolution state).
+  /// `graph` borrows the run's topology, which must outlive the monitor.
   InvariantMonitor(exp::TopologyGraph graph, MonitorBounds bounds);
 
   /// One probe: scans the columnar snapshot (crashed nodes carry

@@ -3,6 +3,7 @@
 // testing Algorithm 1 and Corollary 3.5 in isolation.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,6 +15,31 @@
 #include "net/network.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+
+namespace ftgcs::core {
+
+/// Closure-backed hooks for rigs that script an engine: each unset closure
+/// is a no-op. Owned by the rig, which must keep it alive while the engine
+/// runs.
+class ClusterSyncCallbacks final : public ClusterSyncHooks {
+ public:
+  std::function<void(int round)> round_start;
+  std::function<void(int round, sim::Time now)> pulse;
+  std::function<void(int round, double delta_corr, bool violated)>
+      correction;
+
+  void on_round_start(int round) override {
+    if (round_start) round_start(round);
+  }
+  void on_pulse_instant(int round, sim::Time now) override {
+    if (pulse) pulse(round, now);
+  }
+  void on_correction(int round, double delta_corr, bool violated) override {
+    if (correction) correction(round, delta_corr, violated);
+  }
+};
+
+}  // namespace ftgcs::core
 
 namespace ftgcs::testing {
 

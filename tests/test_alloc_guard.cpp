@@ -209,6 +209,28 @@ TEST(AllocGuard, ShardedConstructionAllocationsPerNode) {
       << " nodes on " << system.num_shards() << " shards";
 }
 
+// The same bound when the sharded system computes its own plan: its cut
+// census borrows the topology's adjacency instead of copying it.
+TEST(AllocGuard, ShardedConstructionWithoutPlanAllocationsPerNode) {
+  const core::Params params = test_params();
+  net::Graph graph = net::Graph::torus(8, 8);
+  const net::AugmentedTopology topo(graph, params.k);
+  par::ShardedFtGcsSystem::Config config;
+  config.params = params;
+  config.seed = 1;
+  config.shards = 4;
+  config.shared_topo = &topo;
+
+  const support::ScopedAllocGuard guard;
+  const par::ShardedFtGcsSystem system(std::move(graph), std::move(config));
+  ASSERT_EQ(system.num_shards(), 4);
+  const std::uint64_t per_node =
+      guard.allocations() / static_cast<std::uint64_t>(topo.num_nodes());
+  EXPECT_LE(per_node, kConstructionAllocationsPerNode)
+      << guard.allocations() << " allocations for " << topo.num_nodes()
+      << " nodes on " << system.num_shards() << " shards";
+}
+
 // Trace capture buffers must grow geometrically: an exact per-batch
 // reserve(size + n) would reallocate — and copy the whole buffer — on
 // every batch, making long traced runs quadratic. 20k batches of 4

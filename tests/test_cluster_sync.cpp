@@ -9,7 +9,7 @@
 #include <map>
 
 #include "harness.h"
-#include "metrics/trace.h"
+#include "obs/pulse_diameters.h"
 
 namespace ftgcs::core {
 namespace {
@@ -145,12 +145,12 @@ TEST(ClusterSync, PulseDiametersStayBelowE) {
   // Proposition B.14: ‖p(r)‖ ≤ E for all rounds.
   const Params params = test_params();
   ClusterHarness harness(params, {});
-  metrics::PulseDiameterTrace trace(params.k);
+  obs::PulseDiameters trace({params.k});
   for (int i = 0; i < harness.k(); ++i) {
     ClusterSyncCallbacks& hooks = harness.hooks(i);
     auto previous = hooks.pulse;  // keep the broadcast hook
     hooks.pulse = [&trace, previous](int round, sim::Time now) {
-      trace.record_pulse(round, now);
+      trace.record(0, round, now);
       if (previous) previous(round, now);
     };
     harness.engine(i).set_hardware_rate(0.0, 1.0 + params.rho * (i % 2));

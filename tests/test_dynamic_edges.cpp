@@ -6,9 +6,9 @@
 #include <cmath>
 
 #include "core/ftgcs_system.h"
-#include "metrics/stabilization.h"
 #include "metrics/skew_tracker.h"
 #include "net/graph.h"
+#include "obs/settle_time.h"
 
 namespace ftgcs::core {
 namespace {
@@ -62,18 +62,18 @@ TEST(DynamicEdges, ActivationDrainsTheGap) {
   // while the gap exceeds 2κ−δ, so the residual settles just below that;
   // one κ is not reachable by a one-sided drain — the GCS guarantee for
   // an adjacent pair is the level band, not zero.)
-  metrics::StabilizationTracker tracker(2.0 * p.kappa);
+  obs::SettleTime tracker(2.0 * p.kappa);
   for (int step = 1; step <= 400; ++step) {
     system.run_until(step * p.T);
     tracker.add(system.simulator().now(),
                 std::abs(*system.cluster_clock(1) -
                          *system.cluster_clock(0)));
   }
-  const auto delay = tracker.stabilization_delay(activate_at);
-  ASSERT_TRUE(delay.has_value()) << "gap never stabilized below 2*kappa";
+  const auto settled = tracker.settled_at();
+  ASSERT_TRUE(settled.has_value()) << "gap never stabilized below 2*kappa";
   // O(S/µ): S = 6T; generous constant.
   const double s_over_mu = 6.0 * p.T / p.mu;
-  EXPECT_LE(*delay, 3.0 * s_over_mu);
+  EXPECT_LE(*settled - activate_at, 3.0 * s_over_mu);
   EXPECT_EQ(system.total_violations(), 0u);
 }
 
@@ -91,16 +91,16 @@ TEST(DynamicEdges, StabilizationScalesWithInitialSkew) {
     const sim::Time activate_at = 5.0 * p.T;
     system.schedule_edge_toggle(0, 1, true, activate_at);
     system.start();
-    metrics::StabilizationTracker tracker(2.0 * p.kappa);
+    obs::SettleTime tracker(2.0 * p.kappa);
     for (int step = 1; step <= 1200; ++step) {
       system.run_until(step * p.T);
       tracker.add(system.simulator().now(),
                   std::abs(*system.cluster_clock(1) -
                            *system.cluster_clock(0)));
     }
-    const auto delay = tracker.stabilization_delay(activate_at);
-    EXPECT_TRUE(delay.has_value()) << "gap " << gap_rounds;
-    return delay.value_or(1e18);
+    const auto settled = tracker.settled_at();
+    EXPECT_TRUE(settled.has_value()) << "gap " << gap_rounds;
+    return settled ? *settled - activate_at : 1e18;
   };
   // Delays scale with the skew above the 2κ band: expect roughly
   // (S − 2κ)/µ̂. Gaps chosen so both sit well above the band.

@@ -1,5 +1,5 @@
 // Golden-trace pins for the typed event engine, plus the golden tables
-// of the E2, E5, E8 and E13 scenarios.
+// of the E2, E3, E5, E7, E8 and E10-E13 scenarios.
 //
 // The engine swap (typed slot-pooled queue, batched broadcast, in-place
 // timer reschedule) is required to preserve equal-time FIFO ordering and
@@ -206,6 +206,132 @@ TEST(EngineTrace, E13LynchWelchVsSrikanthTouegMatchesGoldenValues) {
                 {"1.08674217106", "3492"},
                 {"1.07580455329", "3300"},
                 {"1.07636675061", "3240"}});
+}
+
+// E3, rows gamma_regime = mixed, fast, slow. The binary this scenario
+// replaced (a bare cluster of engines, no FtGcsNode) read steady
+// diameters 0.07756 / 0.009638 / 0.009658 (practical) and 20 / 0.6123 /
+// 0.6123 (paper-strict) over rounds 40-59; this run averages every
+// complete round after round 30 of a one-cluster FT-GCS system.
+// The paper-strict unanimous diameters sit ~147x above their Claim B.15
+// prediction (EXPERIMENTS.md, E3).
+TEST(EngineTrace, E3UnanimousConvergenceMatchesGoldenValues) {
+  const std::vector<std::string> names = {
+      "steady_diameter", "predicted_diameter", "rate_min_mu", "rate_max_mu",
+      "in_rate_band",    "violations",         "events"};
+  expect_table("e3_unanimous_convergence", names,
+               {{"0.0806887996594", "0.345840646519", "0.491075618032",
+                 "0.53275246919", "1", "0", "2184"},
+                {"0.010357896254", "0.0428620080778", "1.02073275386",
+                 "1.0256554452", "1", "0", "2216"},
+                {"0.0102966011391", "0.0429475445265", "0.0212092494177",
+                 "0.0230817575264", "1", "0", "2152"}});
+  expect_table("e3_unanimous_convergence_strict", names,
+               {{"20.0064779888", "40.4251871366", "0.515534459358",
+                 "0.51569952246", "1", "0", "1704"},
+                {"0.612481638188", "0.0041582795065", "1.01562719659",
+                 "1.0156305837", "1", "0", "1704"},
+                {"0.612501231533", "0.00415828472895", "0.0156266977275",
+                 "0.0156300897294", "1", "0", "1704"}});
+}
+
+// E7, rows (f, probability) in grid order: the Monte-Carlo shares of seed
+// 2026 against the binomial tail and the (3ep)^(f+1) bound.
+TEST(EngineTrace, E7FailureProbabilityMatchesGoldenValues) {
+  expect_table("e7_cluster_failure",
+               {"p_fail", "p_fail_binomial", "p_fail_bound"},
+               {{"0.001025", "0.001", "0.00815484548538"},
+                {"0.01005", "0.01", "0.0815484548538"},
+                {"0.049725", "0.05", "0.407742274269"},
+                {"0.099685", "0.1", "0.815484548538"},
+                {"0", "5.992003e-06", "6.65015048904e-05"},
+                {"0.000665", "0.00059203", "0.00665015048904"},
+                {"0.01399", "0.01401875", "0.166253762226"},
+                {"0.052245", "0.0523", "0.665015048904"},
+                {"0", "3.489512593e-08", "5.42309496926e-07"},
+                {"2.5e-05", "3.396253015e-05", "0.000542309496926"},
+                {"0.00355", "0.00375704296875", "0.0677886871158"},
+                {"0.02561", "0.0256915", "0.542309496926"},
+                {"0", "2.08994097602e-10", "4.42245015268e-09"},
+                {"0", "2.00127615694e-06", "4.42245015268e-05"},
+                {"0.000945", "0.00102849793789", "0.0276403134543"},
+                {"0.0128", "0.0127951984", "0.442245015268"}});
+  expect_table("e7_system_survival", {"survival", "survival_analytic"},
+               {{"0.99508", "0.995273562375"},
+                {"0.893355", "0.893201101063"},
+                {"0.99973", "0.999728332053"},
+                {"0.97054", "0.970335930772"}});
+}
+
+// E10, equal at one and two shards. max_local and final_global equal the
+// binary this replaced to its four digits (16.26 / 16.56 / 16.64 and
+// 6.653 / 22.47 / 42.89; 16.6 / 16.67 and 22.54 / 83.07; 16.54 / 16.7
+// and 22.47 / 75.62). It counted the fast/slow conditions once per round,
+// this scenario at every T/4 probe (879 / 500 / 0 there).
+TEST(EngineTrace, E10AblationsMatchGoldenValuesAtOneAndTwoShards) {
+  const std::vector<std::string> names = {
+      "max_local", "final_global", "trigger_samples", "faithfulness_misses",
+      "violations", "events"};
+  expect_table("e10_trigger_slack", names,
+               {{"16.2642824841", "6.65261337688", "3519", "0", "0",
+                 "1024819"},
+                {"16.5572396174", "22.4744157702", "2000", "0", "0",
+                 "1023403"},
+                {"16.6405430819", "42.8877729805", "0", "0", "0",
+                 "1021846"}},
+               {1, 2});
+  expect_table("e10_global_module", names,
+               {{"16.597482869", "22.5362627928", "2000", "0", "0",
+                 "1023165"},
+                {"16.6694732285", "83.0666710487", "2000", "0", "0",
+                 "312476"}},
+               {1, 2});
+  expect_table("e10_replica_init", names,
+               {{"16.5424510276", "22.4746011136", "2000", "0", "0",
+                 "1023038"},
+                {"16.6959685673", "75.6233203802", "2000", "0", "0",
+                 "1020255"}},
+               {1, 2});
+}
+
+// E11, equal at one and two shards: the delays equal the binary's to its
+// four digits (270.9 / 675.1 / 1079 / 1880 / 2684, and 844.92 for the ring
+// closed at 40T).
+TEST(EngineTrace, E11EdgeInsertionMatchesGoldenValuesAtOneAndTwoShards) {
+  const std::vector<std::string> names = {
+      "expected_delay", "stabilization_delay", "violations", "events"};
+  expect_table("e11_edge_insertion", names,
+               {{"282.980533271", "270.858567009", "0", "297563"},
+                {"677.772054681", "675.125084933", "0", "426464"},
+                {"1072.56357609", "1079.39160286", "0", "555028"},
+                {"1862.14661891", "1879.83930835", "0", "812807"},
+                {"2651.72966173", "2684.32967902", "0", "1069729"}},
+               {1, 2});
+  expect_table("e11_ring_closure", names,
+               {{"973.865695739", "925.770326046", "0", "1317138"},
+                {"973.865695739", "844.917022461", "0", "1317138"}},
+               {1, 2});
+}
+
+// E12, rows (delay, perturbation) in grid order. The binary this replaced
+// read spikes 0.303 / 0.303 / 0.309 and one-round ratios 0.0091 / 0.0278
+// / 0.0124 at perturbation 0.8.
+TEST(EngineTrace, E12RecoveryContractionMatchesGoldenValues) {
+  expect_table("e12_recovery_contraction",
+               {"spike_diameter", "spike_next", "contraction", "violations",
+                "events"},
+               {{"0.15202656432", "0.00276011539065", "0.0181554809385", "0",
+                 "3188"},
+                {"0.303453352286", "0.00276011539065", "0.00909568264729",
+                 "0", "3188"},
+                {"0.150999463642", "0.00842171070279", "0.05577311667", "0",
+                 "3159"},
+                {"0.302853079471", "0.00842171070279", "0.0278079084337",
+                 "0", "3158"},
+                {"0.157150278513", "0.00382391734302", "0.0243328702895",
+                 "0", "3229"},
+                {"0.309140127116", "0.00382391734302", "0.0123695276271",
+                 "0", "3228"}});
 }
 
 }  // namespace

@@ -150,7 +150,11 @@ TEST(Registry, BuiltinsRegisterAndResolve) {
         "e8_gcs_pump_baseline", "e2_cluster_skew_bound",
         "e8_ftgcs_skew_pump", "e8_gcs_pump_failure", "e5_tree_sync",
         "e5_cluster_tree", "e5_ftgcs_ramp", "e13_lynch_welch",
-        "e13_srikanth_toueg"}) {
+        "e13_srikanth_toueg", "e3_unanimous_convergence",
+        "e3_unanimous_convergence_strict", "e7_cluster_failure",
+        "e7_system_survival", "e10_trigger_slack", "e10_global_module",
+        "e10_replica_init", "e11_edge_insertion", "e11_ring_closure",
+        "e12_recovery_contraction"}) {
     const ScenarioSpec* spec = Registry::instance().find(name);
     ASSERT_NE(spec, nullptr) << name;
     EXPECT_EQ(spec->name, name);
@@ -186,8 +190,60 @@ TEST(Scenario, AxisApplicationCoversDocumentedNames) {
   EXPECT_FALSE(spec.faults.enabled);
   apply_axis(spec, "horizon_rounds", 42);
   EXPECT_DOUBLE_EQ(spec.horizon.base_rounds, 42.0);
+  apply_axis(spec, "delta_scale", 0.5);
+  EXPECT_DOUBLE_EQ(spec.params.delta_scale, 0.5);
+  apply_axis(spec, "global_module",
+             parse_axis("global_module=off").values[0].value);
+  EXPECT_FALSE(spec.global_module);
+  apply_axis(spec, "replicas_know_offsets",
+             parse_axis("replicas_know_offsets=from-zero").values[0].value);
+  EXPECT_FALSE(spec.replicas_know_offsets);
+  apply_axis(spec, "delay", parse_axis("delay=directional").values[0].value);
+  EXPECT_EQ(spec.delay, DelayKind::kDirectional);
+  apply_axis(spec, "gamma_regime",
+             parse_axis("gamma_regime=slow").values[0].value);
+  EXPECT_EQ(spec.gamma_regime, GammaRegime::kSlow);
+  apply_axis(spec, "activate_rounds", 7);
+  EXPECT_DOUBLE_EQ(spec.activate_rounds, 7.0);
+  EXPECT_THROW(apply_axis(spec, "perturbation", -0.5), std::invalid_argument);
+  apply_axis(spec, "perturbation", 0.5);
+  EXPECT_DOUBLE_EQ(spec.perturbation, 0.5);
   EXPECT_THROW(apply_axis(spec, "no_such_axis", 1.0),
                std::invalid_argument);
+}
+
+// A value label a registered table prints is one `--axis` accepts back,
+// so a sweep row can be re-run by copying its cell. The attacked axis is
+// the exception: its labels describe the attack ("f=1", "pump") and the
+// CLI takes its 0/1.
+TEST(Scenario, RegisteredAxisLabelsParseBack) {
+  register_builtin_scenarios();
+  for (const std::string& name : Registry::instance().names()) {
+    for (const SweepAxis& axis : Registry::instance().find(name)->axes) {
+      if (axis.name == "attacked") continue;
+      for (const AxisValue& v : axis.values) {
+        if (v.label.empty()) continue;
+        const SweepAxis parsed = parse_axis(axis.name + "=" + v.label);
+        EXPECT_EQ(parsed.values[0].value, v.value) << name << " " << v.label;
+      }
+    }
+  }
+}
+
+// The FT-GCS run variations are typed errors where they cannot apply: on
+// a comparison baseline, or an edge insertion between clusters that share
+// no edge.
+TEST(Scenario, MisappliedVariationsThrowTypedErrors) {
+  register_builtin_scenarios();
+  ScenarioSpec baseline = *Registry::instance().find("e13_srikanth_toueg");
+  baseline.delay = DelayKind::kTwoPoint;
+  EXPECT_THROW(resolve(baseline, 1), std::invalid_argument);
+  ScenarioSpec line = *Registry::instance().find("e9_overhead_scaling");
+  line.activate_rounds = 5.0;  // a line of 5: 0 and 4 not adjacent
+  EXPECT_THROW(resolve(line, 1), std::invalid_argument);
+  ScenarioSpec sampling = *Registry::instance().find("e7_cluster_failure");
+  sampling.faults.mode = FaultMode::kUniform;
+  EXPECT_THROW(resolve(sampling, 1), std::invalid_argument);
 }
 
 // Bad `--axis` input travels parse_axis -> SweepRunner -> apply_axis and

@@ -5,40 +5,14 @@
 
 #include "byz/fault_plan.h"
 #include "metrics/skew_tracker.h"
-#include "metrics/stabilization.h"
-#include "metrics/stats.h"
 #include "metrics/table.h"
-#include "metrics/trace.h"
+#include "obs/pulse_diameters.h"
+#include "obs/settle_time.h"
 
 namespace ftgcs::metrics {
 namespace {
 
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.13809, 1e-4);  // sample stddev
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.add(3.5);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(Percentile, InterpolatesLinearly) {
-  std::vector<double> values{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(values, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(values, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(values, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(percentile({5.0}, 0.5), 5.0);
-}
-
-TEST(Table, FormatsRowsAndCsv) {
+TEST(Table, FormatsRows) {
   Table table({"a", "bb", "ccc"});
   table.add_row({"1", "2", "3"});
   table.add_row({"10", "20", "30"});
@@ -46,9 +20,6 @@ TEST(Table, FormatsRowsAndCsv) {
   table.print(pretty);
   EXPECT_NE(pretty.str().find("a"), std::string::npos);
   EXPECT_NE(pretty.str().find("30"), std::string::npos);
-  std::ostringstream csv;
-  table.print_csv(csv);
-  EXPECT_EQ(csv.str(), "a,bb,ccc\n1,2,3\n10,20,30\n");
   EXPECT_EQ(table.rows(), 2u);
 }
 
@@ -57,32 +28,35 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::integer(42), "42");
 }
 
-TEST(PulseDiameterTrace, TracksMinMaxPerRound) {
-  PulseDiameterTrace trace(3);
-  trace.record_pulse(1, 10.0);
-  trace.record_pulse(1, 10.4);
-  EXPECT_TRUE(trace.diameter(1).has_value());
-  EXPECT_NEAR(*trace.diameter(1), 0.4, 1e-12);
-  EXPECT_FALSE(trace.diameter(2).has_value());
-  trace.record_pulse(1, 10.2);  // inside the envelope: no change
-  EXPECT_NEAR(*trace.diameter(1), 0.4, 1e-12);
-  EXPECT_EQ(trace.last_round(), 1);
+TEST(PulseDiameters, TracksMinMaxPerRound) {
+  obs::PulseDiameters trace({3});
+  trace.record(0, 1, 10.0);
+  trace.record(0, 1, 10.4);
+  EXPECT_TRUE(trace.complete_rounds().empty());  // 2 of 3 members
+  trace.record(0, 1, 10.2);  // inside the envelope: no change
+  ASSERT_EQ(trace.complete_rounds().size(), 1u);
+  EXPECT_EQ(trace.complete_rounds()[0].first, 1);
+  EXPECT_NEAR(trace.complete_rounds()[0].second, 0.4, 1e-12);
   // complete_rounds only reports rounds with all 3 members.
-  EXPECT_EQ(trace.complete_rounds().size(), 1u);
-  trace.record_pulse(2, 20.0);
+  trace.record(0, 2, 20.0);
   EXPECT_EQ(trace.complete_rounds().size(), 1u);
 }
 
-TEST(CorrectionTrace, AggregatesAbsoluteCorrections) {
-  CorrectionTrace trace;
-  trace.record(1, -0.5, false);
-  trace.record(1, 0.3, false);
-  trace.record(2, 0.1, true);
-  EXPECT_DOUBLE_EQ(trace.max_abs_correction(1), 0.5);
-  EXPECT_DOUBLE_EQ(trace.max_abs_correction(2), 0.1);
-  EXPECT_DOUBLE_EQ(trace.max_abs_correction(3), 0.0);
-  EXPECT_DOUBLE_EQ(trace.global_max_abs_correction(), 0.5);
-  EXPECT_EQ(trace.violations(), 1u);
+TEST(PulseDiameters, CompleteRoundsTakeTheWorstCluster) {
+  obs::PulseDiameters trace({2, 2});
+  trace.record(0, 1, 1.0);
+  trace.record(0, 1, 1.5);
+  trace.record(1, 1, 2.0);
+  trace.record(1, 1, 2.25);
+  trace.record(1, 2, 5.0);  // cluster 1's round 2 is incomplete
+  trace.record(0, 2, 5.0);
+  trace.record(0, 2, 5.125);
+  const auto rounds = trace.complete_rounds();
+  ASSERT_EQ(rounds.size(), 2u);
+  EXPECT_EQ(rounds[0].first, 1);
+  EXPECT_DOUBLE_EQ(rounds[0].second, 0.5);
+  EXPECT_EQ(rounds[1].first, 2);
+  EXPECT_DOUBLE_EQ(rounds[1].second, 0.125);
 }
 
 TEST(MeasureSkews, ComputesAllQuantitiesFromSnapshot) {
@@ -117,40 +91,39 @@ TEST(MeasureSkews, ComputesAllQuantitiesFromSnapshot) {
   EXPECT_NEAR(s.node_local, 1.4, 1e-12);
 }
 
-TEST(Stabilization, FindsEntryIntoBand) {
-  StabilizationTracker tracker(1.0);
+TEST(SettleTime, FindsEntryIntoBand) {
+  obs::SettleTime tracker(1.0);
   tracker.add(0.0, 5.0);
   tracker.add(1.0, 2.0);
   tracker.add(2.0, 0.8);
   tracker.add(3.0, 0.5);
-  ASSERT_TRUE(tracker.stabilized_at().has_value());
-  EXPECT_DOUBLE_EQ(*tracker.stabilized_at(), 2.0);
-  EXPECT_DOUBLE_EQ(*tracker.stabilization_delay(1.5), 0.5);
+  ASSERT_TRUE(tracker.settled_at().has_value());
+  EXPECT_DOUBLE_EQ(*tracker.settled_at(), 2.0);
 }
 
-TEST(Stabilization, RelapseResetsTheClock) {
-  StabilizationTracker tracker(1.0);
+TEST(SettleTime, RelapseResetsTheClock) {
+  obs::SettleTime tracker(1.0);
   tracker.add(0.0, 0.5);   // in band...
   tracker.add(1.0, 3.0);   // ...but relapses
   tracker.add(2.0, 0.5);
   tracker.add(3.0, 0.4);
-  ASSERT_TRUE(tracker.stabilized_at().has_value());
-  EXPECT_DOUBLE_EQ(*tracker.stabilized_at(), 2.0);
+  ASSERT_TRUE(tracker.settled_at().has_value());
+  EXPECT_DOUBLE_EQ(*tracker.settled_at(), 2.0);
 }
 
-TEST(Stabilization, NeverStabilized) {
-  StabilizationTracker tracker(1.0);
+TEST(SettleTime, NeverSettled) {
+  obs::SettleTime tracker(1.0);
   tracker.add(0.0, 2.0);
   tracker.add(1.0, 3.0);
-  EXPECT_FALSE(tracker.stabilized_at().has_value());
-  EXPECT_FALSE(StabilizationTracker(1.0).stabilized_at().has_value());
+  EXPECT_FALSE(tracker.settled_at().has_value());
+  EXPECT_FALSE(obs::SettleTime(1.0).settled_at().has_value());
 }
 
-TEST(Stabilization, BoundaryValueCountsAsInBand) {
-  StabilizationTracker tracker(1.0);
+TEST(SettleTime, BoundaryValueCountsAsInBand) {
+  obs::SettleTime tracker(1.0);
   tracker.add(0.0, 1.0);  // exactly at the threshold
-  ASSERT_TRUE(tracker.stabilized_at().has_value());
-  EXPECT_DOUBLE_EQ(*tracker.stabilized_at(), 0.0);
+  ASSERT_TRUE(tracker.settled_at().has_value());
+  EXPECT_DOUBLE_EQ(*tracker.settled_at(), 0.0);
 }
 
 TEST(MeasureSkews, FullyFaultyClusterSkipped) {

@@ -125,17 +125,11 @@ TEST(ProbeSampler, ScaledSpecDerivesFromScale) {
 // ---- zero-allocation sampling contract -------------------------------------
 
 // After prewarm(), sample() must allocate nothing — from the FIRST probe,
-/// Hand-built 4-node topology (2 clusters × 2, a 4-cycle) — the sampler
-/// only reads adjacency/cluster shape, so this stays tiny.
-exp::TopologyGraph four_cycle() {
-  exp::TopologyGraph graph;
-  graph.num_clusters = 2;
-  graph.cluster_size = 2;
-  graph.adjacency = {{1, 3}, {0, 2}, {1, 3}, {0, 2}};
-  graph.cluster_of = {0, 0, 1, 1};
-  graph.min_delay = 0.5;
-  graph.max_delay = 1.0;
-  return graph;
+/// Tiny 4-node topology (2 clusters × 2) — the sampler only reads the
+/// adjacency and the cluster shape.
+exp::TopologyGraph four_nodes() {
+  static const net::AugmentedTopology topo(net::Graph::line(2), 2);
+  return exp::build_topology_graph(topo, net::UniformDelay(1.0, 0.5));
 }
 
 // not after a warm-up: the row buffer is capacity-pinned by prewarm, the
@@ -146,7 +140,7 @@ TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
   config.path = temp_path("alloc_pin.jsonl");
   config.monitors = false;
   config.hist_scale = 1.0;
-  obs::ProbeSampler sampler(config, four_cycle());
+  obs::ProbeSampler sampler(config, four_nodes());
   sampler.prewarm();
 
   core::SystemColumns columns;
@@ -186,7 +180,7 @@ TEST(ProbeSampler, SteadyStateSamplingAllocatesNothing) {
   EXPECT_EQ(series.rows.size(), 200u);
   EXPECT_EQ(series.header.number("nodes"), 4.0);
   // Histogram max fields are exact (clipped to max_seen): the worst
-  // 4-cycle edge gap is |2.0 − 1.0| = 1.0 every probe.
+  // edge gap is |2.0 − 1.0| = 1.0 every probe.
   EXPECT_EQ(series.rows.back().number("local_max"), 1.0);
   EXPECT_EQ(series.rows.back().number("global_max"), 1.0);
 }
@@ -212,7 +206,7 @@ TEST(ProbeSampler, UncreatablePathIsATypedError) {
   obs::ProbeSampler::Config config;
   config.path = "/nonexistent/dir/x.jsonl";
   expect_error_naming(config.path,
-                      [&] { obs::ProbeSampler sampler(config, four_cycle()); });
+                      [&] { obs::ProbeSampler sampler(config, four_nodes()); });
 }
 
 TEST(PhaseProfiler, UncreatablePathIsATypedError) {
@@ -227,7 +221,7 @@ TEST(ProbeSampler, FullDiskIsATypedErrorAtFinish) {
 
   obs::ProbeSampler::Config config;
   config.path = "/dev/full";
-  obs::ProbeSampler sampler(config, four_cycle());
+  obs::ProbeSampler sampler(config, four_nodes());
   core::SystemColumns columns;
   columns.logical = {1.0, 1.25, 1.5, 2.0};
   columns.correct = {1, 1, 1, 1};

@@ -130,6 +130,33 @@ TEST(ParShards, FaultHeavyE9GridIdenticalAcrossShards) {
   }
 }
 
+// The hooks a run layer puts in front of each node (E3's γ regime, the
+// pulse-diameter recorder) and the per-shard delay adversary and
+// transient fault (E12) on a multi-cluster line: every row, optional
+// metric groups included, must match the single-simulator engine.
+TEST(ParShards, ClaimVariationsIdenticalAcrossShards) {
+  exp::register_builtin_scenarios();
+  for (const char* name : {"e3_unanimous_convergence",
+                           "e12_recovery_contraction"}) {
+    ScenarioSpec spec = *exp::Registry::instance().find(name);
+    exp::apply_axis(spec, "clusters", 4.0);
+    exp::SweepRunner runner({1, false});
+    const exp::SweepResult base = runner.run(spec);
+    for (int shards : {2, 4}) {
+      ScenarioSpec sharded = spec;
+      sharded.shards = shards;
+      const exp::SweepResult result = runner.run(sharded);
+      ASSERT_EQ(base.rows.size(), result.rows.size());
+      for (std::size_t r = 0; r < base.rows.size(); ++r) {
+        EXPECT_EQ(result.rows[r].shard.shards, shards) << name;
+        expect_same_metrics(base.rows[r], result.rows[r],
+                            std::string(name) + " row " + std::to_string(r) +
+                                " shards=" + std::to_string(shards));
+      }
+    }
+  }
+}
+
 // Crash-stop across the cut: correct nodes on both sides of a shard
 // boundary crash mid-run (their timers halt, their sinks go null, their
 // table flags flip), next to per-cluster Byzantine noise. Ground-truth

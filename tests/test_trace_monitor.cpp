@@ -159,15 +159,11 @@ TEST(TraceMonitor, MatchesOfflineSkewsOnTorusEveryProbe) {
   run_property(graph, {0, 10}, 2, "torus/s2");
 }
 
-/// Hand-built two-cluster graph (k = 2, clusters {0,1} and {2,3}, full
-/// bipartite bundle) for synthetic-column pins.
+/// Two-cluster graph (k = 2, clusters {0,1} and {2,3}, full bipartite
+/// bundle) for synthetic-column pins.
 exp::TopologyGraph tiny_graph() {
-  exp::TopologyGraph graph;
-  graph.num_clusters = 2;
-  graph.cluster_size = 2;
-  graph.adjacency = {{1, 2, 3}, {0, 2, 3}, {3, 0, 1}, {2, 0, 1}};
-  graph.cluster_of = {0, 0, 1, 1};
-  return graph;
+  static const net::AugmentedTopology topo(net::Graph::line(2), 2);
+  return exp::build_topology_graph(topo, net::UniformDelay(1.0, 0.01));
 }
 
 core::SystemColumns tiny_columns(std::vector<double> logical,
